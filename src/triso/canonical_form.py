@@ -88,12 +88,15 @@ class SphereMaximizer:
     value = g(u) >= 0 (the maximum of an odd function is nonnegative), and
     residual is the tangential gradient norm ||grad g - (u.grad g) u|| at u,
     measured on the input tensor, so it scales with the tensor's norm.
+    iterations counts projected-ascent steps, newton_iterations the Newton
+    polish steps run before every start's step fell below 1e-15.
     """
 
     u: np.ndarray
     value: float
     residual: float
     iterations: int = 0
+    newton_iterations: int = 0
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float).reshape(3).copy()
@@ -138,49 +141,59 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(x, axis=1) without its dispatch overhead
+    return np.sqrt((x * x).sum(axis=1))
+
+
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    return x / _row_norms(x)[:, None]
 
 
-def _batch_values(d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,si,sj,sk->s", d, x, x, x, optimize=True)
+def _contract(d9: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rows D_ijk x_j y_k for (s, 3) batches x, y, with d9 = D.reshape(3, 9).T.
 
-
-def _batch_gradients(d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return 3.0 * np.einsum("ijk,sj,sk->si", d, x, x, optimize=True)
+    One matmul of the (s, 9) outer products with d9: x, x gives the cubic
+    form's value (row dot x) and gradient (times 3), x, t the tangent
+    Hessian product H t / 6.  Unlike einsum it plans no contraction path.
+    """
+    return (x[:, :, None] * y[:, None, :]).reshape(len(x), 9) @ d9
 
 
 def _tangent_bases(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal tangent pairs (t1, t2) for a batch of unit vectors."""
-    n = len(x)
-    helper = np.zeros_like(x)
-    helper[np.arange(n), np.argmin(np.abs(x), axis=1)] = 1.0
-    t1 = helper - np.sum(helper * x, axis=1, keepdims=True) * x
+    rows = np.arange(len(x))
+    axis = np.argmin(np.abs(x), axis=1)
+    t1 = -x[rows, axis][:, None] * x
+    t1[rows, axis] += 1.0
     t1 = _unit_rows(t1)
-    t2 = np.cross(x, t1)
+    # t2 = x cross t1
+    t2 = x[:, [1, 2, 0]] * t1[:, [2, 0, 1]] - x[:, [2, 0, 1]] * t1[:, [1, 2, 0]]
     return t1, t2
 
 
-def _newton_polish(d: np.ndarray, x: np.ndarray, iters: int = 15) -> np.ndarray:
+def _newton_polish(d9: np.ndarray, x: np.ndarray, iters: int = 15) -> tuple[np.ndarray, int]:
     """Batched Riemannian Newton for stationary points of the cubic form.
 
     Solves the projected system P(H - lambda I)P dx = -P grad in a 2d
     tangent basis; near-singular tangent Hessians fall back to a damped
     gradient step.  Step length is capped so iterates stay in their basin.
+    Stops once every start's step is below 1e-15; returns the points and
+    the iterations run.
     """
-    for _ in range(iters):
-        grad = _batch_gradients(d, x)
-        lam = np.sum(grad * x, axis=1)
+    it = 0
+    for it in range(1, iters + 1):
+        grad = 3.0 * _contract(d9, x, x)
+        lam = (grad * x).sum(axis=1, keepdims=True)
         t1, t2 = _tangent_bases(x)
-        # tangent Hessian entries; H_ij = 6 d_ijk x_k
-        h = 6.0 * np.einsum("ijk,sk->sij", d, x, optimize=True)
-        ht1 = np.einsum("sij,sj->si", h, t1) - lam[:, None] * t1
-        ht2 = np.einsum("sij,sj->si", h, t2) - lam[:, None] * t2
-        a00 = np.sum(t1 * ht1, axis=1)
-        a01 = np.sum(t1 * ht2, axis=1)
-        a11 = np.sum(t2 * ht2, axis=1)
-        b0 = -np.sum(grad * t1, axis=1)
-        b1 = -np.sum(grad * t2, axis=1)
+        # tangent Hessian products; H_ij = 6 d_ijk x_k
+        ht1 = 6.0 * _contract(d9, x, t1) - lam * t1
+        ht2 = 6.0 * _contract(d9, x, t2) - lam * t2
+        a00 = (t1 * ht1).sum(axis=1)
+        a01 = (t1 * ht2).sum(axis=1)
+        a11 = (t2 * ht2).sum(axis=1)
+        b0 = -(grad * t1).sum(axis=1)
+        b1 = -(grad * t2).sum(axis=1)
         det = a00 * a11 - a01 * a01
         safe = np.abs(det) > 1e-14 * (1.0 + a00 * a00 + a01 * a01 + a11 * a11)
         z0 = np.where(safe, (a11 * b0 - a01 * b1) / np.where(safe, det, 1.0), 0.2 * b0)
@@ -188,7 +201,9 @@ def _newton_polish(d: np.ndarray, x: np.ndarray, iters: int = 15) -> np.ndarray:
         step_norm = np.hypot(z0, z1)
         cap = np.minimum(1.0, 0.3 / np.maximum(step_norm, 1e-300))
         x = _unit_rows(x + (cap * z0)[:, None] * t1 + (cap * z1)[:, None] * t2)
-    return x
+        if np.all(cap * step_norm < 1e-15):
+            break
+    return x, it
 
 
 def maximize_cubic_on_sphere(
@@ -208,36 +223,42 @@ def maximize_cubic_on_sphere(
     full = _full(t)
     frob = full.frobenius()
     if frob == 0.0:
-        return SphereMaximizer(np.array([1.0, 0.0, 0.0]), 0.0, 0.0, 0)
-    d = full.entries / frob
+        return SphereMaximizer(np.array([1.0, 0.0, 0.0]), 0.0, 0.0)
+    d9 = (full.entries / frob).reshape(3, 9).T
 
     x = _fibonacci_sphere(cfg.starts)
     if cfg.random_starts:
         rng = np.random.default_rng(cfg.seed)
         extra = rng.normal(size=(cfg.random_starts, 3))
         x = np.vstack([x, _unit_rows(extra)])
-    x[_batch_values(d, x) < 0.0] *= -1.0
+    # p holds D_ijk x_j x_k for the current x: gradient 3p, value p.x
+    p = _contract(d9, x, x)
+    val = (p * x).sum(axis=1)
+    flip = val < 0.0
+    x[flip] *= -1.0
+    val[flip] *= -1.0
 
     step = np.full(len(x), 0.1)
-    val = _batch_values(d, x)
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        grad = _batch_gradients(d, x)
-        tang = grad - np.sum(grad * x, axis=1, keepdims=True) * x
-        res = np.linalg.norm(tang, axis=1)
-        if np.all(res <= 1e-6):
+        grad = 3.0 * p
+        tang = grad - (grad * x).sum(axis=1, keepdims=True) * x
+        if _row_norms(tang).max() <= 1e-6:
             break
         trial = _unit_rows(x + step[:, None] * tang)
-        trial_val = _batch_values(d, trial)
+        trial_p = _contract(d9, trial, trial)
+        trial_val = (trial_p * trial).sum(axis=1)
         ok = trial_val >= val
-        x[ok] = trial[ok]
-        val[ok] = trial_val[ok]
+        np.copyto(x, trial, where=ok[:, None])
+        np.copyto(p, trial_p, where=ok[:, None])
+        np.copyto(val, trial_val, where=ok)
         step = np.where(ok, step * 1.2, step * 0.5)
 
-    x = _newton_polish(d, x)
-    val = _batch_values(d, x)
-    grad = _batch_gradients(d, x)
-    res = np.linalg.norm(grad - np.sum(grad * x, axis=1, keepdims=True) * x, axis=1)
+    x, newton_iterations = _newton_polish(d9, x)
+    p = _contract(d9, x, x)
+    val = (p * x).sum(axis=1)
+    grad = 3.0 * p
+    res = _row_norms(grad - (grad * x).sum(axis=1, keepdims=True) * x)
 
     converged = res <= cfg.tol
     if not converged.any():
@@ -254,7 +275,7 @@ def maximize_cubic_on_sphere(
     value = cubic_form(full, u)
     grad_u = cubic_gradient(full, u)
     residual = float(np.linalg.norm(grad_u - (grad_u @ u) * u))
-    return SphereMaximizer(u, value, residual, iterations)
+    return SphereMaximizer(u, value, residual, iterations, newton_iterations)
 
 
 def rotation_to_e1(u) -> OrthogonalTransform3:
@@ -268,8 +289,11 @@ def rotation_to_e1(u) -> OrthogonalTransform3:
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"u must be a unit vector, got |u| = {norm:.17g}")
     u = u / norm
+    # the first axis within roundoff of the smallest |u_i|, so that a u off
+    # an axis by 1e-34 picks the same frame as the axis itself
+    size = np.abs(u)
     helper = np.zeros(3)
-    helper[np.argmin(np.abs(u))] = 1.0
+    helper[np.argmax(size <= size.min() + 1e-12)] = 1.0
     r2 = helper - (helper @ u) * u
     r2 /= np.linalg.norm(r2)
     r3 = np.cross(u, r2)
@@ -288,21 +312,25 @@ def circle_zero_angle(t: SymTraceless3 | FullTensor3) -> float:
     """
     full = _full(t)
     arr = full.entries
+    # h(theta) = g(0, c, s) is a cubic in c = cos theta and s = sin theta
+    c3, c2s, cs2, s3 = arr[1, 1, 1], 3.0 * arr[1, 1, 2], 3.0 * arr[1, 2, 2], arr[2, 2, 2]
+
+    def restriction(c, s):
+        return ((c3 * c + c2s * s) * c + cs2 * s * s) * c + s3 * s * s * s
 
     def h(theta):
-        x = np.array([0.0, math.cos(theta), math.sin(theta)])
-        return float(np.einsum("ijk,i,j,k->", arr, x, x, x))
+        return float(restriction(math.cos(theta), math.sin(theta)))
 
     n = 256
     grid = np.linspace(0.0, math.pi, n + 1)
-    x = np.stack([np.zeros(n + 1), np.cos(grid), np.sin(grid)], axis=1)
-    values = np.einsum("ijk,si,sj,sk->s", arr, x, x, x, optimize=True)
+    values = restriction(np.cos(grid), np.sin(grid))
 
-    tiny = 1e-13 * max(1.0, full.frobenius())
+    tiny = 1e-13 * full.frobenius()
     if np.max(np.abs(values)) <= tiny:
         return 0.0
     near_zero = np.abs(values) <= tiny
-    flips = values[:-1] * values[1:] < 0.0
+    # signs, not products, which underflow for tensors below about 1e-154
+    flips = np.sign(values[:-1]) * np.sign(values[1:]) < 0.0
     first_zero = np.argmax(near_zero) if near_zero.any() else n + 1
     first_flip = np.argmax(flips) if flips.any() else n + 1
     if first_zero <= first_flip:
@@ -349,6 +377,7 @@ def canonicalize(
             0.0,
             {
                 "ascent_iterations": 0,
+                "newton_iterations": 0,
                 "stationarity_residual": 0.0,
                 "circle_residual": 0.0,
                 "constraint_violation": 0.0,
@@ -366,6 +395,7 @@ def canonicalize(
     params = CanonicalParams(out.d111, out.d122, out.d123, out.d223)
     diagnostics = {
         "ascent_iterations": mx.iterations,
+        "newton_iterations": mx.newton_iterations,
         "stationarity_residual": mx.residual,
         "circle_residual": abs(out.d222),
         "constraint_violation": max(abs(out.d112), abs(out.d113), abs(out.d222)),

@@ -68,6 +68,12 @@ class CliConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so "--d111 -2.5e-12" would
+        # read the value as an unknown option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits 2 on usage errors, but 2 is reserved here for numerical
     # failure; remap to 1
     def error(self, message):

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from .canonical_form import _unit_rows
 from .invariants import InvariantTuple, relative_error, smith_bao
 from .tensor_core import (
     FullTensor3,
@@ -111,8 +111,15 @@ def _quat_partials(q: np.ndarray) -> np.ndarray:
     return 2.0 * np.stack([dw, dx, dy, dz], axis=1)
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first call.
+
+    Importing scipy.optimize costs several times as much as the rest of
+    ``import triso``, and only the alignment polish needs it.
+    """
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 def _apply_batch(r: np.ndarray, a: np.ndarray) -> np.ndarray:

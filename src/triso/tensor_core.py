@@ -37,9 +37,10 @@ __all__ = [
     "tensor_from_json_obj",
 ]
 
-# Default tolerance for validating symmetry/trace of raw full arrays.
-# Looser than construction exactness so that arrays that went through a
-# rotation (and picked up roundoff) still compress cleanly.
+# Default tolerance for validating symmetry/trace of raw full arrays,
+# relative to the Frobenius norm so that the check is scale-free.  Looser
+# than construction exactness so that arrays that went through a rotation
+# (and picked up roundoff) still compress cleanly.
 COMPRESS_TOL = 1e-9
 
 # Orthogonality tolerance for transform validation.
@@ -205,17 +206,21 @@ def trace_violation(f: FullTensor3) -> float:
 def compress(f: FullTensor3, tol: float = COMPRESS_TOL) -> SymTraceless3:
     """Extract the seven free components, validating the array first.
 
-    Raises ValueError if any permuted-slot pair differs by more than tol or
-    any trace exceeds tol, reporting the worst violation found.
+    Raises ValueError if any permuted-slot pair differs, or any trace
+    exceeds, tol times the array's Frobenius norm, reporting the worst
+    violation found.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    bound = tol * f.frobenius()
     sym = symmetry_violation(f)
-    if sym > tol:
-        raise ValueError(f"array is not symmetric: worst permuted-entry mismatch {sym:.3g} > tol {tol:.3g}")
+    if sym > bound:
+        raise ValueError(
+            f"array is not symmetric: worst permuted-entry mismatch {sym:.3g} > tol*||T|| {bound:.3g}"
+        )
     trc = trace_violation(f)
-    if trc > tol:
-        raise ValueError(f"array is not traceless: worst trace magnitude {trc:.3g} > tol {tol:.3g}")
+    if trc > bound:
+        raise ValueError(f"array is not traceless: worst trace magnitude {trc:.3g} > tol*||T|| {bound:.3g}")
     arr = f.entries
     return SymTraceless3(*(float(arr[slot]) for slot in _FREE_SLOTS.values()))
 
@@ -303,7 +308,7 @@ def tensor_from_json_obj(obj: dict, tol: float = COMPRESS_TOL) -> SymTraceless3:
 
     Accepts either the seven component keys D111 ... D223 (missing keys
     default to zero) or a 27-element row-major list under the key "full",
-    which is validated like any raw array.
+    which is validated like any raw array (tol is relative to its norm).
     """
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")

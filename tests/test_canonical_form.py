@@ -13,14 +13,18 @@ from triso.canonical_form import (
     rotation_about_e1,
     rotation_to_e1,
     stationarity_residual,
+    _contract,
+    _tangent_bases,
 )
 from triso.invariants import relative_error, smith_bao
+from triso.reference_cases import reference_cases
 from triso.tensor_core import (
     SymTraceless3,
     act,
     compress,
     cubic_form,
     expand,
+    random_orthogonal,
     random_tensor,
 )
 
@@ -33,6 +37,29 @@ def sampled_max(t, n=200_000, seed=0):
     d = expand(t).entries
     vals = np.einsum("ijk,si,sj,sk->s", d, x, x, x, optimize=True)
     return float(np.max(np.abs(vals)))  # odd function: |g(-x)| = |g(x)|
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kernels_match_einsum_definitions(seed):
+    rng = np.random.default_rng(seed)
+    d = expand(random_tensor(seed)).entries
+    d9 = d.reshape(3, 9).T
+    x = rng.normal(size=(40, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    t1, t2 = _tangent_bases(x)
+    assert np.max(np.abs(np.sum(t1 * x, axis=1))) < 1e-15
+    assert np.max(np.abs(np.linalg.norm(t1, axis=1) - 1.0)) < 1e-15
+    assert np.max(np.abs(t2 - np.cross(x, t1))) < 1e-15
+
+    p = _contract(d9, x, x)
+    value = np.einsum("ijk,si,sj,sk->s", d, x, x, x)
+    gradient = 3.0 * np.einsum("ijk,sj,sk->si", d, x, x)
+    assert np.max(np.abs(np.sum(p * x, axis=1) - value)) < 1e-13
+    assert np.max(np.abs(3.0 * p - gradient)) < 1e-13
+    hessian = 6.0 * np.einsum("ijk,sk->sij", d, x)
+    for t in (t1, t2):
+        expected = np.einsum("sij,sj->si", hessian, t)
+        assert np.max(np.abs(6.0 * _contract(d9, x, t) - expected)) < 1e-13
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -215,14 +242,37 @@ def test_canonicalize_preserves_invariants(seed):
         assert relative_error(float(x), float(y)) <= 1e-9
 
 
+def _rotated_reference_tensors():
+    for k, case in enumerate(reference_cases()):
+        g = random_orthogonal(1000 + k, proper=k % 2 == 0)
+        yield compress(act(g, expand(case.tensor)))
+
+
 def test_canonicalize_is_idempotent():
-    for seed in range(6):
-        first = canonicalize(random_tensor(seed)).params
+    inputs = [random_tensor(seed) for seed in range(50)] + list(_rotated_reference_tensors())
+    for t in inputs:
+        first = canonicalize(t).params
         second = canonicalize(first.to_tensor()).params
         a, b = first.as_array(), second.as_array()
         # a second pass may flip residual signs at roundoff scale but the
         # parameters must agree
         assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_canonicalize_is_scale_equivariant(seed):
+    t = random_tensor(seed)
+    norm = expand(t).frobenius()
+    base = canonicalize(t).params.as_array()
+    # 1e-160: the restriction's grid products underflow below about 1e-154
+    for scale in [*np.logspace(-15, 20, 8), 1e-160, 1e150]:
+        scaled = SymTraceless3.from_array(scale * t.as_array())
+        result = canonicalize(scaled)
+        rotated = compress(act(result.transform, expand(scaled)))
+        worst = max(abs(rotated.d112), abs(rotated.d113), abs(rotated.d222))
+        assert worst <= 1e-9 * scale * norm, scale
+        gap = np.max(np.abs(result.params.as_array() - scale * base))
+        assert gap <= 1e-9 * scale * norm, scale
 
 
 def test_canonicalize_zero_tensor():
@@ -249,11 +299,13 @@ def test_diagnostics_keys():
     result = canonicalize(random_tensor(9))
     assert set(result.diagnostics) >= {
         "ascent_iterations",
+        "newton_iterations",
         "stationarity_residual",
         "circle_residual",
         "constraint_violation",
     }
     assert result.diagnostics["constraint_violation"] <= 1e-9
+    assert 1 <= result.diagnostics["newton_iterations"] <= 15
 
 
 def test_stationarity_residual_checks_unit_norm():

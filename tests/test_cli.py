@@ -60,6 +60,29 @@ def test_invariants_json_bytes(capsys):
     assert out == '{"I2":10,"I4":44,"I6":16,"I10":64}\n'
 
 
+@pytest.mark.parametrize("value", ["-2.5e-12", "-3", "-.5E+2", "-1."])
+def test_negative_component_flag_spellings(capsys, value):
+    # "--d111 -2.5e-12" must parse like "--d111=-2.5e-12", not as an option
+    code, spaced, err = run(capsys, ["invariants", "--d111", value, "--d123", value])
+    assert code == 0, err
+    code, joined, _ = run(capsys, ["invariants", f"--d111={value}", f"--d123={value}"])
+    assert code == 0
+    assert spaced == joined
+
+
+def test_rand_tensor_output_pastes_back_as_flags(capsys):
+    code, out, _ = run(capsys, ["rand-tensor", "--seed", "3", "--scale", "1e-12"])
+    assert code == 0
+    obj = json.loads(out)
+    argv = ["invariants"]
+    for key, value in obj.items():
+        argv += [f"--{key.lower()}", format(value, ".17g")]
+    assert any(tok.startswith("-") and "e-" in tok for tok in argv[2::2])
+    code, pasted, err = run(capsys, argv)
+    assert code == 0, err
+    assert pasted == _json_text(smith_bao(tensor_from_json_obj(obj)).to_json_obj()) + "\n"
+
+
 def test_invariants_text_format(capsys):
     code, out, _ = run(capsys, ["invariants", "--d111", "1", "--d112", "1", "--format", "text"])
     assert code == 0
@@ -398,6 +421,23 @@ def test_json_text_roundtrips_doubles():
 
 
 # ------------------------------------------------------------- entry point
+
+
+def test_invariants_does_not_import_scipy(tmp_path):
+    # scipy.optimize dominates a cold start; only the alignment polish loads it
+    package_root = str(Path(triso.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, triso, triso.cli\n"
+        "assert triso.cli.main(['invariants', '--d111', '1', '--d112', '1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ['{"I2":10,"I4":44,"I6":16,"I10":64}', "[]"]
 
 
 def _console_script_commands():

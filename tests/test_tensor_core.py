@@ -87,6 +87,21 @@ def test_compress_rejects_nonzero_trace():
         compress(FullTensor3(e))
 
 
+@pytest.mark.parametrize("scale", [1e-15, 1.0, 1e6, 1e20])
+def test_compress_tolerance_is_relative(scale):
+    unit = SymTraceless3.from_array(np.arange(1.0, 8.0))
+    t = SymTraceless3.from_array(scale * unit.as_array())
+    g = random_orthogonal(3)
+    # a rotated array carries roundoff proportional to its norm
+    got = compress(act(g, expand(t))).as_array()
+    want = scale * compress(act(g, expand(unit))).as_array()
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    e = np.array(expand(t).entries)
+    e[0, 1, 2] += 1e-6 * expand(t).frobenius()
+    with pytest.raises(ValueError, match="symmetr"):
+        compress(FullTensor3(e))
+
+
 def test_symtraceless_rejects_nonfinite():
     with pytest.raises(ValueError):
         SymTraceless3(d111=float("nan"))
