@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
-"""Cross-validate the invariant verdicts against brute-force alignment.
+"""Cross-validate the invariant verdicts against canonical-frame alignment.
 
 Plants same-orbit pairs (random tensor, random group element) and draws
 independent random pairs, then checks that the invariant-based verdict and
-the alignment residual tell the same story on every pair.  Bigger, slower
-sibling of the fixed-size check in the test suite; useful when tuning
-AlignmentConfig.
+the alignment residual tell the same story on every pair.  Bigger sibling
+of the fixed-size check in the test suite; --starts sets the maximizer
+starts of the SphereOptConfig behind both canonical forms.
 
-    python3 scripts/orbit_crossval.py --planted 50 --random 50 --starts 128
+    python3 scripts/orbit_crossval.py --planted 50 --random 50 --starts 64
 """
 
 import argparse
 import sys
 import time
 
-from triso.orbit_oracle import AlignmentConfig, best_alignment, same_orbit
+from triso.canonical_form import SphereOptConfig
+from triso.orbit_oracle import best_alignment, same_orbit
 from triso.tensor_core import act, compress, expand, random_orthogonal, random_tensor
 
 
@@ -22,12 +23,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--planted", type=int, default=50, help="same-orbit pairs to generate")
     ap.add_argument("--random", type=int, default=50, help="independent pairs to generate")
-    ap.add_argument("--starts", type=int, default=AlignmentConfig.starts)
+    ap.add_argument("--starts", type=int, default=SphereOptConfig.starts)
     ap.add_argument("--seed", type=int, default=0, help="offset for all tensor seeds")
     ap.add_argument("--tol", type=float, default=1e-8, help="verdict tolerance")
     args = ap.parse_args(argv)
 
-    cfg = AlignmentConfig(starts=args.starts)
+    cfg = SphereOptConfig(starts=args.starts)
     disagreements = 0
     borderline = 0
     worst_planted = 0.0

@@ -2,7 +2,7 @@
 
 Computes the degree-(2, 4, 6, 10) Smith-Bao integrity basis, canonical
 forms under the orthogonal group, numerical evidence for the basis's
-functional independence, and a brute-force orbit oracle that
+functional independence, and an alignment through canonical frames that
 cross-validates invariant-based orbit tests.
 """
 
@@ -36,7 +36,6 @@ from .invariants import (
     v_vector,
 )
 from .orbit_oracle import (
-    AlignmentConfig,
     AlignmentResult,
     best_alignment,
     degree_normalized_invariants,

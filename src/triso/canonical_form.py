@@ -6,7 +6,10 @@ stationarity there kills d112 and d113, and d111 becomes the (nonnegative)
 maximum value.  A second rotation about e1 moves a zero of the circle
 restriction theta -> g(0, cos theta, sin theta) to e2, killing d222 while
 leaving e1 (hence the stationarity conditions) fixed.  Four parameters
-survive: (d111, d122, d123, d223).
+survive: (d111, d122, d123, d223).  Among the finitely many frames built
+this way (tied maximizers times zeros of the restriction) ``canonicalize``
+picks one by a fixed rule on the surviving parameters, so they are a
+function of the SO(3) orbit.
 
 The maximizer search is multi-start projected gradient ascent over a batch
 of quasi-uniform plus seeded-random sphere starts, finished by a batched
@@ -26,6 +29,7 @@ from .tensor_core import (
     FullTensor3,
     OrthogonalTransform3,
     SymTraceless3,
+    _full,
     act,
     compress,
     cubic_form,
@@ -90,6 +94,7 @@ class SphereMaximizer:
     measured on the input tensor, so it scales with the tensor's norm.
     iterations counts projected-ascent steps, newton_iterations the Newton
     polish steps run before every start's step fell below 1e-15.
+    maximizers holds one row per distinct maximizer tied with u, u first.
     """
 
     u: np.ndarray
@@ -97,11 +102,16 @@ class SphereMaximizer:
     residual: float
     iterations: int = 0
     newton_iterations: int = 0
+    maximizers: np.ndarray | None = None
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float).reshape(3).copy()
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
+        rows = u[None] if self.maximizers is None else self.maximizers
+        rows = np.array(rows, dtype=float).reshape(-1, 3)
+        rows.setflags(write=False)
+        object.__setattr__(self, "maximizers", rows)
 
 
 @dataclass(frozen=True)
@@ -126,10 +136,6 @@ class CanonicalResult:
             "max_value": self.max_value,
             "residual": self.diagnostics.get("stationarity_residual", 0.0),
         }
-
-
-def _full(t: SymTraceless3 | FullTensor3) -> FullTensor3:
-    return expand(t) if isinstance(t, SymTraceless3) else t
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -213,7 +219,9 @@ def maximize_cubic_on_sphere(
 
     Multi-start local ascent; the best stationary value over all starts is
     returned, with ties (within 1e-12 on the normalized tensor) broken by
-    picking the lexicographically largest unit vector.  Starts with a
+    picking the lexicographically largest unit vector.  Every distinct tied
+    maximizer (starts that converged within 1e-6 of each other count once)
+    is returned in ``maximizers``.  Starts with a
     negative value are flipped to the antipode first, so every ascent path
     carries a nonnegative value and the result satisfies value >= 0.
 
@@ -267,89 +275,64 @@ def maximize_cubic_on_sphere(
             f"best residual {res.min():.3g} (normalized tensor)"
         )
     best = val[converged].max()
-    tied = converged & (val >= best - 1e-12)
-    candidates = x[tied]
-    order = np.lexsort((candidates[:, 2], candidates[:, 1], candidates[:, 0]))
-    u = candidates[order[-1]]
+    tied = x[converged & (val >= best - 1e-12)]
+    tied = tied[np.lexsort((tied[:, 2], tied[:, 1], tied[:, 0]))[::-1]]
+    maximizers = []
+    while len(tied):
+        maximizers.append(tied[0])
+        tied = tied[_row_norms(tied - tied[0]) > 1e-6]
+    u = maximizers[0]
 
     value = cubic_form(full, u)
     grad_u = cubic_gradient(full, u)
     residual = float(np.linalg.norm(grad_u - (grad_u @ u) * u))
-    return SphereMaximizer(u, value, residual, iterations, newton_iterations)
+    return SphereMaximizer(u, value, residual, iterations, newton_iterations, maximizers)
 
 
 def rotation_to_e1(u) -> OrthogonalTransform3:
     """Proper rotation whose first row is u, so that R u = e1.
 
     Acting with R on a tensor whose cubic form peaks at u moves the peak to
-    e1.  For u = e1 the identity is returned.
+    e1.  The other rows are the tangent basis of ``_tangent_bases``, built
+    from the axis of the smallest |u_i|; for u = e1 the identity is
+    returned.
     """
     u = np.asarray(u, dtype=float).reshape(3)
     norm = np.linalg.norm(u)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"u must be a unit vector, got |u| = {norm:.17g}")
     u = u / norm
-    # the first axis within roundoff of the smallest |u_i|, so that a u off
-    # an axis by 1e-34 picks the same frame as the axis itself
-    size = np.abs(u)
-    helper = np.zeros(3)
-    helper[np.argmax(size <= size.min() + 1e-12)] = 1.0
-    r2 = helper - (helper @ u) * u
-    r2 /= np.linalg.norm(r2)
-    r3 = np.cross(u, r2)
-    return OrthogonalTransform3(np.vstack([u, r2, r3]), 1)
+    t1, t2 = _tangent_bases(u[None])
+    return OrthogonalTransform3(np.vstack([u, t1, t2]), 1)
 
 
 def circle_zero_angle(t: SymTraceless3 | FullTensor3) -> float:
     """Smallest angle in [0, pi) where the circle restriction vanishes.
 
-    The restriction h(theta) = g(0, cos theta, sin theta) is odd under
-    theta -> theta + pi, so it has a zero in [0, pi); the smallest one is
-    located by a sign-change scan over a fine grid followed by bisection.
-    Expects a tensor already aligned so that |d112|, |d113| are negligible
-    (the result is a valid zero either way).  If the restriction vanishes
-    identically, returns 0.
+    The restriction h(theta) = g(0, cos theta, sin theta) is a cubic form in
+    (cos theta, sin theta), odd under theta -> theta + pi, so it has a zero
+    in [0, pi).  Its zeros are the real roots of the cubic in tan theta, or
+    in cot theta when the sin^3 coefficient is the smaller of the two end
+    coefficients.  Returns 0 when h(0) is within 1e-13 ||T|| of zero, which
+    covers a restriction that vanishes identically.
     """
     full = _full(t)
     arr = full.entries
-    # h(theta) = g(0, c, s) is a cubic in c = cos theta and s = sin theta
     c3, c2s, cs2, s3 = arr[1, 1, 1], 3.0 * arr[1, 1, 2], 3.0 * arr[1, 2, 2], arr[2, 2, 2]
-
-    def restriction(c, s):
-        return ((c3 * c + c2s * s) * c + cs2 * s * s) * c + s3 * s * s * s
-
-    def h(theta):
-        return float(restriction(math.cos(theta), math.sin(theta)))
-
-    n = 256
-    grid = np.linspace(0.0, math.pi, n + 1)
-    values = restriction(np.cos(grid), np.sin(grid))
-
-    tiny = 1e-13 * full.frobenius()
-    if np.max(np.abs(values)) <= tiny:
+    if abs(c3) <= 1e-13 * full.frobenius():
         return 0.0
-    near_zero = np.abs(values) <= tiny
-    # signs, not products, which underflow for tensors below about 1e-154
-    flips = np.sign(values[:-1]) * np.sign(values[1:]) < 0.0
-    first_zero = np.argmax(near_zero) if near_zero.any() else n + 1
-    first_flip = np.argmax(flips) if flips.any() else n + 1
-    if first_zero <= first_flip:
-        theta = grid[first_zero]
-        return float(theta % math.pi)
-
-    lo, hi = grid[first_flip], grid[first_flip + 1]
-    f_lo = values[first_flip]
-    while hi - lo > 1e-15:
-        mid = 0.5 * (lo + hi)
-        f_mid = h(mid)
-        if f_mid == 0.0:
-            return float(mid % math.pi)
-        if (f_lo > 0) == (f_mid > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    theta = lo if abs(h(lo)) <= abs(h(hi)) else hi
-    return float(theta % math.pi)
+    if abs(s3) >= abs(c3):
+        # h / cos^3 = s3 t^3 + cs2 t^2 + c2s t + c3 with t = tan theta
+        roots = np.roots([s3, cs2, c2s, c3])
+        angles = np.arctan(roots.real) % math.pi
+    else:
+        # h / sin^3 = c3 t^3 + c2s t^2 + cs2 t + s3 with t = cot theta
+        roots = np.roots([c3, c2s, cs2, s3])
+        angles = np.arctan2(1.0, roots.real)
+    # a cubic has a root with imaginary part exactly 0; near-double roots
+    # come back as pairs with tiny imaginary parts
+    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))
+    return float(angles[real].min())
 
 
 def rotation_about_e1(theta: float) -> OrthogonalTransform3:
@@ -363,14 +346,27 @@ def canonicalize(
 ) -> CanonicalResult:
     """Rotate a tensor into canonical position.
 
-    The transform is rotation_about_e1(theta0) composed after
-    rotation_to_e1(u); the second stage fixes e1, so the stationarity won by
-    the first stage (d112 = d113 = 0) survives.  The zero tensor
-    short-circuits to the identity.
+    Each distinct maximizer u of the cubic form gives a frame (u, t1, t2),
+    in which d112 = d113 = 0.  Turning that frame about u by theta keeps
+    them zero and sets d222 = h(theta) = a222 cos 3theta + a223 sin 3theta
+    and d223 = h'(theta) / 3, where a222, a223 are the frame's own
+    components.  The candidates are every maximizer with each of the six
+    zeros of h in [0, 2 pi), theta and theta + pi both; when h vanishes
+    (|h| <= 1e-13 ||T||) the one theta that makes d123 = 0 with
+    d122 >= d133.  Their d122, d123 and d223 come in closed form.  The
+    winner has the largest d122, then the largest d123, then the largest
+    d223, each compared within 1e-10 ||T||.  The candidate set does not
+    depend on the input's frame, so the params are a function of the SO(3)
+    orbit; a mirror image has its d123 negated.
+
+    The transform is rotation_about_e1(theta) composed after
+    rotation_to_e1(u) for the winner.  The zero tensor short-circuits to
+    the identity.
     """
     cfg = cfg or SphereOptConfig()
     full = expand(t)
-    if full.frobenius() == 0.0:
+    frob = full.frobenius()
+    if frob == 0.0:
         return CanonicalResult(
             CanonicalParams(0.0, 0.0, 0.0, 0.0),
             OrthogonalTransform3.identity(),
@@ -384,23 +380,44 @@ def canonicalize(
             },
         )
 
-    mx = maximize_cubic_on_sphere(t, cfg)
-    r1 = rotation_to_e1(mx.u)
-    aligned = act(r1, full)
-    theta0 = circle_zero_angle(aligned)
-    r2 = rotation_about_e1(theta0)
-    transform = r2.compose(r1)
-    rotated = act(r2, aligned)
-    out = compress(rotated)
+    mx = maximize_cubic_on_sphere(full, cfg)
+    u = mx.maximizers
+    t1, t2 = _tangent_bases(u)
+    frames = np.stack([u, t1, t2], axis=1)
+    # D_ijk x_j y_k of the unit-norm tensor for (x, y) = (u, u), (u, t1),
+    # (t1, t1), then the index i taken in the frame of the same maximizer
+    d9 = (full.entries / frob).reshape(3, 9).T
+    p = _contract(d9, np.vstack([u, u, t1]), np.vstack([u, t1, t1])).reshape(3, len(u), 1, 3)
+    comps = (p @ frames.transpose(0, 2, 1))[:, :, 0, :]
+    a111, a112, a113 = comps[0].T
+    b22, b23 = comps[1, :, 1:].T
+    a222, a223 = comps[2, :, 1:].T
+    half_gap = 0.5 * (2.0 * b22 + a111)[:, None]  # (d122 - d133) / 2, as d133 = -d111 - d122
+
+    # zeros of h: 3 theta = atan2(a223, a222) + pi/2 + j pi
+    theta = (np.arctan2(a223, a222)[:, None] + math.pi * (0.5 + np.arange(6))) / 3.0
+    flat = np.hypot(a222, a223) <= 1e-13
+    theta[flat] = 0.5 * np.arctan2(b23[flat, None], half_gap[flat])
+    c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    d122 = -0.5 * a111[:, None] + half_gap * c2 + b23[:, None] * s2
+    d123 = b23[:, None] * c2 - half_gap * s2
+    d223 = a223[:, None] * np.cos(3.0 * theta) - a222[:, None] * np.sin(3.0 * theta)
+    keep = np.ones(theta.shape, dtype=bool)
+    for key in (d122, d123, d223):
+        keep &= key >= key[keep].max() - 1e-10
+    i, j = np.unravel_index(np.argmax(keep), keep.shape)
+
+    transform = OrthogonalTransform3(rotation_about_e1(float(theta[i, j])).m @ frames[i], 1)
+    out = compress(act(transform, full))
     params = CanonicalParams(out.d111, out.d122, out.d123, out.d223)
     diagnostics = {
         "ascent_iterations": mx.iterations,
         "newton_iterations": mx.newton_iterations,
-        "stationarity_residual": mx.residual,
+        "stationarity_residual": 3.0 * frob * float(np.hypot(a112[i], a113[i])),
         "circle_residual": abs(out.d222),
         "constraint_violation": max(abs(out.d112), abs(out.d113), abs(out.d222)),
     }
-    return CanonicalResult(params, transform, mx.value, diagnostics)
+    return CanonicalResult(params, transform, frob * float(a111[i]), diagnostics)
 
 
 def stationarity_residual(t: SymTraceless3 | FullTensor3, x) -> float:

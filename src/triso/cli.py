@@ -24,13 +24,7 @@ import numpy as np
 from .canonical_form import ConvergenceError, SphereOptConfig, canonicalize
 from .independence import independence_report
 from .invariants import smith_bao
-from .orbit_oracle import (
-    GROUPS,
-    AlignmentConfig,
-    best_alignment,
-    invariant_distance,
-    same_orbit,
-)
+from .orbit_oracle import GROUPS, best_alignment, invariant_distance, same_orbit
 from .reference_cases import run_report
 from .tensor_core import (
     COMPONENT_NAMES,
@@ -160,14 +154,7 @@ def _cmd_canonicalize(args) -> int:
         tol=args.tol,
         seed=_resolve_seed(args.seed),
     )
-    result = canonicalize(t, cfg)
-    obj = {
-        "params": result.params.to_json_obj(),
-        "rotation": result.transform.m,
-        "max_value": result.max_value,
-        "residual": result.diagnostics["stationarity_residual"],
-    }
-    print(_json_text(obj))
+    print(_json_text(canonicalize(t, cfg).to_json_obj()))
     return 0
 
 
@@ -209,7 +196,7 @@ def _cmd_orbit_compare(args) -> int:
     verdict = same_orbit(a, b, tol=args.tol)
     residual = None
     if args.align:
-        cfg = AlignmentConfig(starts=args.starts, seed=_resolve_seed(args.seed))
+        cfg = SphereOptConfig(starts=args.starts, seed=_resolve_seed(args.seed))
         residual = best_alignment(a, b, group=args.group, cfg=cfg).residual
     obj = {
         "verdict": verdict,
@@ -297,9 +284,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--b-file", required=True, help="second tensor (JSON)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--align", action="store_true",
-                   help="also run the brute-force alignment search")
+                   help="also align the pair through their canonical frames")
     p.add_argument("--group", choices=GROUPS, default="O(3)")
-    p.add_argument("--starts", type=int, default=AlignmentConfig.starts)
+    p.add_argument("--starts", type=int, default=SphereOptConfig.starts)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=_cmd_orbit_compare, format="json")
 

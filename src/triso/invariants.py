@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomials import CANONICAL_BASIS
-from .tensor_core import FullTensor3, SymTraceless3, expand
+from .tensor_core import FullTensor3, SymTraceless3, _full
 
 __all__ = [
     "InvariantTuple",
@@ -69,27 +69,21 @@ class CanonicalParams:
         return {"D111": self.d111, "D122": self.d122, "D123": self.d123, "D223": self.d223}
 
 
-def _entries(t: SymTraceless3 | FullTensor3) -> np.ndarray:
-    if isinstance(t, SymTraceless3):
-        return expand(t).entries
-    return t.entries
-
-
 def moment_matrix(t: SymTraceless3 | FullTensor3) -> np.ndarray:
     """The 3x3 positive-semidefinite matrix M_kl = D_ijk D_ijl."""
-    arr = _entries(t)
+    arr = _full(t).entries
     return np.einsum("ijk,ijl->kl", arr, arr)
 
 
 def v_vector(t: SymTraceless3 | FullTensor3) -> np.ndarray:
     """The degree-3 covariant vector v_p = D_ijk D_ijl D_klp = M_kl D_klp."""
-    arr = _entries(t)
+    arr = _full(t).entries
     return np.einsum("kl,klp->p", moment_matrix(t), arr)
 
 
 def smith_bao(t: SymTraceless3 | FullTensor3) -> InvariantTuple:
     """Evaluate the degree-(2, 4, 6, 10) basis by full-array contraction."""
-    arr = _entries(t)
+    arr = _full(t).entries
     m = np.einsum("ijk,ijl->kl", arr, arr)
     v = np.einsum("kl,klp->p", m, arr)
     i2 = float(np.einsum("ijk,ijk->", arr, arr))

@@ -110,7 +110,14 @@ class FullTensor3:
         object.__setattr__(self, "entries", arr)
 
     def frobenius(self) -> float:
-        return float(np.sqrt(np.einsum("ijk,ijk->", self.entries, self.entries)))
+        # squares of entries beyond about 1e154 overflow and below about
+        # 1e-162 underflow, so sum them divided by the largest magnitude
+        flat = self.entries.ravel()
+        scale = float(np.max(np.abs(flat)))
+        if scale == 0.0:
+            return 0.0
+        flat = flat / scale
+        return scale * math.sqrt(float(flat @ flat))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +194,11 @@ def expand(s: SymTraceless3) -> FullTensor3:
         for perm in set(permutations(triple)):
             arr[perm] = value
     return FullTensor3(arr)
+
+
+def _full(t: SymTraceless3 | FullTensor3) -> FullTensor3:
+    """The full array form, expanding seven components when given them."""
+    return expand(t) if isinstance(t, SymTraceless3) else t
 
 
 def symmetry_violation(f: FullTensor3) -> float:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triso.canonical_form import (
     CanonicalResult,
@@ -17,7 +19,7 @@ from triso.canonical_form import (
     _tangent_bases,
 )
 from triso.invariants import relative_error, smith_bao
-from triso.reference_cases import reference_cases
+from triso.reference_cases import f_root, reference_cases
 from triso.tensor_core import (
     SymTraceless3,
     act,
@@ -86,6 +88,22 @@ def test_maximizer_on_axis_tensor():
     assert mx.value == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(np.abs(mx.u) - np.array([1.0, 0.0, 0.0]))) < 1e-7
     assert mx.u[0] > 0
+
+
+def test_maximizer_returns_distinct_tied_maximizers():
+    # g = 6 x1 x2 x3 peaks at the four (+-1, +-1, +-1)/sqrt(3) with an even
+    # number of minus signs
+    t = SymTraceless3(d123=1.0)
+    mx = maximize_cubic_on_sphere(t)
+    rows = mx.maximizers
+    assert rows.shape == (4, 3)
+    assert np.array_equal(rows[0], mx.u)
+    assert np.max(np.abs(np.abs(rows) * math.sqrt(3.0) - 1.0)) < 1e-12
+    assert np.all(np.prod(rows, axis=1) > 0)
+    for x in rows:
+        assert cubic_form(expand(t), x) == pytest.approx(mx.value, abs=1e-12)
+    gaps = np.linalg.norm(rows[:, None] - rows[None, :], axis=2)
+    assert np.min(gaps + 2.0 * np.eye(4)) > 1.0
 
 
 def test_maximizer_scale_equivariance():
@@ -264,8 +282,9 @@ def test_canonicalize_is_scale_equivariant(seed):
     t = random_tensor(seed)
     norm = expand(t).frobenius()
     base = canonicalize(t).params.as_array()
-    # 1e-160: the restriction's grid products underflow below about 1e-154
-    for scale in [*np.logspace(-15, 20, 8), 1e-160, 1e150]:
+    # 1e-160: products of restriction values underflow below about 1e-154;
+    # 1e154 and 1e-300: squared entries overflow and underflow in the norm
+    for scale in [*np.logspace(-15, 20, 8), 1e-160, 1e150, 1e154, 1e-300]:
         scaled = SymTraceless3.from_array(scale * t.as_array())
         result = canonicalize(scaled)
         rotated = compress(act(result.transform, expand(scaled)))
@@ -273,6 +292,51 @@ def test_canonicalize_is_scale_equivariant(seed):
         assert worst <= 1e-9 * scale * norm, scale
         gap = np.max(np.abs(result.params.as_array() - scale * base))
         assert gap <= 1e-9 * scale * norm, scale
+
+
+def _tied_tensors():
+    """The six reference cases, the I6 gap pair and d123 = 1; six of the
+    nine have tied maximizers of their cubic form."""
+    t0 = f_root(1e-13)
+    gap_low = SymTraceless3(
+        d111=1.0, d122=-0.5 + 0.5 * math.sin(t0), d123=0.5 * math.cos(t0), d223=-2.0
+    )
+    gap_high = SymTraceless3(d111=1.0, d112=1.0, d113=1.0, d123=1.0)
+    cases = [case.tensor for case in reference_cases()]
+    return cases + [gap_low, gap_high, SymTraceless3(d123=1.0)]
+
+
+TIED = _tied_tensors()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.one_of(st.integers(0, 9_999).map(random_tensor), st.sampled_from(TIED)),
+    rotation_seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-12.0, 12.0),
+)
+def test_canonical_params_are_a_function_of_the_orbit(t, rotation_seed, log_scale):
+    # a tensor under a random proper rotation and scale lands on the same
+    # params, scaled
+    scale = 10.0**log_scale
+    g = random_orthogonal(rotation_seed, proper=True)
+    moved = SymTraceless3.from_array(scale * compress(act(g, expand(t))).as_array())
+    base = canonicalize(t).params.as_array()
+    params = canonicalize(moved).params.as_array()
+    norm = expand(t).frobenius()
+    assert np.max(np.abs(params - scale * base)) <= 1e-8 * scale * norm
+
+
+@pytest.mark.parametrize("index", range(len(TIED)))
+def test_tied_tensors_have_orbit_params(index):
+    # each of them under fixed rotations, whatever hypothesis draws
+    t = TIED[index]
+    base = canonicalize(t).params.as_array()
+    norm = expand(t).frobenius()
+    for k in range(15):
+        g = random_orthogonal(7_000 + 31 * index + k, proper=True)
+        params = canonicalize(compress(act(g, expand(t)))).params.as_array()
+        assert np.max(np.abs(params - base)) <= 1e-8 * norm, k
 
 
 def test_canonicalize_zero_tensor():

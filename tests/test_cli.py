@@ -424,20 +424,26 @@ def test_json_text_roundtrips_doubles():
 
 
 def test_invariants_does_not_import_scipy(tmp_path):
-    # scipy.optimize dominates a cold start; only the alignment polish loads it
+    # no triso command needs scipy, the alignment included
     package_root = str(Path(triso.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    a = write_tensor(tmp_path / "a.json", d111=1.0, d112=1.0)
+    b = write_tensor(tmp_path / "b.json", d111=0.3, d123=-1.2)
     code = (
         "import sys, triso, triso.cli\n"
         "assert triso.cli.main(['invariants', '--d111', '1', '--d112', '1']) == 0\n"
+        f"assert triso.cli.main(['orbit-compare', '--a-file', {a!r}, '--b-file', {b!r}, '--align']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ['{"I2":10,"I4":44,"I6":16,"I10":64}', "[]"]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == '{"I2":10,"I4":44,"I6":16,"I10":64}'
+    assert json.loads(lines[1])["alignment_residual"] is not None
+    assert lines[2:] == ["[]"]
 
 
 def _console_script_commands():

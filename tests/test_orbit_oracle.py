@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
+from triso.canonical_form import SphereOptConfig, canonicalize
 from triso.invariants import smith_bao
 from triso.orbit_oracle import (
     GROUPS,
-    AlignmentConfig,
     AlignmentResult,
-    _quat_partials,
-    _quat_rotations,
     best_alignment,
     degree_normalized_invariants,
     invariant_distance,
@@ -15,7 +13,6 @@ from triso.orbit_oracle import (
 )
 from triso.tensor_core import (
     SymTraceless3,
-    _quaternion_to_matrix,
     act,
     compress,
     expand,
@@ -28,34 +25,6 @@ def planted_pair(seed, proper=True):
     a = random_tensor(seed)
     g = random_orthogonal(10_000 + seed, proper=proper)
     return a, compress(act(g, expand(a)))
-
-
-def test_batch_rotations_match_scalar_formula():
-    rng = np.random.default_rng(0)
-    q = rng.normal(size=(8, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    batch = _quat_rotations(q)
-    for i in range(8):
-        assert np.array_equal(batch[i], _quaternion_to_matrix(q[i]))
-
-
-def test_quaternion_partials_match_finite_differences():
-    # derivative of R(q/|q|) = free-space partials composed with the
-    # tangential projector at |q| = 1
-    rng = np.random.default_rng(1)
-    h = 1e-6
-    for _ in range(10):
-        q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        free = _quat_partials(q[None])[0]
-        projected = np.einsum("jab,ij->iab", free, np.eye(4) - np.outer(q, q))
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = h
-            up = (q + e) / np.linalg.norm(q + e)
-            dn = (q - e) / np.linalg.norm(q - e)
-            fd = (_quaternion_to_matrix(up) - _quaternion_to_matrix(dn)) / (2 * h)
-            assert np.max(np.abs(fd - projected[i])) < 1e-8
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -104,24 +73,11 @@ def test_alignment_rejects_unknown_group():
     assert GROUPS == ("SO(3)", "O(3)")
 
 
-def test_alignment_config_validation():
-    with pytest.raises(ValueError):
-        AlignmentConfig(starts=0)
-    with pytest.raises(ValueError):
-        AlignmentConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        AlignmentConfig(tol=-1e-9)
-    with pytest.raises(ValueError):
-        AlignmentConfig(polish_top=0)
-
-
 def test_alignment_bookkeeping():
     a, b = planted_pair(3)
-    so3 = best_alignment(a, b, "SO(3)", AlignmentConfig(starts=32))
-    o3 = best_alignment(a, b, "O(3)", AlignmentConfig(starts=32))
+    so3 = best_alignment(a, b, "SO(3)", SphereOptConfig(starts=32))
+    o3 = best_alignment(a, b, "O(3)", SphereOptConfig(starts=32))
     assert isinstance(so3, AlignmentResult)
-    assert so3.starts_used == 32
-    assert o3.starts_used == 64  # both branches
     assert o3.residual <= so3.residual + 1e-12
 
 
@@ -137,7 +93,7 @@ def test_alignment_zero_tensor_edges():
 
 def test_identity_start_nails_identical_tensors():
     t = random_tensor(5)
-    result = best_alignment(t, t, "SO(3)", AlignmentConfig(starts=1))
+    result = best_alignment(t, t, "SO(3)", SphereOptConfig(starts=1))
     assert result.residual <= 1e-12 * expand(t).frobenius()
 
 
@@ -192,8 +148,8 @@ def test_same_orbit_rejects_bad_tol():
 def test_verdict_separates_the_sign_pair():
     # two tensors agreeing in I2, I4, I6 with I10 = +64 vs -64; I10 is a
     # full O(3) invariant (degree 10 is even), so these are genuinely
-    # distinct orbits and the brute-force search must agree with the
-    # invariant verdict
+    # distinct orbits and the alignment must agree with the invariant
+    # verdict
     plus = SymTraceless3(d111=1.0, d112=1.0)
     minus = SymTraceless3(d111=1.0, d123=1.0)
     assert smith_bao(plus).i10 == 64.0
@@ -201,3 +157,23 @@ def test_verdict_separates_the_sign_pair():
     assert same_orbit(plus, minus) == "different"
     res = best_alignment(plus, minus, "O(3)")
     assert res.residual > 1e-3 * expand(plus).frobenius()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mirror_image_has_mirrored_params_but_aligns_in_o3(seed):
+    # canonicalize is a canonical form for SO(3): an improper copy of a
+    # chiral tensor lands on the mirror image of its canonical form, with
+    # d123 negated, while the O(3) alignment still finds the reflection
+    a = random_tensor(seed)
+    b = compress(act(random_orthogonal(50_000 + seed, proper=False), expand(a)))
+    norm = expand(a).frobenius()
+    pa = canonicalize(a).params.as_array()
+    pb = canonicalize(b).params.as_array()
+    assert abs(pa[2]) > 1e-3 * norm  # chiral: d123 != 0
+    mirrored = pa * np.array([1.0, 1.0, -1.0, 1.0])
+    assert np.max(np.abs(pb - mirrored)) <= 1e-8 * norm
+    aligned = best_alignment(a, b, "O(3)")
+    assert aligned.best_transform.det_sign == -1
+    assert aligned.residual <= 1e-10 * norm
+    moved = compress(act(aligned.best_transform, expand(a)))
+    assert np.max(np.abs(moved.as_array() - b.as_array())) <= 1e-9 * norm
