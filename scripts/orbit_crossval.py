@@ -4,17 +4,15 @@
 Plants same-orbit pairs (random tensor, random group element) and draws
 independent random pairs, then checks that the invariant-based verdict and
 the alignment residual tell the same story on every pair.  Bigger sibling
-of the fixed-size check in the test suite; --starts sets the maximizer
-starts of the SphereOptConfig behind both canonical forms.
+of the fixed-size check in the test suite.
 
-    python3 scripts/orbit_crossval.py --planted 50 --random 50 --starts 64
+    python3 scripts/orbit_crossval.py --planted 50 --random 50
 """
 
 import argparse
 import sys
 import time
 
-from triso.canonical_form import SphereOptConfig
 from triso.orbit_oracle import best_alignment, same_orbit
 from triso.tensor_core import act, compress, expand, random_orthogonal, random_tensor
 
@@ -23,12 +21,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--planted", type=int, default=50, help="same-orbit pairs to generate")
     ap.add_argument("--random", type=int, default=50, help="independent pairs to generate")
-    ap.add_argument("--starts", type=int, default=SphereOptConfig.starts)
     ap.add_argument("--seed", type=int, default=0, help="offset for all tensor seeds")
     ap.add_argument("--tol", type=float, default=1e-8, help="verdict tolerance")
     args = ap.parse_args(argv)
 
-    cfg = SphereOptConfig(starts=args.starts)
     disagreements = 0
     borderline = 0
     worst_planted = 0.0
@@ -40,7 +36,7 @@ def main(argv=None) -> int:
         g = random_orthogonal(args.seed + 10_000 + s, proper=(s % 2 == 0))
         b = compress(act(g, expand(a)))
         verdict = same_orbit(a, b, tol=args.tol)
-        res = best_alignment(a, b, "O(3)", cfg).residual
+        res = best_alignment(a, b, "O(3)").residual
         norm = expand(a).frobenius()
         rel = res / norm if norm else res
         worst_planted = max(worst_planted, rel)
@@ -54,7 +50,7 @@ def main(argv=None) -> int:
         a = random_tensor(args.seed + 20_000 + s)
         b = random_tensor(args.seed + 30_000 + s)
         verdict = same_orbit(a, b, tol=args.tol)
-        res = best_alignment(a, b, "O(3)", cfg).residual
+        res = best_alignment(a, b, "O(3)").residual
         norm = max(expand(a).frobenius(), expand(b).frobenius())
         rel = res / norm if norm else res
         best_random = min(best_random, rel)

@@ -11,10 +11,14 @@ this way (tied maximizers times zeros of the restriction) ``canonicalize``
 picks one by a fixed rule on the surviving parameters, so they are a
 function of the SO(3) orbit.
 
-The maximizer search is multi-start projected gradient ascent over a batch
-of quasi-uniform plus seeded-random sphere starts, finished by a batched
-Riemannian Newton polish.  The search runs on the unit-normalized tensor,
-so step sizes and the convergence criterion are scale-free.
+The maximizer is solved for, not searched for.  A stationary point of the
+cubic form on the sphere is a Z-eigenvector of D, and a 3x3x3 symmetric
+tensor has at most 7 pairs of them.  In each of three coordinate charts of
+a fixed generic frame they are the real roots of a degree-7 resultant;
+those roots, plus the eigenvectors of the moment matrix (which catch the
+axis of an axially symmetric tensor, whose resultant vanishes), are
+finished by a few Riemannian Newton steps, and the largest value wins.
+All of it runs on the unit-normalized tensor, so it is scale-free.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .tensor_core import (
     OrthogonalTransform3,
     SymTraceless3,
     _full,
+    _quaternion_to_matrix,
     act,
     compress,
     cubic_form,
@@ -52,35 +57,22 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """No optimizer start reached the requested stationarity tolerance."""
+    """The maximizer misses the requested stationarity tolerance."""
 
 
 @dataclass(frozen=True)
 class SphereOptConfig:
-    """Settings for the multi-start maximizer search.
+    """Settings for the maximizer solve.
 
     Parameters
     ----------
-    starts : deterministic quasi-uniform (spiral lattice) sphere starts.
-    random_starts : additional seeded random starts.
-    max_iter : cap on projected-ascent iterations before the Newton polish.
-    tol : stationarity tolerance, applied to the unit-normalized tensor.
-    seed : seed for the random starts.
+    tol : stationarity tolerance for the returned maximizer, applied to the
+        unit-normalized tensor.
     """
 
-    starts: int = 64
-    random_starts: int = 16
-    max_iter: int = 200
     tol: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError(f"starts must be at least 1, got {self.starts}")
-        if self.random_starts < 0:
-            raise ValueError(f"random_starts must be nonnegative, got {self.random_starts}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol!r}")
 
@@ -92,8 +84,8 @@ class SphereMaximizer:
     value = g(u) >= 0 (the maximum of an odd function is nonnegative), and
     residual is the tangential gradient norm ||grad g - (u.grad g) u|| at u,
     measured on the input tensor, so it scales with the tensor's norm.
-    iterations counts projected-ascent steps, newton_iterations the Newton
-    polish steps run before every start's step fell below 1e-15.
+    iterations is 0, as no ascent runs; newton_iterations counts the Newton
+    polish steps run before every candidate's step fell below 1e-15.
     maximizers holds one row per distinct maximizer tied with u, u first.
     """
 
@@ -138,15 +130,6 @@ class CanonicalResult:
         }
 
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    # spiral lattice: n points with near-uniform coverage, deterministic
-    i = np.arange(n) + 0.5
-    z = 1.0 - 2.0 * i / n
-    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
 def _row_norms(x: np.ndarray) -> np.ndarray:
     # np.linalg.norm(x, axis=1) without its dispatch overhead
     return np.sqrt((x * x).sum(axis=1))
@@ -178,28 +161,29 @@ def _tangent_bases(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def _newton_polish(d9: np.ndarray, x: np.ndarray, iters: int = 15) -> tuple[np.ndarray, int]:
+def _newton_polish(d9: np.ndarray, x: np.ndarray, iters: int) -> tuple[np.ndarray, int]:
     """Batched Riemannian Newton for stationary points of the cubic form.
 
     Solves the projected system P(H - lambda I)P dx = -P grad in a 2d
     tangent basis; near-singular tangent Hessians fall back to a damped
     gradient step.  Step length is capped so iterates stay in their basin.
-    Stops once every start's step is below 1e-15; returns the points and
+    Stops once every point's step is below 1e-15; returns the points and
     the iterations run.
     """
     it = 0
+    n = len(x)
     for it in range(1, iters + 1):
-        grad = 3.0 * _contract(d9, x, x)
-        lam = (grad * x).sum(axis=1, keepdims=True)
         t1, t2 = _tangent_bases(x)
-        # tangent Hessian products; H_ij = 6 d_ijk x_k
-        ht1 = 6.0 * _contract(d9, x, t1) - lam * t1
-        ht2 = 6.0 * _contract(d9, x, t2) - lam * t2
-        a00 = (t1 * ht1).sum(axis=1)
-        a01 = (t1 * ht2).sum(axis=1)
-        a11 = (t2 * ht2).sum(axis=1)
-        b0 = -(grad * t1).sum(axis=1)
-        b1 = -(grad * t2).sum(axis=1)
+        basis = np.stack([t1, t2], axis=1)
+        # one matmul gives the gradient / 3 and the Hessian products
+        # H t / 6 for t = t1, t2, with H_ij = 6 d_ijk x_k
+        p = _contract(d9, np.vstack([x, x, x]), np.vstack([x, t1, t2])).reshape(3, n, 3)
+        grad = 3.0 * p[0]
+        lam = (grad * x).sum(axis=1)
+        ht = 6.0 * p[1:].transpose(1, 0, 2) - lam[:, None, None] * basis
+        a = basis @ ht.transpose(0, 2, 1)  # a[:, i, j] = t_i . (H - lam) t_j
+        b0, b1 = -(basis @ grad[:, :, None])[:, :, 0].T
+        a00, a01, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]
         det = a00 * a11 - a01 * a01
         safe = np.abs(det) > 1e-14 * (1.0 + a00 * a00 + a01 * a01 + a11 * a11)
         z0 = np.where(safe, (a11 * b0 - a01 * b1) / np.where(safe, det, 1.0), 0.2 * b0)
@@ -212,20 +196,121 @@ def _newton_polish(d9: np.ndarray, x: np.ndarray, iters: int = 15) -> tuple[np.n
     return x, it
 
 
+# Rows of a fixed rotation with no special alignment to the coordinate axes
+# (the quaternion has squared norm 1.0071): the normals of the three charts.
+# Every unit vector has a coordinate of size at least 1/sqrt(3) in this
+# frame, so it lies in some chart with |y|, |z| <= sqrt(2), inside _WINDOW.
+_CHART_FRAME = _quaternion_to_matrix(np.array([0.7, 0.41, -0.33, 0.49]) / math.sqrt(1.0071))
+_WINDOW = 1.5
+_CHART_POINTS = _CHART_FRAME[[[0, 1, 2], [1, 2, 0], [2, 0, 1]]]
+_ROOTS_OF_UNITY = np.exp(2j * math.pi * np.arange(8) / 8)
+# r(omega_s) = sum_j coef_j omega_s^j, so coef = r @ _INVERSE_DFT
+_INVERSE_DFT = _ROOTS_OF_UNITY[:, None] ** -np.arange(8)[None, :] / 8.0
+_COMPANION_SHIFT = np.eye(7, k=-1)
+
+
+def _chart_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Linear maps from the 27 entries of D to the resultant data of each chart.
+
+    Chart c has the point x = u0 + y u1 + z u2, with (u0, u1, u2) the rows
+    of _CHART_FRAME in the order (c, c+1, c+2).  With P_m = D(u_m, x, x),
+    x is stationary when g = P1 - y P0 (a quadratic in z) and
+    f = z P0 - P2 (a cubic in z) both vanish.  Every coefficient in z is a
+    polynomial of degree at most 3 in y, linear in D.  Returns the Sylvester
+    matrices of f and g at the 8th roots of unity, (3 * 8 * 5 * 5, 27)
+    complex, and the coefficients of g, (3 * 3 * 4, 27): chart, power of z,
+    power of y.
+    """
+    e = _CHART_POINTS
+    # k[c, m, n, l] is the row of D(u_m, u_n, u_l) in chart c
+    k = np.einsum("cmi,cnj,clk->cmnlijk", e, e, e).reshape(3, 3, 3, 3, 27)
+    zero = np.zeros_like(k[:, :, 0, 0])
+    # P_m = a_m + b_m z + c_m z^2, each as coefficients of y^0..y^3
+    a = np.stack([k[:, :, 0, 0], 2.0 * k[:, :, 0, 1], k[:, :, 1, 1], zero], axis=2)
+    b = np.stack([2.0 * k[:, :, 0, 2], 2.0 * k[:, :, 1, 2], zero, zero], axis=2)
+    c = np.stack([k[:, :, 2, 2], zero, zero, zero], axis=2)
+
+    def y_times(poly):  # the degree-3 slot of a, b and c is empty
+        return np.roll(poly, 1, axis=1)
+
+    g = [a[:, 1] - y_times(a[:, 0]), b[:, 1] - y_times(b[:, 0]), c[:, 1] - y_times(c[:, 0])]
+    f = [-a[:, 2], a[:, 0] - b[:, 2], b[:, 0] - c[:, 2], c[:, 0]]
+    sylvester = np.zeros((3, 5, 5, 4, 27))
+    for shift in range(2):
+        for j in range(4):
+            sylvester[:, shift, shift + j] = f[3 - j]
+    for shift in range(3):
+        for j in range(3):
+            sylvester[:, 2 + shift, shift + j] = g[2 - j]
+    powers = _ROOTS_OF_UNITY[None, :] ** np.arange(4)[:, None]
+    at_roots = np.einsum("cabjd,js->csabd", sylvester, powers)
+    return at_roots.reshape(-1, 27), np.stack(g, axis=1).reshape(-1, 27)
+
+
+_SYLVESTER_TABLE, _G_TABLE = _chart_tables()
+
+
+def _stationary_candidates(d9: np.ndarray) -> np.ndarray:
+    """Unit vectors near every stationary point of the unit-norm cubic form.
+
+    In each chart the resultant of f and g in z is a polynomial of degree
+    7 in y (two of the 9 Bezout solutions sit at infinity).  It is sampled
+    at the 8th roots of unity, its coefficients come back by inverse DFT,
+    and its roots are the eigenvalues of the companion matrix.  Each real
+    root with |y| <= 1.5 gives both roots z of the quadratic g, kept for
+    |z| <= 1.5; a spurious one is harmless, as the caller polishes every
+    candidate and ranks them by value.  The three eigenvectors of the
+    moment matrix are added: an axially symmetric tensor has a ring of
+    stationary points, its resultant vanishes identically, and its axis is
+    the simple eigenvector.
+    """
+    d = d9.T.ravel()
+    r = np.linalg.det((_SYLVESTER_TABLE @ d).reshape(3, 8, 5, 5))
+    coef = (r @ _INVERSE_DFT).real
+    # a leading coefficient below 1e-14 of the largest puts a root at or
+    # near infinity (a stationary point on the chart's boundary, found in
+    # another chart); raising it to that size keeps the other roots in
+    # place.  A resultant that is zero throughout gives junk roots at 0.
+    top = 1e-14 * np.abs(coef).max(axis=1)
+    lead = np.where(np.abs(coef[:, 7]) > top, coef[:, 7], top)
+    lead[lead == 0.0] = 1.0
+    companion = np.repeat(_COMPANION_SHIFT[None], 3, axis=0)
+    companion[:, :, 6] = -coef[:, :7] / lead[:, None]
+    roots = np.linalg.eigvals(companion)
+    y = roots.real
+    # roundoff splits a double root (two stationary points sharing y, or a
+    # degenerate one) into a pair about 1e-8 off the real axis
+    real = (np.abs(roots.imag) <= 1e-4) & (np.abs(y) <= _WINDOW)
+
+    g = (y[..., None] ** np.arange(4)) @ (_G_TABLE @ d).reshape(3, 3, 4).transpose(0, 2, 1)
+    g0, g1, g2 = g[..., 0], g[..., 1], g[..., 2]
+    q = -0.5 * (g1 + np.copysign(np.sqrt(np.maximum(g1 * g1 - 4.0 * g0 * g2, 0.0)), g1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.stack([q / g2, g0 / q], axis=-1)
+    keep = real[..., None] & (np.abs(z) <= _WINDOW)
+    chart, root, _ = np.nonzero(keep)
+    e = _CHART_POINTS[chart]
+    x = e[:, 0] + y[chart, root][:, None] * e[:, 1] + z[keep][:, None] * e[:, 2]
+    axes = np.linalg.eigh(d9.T @ d9)[1].T  # moment_matrix of the unit-norm tensor
+    return _unit_rows(np.vstack([x, axes]))
+
+
 def maximize_cubic_on_sphere(
     t: SymTraceless3 | FullTensor3, cfg: SphereOptConfig | None = None
 ) -> SphereMaximizer:
     """Find the global maximizer of the cubic form on the unit sphere.
 
-    Multi-start local ascent; the best stationary value over all starts is
-    returned, with ties (within 1e-12 on the normalized tensor) broken by
-    picking the lexicographically largest unit vector.  Every distinct tied
-    maximizer (starts that converged within 1e-6 of each other count once)
-    is returned in ``maximizers``.  Starts with a
-    negative value are flipped to the antipode first, so every ascent path
-    carries a nonnegative value and the result satisfies value >= 0.
+    Every stationary point is enumerated (``_stationary_candidates``) and
+    finished by 4 Newton steps; candidates with a negative value are
+    flipped to the antipode, so the result satisfies value >= 0.  The
+    largest value wins, with ties (within 1e-12 on the normalized tensor)
+    broken by picking the lexicographically largest unit vector.  Every
+    distinct tied maximizer that meets the tolerance (candidates within
+    1e-6 of each other count once) is returned in ``maximizers``.
 
-    Raises ConvergenceError if no start reaches the stationarity tolerance.
+    Raises ConvergenceError if no candidate within 1e-12 of the largest
+    value has a stationarity residual (on the normalized tensor) within
+    ``cfg.tol``.
     """
     cfg = cfg or SphereOptConfig()
     full = _full(t)
@@ -234,48 +319,24 @@ def maximize_cubic_on_sphere(
         return SphereMaximizer(np.array([1.0, 0.0, 0.0]), 0.0, 0.0)
     d9 = (full.entries / frob).reshape(3, 9).T
 
-    x = _fibonacci_sphere(cfg.starts)
-    if cfg.random_starts:
-        rng = np.random.default_rng(cfg.seed)
-        extra = rng.normal(size=(cfg.random_starts, 3))
-        x = np.vstack([x, _unit_rows(extra)])
-    # p holds D_ijk x_j x_k for the current x: gradient 3p, value p.x
-    p = _contract(d9, x, x)
-    val = (p * x).sum(axis=1)
-    flip = val < 0.0
-    x[flip] *= -1.0
-    val[flip] *= -1.0
-
-    step = np.full(len(x), 0.1)
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        grad = 3.0 * p
-        tang = grad - (grad * x).sum(axis=1, keepdims=True) * x
-        if _row_norms(tang).max() <= 1e-6:
-            break
-        trial = _unit_rows(x + step[:, None] * tang)
-        trial_p = _contract(d9, trial, trial)
-        trial_val = (trial_p * trial).sum(axis=1)
-        ok = trial_val >= val
-        np.copyto(x, trial, where=ok[:, None])
-        np.copyto(p, trial_p, where=ok[:, None])
-        np.copyto(val, trial_val, where=ok)
-        step = np.where(ok, step * 1.2, step * 0.5)
-
-    x, newton_iterations = _newton_polish(d9, x)
+    x, newton_iterations = _newton_polish(d9, _stationary_candidates(d9), iters=4)
     p = _contract(d9, x, x)
     val = (p * x).sum(axis=1)
     grad = 3.0 * p
     res = _row_norms(grad - (grad * x).sum(axis=1, keepdims=True) * x)
+    flip = val < 0.0
+    x[flip] *= -1.0
+    val[flip] *= -1.0
 
-    converged = res <= cfg.tol
-    if not converged.any():
+    # candidates still converging onto the maximizer share its value, so
+    # the tolerance is judged on the best of those within 1e-12 of it
+    near = val >= val.max() - 1e-12
+    tied = x[near & (res <= cfg.tol)]
+    if not len(tied):
         raise ConvergenceError(
-            f"no start reached stationarity tolerance {cfg.tol:.3g}; "
-            f"best residual {res.min():.3g} (normalized tensor)"
+            f"the maximizer misses stationarity tolerance {cfg.tol:.3g}; "
+            f"residual {res[near].min():.3g} (normalized tensor)"
         )
-    best = val[converged].max()
-    tied = x[converged & (val >= best - 1e-12)]
     tied = tied[np.lexsort((tied[:, 2], tied[:, 1], tied[:, 0]))[::-1]]
     maximizers = []
     while len(tied):
@@ -286,7 +347,9 @@ def maximize_cubic_on_sphere(
     value = cubic_form(full, u)
     grad_u = cubic_gradient(full, u)
     residual = float(np.linalg.norm(grad_u - (grad_u @ u) * u))
-    return SphereMaximizer(u, value, residual, iterations, newton_iterations, maximizers)
+    return SphereMaximizer(
+        u, value, residual, newton_iterations=newton_iterations, maximizers=maximizers
+    )
 
 
 def rotation_to_e1(u) -> OrthogonalTransform3:

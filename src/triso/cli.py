@@ -5,8 +5,9 @@ Every library operation is reachable from here with either file input
 at 17 significant digits so values round-trip exactly; identical inputs and
 seeds give byte-identical output.
 
-Exit codes: 0 success, 1 bad usage or bad input, 2 optimizer
-non-convergence, 3 reference-suite failure.
+Exit codes: 0 success, 1 bad usage or bad input, 2 the cubic form's
+maximizer missed the stationarity tolerance (``canonicalize --tol``),
+3 reference-suite failure.
 """
 
 from __future__ import annotations
@@ -148,13 +149,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_canonicalize(args) -> int:
     t = _tensor_from_args(args)
-    cfg = SphereOptConfig(
-        starts=args.starts,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        seed=_resolve_seed(args.seed),
-    )
-    print(_json_text(canonicalize(t, cfg).to_json_obj()))
+    print(_json_text(canonicalize(t, SphereOptConfig(tol=args.tol)).to_json_obj()))
     return 0
 
 
@@ -196,8 +191,7 @@ def _cmd_orbit_compare(args) -> int:
     verdict = same_orbit(a, b, tol=args.tol)
     residual = None
     if args.align:
-        cfg = SphereOptConfig(starts=args.starts, seed=_resolve_seed(args.seed))
-        residual = best_alignment(a, b, group=args.group, cfg=cfg).residual
+        residual = best_alignment(a, b, group=args.group).residual
     obj = {
         "verdict": verdict,
         "invariant_distance": invariant_distance(a, b),
@@ -264,10 +258,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("canonicalize", help="rotate a tensor into canonical position")
     _add_tensor_args(p)
-    p.add_argument("--starts", type=int, default=SphereOptConfig.starts)
-    p.add_argument("--max-iter", type=int, default=SphereOptConfig.max_iter)
-    p.add_argument("--tol", type=float, default=SphereOptConfig.tol)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--tol", type=float, default=SphereOptConfig.tol,
+                   help="stationarity tolerance of the maximizer (exit 2 when missed)")
     p.set_defaults(handler=_cmd_canonicalize, format="json")
 
     p = sub.add_parser("rotate", help="apply an orthogonal transform to a tensor")
@@ -286,8 +278,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--align", action="store_true",
                    help="also align the pair through their canonical frames")
     p.add_argument("--group", choices=GROUPS, default="O(3)")
-    p.add_argument("--starts", type=int, default=SphereOptConfig.starts)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=_cmd_orbit_compare, format="json")
 
     p = sub.add_parser("independence", help="Jacobian rank evidence at random points")

@@ -7,9 +7,9 @@ nonzero at every sampled point, so the Jacobian has full rank 4 generically
 and no polynomial relation can tie the four invariants together.
 
 Three independent evaluation routes keep each other honest: exact
-differentiation of the transcribed polynomial tables, central finite
-differences of the invariant values, and the transcribed closed-form
-determinant.
+differentiation of the transcribed polynomial tables, complex-step
+derivatives of the invariant values, and the transcribed closed-form
+determinant, evaluated through its stored factors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariants import CanonicalParams, relative_error
-from .polynomials import CANONICAL_BASIS, DET_JACOBIAN, NVARS
+from .polynomials import CANONICAL_BASIS, DET_FACTOR_4, DET_FACTOR_10, NVARS
 
 __all__ = [
     "JacobianReport",
@@ -33,6 +33,10 @@ __all__ = [
 
 # Exact partial derivatives, differentiated once at import time.
 JACOBIAN_TABLE = tuple(tuple(p.diff(k) for k in range(NVARS)) for p in CANONICAL_BASIS)
+
+# Complex step h of the "fd" Jacobian: far below any coordinate's size, and
+# far above the smallest normal double once multiplied by a derivative.
+COMPLEX_STEP = 1e-30
 
 # Points this close to the d123 = 0 or d223 = 0 hyperplane are degenerate by
 # construction (the determinant has those explicit factors) and say nothing
@@ -77,37 +81,38 @@ def jacobian_canonical(c, mode: str = "analytic") -> np.ndarray:
 
     Rows are (I2, I4, I6, I10); columns are partials with respect to
     (d111, d122, d123, d223).  mode "analytic" evaluates exact derivative
-    tables; mode "fd" (alias "finite-difference") uses central differences
-    with per-coordinate step 1e-5 * max(1, |c_i|).
+    tables.  mode "fd" (alias "finite-difference") differentiates the
+    invariant values themselves, by the complex step
+    Im I(c + i h e_k) / h with h = COMPLEX_STEP: one evaluation per
+    coordinate, and no difference of nearby values to cancel, so it agrees
+    with the analytic tables to roundoff.
     """
     x = _point(c)
     if mode == "analytic":
         return np.array([[p(x) for p in row] for row in JACOBIAN_TABLE])
     if mode in ("fd", "finite-difference"):
-        jac = np.empty((4, NVARS))
-        for i in range(NVARS):
-            h = 1e-5 * max(1.0, abs(x[i]))
-            hi = x.copy()
-            lo = x.copy()
-            hi[i] += h
-            lo[i] -= h
-            for r, poly in enumerate(CANONICAL_BASIS):
-                jac[r, i] = (poly(hi) - poly(lo)) / (2.0 * h)
-        return jac
+        steps = x + 1j * COMPLEX_STEP * np.eye(NVARS)  # row k steps coordinate k
+        return np.array([p._eval_complex_many(steps).imag for p in CANONICAL_BASIS]) / COMPLEX_STEP
     raise ValueError(f'mode must be "analytic" or "fd", got {mode!r}')
 
 
 def det_jacobian_closed_form(c) -> float:
-    """Evaluate the transcribed determinant polynomial directly."""
-    return DET_JACOBIAN(_point(c))
+    """Evaluate the transcribed determinant through its stored factors.
+
+    27648 d123 DET_FACTOR_4 d223^3 DET_FACTOR_10 (9 + 48 terms) equals
+    DET_JACOBIAN, and evaluating the factors avoids the cancellation
+    among the 120 terms of the expansion.
+    """
+    x = _point(c)
+    return float(27648.0 * x[2] * DET_FACTOR_4(x) * x[3] ** 3 * DET_FACTOR_10(x))
 
 
 @dataclass(frozen=True)
 class JacobianReport:
     """Everything measured at one canonical point.
 
-    fd_deviation compares the analytic and finite-difference Jacobians row
-    by row: the worst, over the four invariants, of the gradient difference
+    fd_deviation compares the analytic and complex-step ("fd") Jacobians
+    row by row: the worst, over the four invariants, of the gradient difference
     norm relative to that gradient's own norm.  closed_form_det comes from
     the determinant transcription rather than from the 4x4 matrix.
     """
@@ -150,7 +155,7 @@ def jacobian_report(c) -> JacobianReport:
     point = c if isinstance(c, CanonicalParams) else CanonicalParams(*_point(c))
     analytic = jacobian_canonical(point, "analytic")
     fd = jacobian_canonical(point, "fd")
-    # compare gradients row by row: finite-difference truncation scales with
+    # compare gradients row by row: roundoff in either route scales with
     # the invariant's own derivative magnitudes, so each row's difference is
     # measured against that row's norm, not entry by entry
     row_norms = np.linalg.norm(analytic, axis=1)

@@ -54,8 +54,8 @@ def best_alignment(
     """The element R_b^T R_a through the canonical frames, with its residual.
 
     R_a and R_b are the rotations ``canonicalize`` returns for a and b
-    (``cfg`` configures both maximizer searches).  For a pair on one SO(3)
-    orbit the residual ||g.a - b|| is at roundoff; otherwise it equals
+    (``cfg`` sets the tolerance of both maximizer solves).  For a pair on
+    one SO(3) orbit the residual ||g.a - b|| is at roundoff; otherwise it equals
     ||C_a - C_b|| between the canonical forms, an upper bound on the
     distance between the orbits.  O(3) also tries the improper branch
     -R_{-b}^T R_a and keeps whichever leaves the smaller residual.

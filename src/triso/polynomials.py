@@ -125,6 +125,22 @@ class Poly:
         exponents, coeffs = self._tables()
         return float(np.prod(point[None, :] ** exponents, axis=1) @ coeffs)
 
+    def _eval_complex_many(self, points) -> np.ndarray:
+        """Evaluate at an (n, 4) array of complex points, for complex steps.
+
+        Powers come from repeated multiplication, so an imaginary part far
+        below the real one (a step of 1e-30) is carried as in exact
+        arithmetic, up to roundoff relative to itself.
+        """
+        points = np.asarray(points, dtype=complex).reshape(-1, NVARS)
+        if not self.terms:
+            return np.zeros(len(points), dtype=complex)
+        exponents, coeffs = self._tables()
+        n, top = len(points), int(exponents.max())
+        steps = np.broadcast_to(points[:, None, :], (n, top, NVARS))
+        powers = np.cumprod(np.concatenate([np.ones((n, 1, NVARS)), steps], axis=1), axis=1)
+        return np.prod(powers[:, exponents, np.arange(NVARS)], axis=2) @ coeffs
+
     def eval_many(self, points) -> np.ndarray:
         """Evaluate at an (n, 4) array of points."""
         points = np.asarray(points, dtype=float).reshape(-1, NVARS)

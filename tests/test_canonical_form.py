@@ -15,12 +15,14 @@ from triso.canonical_form import (
     rotation_about_e1,
     rotation_to_e1,
     stationarity_residual,
+    _CHART_FRAME,
     _contract,
     _tangent_bases,
 )
 from triso.invariants import relative_error, smith_bao
 from triso.reference_cases import f_root, reference_cases
 from triso.tensor_core import (
+    OrthogonalTransform3,
     SymTraceless3,
     act,
     compress,
@@ -120,15 +122,25 @@ def test_maximizer_raises_on_absurd_tolerance():
         maximize_cubic_on_sphere(random_tensor(0), SphereOptConfig(tol=1e-300))
 
 
+@pytest.mark.parametrize(
+    "t, maximum",
+    [
+        (SymTraceless3(d111=1.0, d123=1.0), 1.7013016167040798),
+        (SymTraceless3(d111=1.0, d122=0.3), 1.3392047594580536),
+    ],
+)
+def test_tolerance_is_judged_on_the_maximizer(t, maximum):
+    # a non-maximal stationary point of each (value 1.0515 and 1.0) has
+    # residual exactly 0.0, the maximizer a few ulps; an unreachable
+    # tolerance must fail rather than return the lesser point
+    with pytest.raises(ConvergenceError):
+        maximize_cubic_on_sphere(t, SphereOptConfig(tol=1e-300))
+    assert maximize_cubic_on_sphere(t).value == pytest.approx(maximum, rel=1e-14)
+
+
 def test_sphere_config_validation():
     with pytest.raises(ValueError):
-        SphereOptConfig(starts=0)
-    with pytest.raises(ValueError):
         SphereOptConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SphereOptConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SphereOptConfig(random_starts=-1)
 
 
 def test_rotation_to_e1_sends_u_to_e1():
@@ -384,3 +396,111 @@ def test_stationarity_residual_at_known_stationary_point():
     # a generic direction is not
     v = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
     assert stationarity_residual(random_tensor(2), v) > 1e-3
+
+
+# ------------------------------------------------ multi-start ascent oracle
+
+
+def _spiral_lattice(n):
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
+    r = np.sqrt(1.0 - z * z)
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def ascent_maximizers(t, starts=200, steps=600):
+    """Independent oracle: the sphere maximum and its distinct maximizers.
+
+    Shifted power iteration x <- (D x x + x) / |D x x + x| on the
+    unit-norm tensor from a spiral lattice of starts, so each start climbs
+    to a local maximum; values within 1e-8 of the best count as tied and
+    points within 1e-3 of each other count once.
+    """
+    full = expand(t)
+    norm = full.frobenius()
+    d = full.entries / norm
+    x = _spiral_lattice(starts)
+    for _ in range(steps):
+        x = np.einsum("ijk,sj,sk->si", d, x, x) + x
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+    val = np.einsum("ijk,si,sj,sk->s", d, x, x, x)
+    reps = []
+    for row in x[val >= val.max() - 1e-8]:
+        if all(np.linalg.norm(row - r) > 1e-3 for r in reps):
+            reps.append(row)
+    return val.max() * norm, np.array(reps)
+
+
+def assert_matches_oracle(t):
+    mx = maximize_cubic_on_sphere(t)
+    value, reps = ascent_maximizers(t)
+    norm = expand(t).frobenius()
+    assert abs(mx.value - value) <= 1e-9 * norm
+    assert len(mx.maximizers) == len(reps)
+    for r in reps:
+        assert np.min(np.linalg.norm(mx.maximizers - r, axis=1)) <= 1e-4
+    return mx
+
+
+@pytest.mark.parametrize("seed", range(0, 400, 20))
+def test_maximizer_matches_oracle_on_seeded_tensors(seed):
+    assert_matches_oracle(random_tensor(seed))
+
+
+@pytest.mark.parametrize("index", range(len(TIED)))
+def test_tied_maximizers_match_oracle(index):
+    for proper in (True, False):
+        g = random_orthogonal(8_000 + index, proper=proper)
+        assert_matches_oracle(compress(act(g, expand(TIED[index]))))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-8, 1e-4, 1e-2, 1e-1])
+def test_axial_family_matches_oracle(eps):
+    # d111 = 2, d122 = -1 is invariant under rotations about e1: its
+    # stationary points off the axis form a ring, and the resultant of
+    # every chart vanishes identically; the maximizer is the axis
+    axial = SymTraceless3(d111=2.0, d122=-1.0)
+    for k in range(3):
+        g = random_orthogonal(9_000 + k, proper=k != 1)
+        moved = compress(act(g, expand(axial))).as_array()
+        t = SymTraceless3.from_array(moved + eps * random_tensor(9_100 + k).as_array())
+        mx = assert_matches_oracle(t)
+        if eps == 0.0:
+            assert mx.value == pytest.approx(2.0, rel=1e-12)
+            assert np.max(np.abs(mx.u - g.m[:, 0])) < 1e-9
+
+
+def _planted(u, seed):
+    """A generic tensor whose cubic form has its maximum at the unit vector u.
+
+    The canonical form of a random tensor peaks at e1; rotating e1 onto u
+    moves the peak there.  The oracle comparison checks both steps.
+    """
+    base = canonicalize(random_tensor(seed)).params.to_tensor()
+    g = OrthogonalTransform3(rotation_to_e1(u).m.T, 1)  # g e1 = u
+    return compress(act(g, expand(base)))
+
+
+@pytest.mark.parametrize("chart", range(3))
+def test_maximizers_on_chart_boundaries_match_oracle(chart):
+    # u on the boundary x'_c = 0 of one chart of the solver's fixed frame,
+    # and u at the meeting point of the other two charts' boundaries
+    a, b = _CHART_FRAME[(chart + 1) % 3], _CHART_FRAME[(chart + 2) % 3]
+    points = [math.cos(phi) * a + math.sin(phi) * b for phi in (0.3, 1.9, 4.4)]
+    points.append(-_CHART_FRAME[chart])
+    for k, u in enumerate(points):
+        mx = assert_matches_oracle(_planted(u, 60 + 4 * chart + k))
+        assert len(mx.maximizers) == 1
+        assert np.max(np.abs(mx.u - u)) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-75, 1e75, 1e150])
+def test_maximizer_matches_oracle_across_scales(scale):
+    for seed in (11, 12):
+        t = random_tensor(seed)
+        scaled = SymTraceless3.from_array(scale * t.as_array())
+        mx = assert_matches_oracle(scaled)
+        base = maximize_cubic_on_sphere(t)
+        assert mx.value / scale == pytest.approx(base.value, rel=1e-12)
+        assert np.max(np.abs(mx.u - base.u)) < 1e-12

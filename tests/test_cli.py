@@ -186,7 +186,7 @@ def test_rotate_bad_matrix_usage_exits_1(capsys, argv):
 def test_canonicalize_output_shape(capsys):
     code, out, _ = run(
         capsys,
-        ["canonicalize", "--d111", "0.2", "--d112", "1.1", "--d123", "-0.4", "--seed", "3"],
+        ["canonicalize", "--d111", "0.2", "--d112", "1.1", "--d123", "-0.4"],
     )
     assert code == 0
     obj = json.loads(out)
@@ -209,7 +209,7 @@ def test_canonicalize_output_shape(capsys):
 
 
 def test_canonicalize_is_byte_deterministic(capsys):
-    argv = ["canonicalize", "--d112", "0.8", "--d223", "-0.3", "--seed", "5"]
+    argv = ["canonicalize", "--d112", "0.8", "--d223", "-0.3"]
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
@@ -223,6 +223,40 @@ def test_canonicalize_nonconvergence_exits_2(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--d111", "1", "--d123", "1"],
+        ["--d111", "1", "--d122", "0.3"],
+    ],
+)
+def test_canonicalize_tol_is_judged_on_the_maximizer(capsys, argv):
+    # a non-maximal stationary point of each reaches residual 0.0; the
+    # maximizer does not, so an unreachable tolerance must exit 2
+    code, out, err = run(capsys, ["canonicalize", *argv, "--tol", "1e-300"])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["canonicalize", "--d111", "1", "--starts", "8"],
+        ["canonicalize", "--d111", "1", "--max-iter", "50"],
+        ["canonicalize", "--d111", "1", "--seed", "5"],
+        ["orbit-compare", "--a-file", "a.json", "--b-file", "a.json", "--starts", "8"],
+        ["orbit-compare", "--a-file", "a.json", "--b-file", "a.json", "--seed", "5"],
+    ],
+)
+def test_removed_search_flags_exit_1(capsys, argv):
+    # the maximizer is solved for, so there are no starts, iterations or
+    # seeds left to set
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert "unrecognized arguments" in err
 
 
 def test_canonicalize_rejects_nonpositive_tol(capsys):
@@ -248,7 +282,7 @@ def test_orbit_compare_with_alignment(capsys, tmp_path):
     a = write_tensor(tmp_path / "a.json", d111=1.0, d112=1.0)
     code, out, _ = run(
         capsys,
-        ["orbit-compare", "--a-file", a, "--b-file", a, "--align", "--starts", "16"],
+        ["orbit-compare", "--a-file", a, "--b-file", a, "--align"],
     )
     assert code == 0
     obj = json.loads(out)

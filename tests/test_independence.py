@@ -13,7 +13,7 @@ from triso.independence import (
     jacobian_canonical,
     jacobian_report,
 )
-from triso.invariants import CanonicalParams, canonical_invariants
+from triso.invariants import CanonicalParams, canonical_invariants, relative_error
 from triso.polynomials import CANONICAL_BASIS
 
 
@@ -71,6 +71,29 @@ def test_closed_form_det_matches_numeric_det():
         det = float(np.linalg.det(jacobian_canonical(p)))
         closed = det_jacobian_closed_form(p)
         assert abs(det - closed) <= 1e-8 * max(1.0, abs(det))
+
+
+def test_closed_form_det_at_a_cancelling_point():
+    # drawn by independence_report(1000, 328303462); evaluating the
+    # 120-term expansion instead of its factors misses the numeric
+    # determinant by 3.1e-8 (relative) here
+    p = [-1.9607660380223484, 0.9464339696371806, 0.018546923635382573, 1.358341864310883]
+    det = float(np.linalg.det(jacobian_canonical(p)))
+    assert relative_error(det, det_jacobian_closed_form(p)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # drawn by independence_report(1000, s) for s = 1404448153 and
+        # 843945411; central differences with step 1e-5 max(1, |c_i|)
+        # deviated by 4.2e-6 and 1.1e-6 from the analytic I10 gradient
+        [-1.9851349390001305, 1.9619484997660517, 0.2139597272694349, 0.015810499556993207],
+        [-1.9566411975084077, 1.9618181931470726, 0.03651830016476909, 0.10410119056459521],
+    ],
+)
+def test_fd_jacobian_matches_analytic_at_steep_points(p):
+    assert jacobian_report(p).fd_deviation <= 1e-9
 
 
 def test_det_vanishes_exactly_on_hyperplanes():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triso.canonical_form import SphereOptConfig, canonicalize
+from triso.canonical_form import canonicalize
 from triso.invariants import smith_bao
 from triso.orbit_oracle import (
     GROUPS,
@@ -75,8 +75,8 @@ def test_alignment_rejects_unknown_group():
 
 def test_alignment_bookkeeping():
     a, b = planted_pair(3)
-    so3 = best_alignment(a, b, "SO(3)", SphereOptConfig(starts=32))
-    o3 = best_alignment(a, b, "O(3)", SphereOptConfig(starts=32))
+    so3 = best_alignment(a, b, "SO(3)")
+    o3 = best_alignment(a, b, "O(3)")
     assert isinstance(so3, AlignmentResult)
     assert o3.residual <= so3.residual + 1e-12
 
@@ -93,7 +93,7 @@ def test_alignment_zero_tensor_edges():
 
 def test_identity_start_nails_identical_tensors():
     t = random_tensor(5)
-    result = best_alignment(t, t, "SO(3)", SphereOptConfig(starts=1))
+    result = best_alignment(t, t, "SO(3)")
     assert result.residual <= 1e-12 * expand(t).frobenius()
 
 
