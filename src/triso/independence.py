@@ -10,6 +10,12 @@ Three independent evaluation routes keep each other honest: exact
 differentiation of the transcribed polynomial tables, complex-step
 derivatives of the invariant values, and the transcribed closed-form
 determinant, evaluated through its stored factors.
+
+Every route runs on all points at once.  One shared monomial table yields
+the 16 exact partials and both determinant factors at every point, another
+the invariants at the 4n complex-stepped points; determinants, unit-gradient
+volumes and ranks are stacked 4x4 kernels.  The one-point functions
+(``jacobian_canonical``, ``jacobian_report``) are the n = 1 case.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import CanonicalParams, relative_error
-from .polynomials import CANONICAL_BASIS, DET_FACTOR_4, DET_FACTOR_10, NVARS
+from .invariants import CanonicalParams
+from .polynomials import CANONICAL_BASIS, DET_FACTOR_4, DET_FACTOR_10, NVARS, _MonomialTable
 
 __all__ = [
     "JacobianReport",
@@ -33,6 +39,11 @@ __all__ = [
 
 # Exact partial derivatives, differentiated once at import time.
 JACOBIAN_TABLE = tuple(tuple(p.diff(k) for k in range(NVARS)) for p in CANONICAL_BASIS)
+
+# The 16 partials (row-major) and the two determinant factors share one
+# monomial table; the invariants themselves feed the complex step.
+_ANALYTIC_TABLE = _MonomialTable(sum(JACOBIAN_TABLE, ()) + (DET_FACTOR_4, DET_FACTOR_10))
+_BASIS_TABLE = _MonomialTable(CANONICAL_BASIS)
 
 # Complex step h of the "fd" Jacobian: far below any coordinate's size, and
 # far above the smallest normal double once multiplied by a derivative.
@@ -55,6 +66,23 @@ RANK_THRESHOLD = 1e-10  # relative to the largest singular value
 GENERIC_VOLUME_FLOOR = 1e-6
 
 
+def _unit_rows(jac: np.ndarray) -> np.ndarray:
+    """Stacked Jacobians with each row scaled to unit length (zero rows stay 0)."""
+    norms = np.linalg.norm(jac, axis=-1, keepdims=True)
+    return np.divide(jac, norms, out=np.zeros_like(jac), where=norms > 0)
+
+
+def _volumes(jac: np.ndarray) -> np.ndarray:
+    """gradient_volume of each matrix in an (n, 4, 4) stack of Jacobians."""
+    return np.abs(np.linalg.det(_unit_rows(jac)))
+
+
+def _ranks(jac: np.ndarray, threshold: float = RANK_THRESHOLD) -> np.ndarray:
+    """JacobianReport.rank of each matrix in an (n, 4, 4) stack of Jacobians."""
+    sv = np.linalg.svd(_unit_rows(jac), compute_uv=False)
+    return np.sum(sv > threshold * sv[:, :1], axis=1)
+
+
 def gradient_volume(jac) -> float:
     """|det| of the Jacobian with rows scaled to unit length.
 
@@ -63,17 +91,46 @@ def gradient_volume(jac) -> float:
     spread out.  This is the scale-free measure of how solidly the four
     invariants are independent at a point.
     """
-    jac = np.asarray(jac, dtype=float)
-    norms = np.linalg.norm(jac, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        return 0.0
-    return float(abs(np.linalg.det(jac / norms)))
+    return float(_volumes(np.asarray(jac, dtype=float)[None])[0])
+
+
+def _clear_of_hyperplanes(pts: np.ndarray) -> np.ndarray:
+    return (np.abs(pts[:, 2]) > HYPERPLANE_MARGIN) & (np.abs(pts[:, 3]) > HYPERPLANE_MARGIN)
 
 
 def _point(c) -> np.ndarray:
     if isinstance(c, CanonicalParams):
         return c.as_array()
     return np.asarray(c, dtype=float).reshape(NVARS)
+
+
+def _analytic(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Jacobians (n, 4, 4) and closed-form determinants (n,) at (n, 4) points."""
+    values = _ANALYTIC_TABLE(pts)
+    jac = values[:, : 4 * NVARS].reshape(-1, 4, NVARS)
+    closed = 27648.0 * pts[:, 2] * values[:, -2] * pts[:, 3] ** 3 * values[:, -1]
+    return jac, closed
+
+
+def _complex_step(pts: np.ndarray) -> np.ndarray:
+    """Complex-step Jacobians (n, 4, 4): Im I(x + i h e_k) / h at the 4n stepped points."""
+    steps = pts[:, None, :] + 1j * COMPLEX_STEP * np.eye(NVARS)  # [point, k, coordinate]
+    values = _BASIS_TABLE(steps.reshape(-1, NVARS)).imag.reshape(-1, NVARS, 4)  # [point, k, invariant]
+    return values.transpose(0, 2, 1) / COMPLEX_STEP
+
+
+def _measure(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Analytic Jacobians, their dets, fd deviations and closed-form dets at (n, 4) points.
+
+    The fd deviation compares gradients row by row: roundoff in either route
+    scales with the invariant's own derivative magnitudes, so each row's
+    difference is measured against that row's norm, not entry by entry.
+    """
+    jac, closed = _analytic(pts)
+    row_norms = np.linalg.norm(jac, axis=2)
+    gap = np.linalg.norm(jac - _complex_step(pts), axis=2)
+    deviation = np.max(gap / np.maximum(1.0, row_norms), axis=1)
+    return jac, np.linalg.det(jac), deviation, closed
 
 
 def jacobian_canonical(c, mode: str = "analytic") -> np.ndarray:
@@ -87,12 +144,11 @@ def jacobian_canonical(c, mode: str = "analytic") -> np.ndarray:
     coordinate, and no difference of nearby values to cancel, so it agrees
     with the analytic tables to roundoff.
     """
-    x = _point(c)
+    x = _point(c)[None, :]
     if mode == "analytic":
-        return np.array([[p(x) for p in row] for row in JACOBIAN_TABLE])
+        return _analytic(x)[0][0]
     if mode in ("fd", "finite-difference"):
-        steps = x + 1j * COMPLEX_STEP * np.eye(NVARS)  # row k steps coordinate k
-        return np.array([p._eval_complex_many(steps).imag for p in CANONICAL_BASIS]) / COMPLEX_STEP
+        return _complex_step(x)[0]
     raise ValueError(f'mode must be "analytic" or "fd", got {mode!r}')
 
 
@@ -103,8 +159,7 @@ def det_jacobian_closed_form(c) -> float:
     DET_JACOBIAN, and evaluating the factors avoids the cancellation
     among the 120 terms of the expansion.
     """
-    x = _point(c)
-    return float(27648.0 * x[2] * DET_FACTOR_4(x) * x[3] ** 3 * DET_FACTOR_10(x))
+    return float(_analytic(_point(c)[None, :])[1][0])
 
 
 @dataclass(frozen=True)
@@ -136,13 +191,7 @@ class JacobianReport:
         raw rows differ by orders of magnitude across degrees 2 to 10.
         Singular values above threshold * largest are counted.
         """
-        jac = np.asarray(self.jac)
-        norms = np.linalg.norm(jac, axis=1, keepdims=True)
-        normalized = np.divide(jac, norms, out=np.zeros_like(jac), where=norms > 0)
-        sv = np.linalg.svd(normalized, compute_uv=False)
-        if sv[0] == 0.0:
-            return 0
-        return int(np.sum(sv > threshold * sv[0]))
+        return int(_ranks(self.jac[None], threshold)[0])
 
     def volume(self) -> float:
         return gradient_volume(self.jac)
@@ -153,17 +202,8 @@ class JacobianReport:
 
 def jacobian_report(c) -> JacobianReport:
     point = c if isinstance(c, CanonicalParams) else CanonicalParams(*_point(c))
-    analytic = jacobian_canonical(point, "analytic")
-    fd = jacobian_canonical(point, "fd")
-    # compare gradients row by row: roundoff in either route scales with
-    # the invariant's own derivative magnitudes, so each row's difference is
-    # measured against that row's norm, not entry by entry
-    row_norms = np.linalg.norm(analytic, axis=1)
-    deviation = float(
-        np.max(np.linalg.norm(analytic - fd, axis=1) / np.maximum(1.0, row_norms))
-    )
-    det = float(np.linalg.det(analytic))
-    return JacobianReport(point, analytic, det, deviation, det_jacobian_closed_form(point))
+    jac, det, deviation, closed = _measure(point.as_array()[None, :])
+    return JacobianReport(point, jac[0], float(det[0]), float(deviation[0]), float(closed[0]))
 
 
 @dataclass(frozen=True)
@@ -192,20 +232,18 @@ def _sample_generic(count: int, rng: np.random.Generator) -> np.ndarray:
 
     A draw is kept when it clears the coordinate-hyperplane bands and its
     unit-gradient volume clears GENERIC_VOLUME_FLOOR; rejection discards a
-    percent or two of draws.
+    percent or two of draws.  Each batch is judged at once, and its first
+    accepted rows are kept in draw order.
     """
     out = []
-    while len(out) < count:
-        batch = rng.uniform(-2.0, 2.0, size=(count - len(out) + 8, NVARS))
-        keep = (np.abs(batch[:, 2]) > HYPERPLANE_MARGIN) & (
-            np.abs(batch[:, 3]) > HYPERPLANE_MARGIN
-        )
-        for row in batch[keep]:
-            if gradient_volume(jacobian_canonical(row)) > GENERIC_VOLUME_FLOOR:
-                out.append(row)
-                if len(out) == count:
-                    break
-    return np.array(out)
+    kept = 0
+    while kept < count:
+        batch = rng.uniform(-2.0, 2.0, size=(count - kept + 8, NVARS))
+        batch = batch[_clear_of_hyperplanes(batch)]
+        accepted = batch[_volumes(_analytic(batch)[0]) > GENERIC_VOLUME_FLOOR][: count - kept]
+        out.append(accepted)
+        kept += len(accepted)
+    return np.concatenate(out)
 
 
 def independence_report(
@@ -225,40 +263,22 @@ def independence_report(
             raise ValueError(f"sample_count must be at least 1, got {sample_count}")
         pts = _sample_generic(sample_count, np.random.default_rng(seed))
     else:
-        pts = np.asarray([_point(p) for p in points], dtype=float)
+        pts = np.asarray([_point(p) for p in points], dtype=float).reshape(-1, NVARS)
         if len(pts) == 0:
             raise ValueError("points must be nonempty")
 
-    n_rank4 = 0
-    n_generic = 0
-    min_det = np.inf
-    max_det = 0.0
-    worst_fd = 0.0
-    worst_mismatch = 0.0
-    n_degenerate = 0
-    for row in pts:
-        rep = jacobian_report(row)
-        worst_fd = max(worst_fd, rep.fd_deviation)
-        worst_mismatch = max(worst_mismatch, relative_error(rep.det, rep.closed_form_det))
-        hyperplane = (
-            abs(row[2]) <= HYPERPLANE_MARGIN or abs(row[3]) <= HYPERPLANE_MARGIN
-        )
-        if hyperplane or not rep.is_generic():
-            n_degenerate += 1
-            continue
-        n_generic += 1
-        min_det = min(min_det, abs(rep.det))
-        max_det = max(max_det, abs(rep.det))
-        if rep.rank() == 4:
-            n_rank4 += 1
-
-    fraction = n_rank4 / n_generic if n_generic else 0.0
+    jac, det, deviation, closed = _measure(pts)
+    # relative_error, elementwise
+    mismatch = np.abs(det - closed) / np.maximum(1.0, np.maximum(np.abs(det), np.abs(closed)))
+    generic = _clear_of_hyperplanes(pts) & (_volumes(jac) > GENERIC_VOLUME_FLOOR)
+    n_generic = int(np.sum(generic))
+    abs_det = np.abs(det[generic])
     return IndependenceReport(
         samples=n_generic,
-        degenerate=n_degenerate,
-        rank4_fraction=fraction,
-        min_abs_det=float(min_det) if n_generic else 0.0,
-        max_abs_det=float(max_det),
-        max_fd_deviation=float(worst_fd),
-        max_det_mismatch=float(worst_mismatch),
+        degenerate=len(pts) - n_generic,
+        rank4_fraction=int(np.sum(_ranks(jac[generic]) == 4)) / n_generic if n_generic else 0.0,
+        min_abs_det=float(abs_det.min()) if n_generic else 0.0,
+        max_abs_det=float(abs_det.max(initial=0.0)),
+        max_fd_deviation=float(deviation.max()),
+        max_det_mismatch=float(mismatch.max()),
     )

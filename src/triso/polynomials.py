@@ -7,7 +7,15 @@ Those polynomials are transcribed here once, as monomial tables with exact
 integer coefficients; evaluation and exact differentiation both run off the
 tables, so a single audited transcription backs every consumer.  Any
 transcription slip surfaces immediately against the full-array contraction
-path (see tests).
+path, and the tests check the tables as exact identities: I2..I10 equal
+the contractions of the canonical tensor carried out in Poly arithmetic,
+and DET_JACOBIAN equals the Laplace expansion of the exact partials.
+
+``Poly.__call__`` evaluates one polynomial at one point.  Many points, and
+several polynomials sharing their monomials, go through one evaluator
+(``_MonomialTable``): a table of powers per coordinate, the monomial matrix
+gathered from it and one matmul, in chunks of rows; ``Poly.eval_many`` is
+its one-polynomial case, for real and complex points alike.
 """
 
 from __future__ import annotations
@@ -111,46 +119,118 @@ class Poly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def _tables(self):
+    def _table(self) -> "_MonomialTable":
         if self._eval_cache is None:
-            exponents = np.array(sorted(self.terms), dtype=np.int64).reshape(len(self.terms), NVARS)
-            coeffs = np.array([float(self.terms[tuple(e)]) for e in exponents])
-            self._eval_cache = (exponents, coeffs)
+            self._eval_cache = _MonomialTable((self,))
         return self._eval_cache
 
     def __call__(self, point) -> float:
         point = np.asarray(point, dtype=float).reshape(NVARS)
-        if not self.terms:
-            return 0.0
-        exponents, coeffs = self._tables()
-        return float(np.prod(point[None, :] ** exponents, axis=1) @ coeffs)
-
-    def _eval_complex_many(self, points) -> np.ndarray:
-        """Evaluate at an (n, 4) array of complex points, for complex steps.
-
-        Powers come from repeated multiplication, so an imaginary part far
-        below the real one (a step of 1e-30) is carried as in exact
-        arithmetic, up to roundoff relative to itself.
-        """
-        points = np.asarray(points, dtype=complex).reshape(-1, NVARS)
-        if not self.terms:
-            return np.zeros(len(points), dtype=complex)
-        exponents, coeffs = self._tables()
-        n, top = len(points), int(exponents.max())
-        steps = np.broadcast_to(points[:, None, :], (n, top, NVARS))
-        powers = np.cumprod(np.concatenate([np.ones((n, 1, NVARS)), steps], axis=1), axis=1)
-        return np.prod(powers[:, exponents, np.arange(NVARS)], axis=2) @ coeffs
+        table = self._table()
+        return float(np.prod(point[None, :] ** table.exponents, axis=1) @ table.coeffs[:, 0])
 
     def eval_many(self, points) -> np.ndarray:
-        """Evaluate at an (n, 4) array of points."""
-        points = np.asarray(points, dtype=float).reshape(-1, NVARS)
-        if not self.terms:
-            return np.zeros(len(points))
-        exponents, coeffs = self._tables()
-        return np.prod(points[:, None, :] ** exponents[None, :, :], axis=2) @ coeffs
+        """Evaluate at an (n, 4) array of real or complex points.
+
+        The one-polynomial case of _MonomialTable; complex points carry a
+        complex step exactly.
+        """
+        return self._table()(points)[:, 0]
 
     def __repr__(self):
         return f"Poly({len(self.terms)} terms, degree {self.degree()})"
+
+
+# Rows evaluated at once: peak memory stays flat however many points come in.
+_CHUNK_ROWS = 128
+
+
+class _MonomialTable:
+    """Evaluate a fixed tuple of polynomials at many points at once.
+
+    The polynomials share one table of M monomials, the union of their
+    terms, and one constant (M, P) float coefficient matrix.  At an (n, 4)
+    real or complex array, the powers of each coordinate up to the top
+    exponent come from repeated multiplication; the (M, n) monomial matrix
+    is gathered from them, and a matmul gives the (n, P) values.  Rows run in
+    chunks of _CHUNK_ROWS.
+
+    Complex points serve complex steps: repeated multiplication carries an
+    imaginary part far below the real one (a step of 1e-30) as in exact
+    arithmetic, up to roundoff relative to itself.
+
+    Real points are evaluated more accurately than plain double arithmetic
+    allows, since the Jacobian entries and determinant factors cancel by up to
+    seven digits at some sampled points.  Monomials are formed in extended
+    precision (np.longdouble, a 64-bit significand on x86) and split into two
+    doubles; the leading double is cut to a per-point grid coarse enough that
+    its products with integer coefficients, and every partial sum, are exact
+    in any summation order.  Only the small remainder is summed in plain
+    double arithmetic.  The error is then near 2^-64 times the sum of |terms|,
+    where plain double evaluation leaves 2^-53 times it or more.  Where
+    np.longdouble is a plain double, the low part is 0 and only the summation
+    stays exact.
+    """
+
+    def __init__(self, polys):
+        monomials = sorted(set().union(*(p.terms for p in polys)))
+        row = {e: i for i, e in enumerate(monomials)}
+        self.exponents = np.array(monomials, dtype=np.intp).reshape(len(monomials), NVARS)
+        self.coeffs = np.zeros((len(monomials), len(polys)))
+        for j, p in enumerate(polys):
+            for e, c in p.terms.items():
+                self.coeffs[row[e], j] = float(c)
+        self._top = int(self.exponents.max(initial=0))
+        # each monomial is (x0^a x1^b) (x2^c x3^d): the distinct exponent pairs
+        # of each half, as rows of a chunk's flattened (top + 1, NVARS) power
+        # table, and which pair every monomial takes
+        self._halves = []
+        for cols in ((0, 1), (2, 3)):
+            pairs, which = np.unique(self.exponents[:, cols], axis=0, return_inverse=True)
+            self._halves.append(((pairs * NVARS + cols).T.copy(), which.reshape(-1)))
+        # bits above a point's largest monomial that any partial sum can reach:
+        # the coefficients' largest column sum of magnitudes is below 2^(headroom - 1)
+        self._headroom = int(np.frexp(max(np.abs(self.coeffs).sum(axis=0).max(initial=0.0), 1.0))[1]) + 1
+
+    def __call__(self, points) -> np.ndarray:
+        points = np.asarray(points)
+        real = not np.iscomplexobj(points)
+        points = points.astype(float if real else complex, copy=False).reshape(-1, NVARS)
+        n = len(points)
+        rows = max(1, min(n, _CHUNK_ROWS))
+        out = np.empty((-(-n // rows) * rows, self.coeffs.shape[1]), points.dtype)
+        # work buffers shared by every chunk: powers[e, k, row] = x_k^e, and
+        # the (M, rows) monomial matrix as the product of its two halves
+        work = np.longdouble if real else complex
+        powers = np.empty((max(self._top, 1) + 1, NVARS, rows), work)
+        monomials = np.empty((len(self.exponents), rows), work)
+        factor = np.empty_like(monomials)
+        for start in range(0, n, rows):
+            chunk = points[start : start + rows]
+            powers[0] = 1.0
+            powers[1, :, : len(chunk)] = chunk.T
+            powers[1, :, len(chunk) :] = 0.0  # the last chunk's padding rows
+            for e in range(2, self._top + 1):
+                np.multiply(powers[e - 1], powers[1], out=powers[e])
+            table = powers.reshape(-1, rows)
+            for target, ((first, second), which) in zip((monomials, factor), self._halves):
+                np.take(table[first] * table[second], which, axis=0, out=target, mode="clip")
+            monomials *= factor
+            block = out[start : start + rows]
+            if real:
+                high = monomials.astype(float)
+                low = (monomials - high).astype(float)
+                # lead: a multiple of 2^(e + headroom - 53) at most 2^e, so its
+                # products with integer coefficients and all their partial
+                # sums fit in 53 bits (the cap keeps the grid finite near overflow)
+                _, e = np.frexp(np.max(np.abs(high), axis=0, initial=0.0))
+                grid = np.ldexp(1.0, np.minimum(e + self._headroom, 1023))
+                lead = (high + grid) - grid
+                np.matmul(lead.T, self.coeffs, out=block)
+                block += ((high - lead) + low).T @ self.coeffs
+            else:
+                np.matmul(monomials.T, self.coeffs, out=block)
+        return out[:n]
 
 
 d111 = Poly.variable(0)

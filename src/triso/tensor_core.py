@@ -170,6 +170,28 @@ class OrthogonalTransform3:
         return self.m @ np.asarray(x, dtype=float)
 
 
+def _embedding() -> np.ndarray:
+    """The (27, 7) matrix taking the seven components to the row-major array.
+
+    Every slot of a family (a triple and its permutations) gets the family's
+    combination of components; the three constrained diagonal families come
+    from the vanishing traces.
+    """
+    unit = dict(zip(COMPONENT_NAMES, np.eye(7)))
+    families = {slot: unit[name] for name, slot in _FREE_SLOTS.items()}
+    families[(0, 2, 2)] = -unit["d111"] - unit["d122"]
+    families[(1, 2, 2)] = -unit["d112"] - unit["d222"]
+    families[(2, 2, 2)] = -unit["d113"] - unit["d223"]
+    embed = np.zeros((3, 3, 3, 7))
+    for triple, row in families.items():
+        for perm in set(permutations(triple)):
+            embed[perm] = row
+    return embed.reshape(27, 7)
+
+
+_EMBEDDING = _embedding()
+
+
 def expand(s: SymTraceless3) -> FullTensor3:
     """Expand seven components into the full symmetric traceless 3x3x3 array.
 
@@ -177,23 +199,7 @@ def expand(s: SymTraceless3) -> FullTensor3:
     entries at (1,3,3) equal -d111-d122, at (2,3,3) equal -d112-d222, and
     (3,3,3) equals -d113-d223 (1-based indices).
     """
-    arr = np.zeros((3, 3, 3))
-    values = {
-        (0, 0, 0): s.d111,
-        (0, 0, 1): s.d112,
-        (0, 0, 2): s.d113,
-        (0, 1, 1): s.d122,
-        (0, 1, 2): s.d123,
-        (1, 1, 1): s.d222,
-        (1, 1, 2): s.d223,
-        (0, 2, 2): -s.d111 - s.d122,
-        (1, 2, 2): -s.d112 - s.d222,
-        (2, 2, 2): -s.d113 - s.d223,
-    }
-    for triple, value in values.items():
-        for perm in set(permutations(triple)):
-            arr[perm] = value
-    return FullTensor3(arr)
+    return FullTensor3((_EMBEDDING @ s.as_array()).reshape(3, 3, 3))
 
 
 def _full(t: SymTraceless3 | FullTensor3) -> FullTensor3:

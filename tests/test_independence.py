@@ -4,6 +4,7 @@ import pytest
 from triso.independence import (
     GENERIC_VOLUME_FLOOR,
     HYPERPLANE_MARGIN,
+    JACOBIAN_TABLE,
     RANK_THRESHOLD,
     IndependenceReport,
     JacobianReport,
@@ -12,6 +13,8 @@ from triso.independence import (
     independence_report,
     jacobian_canonical,
     jacobian_report,
+    _measure,
+    _sample_generic,
 )
 from triso.invariants import CanonicalParams, canonical_invariants, relative_error
 from triso.polynomials import CANONICAL_BASIS
@@ -204,3 +207,53 @@ def test_invariants_consistent_with_jacobian_degrees():
     degrees = np.array([2.0, 4.0, 6.0, 10.0])
     euler = jac @ p
     assert np.max(np.abs(euler - degrees * tup) / np.maximum(1.0, np.abs(tup))) < 1e-12
+
+
+def per_draw_sample(count, rng):
+    """The rejection sampler one draw at a time: Poly.__call__ on every
+    partial, then one np.linalg.det of the row-normalized Jacobian."""
+    out = []
+    while len(out) < count:
+        batch = rng.uniform(-2.0, 2.0, size=(count - len(out) + 8, 4))
+        keep = (np.abs(batch[:, 2]) > HYPERPLANE_MARGIN) & (np.abs(batch[:, 3]) > HYPERPLANE_MARGIN)
+        for row in batch[keep]:
+            jac = np.array([[p(row) for p in partials] for partials in JACOBIAN_TABLE])
+            norms = np.linalg.norm(jac, axis=1, keepdims=True)
+            if np.all(norms > 0) and abs(np.linalg.det(jac / norms)) > GENERIC_VOLUME_FLOOR:
+                out.append(row)
+                if len(out) == count:
+                    break
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 1404448153, 328303462, 843945411])
+def test_batched_sampler_keeps_the_per_draw_sample(seed):
+    batched = _sample_generic(1000, np.random.default_rng(seed))
+    assert np.array_equal(batched, per_draw_sample(1000, np.random.default_rng(seed)))
+
+
+def test_jacobian_report_is_the_batched_core_at_one_point():
+    pts = np.random.default_rng(13).uniform(-2, 2, size=(40, 4))
+    pts[5, 2] = 0.0  # on the d123 = 0 hyperplane
+    jac, det, deviation, closed = _measure(pts)
+    for i, p in enumerate(pts):
+        rep = jacobian_report(p)
+        scale = np.linalg.norm(jac[i], axis=1, keepdims=True)
+        assert np.all(np.abs(rep.jac - jac[i]) <= 1e-15 * scale)
+        assert np.array_equal(rep.jac, jacobian_canonical(p))
+        assert relative_error(rep.det, det[i]) <= 1e-13
+        assert relative_error(rep.closed_form_det, closed[i]) <= 1e-13
+        assert rep.closed_form_det == det_jacobian_closed_form(p)
+        assert abs(rep.fd_deviation - deviation[i]) <= 1e-15
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is a plain double here"
+)
+def test_closed_form_det_where_a_factor_cancels():
+    # drawn by independence_report(1000, 4); DET_FACTOR_10 cancels by seven
+    # digits here, and plain double evaluation of the tables put the numeric
+    # and closed-form determinants 8.5e-10 to 2.2e-9 apart (relative)
+    p = [1.6579486480544245, -1.5806846321271224, 0.004667397395683892, 0.40098996975297574]
+    rep = jacobian_report(p)
+    assert relative_error(rep.det, rep.closed_form_det) <= 1e-10

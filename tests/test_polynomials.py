@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +18,8 @@ from triso.polynomials import (
     I6_CANONICAL,
     I10_CANONICAL,
     Poly,
+    _CHUNK_ROWS,
+    _MonomialTable,
 )
 
 x0, x1, x2, x3 = (Poly.variable(i) for i in range(NVARS))
@@ -94,12 +99,12 @@ def test_complex_eval_carries_a_tiny_step_exactly():
     pts = rng.uniform(-2, 2, size=(10, 4))
     h = 1e-30
     for poly in CANONICAL_BASIS + (DET_FACTOR_4, Poly()):
-        values = poly._eval_complex_many(pts)
+        values = poly.eval_many(pts.astype(complex))
         assert np.allclose(values.real, poly.eval_many(pts), rtol=1e-12, atol=1e-12)
         assert np.all(values.imag == 0.0)
         for k in range(NVARS):
             stepped = pts + 1j * h * np.eye(NVARS)[k]
-            slope = poly._eval_complex_many(stepped).imag / h
+            slope = poly.eval_many(stepped).imag / h
             exact = poly.diff(k).eval_many(pts)
             assert np.allclose(slope, exact, rtol=1e-12, atol=1e-12 * np.max(np.abs(exact)))
 
@@ -149,3 +154,89 @@ def test_det_jacobian_pinned_value():
     assert DET_JACOBIAN((1.0, -0.7, 1.3, 0.9)) == pytest.approx(
         -14994302.920464532, rel=1e-12
     )
+
+
+def canonical_array():
+    # the canonical tensor (d112 = d113 = d222 = 0) as a 3x3x3 array of Poly
+    # entries, traces eliminated: (0,2,2) = -d111 - d122, (2,2,2) = -d223
+    zero = Poly()
+    families = {
+        (0, 0, 0): x0,
+        (0, 1, 1): x1,
+        (0, 1, 2): x2,
+        (1, 1, 2): x3,
+        (0, 2, 2): -x0 - x1,
+        (2, 2, 2): -x3,
+    }
+    arr = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+    for triple, value in families.items():
+        for i, j, k in set(itertools.permutations(triple)):
+            arr[i][j][k] = value
+    return arr
+
+
+def test_canonical_polys_are_the_exact_contractions():
+    # Smith-Bao contractions carried out in exact Poly arithmetic: the
+    # transcribed tables equal them term by term, with integer coefficients
+    d = canonical_array()
+    r = range(3)
+    i2 = sum((d[i][j][k] * d[i][j][k] for i in r for j in r for k in r), Poly())
+    m = [[sum((d[i][j][k] * d[i][j][l] for i in r for j in r), Poly()) for l in r] for k in r]
+    i4 = sum((m[k][l] * m[k][l] for k in r for l in r), Poly())
+    v = [sum((m[k][l] * d[k][l][p] for k in r for l in r), Poly()) for p in r]
+    i6 = sum((v[p] * v[p] for p in r), Poly())
+    w = [[sum((d[i][j][k] * v[i] for i in r), Poly()) for k in r] for j in r]
+    u = [sum((w[j][k] * v[j] for j in r), Poly()) for k in r]
+    i10 = sum((u[k] * v[k] for k in r), Poly())
+    for contracted, table in zip((i2, i4, i6, i10), CANONICAL_BASIS):
+        assert (contracted - table).terms == {}
+
+
+def laplace_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    total = Poly()
+    for col, entry in enumerate(rows[0]):
+        minor = [row[:col] + row[col + 1 :] for row in rows[1:]]
+        term = entry * laplace_det(minor)
+        total = total + term if col % 2 == 0 else total - term
+    return total
+
+
+def test_det_jacobian_is_the_exact_determinant():
+    # the Laplace expansion of the exact partials' determinant is the
+    # transcribed DET_JACOBIAN: a nonzero polynomial, so the four
+    # invariants are algebraically independent (Jacobian criterion)
+    jacobian = [[p.diff(k) for k in range(NVARS)] for p in CANONICAL_BASIS]
+    assert (laplace_det(jacobian) - DET_JACOBIAN).terms == {}
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+def test_monomial_table_matches_one_point_eval(n):
+    polys = CANONICAL_BASIS + (DET_FACTOR_4, DET_FACTOR_10, DET_JACOBIAN, Poly.constant(3))
+    pts = np.random.default_rng(n).uniform(-2, 2, size=(n, NVARS))
+    values = _MonomialTable(polys)(pts)
+    assert values.shape == (n, len(polys))
+    for j, poly in enumerate(polys):
+        # condition_scale at every point, with the absolute table built once
+        absolute = Poly({e: abs(c) for e, c in poly.terms.items()})
+        for p, got in zip(pts, values[:, j]):
+            assert abs(got - poly(p)) <= 1e-12 * max(1.0, absolute(np.abs(p)))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is a plain double here"
+)
+def test_monomial_table_is_accurate_where_the_factor_cancels():
+    # drawn by independence_report(1000, 4): DET_FACTOR_10's terms cancel by
+    # seven digits here (condition 2.3e7), and plain double evaluation is off
+    # by 7e-10 relative.  Extended-precision monomials and an exact sum leave
+    # an error near 2^-64 times the sum of |terms|, 1e-13 relative here.
+    p = [1.6579486480544245, -1.5806846321271224, 0.004667397395683892, 0.40098996975297574]
+    q = [Fraction(v) for v in p]
+    for poly in (DET_FACTOR_10,) + CANONICAL_BASIS:
+        terms = [c * q[0] ** e[0] * q[1] ** e[1] * q[2] ** e[2] * q[3] ** e[3] for e, c in poly.terms.items()]
+        exact = sum(terms)
+        scale = sum(abs(t) for t in terms)
+        got = _MonomialTable((poly,))(np.array([p]))[0, 0]
+        assert abs(Fraction(got) - exact) <= 2.0**-52 * abs(exact) + 1e-17 * scale

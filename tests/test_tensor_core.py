@@ -58,6 +58,39 @@ def test_expand_derived_entries():
     assert e[0, 1, 2] == t.d123
 
 
+def loop_expand(s):
+    # the definition: each of the ten slot families written out, with the
+    # three trace-constrained diagonals, copied to every slot permutation
+    arr = np.zeros((3, 3, 3))
+    values = {
+        (0, 0, 0): s.d111,
+        (0, 0, 1): s.d112,
+        (0, 0, 2): s.d113,
+        (0, 1, 1): s.d122,
+        (0, 1, 2): s.d123,
+        (1, 1, 1): s.d222,
+        (1, 1, 2): s.d223,
+        (0, 2, 2): -s.d111 - s.d122,
+        (1, 2, 2): -s.d112 - s.d222,
+        (2, 2, 2): -s.d113 - s.d223,
+    }
+    for triple, value in values.items():
+        for perm in set(itertools.permutations(triple)):
+            arr[perm] = value
+    return arr
+
+
+def test_expand_equals_the_slot_family_loop():
+    # entries are equal, not merely close, from 1e-150 to 1e150; only the
+    # sign of a zero entry may differ (array_equal counts -0.0 == 0.0)
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        vals = rng.normal(size=7) * 10.0 ** rng.uniform(-150, 150)
+        vals[rng.random(7) < 0.2] = 0.0
+        t = SymTraceless3(*vals)
+        assert np.array_equal(expand(t).entries, loop_expand(t))
+
+
 @given(st.lists(components, min_size=7, max_size=7))
 def test_compress_round_trip(vals):
     t = SymTraceless3(*vals)
