@@ -207,18 +207,24 @@ def _full(t: SymTraceless3 | FullTensor3) -> FullTensor3:
     return expand(t) if isinstance(t, SymTraceless3) else t
 
 
+# Flat indices of the array read through each of the six slot permutations,
+# of the diagonal entries (i, i, k) summed by each trace, and of the seven
+# free components.
+_INDEX = np.arange(27).reshape(3, 3, 3)
+_PERMUTED = np.array([np.transpose(_INDEX, perm).ravel() for perm in permutations((0, 1, 2))])
+_TRACES = np.array([[_INDEX[i, i, k] for k in range(3)] for i in range(3)])
+_FREE = np.array([_INDEX[slot] for slot in _FREE_SLOTS.values()])
+
+
 def symmetry_violation(f: FullTensor3) -> float:
     """Largest entry difference between the array and any slot permutation."""
-    arr = f.entries
-    worst = 0.0
-    for perm in permutations((0, 1, 2)):
-        worst = max(worst, float(np.max(np.abs(arr - np.transpose(arr, perm)))))
-    return worst
+    flat = f.entries.ravel()
+    return float(np.max(np.abs(flat - flat[_PERMUTED])))
 
 
 def trace_violation(f: FullTensor3) -> float:
     """Largest |sum_i entries[i,i,k]| over k."""
-    return float(np.max(np.abs(np.einsum("iik->k", f.entries))))
+    return float(np.max(np.abs(f.entries.ravel()[_TRACES].sum(axis=0))))
 
 
 def compress(f: FullTensor3, tol: float = COMPRESS_TOL) -> SymTraceless3:
@@ -239,19 +245,21 @@ def compress(f: FullTensor3, tol: float = COMPRESS_TOL) -> SymTraceless3:
     trc = trace_violation(f)
     if trc > bound:
         raise ValueError(f"array is not traceless: worst trace magnitude {trc:.3g} > tol*||T|| {bound:.3g}")
-    arr = f.entries
-    return SymTraceless3(*(float(arr[slot]) for slot in _FREE_SLOTS.values()))
+    return SymTraceless3(*f.entries.ravel()[_FREE].tolist())
 
 
 def act(g: OrthogonalTransform3, f: FullTensor3) -> FullTensor3:
     """Apply the orthogonal change of coordinates to the tensor.
 
-    (g . T)_{jkl} = g_{ja} g_{kb} g_{lc} T_{abc}; the result stays symmetric
-    and traceless to roundoff.
+    (g . T)_{jkl} = g_{ja} g_{kb} g_{lc} T_{abc}, as three matmuls: the first
+    and last slot, then the middle one; the result stays symmetric and
+    traceless to roundoff.
     """
     if not isinstance(g, OrthogonalTransform3):
         raise TypeError("act expects an OrthogonalTransform3 (validated orthogonal matrix)")
-    return FullTensor3(np.einsum("ja,kb,lc,abc->jkl", g.m, g.m, g.m, f.entries))
+    m = g.m
+    first_last = ((m @ f.entries.reshape(3, 9)).reshape(9, 3) @ m.T).reshape(3, 3, 3)
+    return FullTensor3(m @ first_last)
 
 
 def cubic_form(f: FullTensor3, x) -> float:

@@ -17,6 +17,8 @@ from triso.canonical_form import (
     stationarity_residual,
     _CHART_FRAME,
     _contract,
+    _newton_polish,
+    _stationary_candidates,
     _tangent_bases,
 )
 from triso.invariants import relative_error, smith_bao
@@ -432,6 +434,38 @@ def ascent_maximizers(t, starts=200, steps=600):
     return val.max() * norm, np.array(reps)
 
 
+def polish_every_candidate(t):
+    """Oracle for the polish filter: 4 Newton steps on every candidate.
+
+    The solver polishes only the candidates within 1e-6 of the top value;
+    this polishes all of them and applies the same selection rule,
+    returning the value and the distinct tied maximizers.
+    """
+    full = expand(t)
+    norm = full.frobenius()
+    d9 = (full.entries / norm).reshape(3, 9).T
+    x, _ = _newton_polish(d9, _stationary_candidates(d9), iters=4)
+    val = np.einsum("ijk,si,sj,sk->s", full.entries / norm, x, x, x)
+    grad = 3.0 * np.einsum("ijk,sj,sk->si", full.entries / norm, x, x)
+    res = np.linalg.norm(grad - np.sum(grad * x, axis=1, keepdims=True) * x, axis=1)
+    x[val < 0.0] *= -1.0
+    val = np.abs(val)
+    tied = x[(val >= val.max() - 1e-12) & (res <= 1e-12)]
+    reps = []
+    for row in tied:
+        if all(np.linalg.norm(row - r) > 1e-6 for r in reps):
+            reps.append(row)
+    return val.max() * norm, np.array(reps)
+
+
+def assert_matches_polish_oracle(t, mx):
+    value, reps = polish_every_candidate(t)
+    assert abs(mx.value - value) <= 1e-12 * expand(t).frobenius()
+    assert len(mx.maximizers) == len(reps)
+    for r in reps:
+        assert np.min(np.linalg.norm(mx.maximizers - r, axis=1)) <= 1e-9
+
+
 def assert_matches_oracle(t):
     mx = maximize_cubic_on_sphere(t)
     value, reps = ascent_maximizers(t)
@@ -440,6 +474,7 @@ def assert_matches_oracle(t):
     assert len(mx.maximizers) == len(reps)
     for r in reps:
         assert np.min(np.linalg.norm(mx.maximizers - r, axis=1)) <= 1e-4
+    assert_matches_polish_oracle(t, mx)
     return mx
 
 
@@ -504,3 +539,37 @@ def test_maximizer_matches_oracle_across_scales(scale):
         base = maximize_cubic_on_sphere(t)
         assert mx.value / scale == pytest.approx(base.value, rel=1e-12)
         assert np.max(np.abs(mx.u - base.u)) < 1e-12
+
+
+
+def test_filtered_polish_matches_polishing_every_candidate():
+    # the oracle families above check the same on their inputs
+    for seed in range(200):
+        t = random_tensor(seed)
+        assert_matches_polish_oracle(t, maximize_cubic_on_sphere(t))
+
+
+def test_newton_polish_stops_early_on_the_filtered_candidates():
+    # 1 or 2 steps reach the 1e-15 exit on the few candidates near the top;
+    # polishing every candidate would run all 4
+    for seed in range(50):
+        assert canonicalize(random_tensor(seed)).diagnostics["newton_iterations"] <= 2, seed
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_residuals_stay_finite_at_huge_norms(scale):
+    for seed in range(10):
+        t = SymTraceless3.from_array(scale * random_tensor(seed).as_array())
+        norm = expand(t).frobenius()
+        mx = maximize_cubic_on_sphere(t)
+        assert math.isfinite(mx.residual) and mx.residual <= 1e-12 * norm, seed
+        residual = stationarity_residual(t, mx.u)
+        assert math.isfinite(residual) and residual <= 1e-12 * norm, seed
+
+
+def test_canonicalize_accepts_a_full_tensor():
+    for seed in range(5):
+        t = random_tensor(seed)
+        a, b = canonicalize(t), canonicalize(expand(t))
+        assert np.array_equal(a.params.as_array(), b.params.as_array())
+        assert np.array_equal(a.transform.m, b.transform.m)

@@ -135,6 +135,55 @@ def test_compress_tolerance_is_relative(scale):
         compress(FullTensor3(e))
 
 
+def loop_symmetry_violation(arr):
+    # the definition: the array against each of its six slot permutations
+    return max(float(np.max(np.abs(arr - np.transpose(arr, p)))) for p in itertools.permutations(range(3)))
+
+
+def loop_trace_violation(arr):
+    return float(np.max(np.abs(np.einsum("iik->k", arr))))
+
+
+def test_violations_equal_their_definitions():
+    # on arrays with no symmetry at all, from 1e-150 to 1e150; the
+    # messages compress raises carry the same numbers
+    rng = np.random.default_rng(21)
+    for _ in range(500):
+        scale = 10.0 ** rng.uniform(-150, 150)
+        arr = scale * rng.normal(size=(3, 3, 3))
+        f = FullTensor3(arr)
+        sym, trc = loop_symmetry_violation(arr), loop_trace_violation(arr)
+        assert symmetry_violation(f) == sym
+        assert trace_violation(f) == trc
+        bound = 1e-9 * f.frobenius()
+        with pytest.raises(ValueError) as err:
+            compress(f)
+        assert str(err.value) == (
+            f"array is not symmetric: worst permuted-entry mismatch {sym:.3g} > tol*||T|| {bound:.3g}"
+        )
+        # the symmetric part with a trace left in it fails the trace check
+        sym_part = sum(np.transpose(arr, p) for p in itertools.permutations(range(3))) / 6.0
+        f = FullTensor3(sym_part)
+        trc = loop_trace_violation(sym_part)
+        assert trace_violation(f) == trc
+        bound = 1e-9 * f.frobenius()
+        with pytest.raises(ValueError) as err:
+            compress(f)
+        assert str(err.value) == (
+            f"array is not traceless: worst trace magnitude {trc:.3g} > tol*||T|| {bound:.3g}"
+        )
+
+
+def test_act_equals_the_einsum_definition():
+    rng = np.random.default_rng(22)
+    for k in range(500):
+        scale = 10.0 ** rng.uniform(-150, 150)
+        f = expand(SymTraceless3(*(scale * rng.normal(size=7))))
+        g = random_orthogonal(k, proper=k % 2 == 0)
+        want = np.einsum("ja,kb,lc,abc->jkl", g.m, g.m, g.m, f.entries)
+        assert np.max(np.abs(act(g, f).entries - want)) <= 1e-15 * f.frobenius()
+
+
 def test_symtraceless_rejects_nonfinite():
     with pytest.raises(ValueError):
         SymTraceless3(d111=float("nan"))
