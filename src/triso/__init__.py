@@ -12,10 +12,7 @@ from .canonical_form import (
     SphereMaximizer,
     SphereOptConfig,
     canonicalize,
-    circle_zero_angle,
     maximize_cubic_on_sphere,
-    rotation_about_e1,
-    rotation_to_e1,
     stationarity_residual,
 )
 from .independence import (
@@ -58,8 +55,6 @@ from .tensor_core import (
     SymTraceless3,
     act,
     compress,
-    cubic_form,
-    cubic_gradient,
     expand,
     random_orthogonal,
     random_tensor,

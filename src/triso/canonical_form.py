@@ -9,7 +9,9 @@ leaving e1 (hence the stationarity conditions) fixed.  Four parameters
 survive: (d111, d122, d123, d223).  Among the finitely many frames built
 this way (tied maximizers times zeros of the restriction) ``canonicalize``
 picks one by a fixed rule on the surviving parameters, so they are a
-function of the SO(3) orbit.
+function of the SO(3) orbit.  The reflection across x2 = 0 keeps the
+constraints and negates only d123, so one more step makes them a function
+of the O(3) orbit.
 
 The maximizer is solved for, not searched for.  A stationary point of the
 cubic form on the sphere is a Z-eigenvector of D, and a 3x3x3 symmetric
@@ -47,12 +49,12 @@ __all__ = [
     "CanonicalResult",
     "ConvergenceError",
     "maximize_cubic_on_sphere",
-    "rotation_to_e1",
-    "circle_zero_angle",
-    "rotation_about_e1",
     "canonicalize",
     "stationarity_residual",
 ]
+
+
+GROUPS = ("SO(3)", "O(3)")
 
 
 class ConvergenceError(RuntimeError):
@@ -358,66 +360,15 @@ def maximize_cubic_on_sphere(
     )
 
 
-def rotation_to_e1(u) -> OrthogonalTransform3:
-    """Proper rotation whose first row is u, so that R u = e1.
-
-    Acting with R on a tensor whose cubic form peaks at u moves the peak to
-    e1.  The other rows are the tangent basis of ``_tangent_bases``, built
-    from the axis of the smallest |u_i|; for u = e1 the identity is
-    returned.
-    """
-    u = np.asarray(u, dtype=float).reshape(3)
-    norm = np.linalg.norm(u)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"u must be a unit vector, got |u| = {norm:.17g}")
-    u = u / norm
-    t1, t2 = _tangent_bases(u[None])
-    return OrthogonalTransform3(np.vstack([u, t1, t2]), 1)
-
-
-def circle_zero_angle(t: SymTraceless3 | FullTensor3) -> float:
-    """Smallest angle in [0, pi) where the circle restriction vanishes.
-
-    The restriction h(theta) = g(0, cos theta, sin theta) is a cubic form in
-    (cos theta, sin theta), odd under theta -> theta + pi, so it has a zero
-    in [0, pi).  Its zeros are the real roots of the cubic in tan theta, or
-    in cot theta when the sin^3 coefficient is the smaller of the two end
-    coefficients.  Returns 0 when h(0) is within 1e-13 ||T|| of zero, which
-    covers a restriction that vanishes identically.
-    """
-    full = _full(t)
-    arr = full.entries
-    c3, c2s, cs2, s3 = arr[1, 1, 1], 3.0 * arr[1, 1, 2], 3.0 * arr[1, 2, 2], arr[2, 2, 2]
-    if abs(c3) <= 1e-13 * full.frobenius():
-        return 0.0
-    if abs(s3) >= abs(c3):
-        # h / cos^3 = s3 t^3 + cs2 t^2 + c2s t + c3 with t = tan theta
-        roots = np.roots([s3, cs2, c2s, c3])
-        angles = np.arctan(roots.real) % math.pi
-    else:
-        # h / sin^3 = c3 t^3 + c2s t^2 + cs2 t + s3 with t = cot theta
-        roots = np.roots([c3, c2s, cs2, s3])
-        angles = np.arctan2(1.0, roots.real)
-    # a cubic has a root with imaginary part exactly 0; near-double roots
-    # come back as pairs with tiny imaginary parts
-    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots.real))
-    return float(angles[real].min())
-
-
 def _about_e1(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
 
 
-def rotation_about_e1(theta: float) -> OrthogonalTransform3:
-    """Proper rotation fixing e1 and mapping (0, cos theta, sin theta) to e2."""
-    return OrthogonalTransform3(_about_e1(theta), 1)
-
-
 def canonicalize(
-    t: SymTraceless3 | FullTensor3, cfg: SphereOptConfig | None = None
+    t: SymTraceless3 | FullTensor3, cfg: SphereOptConfig | None = None, group: str = "SO(3)"
 ) -> CanonicalResult:
-    """Rotate a tensor into canonical position.
+    """Move a tensor into canonical position by an element of ``group``.
 
     Each distinct maximizer u of the cubic form gives a frame (u, t1, t2),
     in which d112 = d113 = 0.  Turning that frame about u by theta keeps
@@ -432,10 +383,18 @@ def canonicalize(
     depend on the input's frame, so the params are a function of the SO(3)
     orbit; a mirror image has its d123 negated.
 
-    The transform is rotation_about_e1(theta) composed after
-    rotation_to_e1(u) for the winner.  The zero tensor short-circuits to
-    the identity.
+    The transform is the rotation about e1 by theta composed after the
+    winner's frame.  For ``group="O(3)"`` the rule ranks |d123| in place of
+    d123, and a winner with d123 < -1e-10 ||T|| is mirrored across x2 = 0:
+    the reflection diag(1, -1, 1) keeps the canonical constraints and
+    negates only d123, so the params are a function of the O(3) orbit.
+    Ties left after d223 go to the larger d123, so a tensor with a mirror
+    symmetry (whose candidates come in pairs +-d123) keeps a rotation: the
+    transform is improper only for a chiral tensor.  The zero tensor
+    short-circuits to the identity.
     """
+    if group not in GROUPS:
+        raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
     cfg = cfg or SphereOptConfig()
     # _full's rule, with expand called through this module's name so that
     # perfbench's tracing, which rebinds that name, still sees the call
@@ -477,12 +436,18 @@ def canonicalize(
     d122 = -0.5 * a111[:, None] + half_gap * c2 + b23[:, None] * s2
     d123 = b23[:, None] * c2 - half_gap * s2
     d223 = a223[:, None] * np.cos(3.0 * theta) - a222[:, None] * np.sin(3.0 * theta)
+    mirror = group == "O(3)"
     keep = np.ones(theta.shape, dtype=bool)
-    for key in (d122, d123, d223):
+    for key in (d122, np.abs(d123), d223, d123) if mirror else (d122, d123, d223):
         keep &= key >= key[keep].max() - 1e-10
     i, j = np.unravel_index(np.argmax(keep), keep.shape)
 
-    transform = OrthogonalTransform3(_about_e1(float(theta[i, j])) @ frames[i], 1)
+    m = _about_e1(float(theta[i, j])) @ frames[i]
+    det_sign = 1
+    if mirror and d123[i, j] < -1e-10:
+        m[1] *= -1.0  # diag(1, -1, 1) @ m
+        det_sign = -1
+    transform = OrthogonalTransform3(m, det_sign)
     out = compress(act(transform, full))
     params = CanonicalParams(out.d111, out.d122, out.d123, out.d223)
     diagnostics = {

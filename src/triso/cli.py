@@ -18,14 +18,13 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical_form import ConvergenceError, SphereOptConfig, canonicalize
+from .canonical_form import GROUPS, ConvergenceError, SphereOptConfig, canonicalize
 from .independence import independence_report
 from .invariants import smith_bao
-from .orbit_oracle import GROUPS, best_alignment, invariant_distance, same_orbit
+from .orbit_oracle import best_alignment, invariant_distance, same_orbit
 from .reference_cases import run_report
 from .tensor_core import (
     COMPONENT_NAMES,
@@ -40,26 +39,7 @@ from .tensor_core import (
     tensor_to_json_obj,
 )
 
-__all__ = ["CliConfig", "main"]
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated view of the parsed arguments common to all subcommands."""
-
-    subcommand: str
-    file: str | None = None
-    seed: int | None = None
-    tol: float | None = None
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if not self.subcommand:
-            raise ValueError("a subcommand is required")
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol!r}")
-        if self.output_format not in ("text", "json"):
-            raise ValueError(f"format must be 'text' or 'json', got {self.output_format!r}")
+__all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,7 +240,7 @@ def _build_parser() -> _Parser:
     _add_tensor_args(p)
     p.add_argument("--tol", type=float, default=SphereOptConfig.tol,
                    help="stationarity tolerance of the maximizer (exit 2 when missed)")
-    p.set_defaults(handler=_cmd_canonicalize, format="json")
+    p.set_defaults(handler=_cmd_canonicalize)
 
     p = sub.add_parser("rotate", help="apply an orthogonal transform to a tensor")
     _add_tensor_args(p)
@@ -269,7 +249,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--random", action="store_true", help="Haar-random element")
     p.add_argument("--improper", action="store_true", help="draw from the det=-1 coset")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(handler=_cmd_rotate, format="json")
+    p.set_defaults(handler=_cmd_rotate)
 
     p = sub.add_parser("orbit-compare", help="decide whether two tensors share an orbit")
     p.add_argument("--a-file", required=True, help="first tensor (JSON)")
@@ -278,12 +258,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--align", action="store_true",
                    help="also align the pair through their canonical frames")
     p.add_argument("--group", choices=GROUPS, default="O(3)")
-    p.set_defaults(handler=_cmd_orbit_compare, format="json")
+    p.set_defaults(handler=_cmd_orbit_compare)
 
     p = sub.add_parser("independence", help="Jacobian rank evidence at random points")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(handler=_cmd_independence, format="json")
+    p.set_defaults(handler=_cmd_independence)
 
     p = sub.add_parser("repro", help="run the fixed reference constructions")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -292,7 +272,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("rand-tensor", help="draw a random tensor")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--scale", type=float, default=1.0)
-    p.set_defaults(handler=_cmd_rand_tensor, format="json")
+    p.set_defaults(handler=_cmd_rand_tensor)
 
     return parser
 
@@ -304,13 +284,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
-        CliConfig(
-            subcommand=args.subcommand,
-            file=getattr(args, "file", None),
-            seed=getattr(args, "seed", None),
-            tol=getattr(args, "tol", None),
-            output_format=getattr(args, "format", "json"),
-        )
         return args.handler(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

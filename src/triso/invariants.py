@@ -75,17 +75,22 @@ def moment_matrix(t: SymTraceless3 | FullTensor3) -> np.ndarray:
     return np.einsum("ijk,ijl->kl", arr, arr)
 
 
+def _v_from(m: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    return np.einsum("kl,klp->p", m, arr)
+
+
 def v_vector(t: SymTraceless3 | FullTensor3) -> np.ndarray:
     """The degree-3 covariant vector v_p = D_ijk D_ijl D_klp = M_kl D_klp."""
-    arr = _full(t).entries
-    return np.einsum("kl,klp->p", moment_matrix(t), arr)
+    full = _full(t)
+    return _v_from(moment_matrix(full), full.entries)
 
 
 def smith_bao(t: SymTraceless3 | FullTensor3) -> InvariantTuple:
     """Evaluate the degree-(2, 4, 6, 10) basis by full-array contraction."""
-    arr = _full(t).entries
-    m = np.einsum("ijk,ijl->kl", arr, arr)
-    v = np.einsum("kl,klp->p", m, arr)
+    full = _full(t)
+    arr = full.entries
+    m = moment_matrix(full)
+    v = _v_from(m, arr)
     i2 = float(np.einsum("ijk,ijk->", arr, arr))
     i4 = float(np.einsum("kl,kl->", m, m))
     i6 = float(v @ v)

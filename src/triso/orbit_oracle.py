@@ -3,16 +3,12 @@
 Fast path: two tensors lie on the same orthogonal-group orbit exactly when
 their four invariants agree, so comparing degree-normalized invariant
 tuples decides membership in O(1).  Invariant-free path: ``canonicalize``
-rotates each tensor into a canonical form that is a function of its SO(3)
-orbit, so R_b^T R_a (with R_a, R_b the two canonicalizing rotations) takes
-a onto b whenever the pair shares an orbit, and the residual
-||g.a - b|| is then at roundoff.  The two paths cross-validate each other:
-the fast path's verdicts are only trustworthy because the canonical forms
-keep agreeing with them.
-
-The improper half of O(3) needs no separate machinery: in odd dimension
--identity has determinant -1, so every improper g is (-R) for a rotation R
-and aligning a to b improperly is aligning a to -b properly.
+moves each tensor into a canonical form that is a function of its orbit
+under the chosen group, so R_b^-1 R_a (with R_a, R_b the two canonicalizing
+transforms) takes a onto b whenever the pair shares an orbit, and the
+residual ||g.a - b|| is then at roundoff.  The two paths cross-validate
+each other: the fast path's verdicts are only trustworthy because the
+canonical forms keep agreeing with them.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical_form import SphereOptConfig, canonicalize
+from .canonical_form import GROUPS, SphereOptConfig, canonicalize  # noqa: F401 (GROUPS re-exported)
 from .invariants import InvariantTuple, relative_error, smith_bao
 from .tensor_core import FullTensor3, OrthogonalTransform3, SymTraceless3, act, expand
 
@@ -32,8 +28,6 @@ __all__ = [
     "invariant_distance",
     "same_orbit",
 ]
-
-GROUPS = ("SO(3)", "O(3)")
 
 
 @dataclass(frozen=True)
@@ -51,31 +45,19 @@ def best_alignment(
     group: str = "O(3)",
     cfg: SphereOptConfig | None = None,
 ) -> AlignmentResult:
-    """The element R_b^T R_a through the canonical frames, with its residual.
+    """The element R_b^-1 R_a through the canonical frames, with its residual.
 
-    R_a and R_b are the rotations ``canonicalize`` returns for a and b
-    (``cfg`` sets the tolerance of both maximizer solves).  For a pair on
-    one SO(3) orbit the residual ||g.a - b|| is at roundoff; otherwise it equals
-    ||C_a - C_b|| between the canonical forms, an upper bound on the
-    distance between the orbits.  O(3) also tries the improper branch
-    -R_{-b}^T R_a and keeps whichever leaves the smaller residual.
+    R_a and R_b are the transforms ``canonicalize(., cfg, group)`` returns
+    for a and b (``cfg`` sets the tolerance of both maximizer solves).  For
+    a pair on one orbit of ``group`` the residual ||g.a - b|| is at
+    roundoff; otherwise it equals ||C_a - C_b|| between the canonical forms,
+    an upper bound on the distance between the orbits.
     """
-    if group not in GROUPS:
-        raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
-    full_a = expand(a)
-    full_b = expand(b)
-    r_a = canonicalize(a, cfg).transform
-    targets = [(1, b)]
-    if group == "O(3)":
-        targets.append((-1, SymTraceless3.from_array(-b.as_array())))
-    best = None
-    for sign, target in targets:
-        r_b = canonicalize(target, cfg).transform
-        g = OrthogonalTransform3(sign * r_b.m.T @ r_a.m, sign)
-        residual = FullTensor3(act(g, full_a).entries - full_b.entries).frobenius()
-        if best is None or residual < best.residual:
-            best = AlignmentResult(g, residual, group)
-    return best
+    r_a = canonicalize(a, cfg, group).transform
+    r_b = canonicalize(b, cfg, group).transform
+    g = OrthogonalTransform3(r_b.m.T @ r_a.m, r_b.det_sign * r_a.det_sign)
+    residual = FullTensor3(act(g, expand(a)).entries - expand(b).entries).frobenius()
+    return AlignmentResult(g, residual, group)
 
 
 def degree_normalized_invariants(t: SymTraceless3 | InvariantTuple) -> np.ndarray:

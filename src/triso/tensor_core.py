@@ -4,8 +4,7 @@ A tensor of this class has seven free components; the remaining entries of
 the full 3x3x3 array follow from index symmetry and the vanishing of every
 single-index trace.  This module provides the seven-component value type,
 expansion to and compression from the full array, the orthogonal group
-action, the associated cubic form on R^3, and seeded random sampling of
-tensors and of orthogonal matrices.
+action, and seeded random sampling of tensors and of orthogonal matrices.
 
 All operations are pure functions; arrays held by the value types are
 read-only, so values are safe to share between threads.
@@ -26,8 +25,6 @@ __all__ = [
     "expand",
     "compress",
     "act",
-    "cubic_form",
-    "cubic_gradient",
     "random_tensor",
     "random_orthogonal",
     "st_dimension",
@@ -260,18 +257,6 @@ def act(g: OrthogonalTransform3, f: FullTensor3) -> FullTensor3:
     m = g.m
     first_last = ((m @ f.entries.reshape(3, 9)).reshape(9, 3) @ m.T).reshape(3, 3, 3)
     return FullTensor3(m @ first_last)
-
-
-def cubic_form(f: FullTensor3, x) -> float:
-    """Evaluate the cubic form T_{ijk} x_i x_j x_k."""
-    x = np.asarray(x, dtype=float)
-    return float(np.einsum("ijk,i,j,k->", f.entries, x, x, x))
-
-
-def cubic_gradient(f: FullTensor3, x) -> np.ndarray:
-    """Gradient of the cubic form, with components 3 T_{ijk} x_j x_k."""
-    x = np.asarray(x, dtype=float)
-    return 3.0 * np.einsum("ijk,j,k->i", f.entries, x, x)
 
 
 def random_tensor(seed, scale: float = 1.0) -> SymTraceless3:

@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triso.canonical_form import (
+    GROUPS,
     CanonicalResult,
     ConvergenceError,
     SphereOptConfig,
     canonicalize,
-    circle_zero_angle,
     maximize_cubic_on_sphere,
-    rotation_about_e1,
-    rotation_to_e1,
     stationarity_residual,
     _CHART_FRAME,
+    _about_e1,
     _contract,
     _newton_polish,
     _stationary_candidates,
@@ -28,7 +27,6 @@ from triso.tensor_core import (
     SymTraceless3,
     act,
     compress,
-    cubic_form,
     expand,
     random_orthogonal,
     random_tensor,
@@ -43,6 +41,11 @@ def sampled_max(t, n=200_000, seed=0):
     d = expand(t).entries
     vals = np.einsum("ijk,si,sj,sk->s", d, x, x, x, optimize=True)
     return float(np.max(np.abs(vals)))  # odd function: |g(-x)| = |g(x)|
+
+
+def cubic_value(t, x):
+    """g(x) = D_ijk x_i x_j x_k by einsum on the full array."""
+    return float(np.einsum("ijk,i,j,k->", expand(t).entries, x, x, x))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -77,7 +80,7 @@ def test_maximizer_beats_dense_sampling(seed):
     assert mx.value >= sampled_max(t) - 1e-4
     assert abs(np.linalg.norm(mx.u) - 1.0) < 1e-12
     assert mx.residual <= 1e-9
-    assert mx.value == pytest.approx(cubic_form(expand(t), mx.u), abs=1e-12)
+    assert mx.value == pytest.approx(cubic_value(t, mx.u), abs=1e-12)
 
 
 def test_maximizer_value_is_nonnegative():
@@ -105,7 +108,7 @@ def test_maximizer_returns_distinct_tied_maximizers():
     assert np.max(np.abs(np.abs(rows) * math.sqrt(3.0) - 1.0)) < 1e-12
     assert np.all(np.prod(rows, axis=1) > 0)
     for x in rows:
-        assert cubic_form(expand(t), x) == pytest.approx(mx.value, abs=1e-12)
+        assert cubic_value(t, x) == pytest.approx(mx.value, abs=1e-12)
     gaps = np.linalg.norm(rows[:, None] - rows[None, :], axis=2)
     assert np.min(gaps + 2.0 * np.eye(4)) > 1.0
 
@@ -145,105 +148,12 @@ def test_sphere_config_validation():
         SphereOptConfig(tol=0.0)
 
 
-def test_rotation_to_e1_sends_u_to_e1():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        r = rotation_to_e1(u)
-        assert r.det_sign == 1
-        assert np.max(np.abs(r.apply(u) - np.array([1.0, 0.0, 0.0]))) < 1e-12
-
-
-def test_rotation_to_e1_axis_aligned_inputs():
-    for u in (np.eye(3)[0], np.eye(3)[1], np.eye(3)[2], -np.eye(3)[0]):
-        r = rotation_to_e1(u)
-        assert np.max(np.abs(r.apply(u) - np.array([1.0, 0.0, 0.0]))) < 1e-15
-
-
 def test_rotation_about_e1_structure():
     theta = 0.7
-    r = rotation_about_e1(theta)
-    assert r.det_sign == 1
+    r = OrthogonalTransform3(_about_e1(theta), 1)
     assert np.allclose(r.apply([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0], atol=0)
     assert r.m[1, 1] == pytest.approx(math.cos(theta))
     assert r.m[1, 2] == pytest.approx(math.sin(theta))
-
-
-def circle_restriction(t):
-    """h(theta) = g(0, cos theta, sin theta) as an explicit closure."""
-    e = expand(t).entries
-
-    def h(theta):
-        c, s = math.cos(theta), math.sin(theta)
-        return (
-            e[1, 1, 1] * c**3
-            + 3.0 * e[1, 1, 2] * c * c * s
-            + 3.0 * e[1, 2, 2] * c * s * s
-            + e[2, 2, 2] * s**3
-        )
-
-    return h
-
-
-def oracle_smallest_root(t, n=100_000):
-    """Dense scan plus brentq: an independent smallest-root finder."""
-    from scipy.optimize import brentq
-
-    h = circle_restriction(t)
-    grid = np.linspace(0.0, math.pi, n + 1)
-    vals = np.array([h(g) for g in grid])
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    for i in range(1, n + 1):
-        if abs(vals[i - 1]) <= 1e-13 * scale:
-            return float(grid[i - 1])
-        if vals[i - 1] * vals[i] < 0:
-            return float(brentq(h, grid[i - 1], grid[i], xtol=1e-14)) % math.pi
-    raise AssertionError("cubic restriction with no root on [0, pi)")
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_circle_zero_angle_finds_a_smallest_root(seed):
-    t = random_tensor(seed)
-    theta = circle_zero_angle(t)
-    assert 0.0 <= theta < math.pi
-    # the restriction really vanishes there
-    h = circle_restriction(t)
-    assert abs(h(theta)) <= 1e-11 * max(1.0, expand(t).frobenius())
-    # and no earlier root exists beyond the coarse-grid resolution
-    assert theta <= oracle_smallest_root(t) + math.pi / 256.0 + 1e-9
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_circle_zero_angle_aligned_family(seed):
-    # with d112 = d113 = 0 (the state canonicalize feeds it) the restriction
-    # collapses to d222 cos 3t + d223 sin 3t, whose roots are pi/3 apart --
-    # far wider than the scan grid, so the smallest must be hit exactly
-    rng = np.random.default_rng(seed)
-    t = SymTraceless3(
-        d111=rng.normal(),
-        d122=rng.normal(),
-        d123=rng.normal(),
-        d222=rng.normal(),
-        d223=rng.normal(),
-    )
-    theta = circle_zero_angle(t)
-    base = math.atan2(-t.d222, t.d223) / 3.0
-    family = sorted((base + k * math.pi / 3.0) % math.pi for k in range(-3, 4))
-    assert abs(theta - family[0]) < 1e-9
-
-
-def test_circle_zero_angle_pure_d222():
-    # h(t) = cos 3t: first zero at pi/6
-    assert circle_zero_angle(SymTraceless3(d222=1.0)) == pytest.approx(
-        math.pi / 6.0, abs=1e-12
-    )
-
-
-def test_circle_zero_angle_zero_restriction():
-    # d222 = d223 = 0 makes the restriction identically zero; any angle is
-    # a root and the convention is to return 0
-    assert circle_zero_angle(SymTraceless3(d111=1.0)) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -326,31 +236,50 @@ TIED = _tied_tensors()
 @settings(max_examples=60, deadline=None)
 @given(
     t=st.one_of(st.integers(0, 9_999).map(random_tensor), st.sampled_from(TIED)),
+    group=st.sampled_from(GROUPS),
+    improper=st.booleans(),
     rotation_seed=st.integers(0, 2**32 - 1),
     log_scale=st.floats(-12.0, 12.0),
 )
-def test_canonical_params_are_a_function_of_the_orbit(t, rotation_seed, log_scale):
-    # a tensor under a random proper rotation and scale lands on the same
-    # params, scaled
+def test_canonical_params_are_a_function_of_the_orbit(t, group, improper, rotation_seed, log_scale):
+    # a tensor under a random element of the group and a scale lands on
+    # the same params, scaled
     scale = 10.0**log_scale
-    g = random_orthogonal(rotation_seed, proper=True)
+    g = random_orthogonal(rotation_seed, proper=group == "SO(3)" or not improper)
     moved = SymTraceless3.from_array(scale * compress(act(g, expand(t))).as_array())
-    base = canonicalize(t).params.as_array()
-    params = canonicalize(moved).params.as_array()
+    base = canonicalize(t, group=group).params.as_array()
+    params = canonicalize(moved, group=group).params.as_array()
     norm = expand(t).frobenius()
     assert np.max(np.abs(params - scale * base)) <= 1e-8 * scale * norm
 
 
 @pytest.mark.parametrize("index", range(len(TIED)))
 def test_tied_tensors_have_orbit_params(index):
-    # each of them under fixed rotations, whatever hypothesis draws
+    # each of them under fixed elements of each group, whatever hypothesis
+    # draws; every other element drawn for O(3) is improper
     t = TIED[index]
-    base = canonicalize(t).params.as_array()
     norm = expand(t).frobenius()
-    for k in range(15):
-        g = random_orthogonal(7_000 + 31 * index + k, proper=True)
-        params = canonicalize(compress(act(g, expand(t)))).params.as_array()
-        assert np.max(np.abs(params - base)) <= 1e-8 * norm, k
+    for group in GROUPS:
+        base = canonicalize(t, group=group).params.as_array()
+        for k in range(15):
+            g = random_orthogonal(7_000 + 31 * index + k, proper=group == "SO(3)" or k % 2 == 0)
+            params = canonicalize(compress(act(g, expand(t))), group=group).params.as_array()
+            assert np.max(np.abs(params - base)) <= 1e-8 * norm, (group, k)
+
+
+def test_o3_transform_is_improper_only_between_mirror_images():
+    # an improper copy of a chiral tensor has other SO(3) params; one of
+    # a tensor with a mirror symmetry (d111 = d112 = 1 is fixed by
+    # x3 -> -x3, though its SO(3) form has d123 = 0.387) has the same
+    for index, t in enumerate(TIED):
+        norm = expand(t).frobenius()
+        so3 = canonicalize(t).params.as_array()
+        o3 = canonicalize(t, group="O(3)").transform.det_sign
+        for proper in (True, False):
+            moved = compress(act(random_orthogonal(7_500 + index, proper=proper), expand(t)))
+            mirrored = np.max(np.abs(canonicalize(moved).params.as_array() - so3)) > 1e-8 * norm
+            det_sign = canonicalize(moved, group="O(3)").transform.det_sign
+            assert (o3 * det_sign == -1) == mirrored, (index, proper)
 
 
 def test_canonicalize_zero_tensor():
@@ -513,7 +442,8 @@ def _planted(u, seed):
     moves the peak there.  The oracle comparison checks both steps.
     """
     base = canonicalize(random_tensor(seed)).params.to_tensor()
-    g = OrthogonalTransform3(rotation_to_e1(u).m.T, 1)  # g e1 = u
+    frame = np.vstack([u, *_tangent_bases(u[None])])  # frame u = e1
+    g = OrthogonalTransform3(frame.T, 1)  # g e1 = u
     return compress(act(g, expand(base)))
 
 

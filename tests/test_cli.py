@@ -260,9 +260,10 @@ def test_removed_search_flags_exit_1(capsys, argv):
 
 
 def test_canonicalize_rejects_nonpositive_tol(capsys):
-    code, _, err = run(capsys, ["canonicalize", "--d111", "1", "--tol", "-1"])
-    assert code == 1
-    assert "positive" in err
+    for tol in ("-1", "nan"):
+        code, _, err = run(capsys, ["canonicalize", "--d111", "1", "--tol", tol])
+        assert code == 1, tol
+        assert "positive" in err, tol
 
 
 # ------------------------------------------------------------ orbit-compare
@@ -416,13 +417,10 @@ def test_unknown_flag_exits_1(capsys):
     assert run(capsys, ["invariants", "--bogus", "1"])[0] == 1
 
 
-def test_cli_config_validation():
-    with pytest.raises(ValueError):
-        cli.CliConfig(subcommand="")
-    with pytest.raises(ValueError):
-        cli.CliConfig(subcommand="invariants", tol=0.0)
-    with pytest.raises(ValueError):
-        cli.CliConfig(subcommand="invariants", output_format="yaml")
+def test_unknown_format_exits_1(capsys):
+    code, _, err = run(capsys, ["invariants", "--d111", "1", "--format", "yaml"])
+    assert code == 1
+    assert "invalid choice" in err
 
 
 # -------------------------------------------------------------- _json_text

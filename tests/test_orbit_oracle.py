@@ -70,6 +70,8 @@ def test_alignment_rejects_unknown_group():
     a = random_tensor(0)
     with pytest.raises(ValueError, match="group"):
         best_alignment(a, a, "U(3)")
+    with pytest.raises(ValueError, match="group"):
+        canonicalize(SymTraceless3(), group="U(3)")
     assert GROUPS == ("SO(3)", "O(3)")
 
 
@@ -159,11 +161,25 @@ def test_verdict_separates_the_sign_pair():
     assert res.residual > 1e-3 * expand(plus).frobenius()
 
 
+def test_alignment_canonicalizes_each_tensor_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return canonicalize(*args, **kwargs)
+
+    monkeypatch.setattr("triso.orbit_oracle.canonicalize", counted)
+    a, b = planted_pair(4, proper=False)
+    assert best_alignment(a, b, "O(3)").residual <= 1e-10 * expand(a).frobenius()
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_mirror_image_has_mirrored_params_but_aligns_in_o3(seed):
-    # canonicalize is a canonical form for SO(3): an improper copy of a
-    # chiral tensor lands on the mirror image of its canonical form, with
-    # d123 negated, while the O(3) alignment still finds the reflection
+    # by default canonicalize is a canonical form for SO(3): an improper
+    # copy of a chiral tensor lands on the mirror image of its canonical
+    # form, with d123 negated; the O(3) form mirrors whichever copy has
+    # d123 < 0, and the O(3) alignment finds the reflection
     a = random_tensor(seed)
     b = compress(act(random_orthogonal(50_000 + seed, proper=False), expand(a)))
     norm = expand(a).frobenius()
@@ -172,6 +188,10 @@ def test_mirror_image_has_mirrored_params_but_aligns_in_o3(seed):
     assert abs(pa[2]) > 1e-3 * norm  # chiral: d123 != 0
     mirrored = pa * np.array([1.0, 1.0, -1.0, 1.0])
     assert np.max(np.abs(pb - mirrored)) <= 1e-8 * norm
+    oa, ob = canonicalize(a, group="O(3)"), canonicalize(b, group="O(3)")
+    assert np.max(np.abs(ob.params.as_array() - oa.params.as_array())) <= 1e-8 * norm
+    assert oa.params.d123 > 0
+    assert (oa.transform.det_sign, ob.transform.det_sign) == (np.sign(pa[2]), np.sign(pb[2]))
     aligned = best_alignment(a, b, "O(3)")
     assert aligned.best_transform.det_sign == -1
     assert aligned.residual <= 1e-10 * norm

@@ -13,8 +13,6 @@ from triso.tensor_core import (
     SymTraceless3,
     act,
     compress,
-    cubic_form,
-    cubic_gradient,
     expand,
     random_orthogonal,
     random_tensor,
@@ -26,14 +24,6 @@ from triso.tensor_core import (
 )
 
 components = st.floats(min_value=-10, max_value=10, allow_nan=False)
-
-
-def brute_cubic_form(entries, x):
-    # direct triple loop, the definition with no einsum shortcuts
-    total = 0.0
-    for i, j, k in itertools.product(range(3), repeat=3):
-        total += entries[i, j, k] * x[i] * x[j] * x[k]
-    return total
 
 
 @given(st.lists(components, min_size=7, max_size=7))
@@ -264,27 +254,6 @@ def test_random_tensor_deterministic_and_scaled():
     assert np.allclose(c.as_array(), 2.0 * a.as_array(), atol=0)
     with pytest.raises(ValueError):
         random_tensor(9, scale=-1.0)
-
-
-def test_cubic_form_matches_brute_force():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        f = expand(random_tensor(rng.integers(1 << 30)))
-        x = rng.normal(size=3)
-        assert abs(cubic_form(f, x) - brute_cubic_form(f.entries, x)) < 1e-12
-
-
-def test_cubic_gradient_matches_finite_differences():
-    f = expand(random_tensor(21))
-    rng = np.random.default_rng(21)
-    x = rng.normal(size=3)
-    g = cubic_gradient(f, x)
-    h = 1e-6
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        fd = (cubic_form(f, x + e) - cubic_form(f, x - e)) / (2 * h)
-        assert abs(g[i] - fd) < 1e-7
 
 
 def test_st_dimension():
