@@ -22,10 +22,18 @@ axis of an axially symmetric tensor, whose resultant vanishes), are the
 candidates.  Only those whose value is within 1e-6 of the largest can win;
 they are finished by Riemannian Newton steps, and the largest value wins.
 All of it runs on the unit-normalized tensor, so it is scale-free.
+
+The candidate solve is the one batched stage (stacked 5x5 determinants,
+companion eigenvalues, the moment matrix's eigenvectors).  What follows it,
+the Newton finish of the one to four candidates that can win and the
+scoring of the frames they give, works on Python floats one candidate at a
+time: on arrays of so few rows numpy's per-call cost outweighs the
+arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -86,9 +94,9 @@ class SphereMaximizer:
     residual is the tangential gradient norm ||grad g - (u.grad g) u|| at u.
     Both are computed on the unit-normalized tensor and multiplied by its
     norm, so they scale with the tensor and stay finite at any finite norm.
-    iterations is 0, as no ascent runs; newton_iterations counts the Newton
-    steps run on the candidates near the top value before each of their
-    steps fell below 1e-15 (at most 4).
+    iterations is 0, as no ascent runs; newton_iterations is the most
+    Newton steps any finished candidate took (each stops after its first
+    step below 1e-15, and at 4).
     maximizers holds one row per distinct maximizer tied with u, u first.
     """
 
@@ -133,70 +141,113 @@ class CanonicalResult:
         }
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(x, axis=1) without its dispatch overhead
-    return np.sqrt((x * x).sum(axis=1))
+@functools.lru_cache(maxsize=1)
+def _normalized(full: FullTensor3) -> tuple[float, np.ndarray | None, list | None]:
+    """The Frobenius norm, and the unit-norm tensor as d9 = D.reshape(3, 9).T
+    and as nested lists; (0.0, None, None) for the zero tensor.
 
-
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / _row_norms(x)[:, None]
+    Cached for the last tensor (FullTensor3 hashes by identity), so that
+    ``canonicalize`` and the maximizer it calls normalize once between them.
+    """
+    frob = full.frobenius()
+    if frob == 0.0:
+        return 0.0, None, None
+    unit = full.entries / frob
+    return frob, unit.reshape(3, 9).T, unit.tolist()
 
 
 def _contract(d9: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rows D_ijk x_j y_k for (s, 3) batches x, y, with d9 = D.reshape(3, 9).T.
 
     One matmul of the (s, 9) outer products with d9: x, x gives the cubic
-    form's value (row dot x) and gradient (times 3), x, t the tangent
-    Hessian product H t / 6.  Unlike einsum it plans no contraction path.
+    form's value (row dot x) and gradient (times 3).  Unlike einsum it
+    plans no contraction path.
     """
     return (x[:, :, None] * y[:, None, :]).reshape(len(x), 9) @ d9
 
 
-def _tangent_bases(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent pairs (t1, t2) for a batch of unit vectors."""
-    rows = np.arange(len(x))
-    axis = np.argmin(np.abs(x), axis=1)
-    t1 = -x[rows, axis][:, None] * x
-    t1[rows, axis] += 1.0
-    t1 = _unit_rows(t1)
-    # t2 = x cross t1
-    t2 = x[:, [1, 2, 0]] * t1[:, [2, 0, 1]] - x[:, [2, 0, 1]] * t1[:, [1, 2, 0]]
-    return t1, t2
+# Kernels on single 3-vectors held as Python floats, for the work that
+# follows the candidate solve.
 
 
-def _newton_polish(d9: np.ndarray, x: np.ndarray, iters: int) -> tuple[np.ndarray, int]:
-    """Batched Riemannian Newton for stationary points of the cubic form.
+def _dot(x, y) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
-    Solves the projected system P(H - lambda I)P dx = -P grad in a 2d
-    tangent basis; near-singular tangent Hessians fall back to a damped
-    gradient step.  Step length is capped so iterates stay in their basin.
-    Stops once every point's step is below 1e-15; returns the points and
-    the iterations run.
+
+def _times(m, x) -> list:
+    """m x for a 3x3 matrix m given as rows."""
+    x0, x1, x2 = x
+    return [r[0] * x0 + r[1] * x1 + r[2] * x2 for r in m]
+
+
+def _slice(d: list, x) -> list:
+    """The matrix D_ijk x_k of a tensor d given as nested lists.
+
+    D(x) x is the cubic form's gradient / 3, and D(x) the Hessian / 6.
     """
-    it = 0
-    n = len(x)
-    for it in range(1, iters + 1):
+    return [_times(plane, x) for plane in d]
+
+
+def _unit(x) -> list:
+    n = math.sqrt(_dot(x, x))
+    return [x[0] / n, x[1] / n, x[2] / n]
+
+
+def _tangent_bases(x) -> tuple[list, list]:
+    """An orthonormal tangent pair (t1, t2) at the unit vector x.
+
+    t1 is e_a - x_a x normalized, with a the axis of the smallest |x_a|
+    (the first of equals), and t2 = x cross t1.
+    """
+    x0, x1, x2 = x
+    a0, a1, a2 = abs(x0), abs(x1), abs(x2)
+    a = 0 if a0 <= a1 and a0 <= a2 else 1 if a1 <= a2 else 2
+    t = [-x[a] * x0, -x[a] * x1, -x[a] * x2]
+    t[a] += 1.0
+    c0, c1, c2 = _unit(t)
+    return [c0, c1, c2], [x1 * c2 - x2 * c1, x2 * c0 - x0 * c2, x0 * c1 - x1 * c0]
+
+
+def _newton(d: list, x: list) -> tuple[list, int]:
+    """Riemannian Newton steps from x toward a stationary point of the cubic form.
+
+    Solves the projected system P(H - lambda I)P dx = -P grad in the 2d
+    tangent basis; a near-singular tangent Hessian falls back to a damped
+    gradient step.  Step length is capped so the iterate stays in its
+    basin.  Stops after the first step below 1e-15, or after 4; returns
+    the point and the steps run.
+    """
+    for it in range(1, 5):
         t1, t2 = _tangent_bases(x)
-        basis = np.stack([t1, t2], axis=1)
-        # one matmul gives the gradient / 3 and the Hessian products
-        # H t / 6 for t = t1, t2, with H_ij = 6 d_ijk x_k
-        p = _contract(d9, np.vstack([x, x, x]), np.vstack([x, t1, t2])).reshape(3, n, 3)
-        grad = 3.0 * p[0]
-        lam = (grad * x).sum(axis=1)
-        ht = 6.0 * p[1:].transpose(1, 0, 2) - lam[:, None, None] * basis
-        a = basis @ ht.transpose(0, 2, 1)  # a[:, i, j] = t_i . (H - lam) t_j
-        b0, b1 = -(basis @ grad[:, :, None])[:, :, 0].T
-        a00, a01, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]
+        h = _slice(d, x)  # H / 6, with H_ij = 6 d_ijk x_k
+        g = _times(h, x)  # grad / 3
+        lam = 3.0 * _dot(g, x)
+        h2 = _times(h, t2)
+        a00 = 6.0 * _dot(t1, _times(h, t1)) - lam
+        a01 = 6.0 * _dot(t1, h2)
+        a11 = 6.0 * _dot(t2, h2) - lam
+        b0, b1 = -3.0 * _dot(t1, g), -3.0 * _dot(t2, g)
         det = a00 * a11 - a01 * a01
-        safe = np.abs(det) > 1e-14 * (1.0 + a00 * a00 + a01 * a01 + a11 * a11)
-        z0 = np.where(safe, (a11 * b0 - a01 * b1) / np.where(safe, det, 1.0), 0.2 * b0)
-        z1 = np.where(safe, (a00 * b1 - a01 * b0) / np.where(safe, det, 1.0), 0.2 * b1)
-        step_norm = np.hypot(z0, z1)
-        cap = np.minimum(1.0, 0.3 / np.maximum(step_norm, 1e-300))
-        x = _unit_rows(x + (cap * z0)[:, None] * t1 + (cap * z1)[:, None] * t2)
-        if np.all(cap * step_norm < 1e-15):
+        if abs(det) > 1e-14 * (1.0 + a00 * a00 + a01 * a01 + a11 * a11):
+            z0, z1 = (a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det
+        else:
+            z0, z1 = 0.2 * b0, 0.2 * b1
+        step = math.hypot(z0, z1)
+        cap = min(1.0, 0.3 / max(step, 1e-300))
+        z0, z1 = cap * z0, cap * z1
+        x = _unit([x[k] + z0 * t1[k] + z1 * t2[k] for k in range(3)])
+        if cap * step < 1e-15:
             break
     return x, it
+
+
+def _value_and_residual(d: list, x) -> tuple[float, float]:
+    """g(x) and the tangential gradient norm ||grad g - (x.grad g) x||."""
+    p = _times(_slice(d, x), x)
+    grad = [3.0 * v for v in p]
+    lam = _dot(grad, x)
+    r = [grad[k] - lam * x[k] for k in range(3)]
+    return _dot(p, x), math.sqrt(_dot(r, r))
 
 
 # Rows of a fixed rotation with no special alignment to the coordinate axes
@@ -295,7 +346,8 @@ def _stationary_candidates(d9: np.ndarray) -> np.ndarray:
     e = _CHART_POINTS[chart]
     x = e[:, 0] + y[chart, root][:, None] * e[:, 1] + z[keep][:, None] * e[:, 2]
     axes = np.linalg.eigh(d9.T @ d9)[1].T  # moment_matrix of the unit-norm tensor
-    return _unit_rows(np.vstack([x, axes]))
+    x = np.vstack([x, axes])
+    return x / np.sqrt((x * x).sum(axis=1))[:, None]
 
 
 def maximize_cubic_on_sphere(
@@ -305,11 +357,11 @@ def maximize_cubic_on_sphere(
 
     Every stationary point is enumerated (``_stationary_candidates``).  The
     candidates with |value| within 1e-6 of the largest (normalized tensor)
-    are finished by Newton steps, at most 4 and until every step is below
-    1e-15; the rest cannot win, as a candidate eps from a stationary point
-    is off in value by O(eps^2).  Candidates with a negative value are
-    flipped to the antipode, so the result satisfies value >= 0.  The
-    largest value wins, with ties (within 1e-12 on the normalized tensor)
+    are finished by Newton steps, one at a time, each until its first step
+    below 1e-15 and at most 4; the rest cannot win, as a candidate eps
+    from a stationary point is off in value by O(eps^2).  Candidates with a
+    negative value are flipped to the antipode, so the result satisfies
+    value >= 0.  The largest value wins, with ties (within 1e-12 on the normalized tensor)
     broken by picking the lexicographically largest unit vector.  Every
     distinct tied maximizer that meets the tolerance (candidates within
     1e-6 of each other count once) is returned in ``maximizers``.
@@ -319,44 +371,43 @@ def maximize_cubic_on_sphere(
     ``cfg.tol``.
     """
     cfg = cfg or SphereOptConfig()
-    full = _full(t)
-    frob = full.frobenius()
+    frob, d9, d = _normalized(_full(t))
     if frob == 0.0:
         return SphereMaximizer(np.array([1.0, 0.0, 0.0]), 0.0, 0.0)
-    d9 = (full.entries / frob).reshape(3, 9).T
 
     x = _stationary_candidates(d9)
     val = np.abs((_contract(d9, x, x) * x).sum(axis=1))
-    x, newton_iterations = _newton_polish(d9, x[val >= val.max() - 1e-6], iters=4)
-    p = _contract(d9, x, x)
-    val = (p * x).sum(axis=1)
-    grad = 3.0 * p
-    res = _row_norms(grad - (grad * x).sum(axis=1, keepdims=True) * x)
-    flip = val < 0.0
-    x[flip] *= -1.0
-    val[flip] *= -1.0
+    finished = []  # (value, point, residual), value >= 0
+    newton_iterations = 0
+    for row in x[val >= val.max() - 1e-6].tolist():
+        u, steps = _newton(d, row)
+        newton_iterations = max(newton_iterations, steps)
+        value, res = _value_and_residual(d, u)
+        if value < 0.0:
+            u, value = [-u[0], -u[1], -u[2]], -value
+        finished.append((value, u, res))
 
     # candidates still converging onto the maximizer share its value, so
     # the tolerance is judged on the best of those within 1e-12 of it
-    near = val >= val.max() - 1e-12
-    tied = np.flatnonzero(near & (res <= cfg.tol))
-    if not len(tied):
+    top = max(value for value, _, _ in finished)
+    near = [c for c in finished if c[0] >= top - 1e-12]
+    tied = sorted((c for c in near if c[2] <= cfg.tol), key=lambda c: c[1], reverse=True)
+    if not tied:
         raise ConvergenceError(
             f"the maximizer misses stationarity tolerance {cfg.tol:.3g}; "
-            f"residual {res[near].min():.3g} (normalized tensor)"
+            f"residual {min(c[2] for c in near):.3g} (normalized tensor)"
         )
-    tied = tied[np.lexsort((x[tied, 2], x[tied, 1], x[tied, 0]))[::-1]]
     maximizers = []
-    while len(tied):
-        maximizers.append(tied[0])
-        tied = tied[_row_norms(x[tied] - x[tied[0]]) > 1e-6]
-    best = maximizers[0]
+    for c in tied:
+        if all(math.dist(c[1], m[1]) > 1e-6 for m in maximizers):
+            maximizers.append(c)
+    value, u, res = maximizers[0]
     return SphereMaximizer(
-        x[best],
-        frob * float(val[best]),
-        frob * float(res[best]),
+        u,
+        frob * value,
+        frob * res,
         newton_iterations=newton_iterations,
-        maximizers=x[maximizers],
+        maximizers=[m[1] for m in maximizers],
     )
 
 
@@ -399,7 +450,7 @@ def canonicalize(
     # _full's rule, with expand called through this module's name so that
     # perfbench's tracing, which rebinds that name, still sees the call
     full = expand(t) if isinstance(t, SymTraceless3) else t
-    frob = full.frobenius()
+    frob, _, d = _normalized(full)
     if frob == 0.0:
         return CanonicalResult(
             CanonicalParams(0.0, 0.0, 0.0, 0.0),
@@ -415,36 +466,40 @@ def canonicalize(
         )
 
     mx = maximize_cubic_on_sphere(full, cfg)
-    u = mx.maximizers
-    t1, t2 = _tangent_bases(u)
-    frames = np.stack([u, t1, t2], axis=1)
-    # D_ijk x_j y_k of the unit-norm tensor for (x, y) = (u, u), (u, t1),
-    # (t1, t1), then the index i taken in the frame of the same maximizer
-    d9 = (full.entries / frob).reshape(3, 9).T
-    p = _contract(d9, np.vstack([u, u, t1]), np.vstack([u, t1, t1])).reshape(3, len(u), 1, 3)
-    comps = (p @ frames.transpose(0, 2, 1))[:, :, 0, :]
-    a111, a112, a113 = comps[0].T
-    b22, b23 = comps[1, :, 1:].T
-    a222, a223 = comps[2, :, 1:].T
-    half_gap = 0.5 * (2.0 * b22 + a111)[:, None]  # (d122 - d133) / 2, as d133 = -d111 - d122
-
-    # zeros of h: 3 theta = atan2(a223, a222) + pi/2 + j pi
-    theta = (np.arctan2(a223, a222)[:, None] + math.pi * (0.5 + np.arange(6))) / 3.0
-    flat = np.hypot(a222, a223) <= 1e-13
-    theta[flat] = 0.5 * np.arctan2(b23[flat, None], half_gap[flat])
-    c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
-    d122 = -0.5 * a111[:, None] + half_gap * c2 + b23[:, None] * s2
-    d123 = b23[:, None] * c2 - half_gap * s2
-    d223 = a223[:, None] * np.cos(3.0 * theta) - a222[:, None] * np.sin(3.0 * theta)
     mirror = group == "O(3)"
-    keep = np.ones(theta.shape, dtype=bool)
-    for key in (d122, np.abs(d123), d223, d123) if mirror else (d122, d123, d223):
-        keep &= key >= key[keep].max() - 1e-10
-    i, j = np.unravel_index(np.argmax(keep), keep.shape)
+    frames = []  # (ranking keys, theta, frame, d123, a111, a112, a113)
+    for u in mx.maximizers.tolist():
+        t1, t2 = _tangent_bases(u)
+        # D_ijk x_j y_k of the unit-norm tensor for (x, y) = (u, u), (u, t1),
+        # (t1, t1), taken in the frame (u, t1, t2)
+        p = _times(_slice(d, u), u)
+        dt1 = _slice(d, t1)
+        q, r = _times(dt1, u), _times(dt1, t1)
+        a111, a112, a113 = _dot(p, u), _dot(p, t1), _dot(p, t2)
+        b22, b23 = _dot(q, t1), _dot(q, t2)
+        a222, a223 = _dot(r, t1), _dot(r, t2)
+        half_gap = 0.5 * (2.0 * b22 + a111)  # (d122 - d133) / 2, as d133 = -d111 - d122
 
-    m = _about_e1(float(theta[i, j])) @ frames[i]
+        if math.hypot(a222, a223) <= 1e-13:
+            thetas = [0.5 * math.atan2(b23, half_gap)]
+        else:  # zeros of h: 3 theta = atan2(a223, a222) + pi/2 + j pi
+            phi = math.atan2(a223, a222)
+            thetas = [(phi + math.pi * (0.5 + j)) / 3.0 for j in range(6)]
+        for theta in thetas:
+            c2, s2 = math.cos(2.0 * theta), math.sin(2.0 * theta)
+            d122 = -0.5 * a111 + half_gap * c2 + b23 * s2
+            d123 = b23 * c2 - half_gap * s2
+            d223 = a223 * math.cos(3.0 * theta) - a222 * math.sin(3.0 * theta)
+            keys = (d122, abs(d123), d223, d123) if mirror else (d122, d123, d223)
+            frames.append((keys, theta, (u, t1, t2), d123, a111, a112, a113))
+    for k in range(len(frames[0][0])):
+        top = max(f[0][k] for f in frames)
+        frames = [f for f in frames if f[0][k] >= top - 1e-10]
+    _, theta, frame, d123, a111, a112, a113 = frames[0]
+
+    m = _about_e1(theta) @ frame
     det_sign = 1
-    if mirror and d123[i, j] < -1e-10:
+    if mirror and d123 < -1e-10:
         m[1] *= -1.0  # diag(1, -1, 1) @ m
         det_sign = -1
     transform = OrthogonalTransform3(m, det_sign)
@@ -453,11 +508,11 @@ def canonicalize(
     diagnostics = {
         "ascent_iterations": mx.iterations,
         "newton_iterations": mx.newton_iterations,
-        "stationarity_residual": 3.0 * frob * float(np.hypot(a112[i], a113[i])),
+        "stationarity_residual": 3.0 * frob * math.hypot(a112, a113),
         "circle_residual": abs(out.d222),
         "constraint_violation": max(abs(out.d112), abs(out.d113), abs(out.d222)),
     }
-    return CanonicalResult(params, transform, frob * float(a111[i]), diagnostics)
+    return CanonicalResult(params, transform, frob * a111, diagnostics)
 
 
 def stationarity_residual(t: SymTraceless3 | FullTensor3, x) -> float:
@@ -467,14 +522,12 @@ def stationarity_residual(t: SymTraceless3 | FullTensor3, x) -> float:
     lambda = x . grad g(x), computed on the unit-normalized tensor and
     scaled back by its norm.
     """
-    x = np.asarray(x, dtype=float).reshape(1, 3)
+    x = np.asarray(x, dtype=float).reshape(3)
     norm = np.linalg.norm(x)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"x must be a unit vector, got |x| = {norm:.17g}")
     # on the unit-norm tensor, so squaring the residual cannot overflow
-    full = _full(t)
-    frob = full.frobenius()
+    frob, _, d = _normalized(_full(t))
     if frob == 0.0:
         return 0.0
-    grad = 3.0 * _contract((full.entries / frob).reshape(3, 9).T, x, x)
-    return frob * float(_row_norms(grad - (grad * x).sum() * x)[0])
+    return frob * _value_and_residual(d, x.tolist())[1]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical_form import GROUPS, SphereOptConfig, canonicalize  # noqa: F401 (GROUPS re-exported)
-from .invariants import InvariantTuple, relative_error, smith_bao
+from .invariants import InvariantTuple, smith_bao
 from .tensor_core import FullTensor3, OrthogonalTransform3, SymTraceless3, act, expand
 
 __all__ = [
@@ -81,19 +81,32 @@ def degree_normalized_invariants(t: SymTraceless3 | InvariantTuple) -> np.ndarra
 
 
 def invariant_distance(a: SymTraceless3, b: SymTraceless3) -> float:
-    """Worst componentwise relative gap between degree-normalized tuples."""
-    pa = degree_normalized_invariants(a)
-    pb = degree_normalized_invariants(b)
-    return max(relative_error(float(x), float(y)) for x, y in zip(pa, pb))
+    """Largest gap between the degree-normalized tuples, over max(I2_a, I2_b).
+
+    Every normalized component scales as the squared norm, as I2 does, so
+    the distance is scale-free: it is the same for a pair and for the pair
+    scaled by any factor.  The pair is evaluated scaled to a largest
+    component of 1, which keeps I10 (degree 10) representable at any norm.
+    Two zero tensors are at distance 0.
+    """
+    ca, cb = a.as_array(), b.as_array()
+    scale = max(np.max(np.abs(ca)), np.max(np.abs(cb)))
+    if scale == 0.0:
+        return 0.0
+    pa = degree_normalized_invariants(SymTraceless3.from_array(ca / scale))
+    pb = degree_normalized_invariants(SymTraceless3.from_array(cb / scale))
+    return float(np.max(np.abs(pa - pb))) / max(pa[0], pb[0])
 
 
 def same_orbit(a: SymTraceless3, b: SymTraceless3, tol: float = 1e-8) -> str:
     """Verdict "same", "different", or "borderline" from the invariants.
 
-    The invariants are a complete orbit separator, so distance <= tol means
-    same orbit and a clear excess means different; the band up to 10x tol
-    is reported as "borderline" rather than silently thresholded, since
-    near-orbit pairs are exactly where the numerics are least trustworthy.
+    The invariants are a complete orbit separator, so ``invariant_distance``
+    <= tol means same orbit and a clear excess means different; the band up
+    to 10x tol is reported as "borderline" rather than silently thresholded,
+    since near-orbit pairs are exactly where the numerics are least
+    trustworthy.  The distance is relative to the larger I2, so the verdict
+    on a pair does not depend on its scale.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")

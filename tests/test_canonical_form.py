@@ -16,7 +16,7 @@ from triso.canonical_form import (
     _CHART_FRAME,
     _about_e1,
     _contract,
-    _newton_polish,
+    _slice,
     _stationary_candidates,
     _tangent_bases,
 )
@@ -55,10 +55,13 @@ def test_kernels_match_einsum_definitions(seed):
     d9 = d.reshape(3, 9).T
     x = rng.normal(size=(40, 3))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    t1, t2 = _tangent_bases(x)
-    assert np.max(np.abs(np.sum(t1 * x, axis=1))) < 1e-15
-    assert np.max(np.abs(np.linalg.norm(t1, axis=1) - 1.0)) < 1e-15
-    assert np.max(np.abs(t2 - np.cross(x, t1))) < 1e-15
+    b1, b2 = tangent_bases_batched(x)
+    assert np.max(np.abs(np.sum(b1 * x, axis=1))) < 1e-15
+    assert np.max(np.abs(np.linalg.norm(b1, axis=1) - 1.0)) < 1e-15
+    assert np.max(np.abs(b2 - np.cross(x, b1))) < 1e-15
+    for row, r1, r2 in zip(x, b1, b2):
+        t1, t2 = _tangent_bases(row.tolist())
+        assert np.max(np.abs(np.array([t1, t2]) - [r1, r2])) < 1e-15
 
     p = _contract(d9, x, x)
     value = np.einsum("ijk,si,sj,sk->s", d, x, x, x)
@@ -66,9 +69,11 @@ def test_kernels_match_einsum_definitions(seed):
     assert np.max(np.abs(np.sum(p * x, axis=1) - value)) < 1e-13
     assert np.max(np.abs(3.0 * p - gradient)) < 1e-13
     hessian = 6.0 * np.einsum("ijk,sk->sij", d, x)
-    for t in (t1, t2):
+    for t in (b1, b2):
         expected = np.einsum("sij,sj->si", hessian, t)
         assert np.max(np.abs(6.0 * _contract(d9, x, t) - expected)) < 1e-13
+    for row, h in zip(x, hessian):
+        assert np.max(np.abs(6.0 * np.array(_slice(d.tolist(), row.tolist())) - h)) < 1e-13
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -363,6 +368,126 @@ def ascent_maximizers(t, starts=200, steps=600):
     return val.max() * norm, np.array(reps)
 
 
+# ------------------------------------------- batched numpy oracle of the solver
+#
+# The maximizer's Newton finish and canonicalize's frame scoring over numpy
+# arrays, every candidate or frame at once: the same rules as the float code
+# in the package, in other arithmetic, for the tests to compare against.
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def tangent_bases_batched(x):
+    """Orthonormal tangent pairs (t1, t2) for a batch of unit vectors."""
+    rows = np.arange(len(x))
+    axis = np.argmin(np.abs(x), axis=1)
+    t1 = -x[rows, axis][:, None] * x
+    t1[rows, axis] += 1.0
+    t1 = unit_rows(t1)
+    # t2 = x cross t1
+    t2 = x[:, [1, 2, 0]] * t1[:, [2, 0, 1]] - x[:, [2, 0, 1]] * t1[:, [1, 2, 0]]
+    return t1, t2
+
+
+def newton_polish(d9, x, iters):
+    """Batched Riemannian Newton for stationary points of the cubic form.
+
+    Solves the projected system P(H - lambda I)P dx = -P grad in a 2d
+    tangent basis; near-singular tangent Hessians fall back to a damped
+    gradient step.  Step length is capped so iterates stay in their basin.
+    Stops once every point's step is below 1e-15; returns the points and
+    the iterations run.
+    """
+    it = 0
+    n = len(x)
+    for it in range(1, iters + 1):
+        t1, t2 = tangent_bases_batched(x)
+        basis = np.stack([t1, t2], axis=1)
+        # one matmul gives the gradient / 3 and the Hessian products
+        # H t / 6 for t = t1, t2, with H_ij = 6 d_ijk x_k
+        p = _contract(d9, np.vstack([x, x, x]), np.vstack([x, t1, t2])).reshape(3, n, 3)
+        grad = 3.0 * p[0]
+        lam = (grad * x).sum(axis=1)
+        ht = 6.0 * p[1:].transpose(1, 0, 2) - lam[:, None, None] * basis
+        a = basis @ ht.transpose(0, 2, 1)  # a[:, i, j] = t_i . (H - lam) t_j
+        b0, b1 = -(basis @ grad[:, :, None])[:, :, 0].T
+        a00, a01, a11 = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]
+        det = a00 * a11 - a01 * a01
+        safe = np.abs(det) > 1e-14 * (1.0 + a00 * a00 + a01 * a01 + a11 * a11)
+        z0 = np.where(safe, (a11 * b0 - a01 * b1) / np.where(safe, det, 1.0), 0.2 * b0)
+        z1 = np.where(safe, (a00 * b1 - a01 * b0) / np.where(safe, det, 1.0), 0.2 * b1)
+        step_norm = np.hypot(z0, z1)
+        cap = np.minimum(1.0, 0.3 / np.maximum(step_norm, 1e-300))
+        x = unit_rows(x + (cap * z0)[:, None] * t1 + (cap * z1)[:, None] * t2)
+        if np.all(cap * step_norm < 1e-15):
+            break
+    return x, it
+
+
+def batched_maximizers(full):
+    """maximize_cubic_on_sphere's rules on arrays: the distinct tied
+    maximizers, u first."""
+    norm = full.frobenius()
+    d9 = (full.entries / norm).reshape(3, 9).T
+    x = _stationary_candidates(d9)
+    val = np.abs((_contract(d9, x, x) * x).sum(axis=1))
+    x, _ = newton_polish(d9, x[val >= val.max() - 1e-6], iters=4)
+    p = _contract(d9, x, x)
+    val = (p * x).sum(axis=1)
+    grad = 3.0 * p
+    res = np.linalg.norm(grad - (grad * x).sum(axis=1, keepdims=True) * x, axis=1)
+    flip = val < 0.0
+    x[flip] *= -1.0
+    val[flip] *= -1.0
+    tied = np.flatnonzero((val >= val.max() - 1e-12) & (res <= 1e-12))
+    tied = tied[np.lexsort((x[tied, 2], x[tied, 1], x[tied, 0]))[::-1]]
+    maximizers = []
+    while len(tied):
+        maximizers.append(tied[0])
+        tied = tied[np.linalg.norm(x[tied] - x[tied[0]], axis=1) > 1e-6]
+    return x[maximizers]
+
+
+def batched_canonicalize(t, group="SO(3)"):
+    """canonicalize's frame scoring on arrays: every tied maximizer times
+    every zero of h at once.  Returns the params, det_sign, max_value and
+    the number of maximizers."""
+    full = expand(t)
+    norm = full.frobenius()
+    u = batched_maximizers(full)
+    t1, t2 = tangent_bases_batched(u)
+    frames = np.stack([u, t1, t2], axis=1)
+    d9 = (full.entries / norm).reshape(3, 9).T
+    p = _contract(d9, np.vstack([u, u, t1]), np.vstack([u, t1, t1])).reshape(3, len(u), 1, 3)
+    comps = (p @ frames.transpose(0, 2, 1))[:, :, 0, :]
+    a111 = comps[0, :, 0]
+    b22, b23 = comps[1, :, 1:].T
+    a222, a223 = comps[2, :, 1:].T
+    half_gap = 0.5 * (2.0 * b22 + a111)[:, None]
+    theta = (np.arctan2(a223, a222)[:, None] + math.pi * (0.5 + np.arange(6))) / 3.0
+    flat = np.hypot(a222, a223) <= 1e-13
+    theta[flat] = 0.5 * np.arctan2(b23[flat, None], half_gap[flat])
+    c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    d122 = -0.5 * a111[:, None] + half_gap * c2 + b23[:, None] * s2
+    d123 = b23[:, None] * c2 - half_gap * s2
+    d223 = a223[:, None] * np.cos(3.0 * theta) - a222[:, None] * np.sin(3.0 * theta)
+    mirror = group == "O(3)"
+    keep = np.ones(theta.shape, dtype=bool)
+    for key in (d122, np.abs(d123), d223, d123) if mirror else (d122, d123, d223):
+        keep &= key >= key[keep].max() - 1e-10
+    i, j = np.unravel_index(np.argmax(keep), keep.shape)
+    m = _about_e1(float(theta[i, j])) @ frames[i]
+    det_sign = 1
+    if mirror and d123[i, j] < -1e-10:
+        m[1] *= -1.0
+        det_sign = -1
+    out = compress(act(OrthogonalTransform3(m, det_sign), full))
+    params = np.array([out.d111, out.d122, out.d123, out.d223])
+    return params, det_sign, norm * float(a111[i]), len(u)
+
+
 def polish_every_candidate(t):
     """Oracle for the polish filter: 4 Newton steps on every candidate.
 
@@ -373,7 +498,7 @@ def polish_every_candidate(t):
     full = expand(t)
     norm = full.frobenius()
     d9 = (full.entries / norm).reshape(3, 9).T
-    x, _ = _newton_polish(d9, _stationary_candidates(d9), iters=4)
+    x, _ = newton_polish(d9, _stationary_candidates(d9), iters=4)
     val = np.einsum("ijk,si,sj,sk->s", full.entries / norm, x, x, x)
     grad = 3.0 * np.einsum("ijk,sj,sk->si", full.entries / norm, x, x)
     res = np.linalg.norm(grad - np.sum(grad * x, axis=1, keepdims=True) * x, axis=1)
@@ -442,7 +567,7 @@ def _planted(u, seed):
     moves the peak there.  The oracle comparison checks both steps.
     """
     base = canonicalize(random_tensor(seed)).params.to_tensor()
-    frame = np.vstack([u, *_tangent_bases(u[None])])  # frame u = e1
+    frame = np.vstack([u, *_tangent_bases(u.tolist())])  # frame u = e1
     g = OrthogonalTransform3(frame.T, 1)  # g e1 = u
     return compress(act(g, expand(base)))
 
@@ -503,3 +628,46 @@ def test_canonicalize_accepts_a_full_tensor():
         a, b = canonicalize(t), canonicalize(expand(t))
         assert np.array_equal(a.params.as_array(), b.params.as_array())
         assert np.array_equal(a.transform.m, b.transform.m)
+
+
+def test_canonicalize_matches_the_batched_oracle():
+    # the float finish and frame scoring against the array code they
+    # replaced: seeds 0..299, and TIED under a proper and an improper element
+    inputs = [random_tensor(seed) for seed in range(300)]
+    for index, t in enumerate(TIED):
+        for proper in (True, False):
+            inputs.append(compress(act(random_orthogonal(8_500 + index, proper=proper), expand(t))))
+    for k, t in enumerate(inputs):
+        norm = expand(t).frobenius()
+        for group in GROUPS:
+            params, det_sign, max_value, count = batched_canonicalize(t, group)
+            result = canonicalize(t, group=group)
+            assert np.max(np.abs(result.params.as_array() - params)) <= 1e-13 * norm, (k, group)
+            assert result.transform.det_sign == det_sign, (k, group)
+            assert abs(result.max_value - max_value) <= 1e-13 * norm, (k, group)
+        assert len(maximize_cubic_on_sphere(t).maximizers) == count, k
+
+
+def test_canonicalize_calls_each_traced_boundary_once(monkeypatch):
+    # perfbench times canonicalize's layers by rebinding these module names
+    # of triso.canonical_form, and reads the maximizer's iterations
+    import triso.canonical_form as module
+
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append((name, out))
+            return out
+
+        return counted
+
+    names = ("maximize_cubic_on_sphere", "expand", "act", "compress")
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for group, t in zip(GROUPS, [random_tensor(5), TIED[-1]]):
+        calls.clear()
+        canonicalize(t, group=group)
+        assert sorted(name for name, _ in calls) == sorted(names), group
+        assert [out.iterations for name, out in calls if name == names[0]] == [0]

@@ -141,6 +141,44 @@ def test_same_orbit_verdicts():
     assert same_orbit(a, c, tol=d / 20.0) == "different"
 
 
+def _scaled(t, factor):
+    return SymTraceless3.from_array(factor * t.as_array())
+
+
+# I10 has degree 10: evaluated at the tensors' own scale it would
+# overflow from about 1e31 and reach subnormals below about 1e-31
+@pytest.mark.parametrize("norm", [1e-300, 1e-150, 1e-40, 1e-12, 1e-6, 1.0, 1e6, 1e12, 1e40, 1e150, 1e300])
+def test_verdict_is_scale_free(norm):
+    for seed in range(4):
+        a, b = planted_pair(seed, proper=seed % 2 == 0)
+        k = norm / expand(a).frobenius()
+        assert same_orbit(_scaled(a, k), _scaled(b, k)) == "same", seed
+        c, d = random_tensor(20_000 + seed), random_tensor(30_000 + seed)
+        k = norm / max(expand(c).frobenius(), expand(d).frobenius())
+        assert same_orbit(_scaled(c, k), _scaled(d, k)) == "different", seed
+        # the distance itself does not depend on the norm
+        assert invariant_distance(_scaled(c, k), _scaled(d, k)) == pytest.approx(
+            invariant_distance(c, d), rel=1e-9
+        )
+
+
+def test_small_independent_pairs_are_different():
+    # independent pairs at norms 1e-12..1e-6, drawn as in the orbit
+    # benchmark; an absolute distance called them "same"
+    fixed = np.random.default_rng(2018)
+    for s in np.logspace(-12, -6, 4):
+        a = SymTraceless3.from_array(fixed.normal(size=7) * s)
+        b = SymTraceless3.from_array(fixed.normal(size=7) * s)
+        assert invariant_distance(a, b) > 0.1, s
+        assert same_orbit(a, b) == "different", s
+
+
+def test_invariant_distance_of_zero_tensors():
+    zero = SymTraceless3()
+    assert invariant_distance(zero, zero) == 0.0
+    assert invariant_distance(zero, random_tensor(1)) == pytest.approx(1.0)
+
+
 def test_same_orbit_rejects_bad_tol():
     a = random_tensor(1)
     with pytest.raises(ValueError):
