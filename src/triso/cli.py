@@ -119,6 +119,10 @@ def _tensor_from_args(args) -> SymTraceless3:
 def _cmd_invariants(args) -> int:
     tup = smith_bao(_tensor_from_args(args))
     obj = tup.to_json_obj()
+    overflow = [k for k, v in obj.items() if math.isinf(v)]
+    if overflow:
+        raise ValueError(f"{', '.join(overflow)} overflow{'s' if len(overflow) == 1 else ''} "
+                         f"the double range at this tensor's scale")
     if args.format == "text":
         for k, v in obj.items():
             print(f"{k} = {format(v, '.17g')}")

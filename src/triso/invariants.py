@@ -1,22 +1,32 @@
 """The four isotropic invariants of degrees 2, 4, 6, and 10.
 
-Two independent evaluation paths are provided.  ``smith_bao`` contracts the
-full 27-entry array directly (Smith-Bao integrity basis: I2 = D_ijk D_ijk,
-I4 = D_ijk D_ijl D_pqk D_pql, I6 = v.v, I10 = D_ijk v_i v_j v_k with
-v_p = D_ijk D_ijl D_klp).  ``canonical_invariants`` evaluates closed-form
-polynomials of the four canonical parameters; on tensors already in
-canonical position the two paths agree, which the test suite exploits as a
-cross-check of both.
+Two independent evaluation paths are provided.  ``smith_bao`` evaluates the
+Smith-Bao integrity basis from the seven components by straight-line
+arithmetic on the three symmetric slices (D_k)_ij = D_ijk of the harmonic
+cubic: with M_kl = <D_k, D_l> (the Frobenius product) and v_p = <M, D_p>,
+
+    I2 = tr M,   I4 = <M, M>,   I6 = v.v,   I10 = v^T (sum_p v_p D_p) v,
+
+which are the contractions I2 = D_ijk D_ijk, I4 = D_ijk D_ijl D_pqk D_pql,
+I6 = v.v and I10 = D_ijk v_i v_j v_k with v_p = D_ijk D_ijl D_klp.  The
+arithmetic runs on the tensor scaled by a power of two to a largest
+component in [1/2, 1), and each I_d is scaled back by the d-th power of
+that factor, which is exact; so results are finite wherever the true value
+is a normal double, +-inf beyond that, and never NaN.
+``canonical_invariants`` evaluates closed-form polynomials of the four
+canonical parameters; on tensors already in canonical position the two
+paths agree, which the test suite exploits as a cross-check of both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .polynomials import CANONICAL_BASIS
-from .tensor_core import FullTensor3, SymTraceless3, _full
+from .tensor_core import FullTensor3, SymTraceless3, compress
 
 __all__ = [
     "InvariantTuple",
@@ -69,33 +79,72 @@ class CanonicalParams:
         return {"D111": self.d111, "D122": self.d122, "D123": self.d123, "D223": self.d223}
 
 
+def _inner(p, q):
+    """<P, Q> = sum_ij P_ij Q_ij of symmetric matrices as (11, 22, 33, 12, 13, 23)."""
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + 2 * (p[3] * q[3] + p[4] * q[4] + p[5] * q[5])
+
+
+def _slice_kernel(d111, d112, d113, d122, d123, d222, d223):
+    """(M, v, (I2, I4, I6, I10)) of the tensor with these seven components.
+
+    M is a 6-tuple in the slice layout of ``_inner`` and v a 3-tuple.  Only
+    + and * with integer constants, so Fractions give exact results.
+    """
+    d133 = -d111 - d122
+    d233 = -d112 - d222
+    d333 = -d113 - d223
+    s1 = (d111, d122, d133, d112, d113, d123)
+    s2 = (d112, d222, d233, d122, d123, d223)
+    s3 = (d113, d223, d333, d123, d133, d233)
+    m11, m22, m33 = _inner(s1, s1), _inner(s2, s2), _inner(s3, s3)
+    m = (m11, m22, m33, _inner(s1, s2), _inner(s1, s3), _inner(s2, s3))
+    v1, v2, v3 = _inner(m, s1), _inner(m, s2), _inner(m, s3)
+    # W = v1 D_1 + v2 D_2 + v3 D_3
+    w = (v1 * d111 + v2 * d112 + v3 * d113, v1 * d122 + v2 * d222 + v3 * d223,
+         v1 * d133 + v2 * d233 + v3 * d333, v1 * d112 + v2 * d122 + v3 * d123,
+         v1 * d113 + v2 * d123 + v3 * d133, v1 * d123 + v2 * d223 + v3 * d233)
+    vv = (v1 * v1, v2 * v2, v3 * v3, v1 * v2, v1 * v3, v2 * v3)
+    return m, (v1, v2, v3), (m11 + m22 + m33, _inner(m, m), vv[0] + vv[1] + vv[2], _inner(w, vv))
+
+
+def _components(t: SymTraceless3 | FullTensor3) -> tuple:
+    """The seven components; a full array is validated by ``compress``."""
+    if isinstance(t, FullTensor3):
+        t = compress(t)
+    return (t.d111, t.d112, t.d113, t.d122, t.d123, t.d222, t.d223)
+
+
 def moment_matrix(t: SymTraceless3 | FullTensor3) -> np.ndarray:
     """The 3x3 positive-semidefinite matrix M_kl = D_ijk D_ijl."""
-    arr = _full(t).entries
-    return np.einsum("ijk,ijl->kl", arr, arr)
-
-
-def _v_from(m: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    return np.einsum("kl,klp->p", m, arr)
+    m11, m22, m33, m12, m13, m23 = _slice_kernel(*_components(t))[0]
+    return np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]])
 
 
 def v_vector(t: SymTraceless3 | FullTensor3) -> np.ndarray:
     """The degree-3 covariant vector v_p = D_ijk D_ijl D_klp = M_kl D_klp."""
-    full = _full(t)
-    return _v_from(moment_matrix(full), full.entries)
+    return np.array(_slice_kernel(*_components(t))[1])
+
+
+def _ldexp(x: float, n: int) -> float:
+    """x * 2**n, rounded as a double; +-inf where that overflows."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def smith_bao(t: SymTraceless3 | FullTensor3) -> InvariantTuple:
-    """Evaluate the degree-(2, 4, 6, 10) basis by full-array contraction."""
-    full = _full(t)
-    arr = full.entries
-    m = moment_matrix(full)
-    v = _v_from(m, arr)
-    i2 = float(np.einsum("ijk,ijk->", arr, arr))
-    i4 = float(np.einsum("kl,kl->", m, m))
-    i6 = float(v @ v)
-    i10 = float(np.einsum("ijk,i,j,k->", arr, v, v, v))
-    return InvariantTuple(i2, i4, i6, i10)
+    """Evaluate the degree-(2, 4, 6, 10) basis from the seven components.
+
+    The kernel runs at a largest component in [1/2, 1), reached by the
+    exact factor 2^-k, and I_d is scaled back by 2^(d*k).  A result is
+    finite wherever the true value is a normal double, +-inf (with the sign
+    of the unit-scale value) beyond that, and never NaN.
+    """
+    c = _components(t)
+    k = math.frexp(max(map(abs, c)))[1]
+    i2, i4, i6, i10 = _slice_kernel(*[math.ldexp(x, -k) for x in c])[2]
+    return InvariantTuple(_ldexp(i2, 2 * k), _ldexp(i4, 4 * k), _ldexp(i6, 6 * k), _ldexp(i10, 10 * k))
 
 
 def canonical_invariants(c: CanonicalParams) -> InvariantTuple:

@@ -86,8 +86,10 @@ def invariant_distance(a: SymTraceless3, b: SymTraceless3) -> float:
     Every normalized component scales as the squared norm, as I2 does, so
     the distance is scale-free: it is the same for a pair and for the pair
     scaled by any factor.  The pair is evaluated scaled to a largest
-    component of 1, which keeps I10 (degree 10) representable at any norm.
-    Two zero tensors are at distance 0.
+    component of 1: at the pair's own scale the normalized components,
+    which scale as ||T||^2, overflow from a norm of about 1e154, and the
+    raw I10 they come from is +-inf from about 1e31, where the difference
+    of two infinite components is NaN.  Two zero tensors are at distance 0.
     """
     ca, cb = a.as_array(), b.as_array()
     scale = max(np.max(np.abs(ca)), np.max(np.abs(cb)))

@@ -6,8 +6,8 @@ closed-form polynomial in them, as is the determinant of their 4x4 Jacobian.
 Those polynomials are transcribed here once, as monomial tables with exact
 integer coefficients; evaluation and exact differentiation both run off the
 tables, so a single audited transcription backs every consumer.  Any
-transcription slip surfaces immediately against the full-array contraction
-path, and the tests check the tables as exact identities: I2..I10 equal
+transcription slip surfaces immediately against the ``smith_bao`` path,
+and the tests check the tables as exact identities: I2..I10 equal
 the contractions of the canonical tensor carried out in Poly arithmetic,
 and DET_JACOBIAN equals the Laplace expansion of the exact partials.
 

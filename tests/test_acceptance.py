@@ -190,10 +190,10 @@ def test_criterion_6_dual_path_agreement(capsys):
     for row in rng.uniform(-2.0, 2.0, size=(500, 4)):
         params = CanonicalParams(*row)
         poly_path = canonical_invariants(params).as_array()
-        einsum_path = smith_bao(params.to_tensor()).as_array()
+        slice_path = smith_bao(params.to_tensor()).as_array()
         worst = max(
             worst,
-            max(relative_error(float(p), float(e)) for p, e in zip(poly_path, einsum_path)),
+            max(relative_error(float(p), float(e)) for p, e in zip(poly_path, slice_path)),
         )
     _check(failures, worst <= 1e-10, f"worst dual-path gap {worst:.3g} > 1e-10")
     elapsed = time.perf_counter() - start

@@ -89,6 +89,15 @@ def test_invariants_text_format(capsys):
     assert out == "I2 = 10\nI4 = 44\nI6 = 16\nI10 = 64\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("value, names", [("1e31", "I10 overflows"), ("1e80", "I4, I6, I10 overflow")])
+def test_invariants_overflow_names_each_invariant(capsys, fmt, value, names):
+    code, out, err = run(capsys, ["invariants", "--d111", value, "--d112", value, "--format", fmt])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {names} the double range at this tensor's scale\n"
+
+
 def test_invariants_from_file_matches_inline(capsys, tmp_path):
     path = write_tensor(tmp_path / "t.json", d111=0.3, d123=-1.2, d223=0.05)
     code, out_file, _ = run(capsys, ["invariants", "--file", path])

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from triso.invariants import (
     CanonicalParams,
     InvariantTuple,
+    _slice_kernel,
     canonical_invariants,
     moment_matrix,
     relative_error,
@@ -15,6 +18,7 @@ from triso.invariants import (
     v_vector,
 )
 from triso.tensor_core import (
+    FullTensor3,
     SymTraceless3,
     act,
     compress,
@@ -24,6 +28,9 @@ from triso.tensor_core import (
 )
 
 components = st.floats(min_value=-5, max_value=5, allow_nan=False)
+
+DEGREES = (2, 4, 6, 10)
+NORMS = [1e-300, 1e-150, 1e-40, 1e-31, 1e-12, 1.0, 1e12, 1e31, 1e40, 1e150, 1e300]
 
 
 def brute_invariants(t):
@@ -51,6 +58,103 @@ def test_smith_bao_matches_loop_oracle(seed):
     got = smith_bao(t).as_array()
     want = brute_invariants(t)
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+    # at every norm, against the oracle at norm 1: finite wherever the true
+    # value is a normal double, +-inf beyond that, never NaN
+    unit = t.as_array() / expand(t).frobenius()
+    want = brute_invariants(SymTraceless3(*unit))
+    for norm in NORMS:
+        got = smith_bao(SymTraceless3(*(unit * norm))).as_array()
+        assert not np.any(np.isnan(got)), norm
+        for d, g, w in zip(DEGREES, got, want):
+            exponent = d * math.log10(norm) + math.log10(abs(w))  # of the true |I_d|
+            if exponent < 308:
+                assert math.isfinite(g), (norm, d)
+            if -300 < exponent < 307:
+                assert abs(g / norm ** (d / 2) / norm ** (d / 2) - w) <= 1e-10, (norm, d)
+            if exponent > 309:
+                assert g == math.copysign(math.inf, w), (norm, d)
+
+
+def _loop_from_ten(c7):
+    """M, v and the invariants by loops over all 27 index triples.
+
+    The ten distinct coefficients, keyed by sorted 0-based triple, come from
+    the seven components and the three vanishing traces.
+    """
+    d111, d112, d113, d122, d123, d222, d223 = c7
+    ten = {
+        (0, 0, 0): d111, (0, 0, 1): d112, (0, 0, 2): d113, (0, 1, 1): d122,
+        (0, 1, 2): d123, (0, 2, 2): -d111 - d122, (1, 1, 1): d222, (1, 1, 2): d223,
+        (1, 2, 2): -d112 - d222, (2, 2, 2): -d113 - d223,
+    }
+
+    def d(i, j, k):
+        return ten[tuple(sorted((i, j, k)))]
+
+    r3 = range(3)
+    triples = list(itertools.product(r3, repeat=3))
+    m = [[sum(d(i, j, k) * d(i, j, l) for i, j in itertools.product(r3, repeat=2)) for l in r3]
+         for k in r3]
+    v = [sum(m[k][l] * d(k, l, p) for k, l in itertools.product(r3, repeat=2)) for p in r3]
+    i2 = sum(d(i, j, k) ** 2 for i, j, k in triples)
+    i4 = sum(m[k][l] ** 2 for k, l in itertools.product(r3, repeat=2))
+    i6 = sum(x * x for x in v)
+    i10 = sum(d(i, j, k) * v[i] * v[j] * v[k] for i, j, k in triples)
+    return m, v, (i2, i4, i6, i10)
+
+
+def test_slice_kernel_is_the_27_entry_contraction_exactly():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        c7 = [Fraction(int(n), int(q)) for n, q in
+              zip(rng.integers(-60, 61, size=7), rng.integers(1, 25, size=7))]
+        m, v, invs = _slice_kernel(*c7)
+        m_loop, v_loop, invs_loop = _loop_from_ten(c7)
+        (m11, m12, m13), (_, m22, m23), (_, _, m33) = m_loop
+        assert m == (m11, m22, m33, m12, m13, m23)
+        assert list(v) == v_loop
+        assert invs == invs_loop
+        assert all(isinstance(x, Fraction) for x in invs)
+
+
+def test_found_case_i10_overflows_to_inf_not_nan():
+    # only the degree-10 value passes the largest double at this norm
+    tup = smith_bao(SymTraceless3(*(random_tensor(1).as_array() * 1e31)))
+    assert all(math.isfinite(x) for x in (tup.i2, tup.i4, tup.i6))
+    assert tup.i10 == math.inf
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_homogeneity_is_bit_exact_under_powers_of_two(seed):
+    t = random_tensor(seed)
+    base = smith_bao(t).as_array().tolist()
+    checked = 0
+    for j in range(-1015, 1016, 7):
+        scaled = [math.ldexp(x, j) for x in t.as_array().tolist()]
+        if min(map(abs, scaled)) < 2.0 ** -1022:
+            continue  # the scaled input itself is not exact
+        got = smith_bao(SymTraceless3(*scaled)).as_array().tolist()
+        for d, g, b in zip(DEGREES, got, base):
+            try:
+                want = math.ldexp(b, d * j)
+            except OverflowError:
+                continue
+            if abs(want) >= 2.0 ** -1022:  # a normal double: representable exactly
+                assert g == want, (j, d)
+                checked += 1
+    assert checked > 200
+
+
+def test_full_tensor_is_read_through_compress():
+    for seed in range(10):
+        t = random_tensor(seed)
+        assert smith_bao(expand(t)) == smith_bao(t)
+        assert np.array_equal(moment_matrix(expand(t)), moment_matrix(t))
+        assert np.array_equal(v_vector(expand(t)), v_vector(t))
+    raw = np.zeros((3, 3, 3))
+    raw[0, 0, 1] = 1.0  # no symmetric partners
+    with pytest.raises(ValueError, match="not symmetric"):
+        smith_bao(FullTensor3(raw))
 
 
 def test_known_tuple_d111_d112():

@@ -145,8 +145,9 @@ def _scaled(t, factor):
     return SymTraceless3.from_array(factor * t.as_array())
 
 
-# I10 has degree 10: evaluated at the tensors' own scale it would
-# overflow from about 1e31 and reach subnormals below about 1e-31
+# invariant_distance keeps a common rescale: at the tensors' own scale the
+# degree-normalized components scale as ||T||^2 and overflow from about
+# 1e154, and I10 is +-inf from about 1e31 and subnormal below about 1e-31
 @pytest.mark.parametrize("norm", [1e-300, 1e-150, 1e-40, 1e-12, 1e-6, 1.0, 1e6, 1e12, 1e40, 1e150, 1e300])
 def test_verdict_is_scale_free(norm):
     for seed in range(4):
