@@ -10,7 +10,6 @@ from .canonical_form import (
     CanonicalResult,
     ConvergenceError,
     SphereMaximizer,
-    SphereOptConfig,
     canonicalize,
     maximize_cubic_on_sphere,
     stationarity_residual,

@@ -52,7 +52,7 @@ from .tensor_core import (
 )
 
 __all__ = [
-    "SphereOptConfig",
+    "STATIONARITY_TOL",
     "SphereMaximizer",
     "CanonicalResult",
     "ConvergenceError",
@@ -64,26 +64,13 @@ __all__ = [
 
 GROUPS = ("SO(3)", "O(3)")
 
+# Default stationarity tolerance for the returned maximizer, applied to the
+# unit-normalized tensor.
+STATIONARITY_TOL = 1e-12
+
 
 class ConvergenceError(RuntimeError):
     """The maximizer misses the requested stationarity tolerance."""
-
-
-@dataclass(frozen=True)
-class SphereOptConfig:
-    """Settings for the maximizer solve.
-
-    Parameters
-    ----------
-    tol : stationarity tolerance for the returned maximizer, applied to the
-        unit-normalized tensor.
-    """
-
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -351,7 +338,7 @@ def _stationary_candidates(d9: np.ndarray) -> np.ndarray:
 
 
 def maximize_cubic_on_sphere(
-    t: SymTraceless3 | FullTensor3, cfg: SphereOptConfig | None = None
+    t: SymTraceless3 | FullTensor3, tol: float = STATIONARITY_TOL
 ) -> SphereMaximizer:
     """Find the global maximizer of the cubic form on the unit sphere.
 
@@ -368,9 +355,10 @@ def maximize_cubic_on_sphere(
 
     Raises ConvergenceError if no candidate within 1e-12 of the largest
     value has a stationarity residual (on the normalized tensor) within
-    ``cfg.tol``.
+    ``tol``, which must be positive.
     """
-    cfg = cfg or SphereOptConfig()
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     frob, d9, d = _normalized(_full(t))
     if frob == 0.0:
         return SphereMaximizer(np.array([1.0, 0.0, 0.0]), 0.0, 0.0)
@@ -391,10 +379,10 @@ def maximize_cubic_on_sphere(
     # the tolerance is judged on the best of those within 1e-12 of it
     top = max(value for value, _, _ in finished)
     near = [c for c in finished if c[0] >= top - 1e-12]
-    tied = sorted((c for c in near if c[2] <= cfg.tol), key=lambda c: c[1], reverse=True)
+    tied = sorted((c for c in near if c[2] <= tol), key=lambda c: c[1], reverse=True)
     if not tied:
         raise ConvergenceError(
-            f"the maximizer misses stationarity tolerance {cfg.tol:.3g}; "
+            f"the maximizer misses stationarity tolerance {tol:.3g}; "
             f"residual {min(c[2] for c in near):.3g} (normalized tensor)"
         )
     maximizers = []
@@ -417,7 +405,7 @@ def _about_e1(theta: float) -> np.ndarray:
 
 
 def canonicalize(
-    t: SymTraceless3 | FullTensor3, cfg: SphereOptConfig | None = None, group: str = "SO(3)"
+    t: SymTraceless3 | FullTensor3, tol: float = STATIONARITY_TOL, group: str = "SO(3)"
 ) -> CanonicalResult:
     """Move a tensor into canonical position by an element of ``group``.
 
@@ -442,11 +430,13 @@ def canonicalize(
     Ties left after d223 go to the larger d123, so a tensor with a mirror
     symmetry (whose candidates come in pairs +-d123) keeps a rotation: the
     transform is improper only for a chiral tensor.  The zero tensor
-    short-circuits to the identity.
+    short-circuits to the identity.  ``tol``, which must be positive, is
+    the maximizer's stationarity tolerance (``maximize_cubic_on_sphere``).
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
-    cfg = cfg or SphereOptConfig()
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     # _full's rule, with expand called through this module's name so that
     # perfbench's tracing, which rebinds that name, still sees the call
     full = expand(t) if isinstance(t, SymTraceless3) else t
@@ -457,7 +447,6 @@ def canonicalize(
             OrthogonalTransform3.identity(),
             0.0,
             {
-                "ascent_iterations": 0,
                 "newton_iterations": 0,
                 "stationarity_residual": 0.0,
                 "circle_residual": 0.0,
@@ -465,7 +454,7 @@ def canonicalize(
             },
         )
 
-    mx = maximize_cubic_on_sphere(full, cfg)
+    mx = maximize_cubic_on_sphere(full, tol)
     mirror = group == "O(3)"
     frames = []  # (ranking keys, theta, frame, d123, a111, a112, a113)
     for u in mx.maximizers.tolist():
@@ -506,7 +495,6 @@ def canonicalize(
     out = compress(act(transform, full))
     params = CanonicalParams(out.d111, out.d122, out.d123, out.d223)
     diagnostics = {
-        "ascent_iterations": mx.iterations,
         "newton_iterations": mx.newton_iterations,
         "stationarity_residual": 3.0 * frob * math.hypot(a112, a113),
         "circle_residual": abs(out.d222),

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .canonical_form import GROUPS, ConvergenceError, SphereOptConfig, canonicalize
+from .canonical_form import GROUPS, STATIONARITY_TOL, ConvergenceError, canonicalize
 from .independence import independence_report
 from .invariants import smith_bao
 from .orbit_oracle import best_alignment, invariant_distance, same_orbit
@@ -133,7 +133,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_canonicalize(args) -> int:
     t = _tensor_from_args(args)
-    print(_json_text(canonicalize(t, SphereOptConfig(tol=args.tol)).to_json_obj()))
+    print(_json_text(canonicalize(t, args.tol).to_json_obj()))
     return 0
 
 
@@ -242,7 +242,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("canonicalize", help="rotate a tensor into canonical position")
     _add_tensor_args(p)
-    p.add_argument("--tol", type=float, default=SphereOptConfig.tol,
+    p.add_argument("--tol", type=float, default=STATIONARITY_TOL,
                    help="stationarity tolerance of the maximizer (exit 2 when missed)")
     p.set_defaults(handler=_cmd_canonicalize)
 

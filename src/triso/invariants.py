@@ -9,10 +9,12 @@ cubic: with M_kl = <D_k, D_l> (the Frobenius product) and v_p = <M, D_p>,
 
 which are the contractions I2 = D_ijk D_ijk, I4 = D_ijk D_ijl D_pqk D_pql,
 I6 = v.v and I10 = D_ijk v_i v_j v_k with v_p = D_ijk D_ijl D_klp.  The
-arithmetic runs on the tensor scaled by a power of two to a largest
-component in [1/2, 1), and each I_d is scaled back by the d-th power of
-that factor, which is exact; so results are finite wherever the true value
-is a normal double, +-inf beyond that, and never NaN.
+slices, and the trace completion behind them, come from
+``tensor_core._slices``.  The arithmetic runs on the tensor scaled by a
+power of two to a largest component in [1/2, 1), and each I_d, like M
+(degree 2) and v (degree 3), is scaled back by the matching power of that
+factor, which is exact; so results are finite wherever the true value is
+a normal double, +-inf beyond that, and never NaN.
 ``canonical_invariants`` evaluates closed-form polynomials of the four
 canonical parameters; on tensors already in canonical position the two
 paths agree, which the test suite exploits as a cross-check of both.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomials import CANONICAL_BASIS
-from .tensor_core import FullTensor3, SymTraceless3, compress
+from .tensor_core import FullTensor3, SymTraceless3, _slices, compress
 
 __all__ = [
     "InvariantTuple",
@@ -87,22 +89,17 @@ def _inner(p, q):
 def _slice_kernel(d111, d112, d113, d122, d123, d222, d223):
     """(M, v, (I2, I4, I6, I10)) of the tensor with these seven components.
 
-    M is a 6-tuple in the slice layout of ``_inner`` and v a 3-tuple.  Only
-    + and * with integer constants, so Fractions give exact results.
+    M is a 6-tuple in the slice layout of ``_slices`` and v a 3-tuple.
+    Only + and * with integer constants, so Fractions give exact results.
     """
-    d133 = -d111 - d122
-    d233 = -d112 - d222
-    d333 = -d113 - d223
-    s1 = (d111, d122, d133, d112, d113, d123)
-    s2 = (d112, d222, d233, d122, d123, d223)
-    s3 = (d113, d223, d333, d123, d133, d233)
+    s1, s2, s3 = _slices(d111, d112, d113, d122, d123, d222, d223)
     m11, m22, m33 = _inner(s1, s1), _inner(s2, s2), _inner(s3, s3)
     m = (m11, m22, m33, _inner(s1, s2), _inner(s1, s3), _inner(s2, s3))
     v1, v2, v3 = _inner(m, s1), _inner(m, s2), _inner(m, s3)
     # W = v1 D_1 + v2 D_2 + v3 D_3
-    w = (v1 * d111 + v2 * d112 + v3 * d113, v1 * d122 + v2 * d222 + v3 * d223,
-         v1 * d133 + v2 * d233 + v3 * d333, v1 * d112 + v2 * d122 + v3 * d123,
-         v1 * d113 + v2 * d123 + v3 * d133, v1 * d123 + v2 * d223 + v3 * d233)
+    w = (v1 * s1[0] + v2 * s2[0] + v3 * s3[0], v1 * s1[1] + v2 * s2[1] + v3 * s3[1],
+         v1 * s1[2] + v2 * s2[2] + v3 * s3[2], v1 * s1[3] + v2 * s2[3] + v3 * s3[3],
+         v1 * s1[4] + v2 * s2[4] + v3 * s3[4], v1 * s1[5] + v2 * s2[5] + v3 * s3[5])
     vv = (v1 * v1, v2 * v2, v3 * v3, v1 * v2, v1 * v3, v2 * v3)
     return m, (v1, v2, v3), (m11 + m22 + m33, _inner(m, m), vv[0] + vv[1] + vv[2], _inner(w, vv))
 
@@ -114,15 +111,14 @@ def _components(t: SymTraceless3 | FullTensor3) -> tuple:
     return (t.d111, t.d112, t.d113, t.d122, t.d123, t.d222, t.d223)
 
 
-def moment_matrix(t: SymTraceless3 | FullTensor3) -> np.ndarray:
-    """The 3x3 positive-semidefinite matrix M_kl = D_ijk D_ijl."""
-    m11, m22, m33, m12, m13, m23 = _slice_kernel(*_components(t))[0]
-    return np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]])
+def _unit_kernel(t: SymTraceless3 | FullTensor3) -> tuple:
+    """k and the ``_slice_kernel`` of the tensor times the exact factor 2^-k.
 
-
-def v_vector(t: SymTraceless3 | FullTensor3) -> np.ndarray:
-    """The degree-3 covariant vector v_p = D_ijk D_ijl D_klp = M_kl D_klp."""
-    return np.array(_slice_kernel(*_components(t))[1])
+    k puts the largest component in [1/2, 1).
+    """
+    c = _components(t)
+    k = math.frexp(max(map(abs, c)))[1]
+    return k, _slice_kernel(*[math.ldexp(x, -k) for x in c])
 
 
 def _ldexp(x: float, n: int) -> float:
@@ -133,6 +129,27 @@ def _ldexp(x: float, n: int) -> float:
         return math.copysign(math.inf, x)
 
 
+def moment_matrix(t: SymTraceless3 | FullTensor3) -> np.ndarray:
+    """The 3x3 positive-semidefinite matrix M_kl = D_ijk D_ijl.
+
+    Computed at unit scale and scaled back by 2^(2k), like ``smith_bao``:
+    +-inf where an entry overflows, never NaN.
+    """
+    k, (m, _, _) = _unit_kernel(t)
+    m11, m22, m33, m12, m13, m23 = [_ldexp(x, 2 * k) for x in m]
+    return np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]])
+
+
+def v_vector(t: SymTraceless3 | FullTensor3) -> np.ndarray:
+    """The degree-3 covariant vector v_p = D_ijk D_ijl D_klp = M_kl D_klp.
+
+    Computed at unit scale and scaled back by 2^(3k), like ``smith_bao``:
+    +-inf where an entry overflows, never NaN.
+    """
+    k, (_, v, _) = _unit_kernel(t)
+    return np.array([_ldexp(x, 3 * k) for x in v])
+
+
 def smith_bao(t: SymTraceless3 | FullTensor3) -> InvariantTuple:
     """Evaluate the degree-(2, 4, 6, 10) basis from the seven components.
 
@@ -141,9 +158,7 @@ def smith_bao(t: SymTraceless3 | FullTensor3) -> InvariantTuple:
     finite wherever the true value is a normal double, +-inf (with the sign
     of the unit-scale value) beyond that, and never NaN.
     """
-    c = _components(t)
-    k = math.frexp(max(map(abs, c)))[1]
-    i2, i4, i6, i10 = _slice_kernel(*[math.ldexp(x, -k) for x in c])[2]
+    k, (_, _, (i2, i4, i6, i10)) = _unit_kernel(t)
     return InvariantTuple(_ldexp(i2, 2 * k), _ldexp(i4, 4 * k), _ldexp(i6, 6 * k), _ldexp(i10, 10 * k))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical_form import GROUPS, SphereOptConfig, canonicalize  # noqa: F401 (GROUPS re-exported)
+from .canonical_form import GROUPS, canonicalize  # noqa: F401 (GROUPS re-exported)
 from .invariants import InvariantTuple, smith_bao
 from .tensor_core import FullTensor3, OrthogonalTransform3, SymTraceless3, act, expand
 
@@ -39,22 +39,16 @@ class AlignmentResult:
     group: str
 
 
-def best_alignment(
-    a: SymTraceless3,
-    b: SymTraceless3,
-    group: str = "O(3)",
-    cfg: SphereOptConfig | None = None,
-) -> AlignmentResult:
+def best_alignment(a: SymTraceless3, b: SymTraceless3, group: str = "O(3)") -> AlignmentResult:
     """The element R_b^-1 R_a through the canonical frames, with its residual.
 
-    R_a and R_b are the transforms ``canonicalize(., cfg, group)`` returns
-    for a and b (``cfg`` sets the tolerance of both maximizer solves).  For
-    a pair on one orbit of ``group`` the residual ||g.a - b|| is at
-    roundoff; otherwise it equals ||C_a - C_b|| between the canonical forms,
-    an upper bound on the distance between the orbits.
+    R_a and R_b are the transforms ``canonicalize(., group=group)`` returns
+    for a and b.  For a pair on one orbit of ``group`` the residual
+    ||g.a - b|| is at roundoff; otherwise it equals ||C_a - C_b|| between
+    the canonical forms, an upper bound on the distance between the orbits.
     """
-    r_a = canonicalize(a, cfg, group).transform
-    r_b = canonicalize(b, cfg, group).transform
+    r_a = canonicalize(a, group=group).transform
+    r_b = canonicalize(b, group=group).transform
     g = OrthogonalTransform3(r_b.m.T @ r_a.m, r_b.det_sign * r_a.det_sign)
     residual = FullTensor3(act(g, expand(a)).entries - expand(b).entries).frobenius()
     return AlignmentResult(g, residual, group)

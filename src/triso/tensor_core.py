@@ -3,6 +3,8 @@
 A tensor of this class has seven free components; the remaining entries of
 the full 3x3x3 array follow from index symmetry and the vanishing of every
 single-index trace.  This module provides the seven-component value type,
+the one place that completes the traces and lays out the three symmetric
+slices D_k (``_slices``, which ``expand`` and the invariants read),
 expansion to and compression from the full array, the orthogonal group
 action, and seeded random sampling of tensors and of orthogonal matrices.
 
@@ -44,18 +46,6 @@ COMPRESS_TOL = 1e-9
 ORTHO_TOL = 1e-12
 
 COMPONENT_NAMES = ("d111", "d112", "d113", "d122", "d123", "d222", "d223")
-
-# Index triples (0-based) carrying each free component; every permutation of
-# a triple holds the same value.
-_FREE_SLOTS = {
-    "d111": (0, 0, 0),
-    "d112": (0, 0, 1),
-    "d113": (0, 0, 2),
-    "d122": (0, 1, 1),
-    "d123": (0, 1, 2),
-    "d222": (1, 1, 1),
-    "d223": (1, 1, 2),
-}
 
 
 @dataclass(frozen=True)
@@ -167,36 +157,37 @@ class OrthogonalTransform3:
         return self.m @ np.asarray(x, dtype=float)
 
 
-def _embedding() -> np.ndarray:
-    """The (27, 7) matrix taking the seven components to the row-major array.
+def _slices(d111, d112, d113, d122, d123, d222, d223) -> tuple:
+    """The three symmetric slices (D_k)_ij = D_ijk of the tensor.
 
-    Every slot of a family (a triple and its permutations) gets the family's
-    combination of components; the three constrained diagonal families come
-    from the vanishing traces.
+    Each is a 6-tuple in the layout (11, 22, 33, 12, 13, 23).  The three
+    constrained diagonal families come from the vanishing traces:
+    d133 = -d111-d122, d233 = -d112-d222 and d333 = -d113-d223.  Only +
+    and unary -, so Fractions give exact results.
     """
-    unit = dict(zip(COMPONENT_NAMES, np.eye(7)))
-    families = {slot: unit[name] for name, slot in _FREE_SLOTS.items()}
-    families[(0, 2, 2)] = -unit["d111"] - unit["d122"]
-    families[(1, 2, 2)] = -unit["d112"] - unit["d222"]
-    families[(2, 2, 2)] = -unit["d113"] - unit["d223"]
-    embed = np.zeros((3, 3, 3, 7))
-    for triple, row in families.items():
-        for perm in set(permutations(triple)):
-            embed[perm] = row
-    return embed.reshape(27, 7)
+    d133 = -d111 - d122
+    d233 = -d112 - d222
+    d333 = -d113 - d223
+    return (
+        (d111, d122, d133, d112, d113, d123),
+        (d112, d222, d233, d122, d123, d223),
+        (d113, d223, d333, d123, d133, d233),
+    )
 
 
-_EMBEDDING = _embedding()
+# Place of each row-major entry (k, i, j) in the three slices laid end to
+# end: slice k starts at 6k, and its entry (i, j) sits at offset
+# (0, 3, 4, 3, 1, 5, 4, 5, 2)[3i + j] of the 6-tuple layout.
+_SLICE_ENTRIES = np.array([6 * k + e for k in range(3) for e in (0, 3, 4, 3, 1, 5, 4, 5, 2)])
 
 
 def expand(s: SymTraceless3) -> FullTensor3:
     """Expand seven components into the full symmetric traceless 3x3x3 array.
 
-    The three constrained diagonal families come from the vanishing traces:
-    entries at (1,3,3) equal -d111-d122, at (2,3,3) equal -d112-d222, and
-    (3,3,3) equals -d113-d223 (1-based indices).
+    Entry (k, i, j) is entry (i, j) of the slice D_k from ``_slices``.
     """
-    return FullTensor3((_EMBEDDING @ s.as_array()).reshape(3, 3, 3))
+    d1, d2, d3 = _slices(s.d111, s.d112, s.d113, s.d122, s.d123, s.d222, s.d223)
+    return FullTensor3(np.array(d1 + d2 + d3)[_SLICE_ENTRIES].reshape(3, 3, 3))
 
 
 def _full(t: SymTraceless3 | FullTensor3) -> FullTensor3:
@@ -206,11 +197,11 @@ def _full(t: SymTraceless3 | FullTensor3) -> FullTensor3:
 
 # Flat indices of the array read through each of the six slot permutations,
 # of the diagonal entries (i, i, k) summed by each trace, and of the seven
-# free components.
+# free components (the entry named by each component's 1-based digits).
 _INDEX = np.arange(27).reshape(3, 3, 3)
 _PERMUTED = np.array([np.transpose(_INDEX, perm).ravel() for perm in permutations((0, 1, 2))])
 _TRACES = np.array([[_INDEX[i, i, k] for k in range(3)] for i in range(3)])
-_FREE = np.array([_INDEX[slot] for slot in _FREE_SLOTS.values()])
+_FREE = np.array([_INDEX[tuple(int(c) - 1 for c in name[1:])] for name in COMPONENT_NAMES])
 
 
 def symmetry_violation(f: FullTensor3) -> float:

@@ -9,7 +9,6 @@ from triso.canonical_form import (
     GROUPS,
     CanonicalResult,
     ConvergenceError,
-    SphereOptConfig,
     canonicalize,
     maximize_cubic_on_sphere,
     stationarity_residual,
@@ -129,7 +128,7 @@ def test_maximizer_scale_equivariance():
 
 def test_maximizer_raises_on_absurd_tolerance():
     with pytest.raises(ConvergenceError):
-        maximize_cubic_on_sphere(random_tensor(0), SphereOptConfig(tol=1e-300))
+        maximize_cubic_on_sphere(random_tensor(0), tol=1e-300)
 
 
 @pytest.mark.parametrize(
@@ -144,13 +143,17 @@ def test_tolerance_is_judged_on_the_maximizer(t, maximum):
     # residual exactly 0.0, the maximizer a few ulps; an unreachable
     # tolerance must fail rather than return the lesser point
     with pytest.raises(ConvergenceError):
-        maximize_cubic_on_sphere(t, SphereOptConfig(tol=1e-300))
+        maximize_cubic_on_sphere(t, tol=1e-300)
     assert maximize_cubic_on_sphere(t).value == pytest.approx(maximum, rel=1e-14)
 
 
 def test_sphere_config_validation():
-    with pytest.raises(ValueError):
-        SphereOptConfig(tol=0.0)
+    # checked by each public entry, before the zero tensor's short cut
+    for t in (random_tensor(0), SymTraceless3()):
+        with pytest.raises(ValueError, match="positive"):
+            maximize_cubic_on_sphere(t, tol=0.0)
+        with pytest.raises(ValueError, match="positive"):
+            canonicalize(t, tol=0.0)
 
 
 def test_rotation_about_e1_structure():
@@ -310,12 +313,14 @@ def test_canonical_result_json_shape():
 def test_diagnostics_keys():
     result = canonicalize(random_tensor(9))
     assert set(result.diagnostics) >= {
-        "ascent_iterations",
         "newton_iterations",
         "stationarity_residual",
         "circle_residual",
         "constraint_violation",
     }
+    # no ascent runs, so no ascent count is reported, for any tensor
+    assert "ascent_iterations" not in result.diagnostics
+    assert "ascent_iterations" not in canonicalize(SymTraceless3()).diagnostics
     assert result.diagnostics["constraint_violation"] <= 1e-9
     assert 1 <= result.diagnostics["newton_iterations"] <= 15
 

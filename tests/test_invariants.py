@@ -20,6 +20,7 @@ from triso.invariants import (
 from triso.tensor_core import (
     FullTensor3,
     SymTraceless3,
+    _slices,
     act,
     compress,
     expand,
@@ -63,8 +64,11 @@ def test_smith_bao_matches_loop_oracle(seed):
     unit = t.as_array() / expand(t).frobenius()
     want = brute_invariants(SymTraceless3(*unit))
     for norm in NORMS:
-        got = smith_bao(SymTraceless3(*(unit * norm))).as_array()
+        scaled = SymTraceless3(*(unit * norm))
+        got = smith_bao(scaled).as_array()
         assert not np.any(np.isnan(got)), norm
+        assert not np.any(np.isnan(moment_matrix(scaled))), norm
+        assert not np.any(np.isnan(v_vector(scaled))), norm
         for d, g, w in zip(DEGREES, got, want):
             exponent = d * math.log10(norm) + math.log10(abs(w))  # of the true |I_d|
             if exponent < 308:
@@ -75,8 +79,8 @@ def test_smith_bao_matches_loop_oracle(seed):
                 assert g == math.copysign(math.inf, w), (norm, d)
 
 
-def _loop_from_ten(c7):
-    """M, v and the invariants by loops over all 27 index triples.
+def _entry_from_ten(c7):
+    """The entry D_ijk as a function of (i, j, k).
 
     The ten distinct coefficients, keyed by sorted 0-based triple, come from
     the seven components and the three vanishing traces.
@@ -87,10 +91,12 @@ def _loop_from_ten(c7):
         (0, 1, 2): d123, (0, 2, 2): -d111 - d122, (1, 1, 1): d222, (1, 1, 2): d223,
         (1, 2, 2): -d112 - d222, (2, 2, 2): -d113 - d223,
     }
+    return lambda i, j, k: ten[tuple(sorted((i, j, k)))]
 
-    def d(i, j, k):
-        return ten[tuple(sorted((i, j, k)))]
 
+def _loop_from_ten(c7):
+    """M, v and the invariants by loops over all 27 index triples."""
+    d = _entry_from_ten(c7)
     r3 = range(3)
     triples = list(itertools.product(r3, repeat=3))
     m = [[sum(d(i, j, k) * d(i, j, l) for i, j in itertools.product(r3, repeat=2)) for l in r3]
@@ -108,6 +114,12 @@ def test_slice_kernel_is_the_27_entry_contraction_exactly():
     for _ in range(60):
         c7 = [Fraction(int(n), int(q)) for n, q in
               zip(rng.integers(-60, 61, size=7), rng.integers(1, 25, size=7))]
+        # the slices, read as a 3x3x3 array through the (11, 22, 33, 12, 13, 23) layout
+        d, slices = _entry_from_ten(c7), _slices(*c7)
+        layout = {(0, 0): 0, (1, 1): 1, (2, 2): 2, (0, 1): 3, (0, 2): 4, (1, 2): 5}
+        for i, j, k in itertools.product(range(3), repeat=3):
+            assert slices[k][layout[min(i, j), max(i, j)]] == d(i, j, k)
+        assert all(isinstance(x, Fraction) for s in slices for x in s)
         m, v, invs = _slice_kernel(*c7)
         m_loop, v_loop, invs_loop = _loop_from_ten(c7)
         (m11, m12, m13), (_, m22, m23), (_, _, m33) = m_loop
@@ -124,17 +136,39 @@ def test_found_case_i10_overflows_to_inf_not_nan():
     assert tup.i10 == math.inf
 
 
+def test_found_case_m_and_v_overflow_to_inf_not_nan():
+    unit = random_tensor(1)
+    m1, v1 = moment_matrix(unit), v_vector(unit)
+    # at 1e103 only v (degree 3) passes the largest double
+    t = SymTraceless3(*(unit.as_array() * 1e103))
+    assert np.all(np.isfinite(moment_matrix(t)))
+    assert np.array_equal(v_vector(t), np.copysign(math.inf, v1))
+    # at 1e160 every entry of M and v does
+    t = SymTraceless3(*(unit.as_array() * 1e160))
+    assert np.array_equal(moment_matrix(t), np.copysign(math.inf, m1))
+    assert np.array_equal(v_vector(t), np.copysign(math.inf, v1))
+
+
+def _degree_and_value(t):
+    """(degree, value) of I2..I10, the nine entries of M and the three of v."""
+    return [
+        *zip(DEGREES, smith_bao(t).as_array().tolist()),
+        *((2, x) for x in moment_matrix(t).ravel().tolist()),
+        *((3, x) for x in v_vector(t).tolist()),
+    ]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_homogeneity_is_bit_exact_under_powers_of_two(seed):
     t = random_tensor(seed)
-    base = smith_bao(t).as_array().tolist()
+    base = _degree_and_value(t)
     checked = 0
     for j in range(-1015, 1016, 7):
         scaled = [math.ldexp(x, j) for x in t.as_array().tolist()]
         if min(map(abs, scaled)) < 2.0 ** -1022:
             continue  # the scaled input itself is not exact
-        got = smith_bao(SymTraceless3(*scaled)).as_array().tolist()
-        for d, g, b in zip(DEGREES, got, base):
+        got = [g for _, g in _degree_and_value(SymTraceless3(*scaled))]
+        for (d, b), g in zip(base, got):
             try:
                 want = math.ldexp(b, d * j)
             except OverflowError:
@@ -142,7 +176,7 @@ def test_homogeneity_is_bit_exact_under_powers_of_two(seed):
             if abs(want) >= 2.0 ** -1022:  # a normal double: representable exactly
                 assert g == want, (j, d)
                 checked += 1
-    assert checked > 200
+    assert checked > 1500
 
 
 def test_full_tensor_is_read_through_compress():
