@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .components import GROUPS, STATIONARITY_TOL, ConvergenceError
 from .invariants import CanonicalParams
 from .tensor_core import (
     FullTensor3,
@@ -60,17 +61,6 @@ __all__ = [
     "canonicalize",
     "stationarity_residual",
 ]
-
-
-GROUPS = ("SO(3)", "O(3)")
-
-# Default stationarity tolerance for the returned maximizer, applied to the
-# unit-normalized tensor.
-STATIONARITY_TOL = 1e-12
-
-
-class ConvergenceError(RuntimeError):
-    """The maximizer misses the requested stationarity tolerance."""
 
 
 @dataclass(frozen=True)

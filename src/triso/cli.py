@@ -5,6 +5,12 @@ Every library operation is reachable from here with either file input
 at 17 significant digits so values round-trip exactly; identical inputs and
 seeds give byte-identical output.
 
+Each subcommand imports only the modules it uses, when it runs: this
+module loads only the standard library and the numpy-free ``components``
+layer, so ``triso invariants`` never imports numpy, and no subcommand
+loads ``independence``, ``polynomials`` or ``reference_cases`` unless it
+needs them.
+
 Exit codes: 0 success, 1 bad usage or bad input, 2 the cubic form's
 maximizer missed the stationarity tolerance (``canonicalize --tol``),
 3 reference-suite failure.
@@ -15,26 +21,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import re
 import sys
 
-import numpy as np
-
-from .canonical_form import GROUPS, STATIONARITY_TOL, ConvergenceError, canonicalize
-from .independence import independence_report
-from .invariants import smith_bao
-from .orbit_oracle import best_alignment, invariant_distance, same_orbit
-from .reference_cases import run_report
-from .tensor_core import (
+from .components import (
     COMPONENT_NAMES,
-    OrthogonalTransform3,
+    GROUPS,
+    STATIONARITY_TOL,
+    ConvergenceError,
     SymTraceless3,
-    act,
-    compress,
-    expand,
-    random_orthogonal,
-    random_tensor,
+    check_json_numbers,
     tensor_from_json_obj,
     tensor_to_json_obj,
 )
@@ -63,9 +61,10 @@ def _json_text(obj) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    # int and numpy integers; float and numpy floats, but not Fraction
+    if isinstance(obj, numbers.Integral):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real) and not isinstance(obj, numbers.Rational):
         x = float(obj)
         if not math.isfinite(x):
             raise ValueError(f"cannot serialize non-finite value {x!r}")
@@ -74,7 +73,10 @@ def _json_text(obj) -> str:
         return json.dumps(obj)
     if isinstance(obj, dict):
         return "{" + ",".join(json.dumps(str(k)) + ":" + _json_text(v) for k, v in obj.items()) + "}"
-    if isinstance(obj, np.ndarray):
+    # a numpy array can only exist once numpy is loaded; .tolist() alone
+    # would also take numpy bools, array.array and memoryview
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray):
         return _json_text(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_json_text(v) for v in obj) + "]"
@@ -117,6 +119,8 @@ def _tensor_from_args(args) -> SymTraceless3:
 
 
 def _cmd_invariants(args) -> int:
+    from .invariants import smith_bao
+
     tup = smith_bao(_tensor_from_args(args))
     obj = tup.to_json_obj()
     overflow = [k for k, v in obj.items() if math.isinf(v)]
@@ -132,12 +136,18 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_canonicalize(args) -> int:
+    from .canonical_form import canonicalize
+
     t = _tensor_from_args(args)
     print(_json_text(canonicalize(t, args.tol).to_json_obj()))
     return 0
 
 
-def _parse_matrix(args) -> OrthogonalTransform3:
+def _parse_matrix(args):
+    import numpy as np
+
+    from .tensor_core import OrthogonalTransform3, random_orthogonal
+
     sources = [args.matrix is not None, args.matrix_file is not None, args.random]
     if sum(sources) != 1:
         raise ValueError("give exactly one of --matrix, --matrix-file, --random")
@@ -155,6 +165,9 @@ def _parse_matrix(args) -> OrthogonalTransform3:
         data = json.load(fh)
     if isinstance(data, dict):
         data = data.get("matrix")
+        check_json_numbers(data, 'key "matrix"')
+    else:
+        check_json_numbers(data, "matrix file")
     m = np.asarray(data, dtype=float)
     if m.size != 9:
         raise ValueError(f"matrix file must hold 9 entries, got {m.size}")
@@ -162,6 +175,8 @@ def _parse_matrix(args) -> OrthogonalTransform3:
 
 
 def _cmd_rotate(args) -> int:
+    from .tensor_core import act, compress, expand
+
     t = _tensor_from_args(args)
     g = _parse_matrix(args)
     rotated = compress(act(g, expand(t)))
@@ -170,6 +185,8 @@ def _cmd_rotate(args) -> int:
 
 
 def _cmd_orbit_compare(args) -> int:
+    from .orbit_oracle import best_alignment, invariant_distance, same_orbit
+
     a = _load_tensor_file(args.a_file)
     b = _load_tensor_file(args.b_file)
     verdict = same_orbit(a, b, tol=args.tol)
@@ -186,6 +203,8 @@ def _cmd_orbit_compare(args) -> int:
 
 
 def _cmd_independence(args) -> int:
+    from .independence import independence_report
+
     report = independence_report(sample_count=args.samples, seed=_resolve_seed(args.seed))
     print(_json_text(report.to_json_obj()))
     return 0
@@ -217,6 +236,8 @@ def _print_repro_text(report: dict) -> None:
 
 
 def _cmd_repro(args) -> int:
+    from .reference_cases import run_report
+
     report = run_report()
     if args.format == "json":
         print(_json_text(report))
@@ -226,6 +247,8 @@ def _cmd_repro(args) -> int:
 
 
 def _cmd_rand_tensor(args) -> int:
+    from .tensor_core import random_tensor
+
     t = random_tensor(_resolve_seed(args.seed), scale=args.scale)
     print(_json_text(tensor_to_json_obj(t)))
     return 0

@@ -10,7 +10,7 @@ cubic: with M_kl = <D_k, D_l> (the Frobenius product) and v_p = <M, D_p>,
 which are the contractions I2 = D_ijk D_ijk, I4 = D_ijk D_ijl D_pqk D_pql,
 I6 = v.v and I10 = D_ijk v_i v_j v_k with v_p = D_ijk D_ijl D_klp.  The
 slices, and the trace completion behind them, come from
-``tensor_core._slices``.  The arithmetic runs on the tensor scaled by a
+``components._slices``.  The arithmetic runs on the tensor scaled by a
 power of two to a largest component in [1/2, 1), and each I_d, like M
 (degree 2) and v (degree 3), is scaled back by the matching power of that
 factor, which is exact; so results are finite wherever the true value is
@@ -18,17 +18,25 @@ a normal double, +-inf beyond that, and never NaN.
 ``canonical_invariants`` evaluates closed-form polynomials of the four
 canonical parameters; on tensors already in canonical position the two
 paths agree, which the test suite exploits as a cross-check of both.
+
+``smith_bao`` is plain Python on the seven components, so this module
+imports numpy and ``polynomials`` only inside the functions that return
+arrays or evaluate the canonical polynomials; ``triso invariants`` never
+loads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .components import SymTraceless3, _slices
 
-from .polynomials import CANONICAL_BASIS
-from .tensor_core import FullTensor3, SymTraceless3, _slices, compress
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .tensor_core import FullTensor3
 
 __all__ = [
     "InvariantTuple",
@@ -51,6 +59,8 @@ class InvariantTuple:
     i10: float
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.i2, self.i4, self.i6, self.i10])
 
     def to_json_obj(self) -> dict:
@@ -72,6 +82,8 @@ class CanonicalParams:
     d223: float
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.d111, self.d122, self.d123, self.d223])
 
     def to_tensor(self) -> SymTraceless3:
@@ -106,8 +118,11 @@ def _slice_kernel(d111, d112, d113, d122, d123, d222, d223):
 
 def _components(t: SymTraceless3 | FullTensor3) -> tuple:
     """The seven components; a full array is validated by ``compress``."""
-    if isinstance(t, FullTensor3):
-        t = compress(t)
+    if not isinstance(t, SymTraceless3):
+        from .tensor_core import FullTensor3, compress
+
+        if isinstance(t, FullTensor3):
+            t = compress(t)
     return (t.d111, t.d112, t.d113, t.d122, t.d123, t.d222, t.d223)
 
 
@@ -135,6 +150,8 @@ def moment_matrix(t: SymTraceless3 | FullTensor3) -> np.ndarray:
     Computed at unit scale and scaled back by 2^(2k), like ``smith_bao``:
     +-inf where an entry overflows, never NaN.
     """
+    import numpy as np
+
     k, (m, _, _) = _unit_kernel(t)
     m11, m22, m33, m12, m13, m23 = [_ldexp(x, 2 * k) for x in m]
     return np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]])
@@ -146,6 +163,8 @@ def v_vector(t: SymTraceless3 | FullTensor3) -> np.ndarray:
     Computed at unit scale and scaled back by 2^(3k), like ``smith_bao``:
     +-inf where an entry overflows, never NaN.
     """
+    import numpy as np
+
     k, (_, v, _) = _unit_kernel(t)
     return np.array([_ldexp(x, 3 * k) for x in v])
 
@@ -164,6 +183,8 @@ def smith_bao(t: SymTraceless3 | FullTensor3) -> InvariantTuple:
 
 def canonical_invariants(c: CanonicalParams) -> InvariantTuple:
     """Evaluate the closed-form invariant polynomials at canonical parameters."""
+    from .polynomials import CANONICAL_BASIS
+
     point = c.as_array()
     return InvariantTuple(*(p(point) for p in CANONICAL_BASIS))
 

@@ -2,11 +2,12 @@
 
 A tensor of this class has seven free components; the remaining entries of
 the full 3x3x3 array follow from index symmetry and the vanishing of every
-single-index trace.  This module provides the seven-component value type,
-the one place that completes the traces and lays out the three symmetric
-slices D_k (``_slices``, which ``expand`` and the invariants read),
-expansion to and compression from the full array, the orthogonal group
-action, and seeded random sampling of tensors and of orthogonal matrices.
+single-index trace.  This module provides expansion to and compression
+from the full array, the orthogonal group action, and seeded random
+sampling of tensors and of orthogonal matrices.  The seven-component value
+type, the trace completion and slice layout (``_slices``) and the JSON form
+live in the numpy-free ``components`` module; they are re-exported here as
+the same objects.
 
 All operations are pure functions; arrays held by the value types are
 read-only, so values are safe to share between threads.
@@ -19,6 +20,15 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+
+from .components import (  # noqa: F401 (re-exported)
+    COMPONENT_NAMES,
+    COMPRESS_TOL,
+    SymTraceless3,
+    _slices,
+    tensor_from_json_obj,
+    tensor_to_json_obj,
+)
 
 __all__ = [
     "SymTraceless3",
@@ -36,44 +46,8 @@ __all__ = [
     "tensor_from_json_obj",
 ]
 
-# Default tolerance for validating symmetry/trace of raw full arrays,
-# relative to the Frobenius norm so that the check is scale-free.  Looser
-# than construction exactness so that arrays that went through a rotation
-# (and picked up roundoff) still compress cleanly.
-COMPRESS_TOL = 1e-9
-
 # Orthogonality tolerance for transform validation.
 ORTHO_TOL = 1e-12
-
-COMPONENT_NAMES = ("d111", "d112", "d113", "d122", "d123", "d222", "d223")
-
-
-@dataclass(frozen=True)
-class SymTraceless3:
-    """The seven free components of a symmetric traceless third-order tensor."""
-
-    d111: float = 0.0
-    d112: float = 0.0
-    d113: float = 0.0
-    d122: float = 0.0
-    d123: float = 0.0
-    d222: float = 0.0
-    d223: float = 0.0
-
-    def __post_init__(self):
-        for name in COMPONENT_NAMES:
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"component {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in COMPONENT_NAMES])
-
-    @classmethod
-    def from_array(cls, values) -> "SymTraceless3":
-        values = np.asarray(values, dtype=float).reshape(7)
-        return cls(*values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,24 +129,6 @@ class OrthogonalTransform3:
     def apply(self, x) -> np.ndarray:
         """Apply to a 3-vector."""
         return self.m @ np.asarray(x, dtype=float)
-
-
-def _slices(d111, d112, d113, d122, d123, d222, d223) -> tuple:
-    """The three symmetric slices (D_k)_ij = D_ijk of the tensor.
-
-    Each is a 6-tuple in the layout (11, 22, 33, 12, 13, 23).  The three
-    constrained diagonal families come from the vanishing traces:
-    d133 = -d111-d122, d233 = -d112-d222 and d333 = -d113-d223.  Only +
-    and unary -, so Fractions give exact results.
-    """
-    d133 = -d111 - d122
-    d233 = -d112 - d222
-    d333 = -d113 - d223
-    return (
-        (d111, d122, d133, d112, d113, d123),
-        (d112, d222, d233, d122, d123, d223),
-        (d113, d223, d333, d123, d133, d233),
-    )
 
 
 # Place of each row-major entry (k, i, j) in the three slices laid end to
@@ -298,29 +254,3 @@ def st_dimension(m: int, n: int) -> int:
     if m <= 1 or n <= 1:
         raise ValueError(f"order and dimension must both exceed 1, got m={m}, n={n}")
     return math.comb(n + m - 1, n - 1) - math.comb(n + m - 3, n - 1)
-
-
-def tensor_to_json_obj(s: SymTraceless3) -> dict:
-    """Component dict with upper-case keys D111 ... D223."""
-    return {name.upper(): getattr(s, name) for name in COMPONENT_NAMES}
-
-
-def tensor_from_json_obj(obj: dict, tol: float = COMPRESS_TOL) -> SymTraceless3:
-    """Parse a tensor from its JSON object form.
-
-    Accepts either the seven component keys D111 ... D223 (missing keys
-    default to zero) or a 27-element row-major list under the key "full",
-    which is validated like any raw array (tol is relative to its norm).
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    if "full" in obj:
-        flat = np.asarray(obj["full"], dtype=float)
-        if flat.size != 27:
-            raise ValueError(f'key "full" must hold 27 numbers, got {flat.size}')
-        return compress(FullTensor3(flat.reshape(3, 3, 3)), tol)
-    known = {name.upper() for name in COMPONENT_NAMES}
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown tensor keys: {sorted(unknown)}")
-    return SymTraceless3(**{name: float(obj.get(name.upper(), 0.0)) for name in COMPONENT_NAMES})

@@ -8,12 +8,15 @@ interpreter the way a generated console script does, then does the same
 with an installed ``triso`` script when one is on PATH.
 """
 
+import array
+import importlib
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 try:
@@ -25,7 +28,6 @@ import numpy as np
 import pytest
 
 import triso
-import triso.cli as cli
 from triso.cli import _json_text, main
 from triso.invariants import smith_bao
 from triso.tensor_core import SymTraceless3, tensor_from_json_obj
@@ -127,6 +129,27 @@ def test_file_and_component_flags_conflict(capsys, tmp_path):
     assert "not both" in err
 
 
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        ({"D111": None}, "D111"),
+        ({"D111": [1]}, "D111"),
+        ({"D111": {"x": 1}}, "D111"),
+        ({"D111": True}, "D111"),
+        ({"D111": "0.5"}, "D111"),
+        ({"full": {}}, "full"),
+        ({"full": [0.0] * 26 + ["0"]}, "full"),
+    ],
+)
+def test_malformed_tensor_json_exits_1_naming_the_key(capsys, tmp_path, obj, key):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["invariants", "--file", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f'error: key "{key}" must ') and err.count("\n") == 1
+
+
 def test_missing_tensor_file_exits_1(capsys):
     code, _, err = run(capsys, ["invariants", "--file", "/no/such/file.json"])
     assert code == 1
@@ -159,6 +182,20 @@ def test_rotate_matrix_file(capsys, tmp_path):
     assert code == 0
     assert out_a == out_b
     assert json.loads(out_a)["D222"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [({"matrix": {}}, 'key "matrix"'), ({"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, None]]}, 'key "matrix"'),
+     ([1, 0, 0, 0, 1, 0, 0, 0, True], "matrix file")],
+)
+def test_malformed_matrix_file_exits_1(capsys, tmp_path, data, where):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["rotate", "--d111", "1", "--matrix-file", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {where} must hold numbers, got ")
 
 
 def test_rotate_random_preserves_invariants(capsys):
@@ -366,7 +403,8 @@ def test_repro_json_passes(capsys):
 
 def test_repro_failure_exits_3(capsys, monkeypatch):
     fake = {"cases": [], "f_root": {}, "gap": {}, "pass": False}
-    monkeypatch.setattr(cli, "run_report", lambda: fake)
+    # the handler imports run_report from its module when it runs
+    monkeypatch.setattr(importlib.import_module("triso.reference_cases"), "run_report", lambda: fake)
     code, out, _ = run(capsys, ["repro", "--format", "json"])
     assert code == 3
     assert json.loads(out)["pass"] is False
@@ -443,6 +481,11 @@ def test_json_text_formats():
     assert _json_text(0.1) == "0.10000000000000001"
     assert _json_text([1.5, "x"]) == '[1.5,"x"]'
     assert _json_text(np.array([1.0, 2.0])) == "[1,2]"
+    # numpy scalars and a 0-d array print as the Python values they hold
+    assert _json_text(np.float64(0.1)) == "0.10000000000000001"
+    assert _json_text(np.float32(0.1)) == "0.10000000149011612"
+    assert _json_text(np.int64(-7)) == "-7"
+    assert _json_text(np.array(2.5)) == "2.5"
     assert json.loads(_json_text({"a": {"b": [None, False]}})) == {"a": {"b": [None, False]}}
 
 
@@ -451,8 +494,9 @@ def test_json_text_rejects_nonfinite_and_unknown():
         _json_text(math.inf)
     with pytest.raises(ValueError):
         _json_text(float("nan"))
-    with pytest.raises(TypeError):
-        _json_text(object())
+    for obj in (object(), np.bool_(True), Fraction(1, 3), 1j, array.array("d", [1.0]), memoryview(b"a")):
+        with pytest.raises(TypeError):
+            _json_text(obj)
 
 
 def test_json_text_roundtrips_doubles():
