@@ -105,13 +105,28 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _json_float(value, where: str) -> float:
+    """float(value), raising ValueError naming where for an integer beyond the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{where} must be within the double range, got an integer of {value.bit_length()} bits"
+        ) from None
+
+
 def check_json_numbers(value, where: str) -> None:
-    """Raise ValueError, naming where, unless value is a number or nested lists of them."""
+    """Raise ValueError, naming where, unless value is a number or nested lists of them.
+
+    Every number must also convert to a double: JSON integers have no bound.
+    """
     if isinstance(value, list):
         for item in value:
             check_json_numbers(item, where)
     elif not _is_number(value):
         raise ValueError(f"{where} must hold numbers, got {type(value).__name__}")
+    else:
+        _json_float(value, where)
 
 
 def tensor_to_json_obj(s: SymTraceless3) -> dict:
@@ -148,5 +163,5 @@ def tensor_from_json_obj(obj: dict, tol: float = COMPRESS_TOL) -> SymTraceless3:
         value = obj.get(name.upper(), 0.0)
         if not _is_number(value):
             raise ValueError(f'key "{name.upper()}" must be a number, got {type(value).__name__}')
-        values[name] = float(value)
+        values[name] = _json_float(value, f'key "{name.upper()}"')
     return SymTraceless3(**values)

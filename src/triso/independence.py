@@ -16,6 +16,10 @@ the 16 exact partials and both determinant factors at every point, another
 the invariants at the 4n complex-stepped points; determinants, unit-gradient
 volumes and ranks are stacked 4x4 kernels.  The one-point functions
 (``jacobian_canonical``, ``jacobian_report``) are the n = 1 case.
+
+Each point's exact table is evaluated once: the sampler needs the
+Jacobians for its volume floor anyway, so it hands them on, with the
+closed-form determinants, to the measurement of the points it keeps.
 """
 
 from __future__ import annotations
@@ -119,14 +123,17 @@ def _complex_step(pts: np.ndarray) -> np.ndarray:
     return values.transpose(0, 2, 1) / COMPLEX_STEP
 
 
-def _measure(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _measure(
+    pts: np.ndarray, jac: np.ndarray, closed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Analytic Jacobians, their dets, fd deviations and closed-form dets at (n, 4) points.
 
-    The fd deviation compares gradients row by row: roundoff in either route
+    jac and closed are ``_analytic(pts)``, evaluated by the caller; only the
+    determinants and the complex-step route are computed here.  The fd
+    deviation compares gradients row by row: roundoff in either route
     scales with the invariant's own derivative magnitudes, so each row's
     difference is measured against that row's norm, not entry by entry.
     """
-    jac, closed = _analytic(pts)
     row_norms = np.linalg.norm(jac, axis=2)
     gap = np.linalg.norm(jac - _complex_step(pts), axis=2)
     deviation = np.max(gap / np.maximum(1.0, row_norms), axis=1)
@@ -202,7 +209,8 @@ class JacobianReport:
 
 def jacobian_report(c) -> JacobianReport:
     point = c if isinstance(c, CanonicalParams) else CanonicalParams(*_point(c))
-    jac, det, deviation, closed = _measure(point.as_array()[None, :])
+    x = point.as_array()[None, :]
+    jac, det, deviation, closed = _measure(x, *_analytic(x))
     return JacobianReport(point, jac[0], float(det[0]), float(deviation[0]), float(closed[0]))
 
 
@@ -227,23 +235,29 @@ class IndependenceReport:
         }
 
 
-def _sample_generic(count: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_generic(
+    count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uniform points in [-2, 2]^4, rejecting degenerate draws.
 
     A draw is kept when it clears the coordinate-hyperplane bands and its
-    unit-gradient volume clears GENERIC_VOLUME_FLOOR; rejection discards a
-    percent or two of draws.  Each batch is judged at once, and its first
-    accepted rows are kept in draw order.
+    unit-gradient volume clears GENERIC_VOLUME_FLOOR; rejection discards about
+    4.5 % of draws.  Each batch is judged at once, and its first
+    accepted rows are kept in draw order.  Returns the (count, 4) points
+    with their ``_analytic`` Jacobians and closed-form determinants, which
+    the volume floor needed anyway.
     """
     out = []
     kept = 0
     while kept < count:
         batch = rng.uniform(-2.0, 2.0, size=(count - kept + 8, NVARS))
         batch = batch[_clear_of_hyperplanes(batch)]
-        accepted = batch[_volumes(_analytic(batch)[0]) > GENERIC_VOLUME_FLOOR][: count - kept]
-        out.append(accepted)
+        jac, closed = _analytic(batch)
+        accepted = np.flatnonzero(_volumes(jac) > GENERIC_VOLUME_FLOOR)[: count - kept]
+        out.append((batch[accepted], jac[accepted], closed[accepted]))
         kept += len(accepted)
-    return np.concatenate(out)
+    pts, jac, closed = (np.concatenate(parts) for parts in zip(*out))
+    return pts, jac, closed
 
 
 def independence_report(
@@ -261,13 +275,14 @@ def independence_report(
     if points is None:
         if sample_count < 1:
             raise ValueError(f"sample_count must be at least 1, got {sample_count}")
-        pts = _sample_generic(sample_count, np.random.default_rng(seed))
+        pts, jac, closed = _sample_generic(sample_count, np.random.default_rng(seed))
     else:
         pts = np.asarray([_point(p) for p in points], dtype=float).reshape(-1, NVARS)
         if len(pts) == 0:
             raise ValueError("points must be nonempty")
+        jac, closed = _analytic(pts)
 
-    jac, det, deviation, closed = _measure(pts)
+    jac, det, deviation, closed = _measure(pts, jac, closed)
     # relative_error, elementwise
     mismatch = np.abs(det - closed) / np.maximum(1.0, np.maximum(np.abs(det), np.abs(closed)))
     generic = _clear_of_hyperplanes(pts) & (_volumes(jac) > GENERIC_VOLUME_FLOOR)

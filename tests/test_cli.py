@@ -150,6 +150,33 @@ def test_malformed_tensor_json_exits_1_naming_the_key(capsys, tmp_path, obj, key
     assert err.startswith(f'error: key "{key}" must ') and err.count("\n") == 1
 
 
+HUGE = "1" + "0" * 400  # a JSON integer no double can hold
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [('{"D111": %s}' % HUGE, "D111"),
+     ('{"full": [%s%s]}' % (HUGE, ", 0" * 26), "full")],
+    ids=["component", "full"],
+)
+def test_integer_beyond_the_double_range_exits_1_naming_the_key(capsys, tmp_path, text, key):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["invariants", "--file", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == f'error: key "{key}" must be within the double range, got an integer of 1329 bits\n'
+
+
+def test_float_literal_beyond_the_double_range_exits_1(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text('{"D111": 1e400}')
+    code, out, err = run(capsys, ["invariants", "--file", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: component d111 must be finite") and err.count("\n") == 1
+
+
 def test_missing_tensor_file_exits_1(capsys):
     code, _, err = run(capsys, ["invariants", "--file", "/no/such/file.json"])
     assert code == 1
@@ -196,6 +223,15 @@ def test_malformed_matrix_file_exits_1(capsys, tmp_path, data, where):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {where} must hold numbers, got ")
+
+
+def test_matrix_file_integer_beyond_the_double_range_exits_1(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"matrix": [[%s, 0, 0], [0, 1, 0], [0, 0, 1]]}' % HUGE)
+    code, out, err = run(capsys, ["rotate", "--d111", "1", "--matrix-file", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == 'error: key "matrix" must be within the double range, got an integer of 1329 bits\n'
 
 
 def test_rotate_random_preserves_invariants(capsys):

@@ -75,3 +75,11 @@ def test_each_command_imports_only_what_it_uses(tmp_path):
     unused = {"triso.independence", "triso.polynomials", "triso.reference_cases"}
     assert not unused & after[2]
     assert not unused & after[3]
+
+
+def test_repro_imports_no_numpy(tmp_path):
+    (after,) = _loaded_after_each_step(tmp_path, [
+        "import triso.cli; assert triso.cli.main(['repro']) == 0",
+    ])
+    assert "numpy" not in after
+    assert after == {"triso", "triso.cli", "triso.components", "triso.invariants", "triso.reference_cases"}

@@ -13,9 +13,12 @@ from triso.independence import (
     independence_report,
     jacobian_canonical,
     jacobian_report,
+    _analytic,
+    _clear_of_hyperplanes,
     _measure,
     _sample_generic,
 )
+from triso import independence
 from triso.invariants import CanonicalParams, canonical_invariants, relative_error
 from triso.polynomials import CANONICAL_BASIS
 
@@ -228,14 +231,44 @@ def per_draw_sample(count, rng):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 1404448153, 328303462, 843945411])
 def test_batched_sampler_keeps_the_per_draw_sample(seed):
-    batched = _sample_generic(1000, np.random.default_rng(seed))
+    batched, _, _ = _sample_generic(1000, np.random.default_rng(seed))
     assert np.array_equal(batched, per_draw_sample(1000, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 1404448153])
+def test_sampler_hands_on_the_analytic_tables_of_its_points(seed):
+    pts, jac, closed = _sample_generic(1000, np.random.default_rng(seed))
+    want_jac, want_closed = _analytic(pts)
+    assert jac.shape == (1000, 4, 4) and closed.shape == (1000,)
+    scale = np.linalg.norm(want_jac, axis=2, keepdims=True)
+    assert np.all(np.abs(jac - want_jac) <= 1e-15 * scale)
+    assert np.all(np.abs(closed - want_closed) <= 1e-15 * np.abs(want_closed))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 843945411])
+def test_report_evaluates_the_exact_table_once_per_draw(monkeypatch, seed):
+    table = independence._ANALYTIC_TABLE
+    seen = []
+
+    def counting(points):
+        seen.append(np.array(points, dtype=float))
+        return table(points)
+
+    monkeypatch.setattr(independence, "_ANALYTIC_TABLE", counting)
+    rep = independence_report(1000, seed)
+    rows = np.concatenate(seen)
+    # the sampler's draws, one stream: every draw that clears the hyperplanes,
+    # once and in draw order, and no other point; a few percent are rejected
+    draws = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(2 * 1000, 4))
+    cleared = draws[_clear_of_hyperplanes(draws)]
+    assert np.array_equal(rows, cleared[: len(rows)])
+    assert rep.samples + rep.degenerate == 1000 < len(rows) < 1200
 
 
 def test_jacobian_report_is_the_batched_core_at_one_point():
     pts = np.random.default_rng(13).uniform(-2, 2, size=(40, 4))
     pts[5, 2] = 0.0  # on the d123 = 0 hyperplane
-    jac, det, deviation, closed = _measure(pts)
+    jac, det, deviation, closed = _measure(pts, *_analytic(pts))
     for i, p in enumerate(pts):
         rep = jacobian_report(p)
         scale = np.linalg.norm(jac[i], axis=1, keepdims=True)
