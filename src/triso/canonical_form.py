@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .components import GROUPS, STATIONARITY_TOL, ConvergenceError
+from .components import GROUPS, ConvergenceError
 from .invariants import CanonicalParams
 from .tensor_core import (
     FullTensor3,
@@ -51,6 +51,10 @@ from .tensor_core import (
     compress,
     expand,
 )
+
+# Stationarity tolerance the returned maximizer must meet, applied to the
+# unit-normalized tensor.
+STATIONARITY_TOL = 1e-12
 
 __all__ = [
     "STATIONARITY_TOL",
@@ -327,9 +331,7 @@ def _stationary_candidates(d9: np.ndarray) -> np.ndarray:
     return x / np.sqrt((x * x).sum(axis=1))[:, None]
 
 
-def maximize_cubic_on_sphere(
-    t: SymTraceless3 | FullTensor3, tol: float = STATIONARITY_TOL
-) -> SphereMaximizer:
+def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
     """Find the global maximizer of the cubic form on the unit sphere.
 
     Every stationary point is enumerated (``_stationary_candidates``).  The
@@ -340,15 +342,13 @@ def maximize_cubic_on_sphere(
     negative value are flipped to the antipode, so the result satisfies
     value >= 0.  The largest value wins, with ties (within 1e-12 on the normalized tensor)
     broken by picking the lexicographically largest unit vector.  Every
-    distinct tied maximizer that meets the tolerance (candidates within
+    distinct tied maximizer that meets STATIONARITY_TOL (candidates within
     1e-6 of each other count once) is returned in ``maximizers``.
 
     Raises ConvergenceError if no candidate within 1e-12 of the largest
     value has a stationarity residual (on the normalized tensor) within
-    ``tol``, which must be positive.
+    STATIONARITY_TOL.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     frob, d9, d = _normalized(_full(t))
     if frob == 0.0:
         return SphereMaximizer(np.array([1.0, 0.0, 0.0]), 0.0, 0.0)
@@ -369,10 +369,12 @@ def maximize_cubic_on_sphere(
     # the tolerance is judged on the best of those within 1e-12 of it
     top = max(value for value, _, _ in finished)
     near = [c for c in finished if c[0] >= top - 1e-12]
-    tied = sorted((c for c in near if c[2] <= tol), key=lambda c: c[1], reverse=True)
+    tied = sorted(
+        (c for c in near if c[2] <= STATIONARITY_TOL), key=lambda c: c[1], reverse=True
+    )
     if not tied:
         raise ConvergenceError(
-            f"the maximizer misses stationarity tolerance {tol:.3g}; "
+            f"the maximizer misses stationarity tolerance {STATIONARITY_TOL:.3g}; "
             f"residual {min(c[2] for c in near):.3g} (normalized tensor)"
         )
     maximizers = []
@@ -394,9 +396,7 @@ def _about_e1(theta: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
 
 
-def canonicalize(
-    t: SymTraceless3 | FullTensor3, tol: float = STATIONARITY_TOL, group: str = "SO(3)"
-) -> CanonicalResult:
+def canonicalize(t: SymTraceless3 | FullTensor3, group: str = "SO(3)") -> CanonicalResult:
     """Move a tensor into canonical position by an element of ``group``.
 
     Each distinct maximizer u of the cubic form gives a frame (u, t1, t2),
@@ -420,13 +420,11 @@ def canonicalize(
     Ties left after d223 go to the larger d123, so a tensor with a mirror
     symmetry (whose candidates come in pairs +-d123) keeps a rotation: the
     transform is improper only for a chiral tensor.  The zero tensor
-    short-circuits to the identity.  ``tol``, which must be positive, is
-    the maximizer's stationarity tolerance (``maximize_cubic_on_sphere``).
+    short-circuits to the identity.  Raises ConvergenceError when the
+    maximizer misses STATIONARITY_TOL (``maximize_cubic_on_sphere``).
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     # _full's rule, with expand called through this module's name so that
     # perfbench's tracing, which rebinds that name, still sees the call
     full = expand(t) if isinstance(t, SymTraceless3) else t
@@ -444,7 +442,7 @@ def canonicalize(
             },
         )
 
-    mx = maximize_cubic_on_sphere(full, tol)
+    mx = maximize_cubic_on_sphere(full)
     mirror = group == "O(3)"
     frames = []  # (ranking keys, theta, frame, d123, a111, a112, a113)
     for u in mx.maximizers.tolist():
@@ -502,7 +500,7 @@ def stationarity_residual(t: SymTraceless3 | FullTensor3, x) -> float:
     """
     x = np.asarray(x, dtype=float).reshape(3)
     norm = np.linalg.norm(x)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:  # not >, so that a nan entry fails too
         raise ValueError(f"x must be a unit vector, got |x| = {norm:.17g}")
     # on the unit-norm tensor, so squaring the residual cannot overflow
     frob, _, d = _normalized(_full(t))

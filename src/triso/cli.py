@@ -12,7 +12,7 @@ loads ``independence``, ``polynomials`` or ``reference_cases`` unless it
 needs them.
 
 Exit codes: 0 success, 1 bad usage or bad input, 2 the cubic form's
-maximizer missed the stationarity tolerance (``canonicalize --tol``),
+maximizer missed its fixed stationarity tolerance (ConvergenceError),
 3 reference-suite failure.
 """
 
@@ -29,7 +29,6 @@ import sys
 from .components import (
     COMPONENT_NAMES,
     GROUPS,
-    STATIONARITY_TOL,
     ConvergenceError,
     SymTraceless3,
     check_json_numbers,
@@ -139,7 +138,7 @@ def _cmd_canonicalize(args) -> int:
     from .canonical_form import canonicalize
 
     t = _tensor_from_args(args)
-    print(_json_text(canonicalize(t, args.tol).to_json_obj()))
+    print(_json_text(canonicalize(t).to_json_obj()))
     return 0
 
 
@@ -265,8 +264,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("canonicalize", help="rotate a tensor into canonical position")
     _add_tensor_args(p)
-    p.add_argument("--tol", type=float, default=STATIONARITY_TOL,
-                   help="stationarity tolerance of the maximizer (exit 2 when missed)")
     p.set_defaults(handler=_cmd_canonicalize)
 
     p = sub.add_parser("rotate", help="apply an orthogonal transform to a tensor")

@@ -6,13 +6,13 @@ vanishing of every single-index trace.  This module holds the
 seven-component value type, the one place that completes the traces and
 lays out the three symmetric slices D_k (``_slices``, which
 ``tensor_core.expand`` and the invariants read), the tensor JSON form, and
-the constants and error type that the command line's parser and ``main``
-need (``GROUPS``, ``STATIONARITY_TOL``, ``ConvergenceError``).
+the constant and error type that the command line's parser and ``main``
+need (``GROUPS``, ``ConvergenceError``).
 
 Everything here is plain Python, so a command that needs only this layer
 and the invariants (``triso invariants``) never imports numpy.  The array
 code lives in ``tensor_core``, which re-exports these names as the same
-objects, as ``canonical_form`` does for the constants and the error.
+objects, as ``canonical_form`` does for ``GROUPS`` and the error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 __all__ = [
     "COMPONENT_NAMES",
     "GROUPS",
-    "STATIONARITY_TOL",
     "ConvergenceError",
     "SymTraceless3",
     "tensor_to_json_obj",
@@ -32,22 +31,12 @@ __all__ = [
 
 COMPONENT_NAMES = ("d111", "d112", "d113", "d122", "d123", "d222", "d223")
 
-# Default tolerance for validating symmetry/trace of raw full arrays,
-# relative to the Frobenius norm so that the check is scale-free.  Looser
-# than construction exactness so that arrays that went through a rotation
-# (and picked up roundoff) still compress cleanly.
-COMPRESS_TOL = 1e-9
-
 # The groups a canonical form or an alignment can be taken under.
 GROUPS = ("SO(3)", "O(3)")
 
-# Default stationarity tolerance for the returned maximizer, applied to the
-# unit-normalized tensor.
-STATIONARITY_TOL = 1e-12
-
 
 class ConvergenceError(RuntimeError):
-    """The maximizer misses the requested stationarity tolerance."""
+    """The maximizer misses the stationarity tolerance."""
 
 
 @dataclass(frozen=True)
@@ -134,16 +123,21 @@ def tensor_to_json_obj(s: SymTraceless3) -> dict:
     return {name.upper(): getattr(s, name) for name in COMPONENT_NAMES}
 
 
-def tensor_from_json_obj(obj: dict, tol: float = COMPRESS_TOL) -> SymTraceless3:
+def tensor_from_json_obj(obj: dict) -> SymTraceless3:
     """Parse a tensor from its JSON object form.
 
     Accepts either the seven component keys D111 ... D223 (missing keys
-    default to zero) or a 27-element row-major list under the key "full",
-    which is validated like any raw array (tol is relative to its norm).
-    Any value that is not a JSON number raises ValueError naming its key.
+    default to zero) or, alone, a 27-element row-major list under the key
+    "full", which ``compress`` validates like any raw array.  Any other
+    key raises ValueError, as does any value that is not a JSON number,
+    naming its key.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    known = {"full"} if "full" in obj else {name.upper() for name in COMPONENT_NAMES}
+    unknown = set(obj) - known
+    if unknown:
+        raise ValueError(f"unknown tensor keys: {sorted(unknown)}")
     if "full" in obj:
         import numpy as np
 
@@ -153,11 +147,7 @@ def tensor_from_json_obj(obj: dict, tol: float = COMPRESS_TOL) -> SymTraceless3:
         flat = np.asarray(obj["full"], dtype=float)
         if flat.size != 27:
             raise ValueError(f'key "full" must hold 27 numbers, got {flat.size}')
-        return compress(FullTensor3(flat.reshape(3, 3, 3)), tol)
-    known = {name.upper() for name in COMPONENT_NAMES}
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown tensor keys: {sorted(unknown)}")
+        return compress(FullTensor3(flat.reshape(3, 3, 3)))
     values = {}
     for name in COMPONENT_NAMES:
         value = obj.get(name.upper(), 0.0)

@@ -19,7 +19,9 @@ volumes and ranks are stacked 4x4 kernels.  The one-point functions
 
 Each point's exact table is evaluated once: the sampler needs the
 Jacobians for its volume floor anyway, so it hands them on, with the
-closed-form determinants, to the measurement of the points it keeps.
+closed-form determinants, to the report on the points it keeps.  The
+report applies the genericity rule only to points a caller passes in;
+the sampler has applied it to its own.
 """
 
 from __future__ import annotations
@@ -81,10 +83,10 @@ def _volumes(jac: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(_unit_rows(jac)))
 
 
-def _ranks(jac: np.ndarray, threshold: float = RANK_THRESHOLD) -> np.ndarray:
+def _ranks(jac: np.ndarray) -> np.ndarray:
     """JacobianReport.rank of each matrix in an (n, 4, 4) stack of Jacobians."""
     sv = np.linalg.svd(_unit_rows(jac), compute_uv=False)
-    return np.sum(sv > threshold * sv[:, :1], axis=1)
+    return np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1)
 
 
 def gradient_volume(jac) -> float:
@@ -103,9 +105,11 @@ def _clear_of_hyperplanes(pts: np.ndarray) -> np.ndarray:
 
 
 def _point(c) -> np.ndarray:
-    if isinstance(c, CanonicalParams):
-        return c.as_array()
-    return np.asarray(c, dtype=float).reshape(NVARS)
+    """c as a (4,) array; ValueError naming it unless every coordinate is finite."""
+    x = c.as_array() if isinstance(c, CanonicalParams) else np.asarray(c, dtype=float).reshape(NVARS)
+    if not np.isfinite(x).all():
+        raise ValueError(f"point coordinates must be finite, got {x.tolist()}")
+    return x
 
 
 def _analytic(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,21 +127,17 @@ def _complex_step(pts: np.ndarray) -> np.ndarray:
     return values.transpose(0, 2, 1) / COMPLEX_STEP
 
 
-def _measure(
-    pts: np.ndarray, jac: np.ndarray, closed: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic Jacobians, their dets, fd deviations and closed-form dets at (n, 4) points.
+def _fd_deviation(pts: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """Deviation (n,) of the complex-step Jacobians at (n, 4) points from jac.
 
-    jac and closed are ``_analytic(pts)``, evaluated by the caller; only the
-    determinants and the complex-step route are computed here.  The fd
-    deviation compares gradients row by row: roundoff in either route
-    scales with the invariant's own derivative magnitudes, so each row's
-    difference is measured against that row's norm, not entry by entry.
+    jac holds the exact Jacobians, ``_analytic(pts)[0]``.  Gradients are
+    compared row by row: roundoff in either route scales with the
+    invariant's own derivative magnitudes, so each row's difference is
+    measured against that row's norm, not entry by entry.
     """
     row_norms = np.linalg.norm(jac, axis=2)
     gap = np.linalg.norm(jac - _complex_step(pts), axis=2)
-    deviation = np.max(gap / np.maximum(1.0, row_norms), axis=1)
-    return jac, np.linalg.det(jac), deviation, closed
+    return np.max(gap / np.maximum(1.0, row_norms), axis=1)
 
 
 def jacobian_canonical(c, mode: str = "analytic") -> np.ndarray:
@@ -145,16 +145,15 @@ def jacobian_canonical(c, mode: str = "analytic") -> np.ndarray:
 
     Rows are (I2, I4, I6, I10); columns are partials with respect to
     (d111, d122, d123, d223).  mode "analytic" evaluates exact derivative
-    tables.  mode "fd" (alias "finite-difference") differentiates the
-    invariant values themselves, by the complex step
-    Im I(c + i h e_k) / h with h = COMPLEX_STEP: one evaluation per
-    coordinate, and no difference of nearby values to cancel, so it agrees
-    with the analytic tables to roundoff.
+    tables.  mode "fd" differentiates the invariant values themselves, by
+    the complex step Im I(c + i h e_k) / h with h = COMPLEX_STEP: one
+    evaluation per coordinate, and no difference of nearby values to
+    cancel, so it agrees with the analytic tables to roundoff.
     """
     x = _point(c)[None, :]
     if mode == "analytic":
         return _analytic(x)[0][0]
-    if mode in ("fd", "finite-difference"):
+    if mode == "fd":
         return _complex_step(x)[0]
     raise ValueError(f'mode must be "analytic" or "fd", got {mode!r}')
 
@@ -190,15 +189,15 @@ class JacobianReport:
         jac.setflags(write=False)
         object.__setattr__(self, "jac", jac)
 
-    def rank(self, threshold: float = RANK_THRESHOLD) -> int:
+    def rank(self) -> int:
         """Numerical rank of the row-normalized Jacobian.
 
         Rows are scaled to unit length first, so the rank counts linearly
         independent gradient *directions* — the scale-free reading, since
         raw rows differ by orders of magnitude across degrees 2 to 10.
-        Singular values above threshold * largest are counted.
+        Singular values above RANK_THRESHOLD * largest are counted.
         """
-        return int(_ranks(self.jac[None], threshold)[0])
+        return int(_ranks(self.jac[None])[0])
 
     def volume(self) -> float:
         return gradient_volume(self.jac)
@@ -208,9 +207,10 @@ class JacobianReport:
 
 
 def jacobian_report(c) -> JacobianReport:
-    point = c if isinstance(c, CanonicalParams) else CanonicalParams(*_point(c))
-    x = point.as_array()[None, :]
-    jac, det, deviation, closed = _measure(x, *_analytic(x))
+    x = _point(c)[None, :]
+    point = c if isinstance(c, CanonicalParams) else CanonicalParams(*x[0])
+    jac, closed = _analytic(x)
+    det, deviation = np.linalg.det(jac), _fd_deviation(x, jac)
     return JacobianReport(point, jac[0], float(det[0]), float(deviation[0]), float(closed[0]))
 
 
@@ -267,25 +267,27 @@ def independence_report(
 
     With no explicit points, draws sample_count generic points from
     [-2, 2]^4; every drawn point then counts toward the rank statistics.
-    Caller-given points are tallied as degenerate — and excluded from the
-    rank-4 fraction — when they sit inside the coordinate-hyperplane bands
-    or below the unit-gradient volume floor, where the determinant is (near)
-    zero by construction and says nothing about genericity.
+    Caller-given points, each of which must be finite, are tallied as
+    degenerate — and excluded from the rank-4 fraction — when they sit
+    inside the coordinate-hyperplane bands or below the unit-gradient
+    volume floor, where the determinant is (near) zero by construction and
+    says nothing about genericity.
     """
     if points is None:
         if sample_count < 1:
             raise ValueError(f"sample_count must be at least 1, got {sample_count}")
         pts, jac, closed = _sample_generic(sample_count, np.random.default_rng(seed))
+        generic = np.ones(len(pts), dtype=bool)
     else:
         pts = np.asarray([_point(p) for p in points], dtype=float).reshape(-1, NVARS)
         if len(pts) == 0:
             raise ValueError("points must be nonempty")
         jac, closed = _analytic(pts)
+        generic = _clear_of_hyperplanes(pts) & (_volumes(jac) > GENERIC_VOLUME_FLOOR)
 
-    jac, det, deviation, closed = _measure(pts, jac, closed)
+    det, deviation = np.linalg.det(jac), _fd_deviation(pts, jac)
     # relative_error, elementwise
     mismatch = np.abs(det - closed) / np.maximum(1.0, np.maximum(np.abs(det), np.abs(closed)))
-    generic = _clear_of_hyperplanes(pts) & (_volumes(jac) > GENERIC_VOLUME_FLOOR)
     n_generic = int(np.sum(generic))
     abs_det = np.abs(det[generic])
     return IndependenceReport(

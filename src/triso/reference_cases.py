@@ -34,6 +34,12 @@ __all__ = [
 # f(t) = 0 into sin^2(3t) - 42 sin(3t) + 21 = 0, whose root in [0, 1] is
 SIN_3T0_CLOSED_FORM = 21.0 - math.sqrt(420.0)
 
+# |f(t0)| at which the bisection stops, and the relative tolerances at
+# which the fixed cases and the I6 gap pair pass.
+ROOT_TOL = 1e-13
+CASE_TOL = 1e-12
+GAP_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ReferenceCase:
@@ -102,20 +108,18 @@ def f_of_t(t: float) -> float:
     return -43.0 + math.cos(6.0 * t) + 84.0 * math.sin(3.0 * t)
 
 
-def f_root(tol: float = 1e-13) -> float:
-    """Bisection root of f in (0, pi/6), to |f(t0)| <= tol.
+def f_root() -> float:
+    """Bisection root of f in (0, pi/6), to |f(t0)| <= ROOT_TOL.
 
     The sign change f(0) f(pi/6) = -42 * 40 < 0 guarantees a root; it is
     cross-checked elsewhere against sin(3 t0) = 21 - sqrt(420).
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     lo, hi = 0.0, math.pi / 6.0
     f_lo = f_of_t(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = f_of_t(mid)
-        if abs(f_mid) <= tol:
+        if abs(f_mid) <= ROOT_TOL:
             return mid
         if (f_lo > 0) == (f_mid > 0):
             lo, f_lo = mid, f_mid
@@ -157,9 +161,9 @@ class GapReport:
         }
 
 
-def i6_gap_check(tol: float = 1e-9) -> GapReport:
-    """Build the gap pair and verify every expected value at relative tol."""
-    t0 = f_root(1e-13)
+def i6_gap_check() -> GapReport:
+    """Build the gap pair and verify every expected value at relative GAP_TOL."""
+    t0 = f_root()
     sin_3t0 = math.sin(3.0 * t0)
     low_tensor = SymTraceless3(
         d111=1.0,
@@ -175,7 +179,7 @@ def i6_gap_check(tol: float = 1e-9) -> GapReport:
     failures = []
 
     def check(name, got, want):
-        if relative_error(got, want) > tol:
+        if relative_error(got, want) > GAP_TOL:
             failures.append(f"{name}: got {got:.17g}, want {want:.17g}")
 
     check("low I2", low.i2, 20.0)
@@ -192,11 +196,12 @@ def i6_gap_check(tol: float = 1e-9) -> GapReport:
     return GapReport(t0, sin_3t0, low, high, i6_low_expected, tuple(failures))
 
 
-def run_report(case_tol: float = 1e-12, gap_tol: float = 1e-9) -> dict:
+def run_report() -> dict:
     """Evaluate every reference construction; JSON-ready result.
 
-    The report carries one entry per fixed case, the f-root block, and the
-    I6 gap block, each with its own pass flag plus an overall one.
+    The report carries one entry per fixed case (passing at relative
+    CASE_TOL), the f-root block, and the I6 gap block (``i6_gap_check``),
+    each with its own pass flag plus an overall one.
     """
     case_rows = []
     for case in reference_cases():
@@ -208,10 +213,10 @@ def run_report(case_tol: float = 1e-12, gap_tol: float = 1e-9) -> dict:
                 "expected": case.expected.to_json_obj(),
                 "computed": computed.to_json_obj(),
                 "max_rel_err": err,
-                "pass": err <= case_tol,
+                "pass": err <= CASE_TOL,
             }
         )
-    t0 = f_root(1e-13)
+    t0 = f_root()
     root_dev = abs(math.sin(3.0 * t0) - SIN_3T0_CLOSED_FORM)
     root_row = {
         "t0": t0,
@@ -221,7 +226,7 @@ def run_report(case_tol: float = 1e-12, gap_tol: float = 1e-9) -> dict:
         "deviation": root_dev,
         "pass": root_dev <= 1e-10 and f_of_t(0.0) == -42.0 and f_of_t(math.pi / 6.0) == 40.0,
     }
-    gap = i6_gap_check(gap_tol)
+    gap = i6_gap_check()
     overall = all(row["pass"] for row in case_rows) and root_row["pass"] and gap.passed
     return {
         "cases": case_rows,

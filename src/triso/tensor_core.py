@@ -23,7 +23,6 @@ import numpy as np
 
 from .components import (  # noqa: F401 (re-exported)
     COMPONENT_NAMES,
-    COMPRESS_TOL,
     SymTraceless3,
     _slices,
     tensor_from_json_obj,
@@ -48,6 +47,12 @@ __all__ = [
 
 # Orthogonality tolerance for transform validation.
 ORTHO_TOL = 1e-12
+
+# Tolerance for validating symmetry/trace of raw full arrays, relative to
+# the Frobenius norm so that the check is scale-free.  Looser than
+# construction exactness so that arrays that went through a rotation (and
+# picked up roundoff) still compress cleanly.
+COMPRESS_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,16 +176,14 @@ def trace_violation(f: FullTensor3) -> float:
     return float(np.max(np.abs(f.entries.ravel()[_TRACES].sum(axis=0))))
 
 
-def compress(f: FullTensor3, tol: float = COMPRESS_TOL) -> SymTraceless3:
+def compress(f: FullTensor3) -> SymTraceless3:
     """Extract the seven free components, validating the array first.
 
     Raises ValueError if any permuted-slot pair differs, or any trace
-    exceeds, tol times the array's Frobenius norm, reporting the worst
-    violation found.
+    exceeds, COMPRESS_TOL times the array's Frobenius norm, reporting the
+    worst violation found.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    bound = tol * f.frobenius()
+    bound = COMPRESS_TOL * f.frobenius()
     sym = symmetry_violation(f)
     if sym > bound:
         raise ValueError(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triso import canonical_form
 from triso.canonical_form import (
     GROUPS,
     CanonicalResult,
@@ -126,9 +127,10 @@ def test_maximizer_scale_equivariance():
     assert np.max(np.abs(a.u - b.u)) < 1e-9
 
 
-def test_maximizer_raises_on_absurd_tolerance():
+def test_maximizer_raises_on_absurd_tolerance(monkeypatch):
+    monkeypatch.setattr(canonical_form, "STATIONARITY_TOL", 1e-300)
     with pytest.raises(ConvergenceError):
-        maximize_cubic_on_sphere(random_tensor(0), tol=1e-300)
+        maximize_cubic_on_sphere(random_tensor(0))
 
 
 @pytest.mark.parametrize(
@@ -138,22 +140,15 @@ def test_maximizer_raises_on_absurd_tolerance():
         (SymTraceless3(d111=1.0, d122=0.3), 1.3392047594580536),
     ],
 )
-def test_tolerance_is_judged_on_the_maximizer(t, maximum):
+def test_tolerance_is_judged_on_the_maximizer(monkeypatch, t, maximum):
     # a non-maximal stationary point of each (value 1.0515 and 1.0) has
     # residual exactly 0.0, the maximizer a few ulps; an unreachable
     # tolerance must fail rather than return the lesser point
-    with pytest.raises(ConvergenceError):
-        maximize_cubic_on_sphere(t, tol=1e-300)
+    with monkeypatch.context() as m:
+        m.setattr(canonical_form, "STATIONARITY_TOL", 1e-300)
+        with pytest.raises(ConvergenceError):
+            maximize_cubic_on_sphere(t)
     assert maximize_cubic_on_sphere(t).value == pytest.approx(maximum, rel=1e-14)
-
-
-def test_sphere_config_validation():
-    # checked by each public entry, before the zero tensor's short cut
-    for t in (random_tensor(0), SymTraceless3()):
-        with pytest.raises(ValueError, match="positive"):
-            maximize_cubic_on_sphere(t, tol=0.0)
-        with pytest.raises(ValueError, match="positive"):
-            canonicalize(t, tol=0.0)
 
 
 def test_rotation_about_e1_structure():
@@ -229,7 +224,7 @@ def test_canonicalize_is_scale_equivariant(seed):
 def _tied_tensors():
     """The six reference cases, the I6 gap pair and d123 = 1; six of the
     nine have tied maximizers of their cubic form."""
-    t0 = f_root(1e-13)
+    t0 = f_root()
     gap_low = SymTraceless3(
         d111=1.0, d122=-0.5 + 0.5 * math.sin(t0), d123=0.5 * math.cos(t0), d223=-2.0
     )
@@ -329,6 +324,14 @@ def test_stationarity_residual_checks_unit_norm():
     t = random_tensor(1)
     with pytest.raises(ValueError):
         stationarity_residual(t, [1.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_stationarity_residual_rejects_nonfinite_x(bad):
+    # |x| - 1 is nan for a nan entry, and nan > 1e-10 is False
+    for t in (random_tensor(1), SymTraceless3()):
+        with pytest.raises(ValueError, match="unit vector"):
+            stationarity_residual(t, [bad, 0.0, 0.0])
 
 
 def test_stationarity_residual_at_known_stationary_point():

@@ -33,10 +33,10 @@ def test_star_import_binds_every_public_name():
 
 
 def test_seven_component_layer_is_re_exported_as_the_same_objects():
-    for name in ("COMPONENT_NAMES", "COMPRESS_TOL", "SymTraceless3", "_slices",
+    for name in ("COMPONENT_NAMES", "SymTraceless3", "_slices",
                  "tensor_from_json_obj", "tensor_to_json_obj"):
         assert getattr(tensor_core, name) is getattr(components, name), name
-    for name in ("GROUPS", "STATIONARITY_TOL", "ConvergenceError"):
+    for name in ("GROUPS", "ConvergenceError"):
         assert getattr(canonical_form, name) is getattr(components, name), name
 
 

@@ -15,8 +15,9 @@ from triso.independence import (
     jacobian_report,
     _analytic,
     _clear_of_hyperplanes,
-    _measure,
+    _fd_deviation,
     _sample_generic,
+    _volumes,
 )
 from triso import independence
 from triso.invariants import CanonicalParams, canonical_invariants, relative_error
@@ -63,11 +64,10 @@ def test_jacobian_modes():
     p = np.array([1.0, -0.5, 0.8, 1.2])
     a = jacobian_canonical(p, mode="analytic")
     f1 = jacobian_canonical(p, mode="fd")
-    f2 = jacobian_canonical(p, mode="finite-difference")
-    assert np.array_equal(f1, f2)
     assert np.max(np.abs(a - f1)) < 1e-3
-    with pytest.raises(ValueError):
-        jacobian_canonical(p, mode="symbolic")
+    for mode in ("symbolic", "finite-difference"):
+        with pytest.raises(ValueError):
+            jacobian_canonical(p, mode=mode)
 
 
 def test_closed_form_det_matches_numeric_det():
@@ -180,6 +180,21 @@ def test_caller_points_with_degenerates_are_flagged():
     assert rep.rank4_fraction == 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_points_are_rejected_by_name(bad):
+    p = [bad, 1.0, 1.0, 1.0]
+    named = r"finite, got \[" + str(bad) + r", 1\.0, 1\.0, 1\.0\]"
+    with pytest.raises(ValueError, match=named):
+        independence_report(points=[[1.0, 0.5, 0.3, 0.2], p])
+    with pytest.raises(ValueError, match=named):
+        independence_report(points=[CanonicalParams(*p)])
+    for call in (jacobian_report, jacobian_canonical, det_jacobian_closed_form):
+        with pytest.raises(ValueError, match=named):
+            call(p)
+        with pytest.raises(ValueError, match=named):
+            call(CanonicalParams(*p))
+
+
 def test_independence_report_rejects_empty():
     with pytest.raises(ValueError):
         independence_report(sample_count=0)
@@ -236,6 +251,14 @@ def test_batched_sampler_keeps_the_per_draw_sample(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4, 1404448153])
+def test_every_sampled_point_passes_the_genericity_rule(seed):
+    # the report applies the rule only to caller-given points
+    pts, jac, _ = _sample_generic(1000, np.random.default_rng(seed))
+    assert np.all(_clear_of_hyperplanes(pts))
+    assert np.all(_volumes(jac) > GENERIC_VOLUME_FLOOR)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 1404448153])
 def test_sampler_hands_on_the_analytic_tables_of_its_points(seed):
     pts, jac, closed = _sample_generic(1000, np.random.default_rng(seed))
     want_jac, want_closed = _analytic(pts)
@@ -268,7 +291,8 @@ def test_report_evaluates_the_exact_table_once_per_draw(monkeypatch, seed):
 def test_jacobian_report_is_the_batched_core_at_one_point():
     pts = np.random.default_rng(13).uniform(-2, 2, size=(40, 4))
     pts[5, 2] = 0.0  # on the d123 = 0 hyperplane
-    jac, det, deviation, closed = _measure(pts, *_analytic(pts))
+    jac, closed = _analytic(pts)
+    det, deviation = np.linalg.det(jac), _fd_deviation(pts, jac)
     for i, p in enumerate(pts):
         rep = jacobian_report(p)
         scale = np.linalg.norm(jac[i], axis=1, keepdims=True)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -72,13 +73,6 @@ def test_sin_3t0_closed_form_constant():
     assert SIN_3T0_CLOSED_FORM == 21.0 - math.sqrt(420.0)
 
 
-def test_f_root_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        f_root(tol=0.0)
-    with pytest.raises(ValueError):
-        f_root(tol=-1e-5)
-
-
 def test_gap_report_values():
     gap = i6_gap_check()
     assert isinstance(gap, GapReport)
@@ -123,11 +117,12 @@ def test_run_report_shape_and_pass():
     assert report["gap"]["pass"] is True
 
 
-def test_run_report_respects_case_tol():
+def test_run_report_respects_case_tol(monkeypatch):
     # at an impossible tolerance only the two integer-valued cases survive:
     # their invariants are exact in floats (error 0.0); the four cases with
     # irrational components carry a few ulps of error and must fail
-    report = run_report(case_tol=1e-30)
+    monkeypatch.setattr(importlib.import_module("triso.reference_cases"), "CASE_TOL", 1e-30)
+    report = run_report()
     assert report["pass"] is False
     survivors = [row["label"] for row in report["cases"] if row["pass"]]
     assert survivors == ["d111=d112=1", "d111=d123=1"]

@@ -285,6 +285,12 @@ def test_json_full_array_form():
 def test_json_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown"):
         tensor_from_json_obj({"D111": 1.0, "D999": 2.0})
+    # a "full" array stands alone: a component key beside it is unknown too
+    full = [float(v) for v in expand(random_tensor(17)).entries.ravel()]
+    with pytest.raises(ValueError, match=r"unknown tensor keys: \['D111', 'bogus'\]"):
+        tensor_from_json_obj({"full": full, "D111": 5.0, "bogus": 1})
+    with pytest.raises(ValueError, match=r"unknown tensor keys: \['D111'\]"):
+        tensor_from_json_obj({"full": full, "D111": 5.0})
 
 
 @settings(max_examples=25)
