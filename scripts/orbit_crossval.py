@@ -13,8 +13,10 @@ import argparse
 import sys
 import time
 
+from triso.components import SymTraceless3, _in_frame, _norm
+from triso.invariants import _components
 from triso.orbit_oracle import best_alignment, same_orbit
-from triso.tensor_core import act, compress, expand, random_orthogonal, random_tensor
+from triso.tensor_core import random_orthogonal, random_tensor
 
 
 def main(argv=None) -> int:
@@ -34,10 +36,10 @@ def main(argv=None) -> int:
     for s in range(args.planted):
         a = random_tensor(args.seed + s)
         g = random_orthogonal(args.seed + 10_000 + s, proper=(s % 2 == 0))
-        b = compress(act(g, expand(a)))
+        b = SymTraceless3(*_in_frame(_components(a), g.m.tolist()))
         verdict = same_orbit(a, b, tol=args.tol)
         res = best_alignment(a, b, "O(3)").residual
-        norm = expand(a).frobenius()
+        norm = _norm(_components(a))
         rel = res / norm if norm else res
         worst_planted = max(worst_planted, rel)
         if verdict == "borderline":
@@ -51,7 +53,7 @@ def main(argv=None) -> int:
         b = random_tensor(args.seed + 30_000 + s)
         verdict = same_orbit(a, b, tol=args.tol)
         res = best_alignment(a, b, "O(3)").residual
-        norm = max(expand(a).frobenius(), expand(b).frobenius())
+        norm = max(_norm(_components(a)), _norm(_components(b)))
         rel = res / norm if norm else res
         best_random = min(best_random, rel)
         if verdict == "borderline":

@@ -21,7 +21,9 @@ those roots, plus the eigenvectors of the moment matrix (which catch the
 axis of an axially symmetric tensor, whose resultant vanishes), are the
 candidates.  Only those whose value is within 1e-6 of the largest can win;
 they are finished by Riemannian Newton steps, and the largest value wins.
-All of it runs on the unit-normalized tensor, so it is scale-free.
+All of it runs on the seven components of the unit-normalized tensor, read
+through the three symmetric slices of ``components._slices``, so it is
+scale-free; a 27-entry ``FullTensor3`` is compressed at entry.
 
 The candidate solve is the one batched stage (stacked 5x5 determinants,
 companion eigenvalues, the moment matrix's eigenvectors).  What follows it,
@@ -33,24 +35,26 @@ arithmetic.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .components import GROUPS, ConvergenceError
-from .invariants import CanonicalParams
-from .tensor_core import (
-    FullTensor3,
-    OrthogonalTransform3,
-    SymTraceless3,
-    _full,
-    _quaternion_to_matrix,
-    act,
-    compress,
-    expand,
+from .components import (
+    _LAYOUT,
+    GROUPS,
+    ConvergenceError,
+    _dot,
+    _in_frame,
+    _norm,
+    _slices,
 )
+from .invariants import CanonicalParams, _components, _slice_kernel
+from .tensor_core import OrthogonalTransform3, _quaternion_to_matrix
+
+if TYPE_CHECKING:
+    from .tensor_core import FullTensor3, SymTraceless3
 
 # Stationarity tolerance the returned maximizer must meet, applied to the
 # unit-normalized tensor.
@@ -102,10 +106,12 @@ class SphereMaximizer:
 class CanonicalResult:
     """Outcome of canonicalization.
 
-    ``act(transform, original)`` has |d112|, |d113|, |d222| at roundoff
-    level, d111 = max_value >= 0, and the same invariant tuple as the
-    input; ``params`` holds its four surviving components.  ``diagnostics``
-    records iteration counts and residuals of the two rotation stages.
+    The input read in the frame of ``transform`` (``act(transform,
+    original)``) has |d112|, |d113|, |d222| at roundoff level, d111 =
+    max_value >= 0, and the same invariant tuple as the input; ``params``
+    holds its four surviving components, in closed form from the frame
+    that ``canonicalize`` picks.  ``diagnostics`` records the Newton steps
+    and the residuals of the two rotation stages.
     """
 
     params: CanonicalParams
@@ -122,51 +128,18 @@ class CanonicalResult:
         }
 
 
-@functools.lru_cache(maxsize=1)
-def _normalized(full: FullTensor3) -> tuple[float, np.ndarray | None, list | None]:
-    """The Frobenius norm, and the unit-norm tensor as d9 = D.reshape(3, 9).T
-    and as nested lists; (0.0, None, None) for the zero tensor.
-
-    Cached for the last tensor (FullTensor3 hashes by identity), so that
-    ``canonicalize`` and the maximizer it calls normalize once between them.
-    """
-    frob = full.frobenius()
-    if frob == 0.0:
-        return 0.0, None, None
-    unit = full.entries / frob
-    return frob, unit.reshape(3, 9).T, unit.tolist()
+def _unit_tensor(t: SymTraceless3 | FullTensor3) -> tuple[float, tuple | None]:
+    """The norm ||T|| and the seven components over it; (0.0, None) for zero."""
+    c = _components(t)
+    norm = _norm(c)
+    if norm == 0.0:
+        return 0.0, None
+    return norm, tuple(x / norm for x in c)
 
 
-def _contract(d9: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rows D_ijk x_j y_k for (s, 3) batches x, y, with d9 = D.reshape(3, 9).T.
-
-    One matmul of the (s, 9) outer products with d9: x, x gives the cubic
-    form's value (row dot x) and gradient (times 3).  Unlike einsum it
-    plans no contraction path.
-    """
-    return (x[:, :, None] * y[:, None, :]).reshape(len(x), 9) @ d9
-
-
-# Kernels on single 3-vectors held as Python floats, for the work that
-# follows the candidate solve.
-
-
-def _dot(x, y) -> float:
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
-
-def _times(m, x) -> list:
-    """m x for a 3x3 matrix m given as rows."""
-    x0, x1, x2 = x
-    return [r[0] * x0 + r[1] * x1 + r[2] * x2 for r in m]
-
-
-def _slice(d: list, x) -> list:
-    """The matrix D_ijk x_k of a tensor d given as nested lists.
-
-    D(x) x is the cubic form's gradient / 3, and D(x) the Hessian / 6.
-    """
-    return [_times(plane, x) for plane in d]
+# Kernels on single 3-vectors held as Python floats, and on the seven
+# components c of the unit-norm tensor, for the work that follows the
+# candidate solve.
 
 
 def _unit(x) -> list:
@@ -189,7 +162,7 @@ def _tangent_bases(x) -> tuple[list, list]:
     return [c0, c1, c2], [x1 * c2 - x2 * c1, x2 * c0 - x0 * c2, x0 * c1 - x1 * c0]
 
 
-def _newton(d: list, x: list) -> tuple[list, int]:
+def _newton(c: tuple, x: list) -> tuple[list, int]:
     """Riemannian Newton steps from x toward a stationary point of the cubic form.
 
     Solves the projected system P(H - lambda I)P dx = -P grad in the 2d
@@ -200,14 +173,12 @@ def _newton(d: list, x: list) -> tuple[list, int]:
     """
     for it in range(1, 5):
         t1, t2 = _tangent_bases(x)
-        h = _slice(d, x)  # H / 6, with H_ij = 6 d_ijk x_k
-        g = _times(h, x)  # grad / 3
-        lam = 3.0 * _dot(g, x)
-        h2 = _times(h, t2)
-        a00 = 6.0 * _dot(t1, _times(h, t1)) - lam
-        a01 = 6.0 * _dot(t1, h2)
-        a11 = 6.0 * _dot(t2, h2) - lam
-        b0, b1 = -3.0 * _dot(t1, g), -3.0 * _dot(t2, g)
+        # in the frame (x, t1, t2), H = 6 D(x) and grad = 3 D(x) x have
+        # tangent parts 6 [[d122, d123], [d123, d133]] and 3 (d112, d113),
+        # lambda = 3 d111 and d133 = -d111 - d122
+        d111, d112, d113, d122, d123, _, _ = _in_frame(c, (x, t1, t2))
+        a00, a01, a11 = 6.0 * d122 - 3.0 * d111, 6.0 * d123, -9.0 * d111 - 6.0 * d122
+        b0, b1 = -3.0 * d112, -3.0 * d113
         det = a00 * a11 - a01 * a01
         if abs(det) > 1e-14 * (1.0 + a00 * a00 + a01 * a01 + a11 * a11):
             z0, z1 = (a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det
@@ -222,13 +193,13 @@ def _newton(d: list, x: list) -> tuple[list, int]:
     return x, it
 
 
-def _value_and_residual(d: list, x) -> tuple[float, float]:
-    """g(x) and the tangential gradient norm ||grad g - (x.grad g) x||."""
-    p = _times(_slice(d, x), x)
-    grad = [3.0 * v for v in p]
-    lam = _dot(grad, x)
-    r = [grad[k] - lam * x[k] for k in range(3)]
-    return _dot(p, x), math.sqrt(_dot(r, r))
+def _value_and_residual(c: tuple, x) -> tuple[float, float]:
+    """g(x) and the tangential gradient norm ||grad g - (x.grad g) x||.
+
+    They are d111 and 3 |(d112, d113)| in the frame (x, t1, t2).
+    """
+    d111, d112, d113 = _in_frame(c, (x, *_tangent_bases(x)))[:3]
+    return d111, 3.0 * math.hypot(d112, d113)
 
 
 # Rows of a fixed rotation with no special alignment to the coordinate axes
@@ -245,20 +216,22 @@ _COMPANION_SHIFT = np.eye(7, k=-1)
 
 
 def _chart_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Linear maps from the 27 entries of D to the resultant data of each chart.
+    """Linear maps from the seven components of D to the resultant data of each chart.
 
     Chart c has the point x = u0 + y u1 + z u2, with (u0, u1, u2) the rows
     of _CHART_FRAME in the order (c, c+1, c+2).  With P_m = D(u_m, x, x),
     x is stationary when g = P1 - y P0 (a quadratic in z) and
     f = z P0 - P2 (a cubic in z) both vanish.  Every coefficient in z is a
     polynomial of degree at most 3 in y, linear in D.  Returns the Sylvester
-    matrices of f and g at the 8th roots of unity, (3 * 8 * 5 * 5, 27)
-    complex, and the coefficients of g, (3 * 3 * 4, 27): chart, power of z,
+    matrices of f and g at the 8th roots of unity, (3 * 8 * 5 * 5, 7)
+    complex, and the coefficients of g, (3 * 3 * 4, 7): chart, power of z,
     power of y.
     """
-    e = _CHART_POINTS
-    # k[c, m, n, l] is the row of D(u_m, u_n, u_l) in chart c
-    k = np.einsum("cmi,cnj,clk->cmnlijk", e, e, e).reshape(3, 3, 3, 3, 27)
+    # k[c, m, n, l] is the row of D(u_m, u_n, u_l) in chart c: entry (n, l)
+    # of slice m of D read in the chart's frame, at each basis tensor
+    basis = np.eye(7).tolist()
+    frames = [[_slices(*_in_frame(b, rows)) for rows in _CHART_POINTS.tolist()] for b in basis]
+    k = np.array(frames).transpose(1, 2, 3, 0)[:, :, np.array(_LAYOUT)]
     zero = np.zeros_like(k[:, :, 0, 0])
     # P_m = a_m + b_m z + c_m z^2, each as coefficients of y^0..y^3
     a = np.stack([k[:, :, 0, 0], 2.0 * k[:, :, 0, 1], k[:, :, 1, 1], zero], axis=2)
@@ -270,7 +243,7 @@ def _chart_tables() -> tuple[np.ndarray, np.ndarray]:
 
     g = [a[:, 1] - y_times(a[:, 0]), b[:, 1] - y_times(b[:, 0]), c[:, 1] - y_times(c[:, 0])]
     f = [-a[:, 2], a[:, 0] - b[:, 2], b[:, 0] - c[:, 2], c[:, 0]]
-    sylvester = np.zeros((3, 5, 5, 4, 27))
+    sylvester = np.zeros((3, 5, 5, 4, 7))
     for shift in range(2):
         for j in range(4):
             sylvester[:, shift, shift + j] = f[3 - j]
@@ -279,14 +252,15 @@ def _chart_tables() -> tuple[np.ndarray, np.ndarray]:
             sylvester[:, 2 + shift, shift + j] = g[2 - j]
     powers = _ROOTS_OF_UNITY[None, :] ** np.arange(4)[:, None]
     at_roots = np.einsum("cabjd,js->csabd", sylvester, powers)
-    return at_roots.reshape(-1, 27), np.stack(g, axis=1).reshape(-1, 27)
+    return at_roots.reshape(-1, 7), np.stack(g, axis=1).reshape(-1, 7)
 
 
 _SYLVESTER_TABLE, _G_TABLE = _chart_tables()
 
 
-def _stationary_candidates(d9: np.ndarray) -> np.ndarray:
-    """Unit vectors near every stationary point of the unit-norm cubic form.
+def _stationary_candidates(c: tuple) -> np.ndarray:
+    """Unit vectors near every stationary point of the cubic form of the
+    unit-norm tensor with the seven components c.
 
     In each chart the resultant of f and g in z is a polynomial of degree
     7 in y (two of the 9 Bezout solutions sit at infinity).  It is sampled
@@ -299,7 +273,7 @@ def _stationary_candidates(d9: np.ndarray) -> np.ndarray:
     stationary points, its resultant vanishes identically, and its axis is
     the simple eigenvector.
     """
-    d = d9.T.ravel()
+    d = np.array(c)
     r = np.linalg.det((_SYLVESTER_TABLE @ d).reshape(3, 8, 5, 5))
     coef = (r @ _INVERSE_DFT).real
     # a leading coefficient below 1e-14 of the largest puts a root at or
@@ -326,7 +300,8 @@ def _stationary_candidates(d9: np.ndarray) -> np.ndarray:
     chart, root, _ = np.nonzero(keep)
     e = _CHART_POINTS[chart]
     x = e[:, 0] + y[chart, root][:, None] * e[:, 1] + z[keep][:, None] * e[:, 2]
-    axes = np.linalg.eigh(d9.T @ d9)[1].T  # moment_matrix of the unit-norm tensor
+    moments = np.array(_slice_kernel(*c)[0])[np.array(_LAYOUT)]  # moment_matrix
+    axes = np.linalg.eigh(moments)[1].T
     x = np.vstack([x, axes])
     return x / np.sqrt((x * x).sum(axis=1))[:, None]
 
@@ -349,18 +324,22 @@ def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
     value has a stationarity residual (on the normalized tensor) within
     STATIONARITY_TOL.
     """
-    frob, d9, d = _normalized(_full(t))
+    frob, c = _unit_tensor(t)
     if frob == 0.0:
         return SphereMaximizer(np.array([1.0, 0.0, 0.0]), 0.0, 0.0)
 
-    x = _stationary_candidates(d9)
-    val = np.abs((_contract(d9, x, x) * x).sum(axis=1))
+    s = _slices(*c)
+    x = _stationary_candidates(c)
+    # g(x) = sum_k x_k x.D_k x, with x.D_k x from the slice layout
+    x1, x2, x3 = x.T
+    quadratic = np.stack([x1 * x1, x2 * x2, x3 * x3, 2 * x1 * x2, 2 * x1 * x3, 2 * x2 * x3], axis=1)
+    val = np.abs(((quadratic @ np.array(s).T) * x).sum(axis=1))
     finished = []  # (value, point, residual), value >= 0
     newton_iterations = 0
     for row in x[val >= val.max() - 1e-6].tolist():
-        u, steps = _newton(d, row)
+        u, steps = _newton(c, row)
         newton_iterations = max(newton_iterations, steps)
-        value, res = _value_and_residual(d, u)
+        value, res = _value_and_residual(c, u)
         if value < 0.0:
             u, value = [-u[0], -u[1], -u[2]], -value
         finished.append((value, u, res))
@@ -412,23 +391,24 @@ def canonicalize(t: SymTraceless3 | FullTensor3, group: str = "SO(3)") -> Canoni
     depend on the input's frame, so the params are a function of the SO(3)
     orbit; a mirror image has its d123 negated.
 
-    The transform is the rotation about e1 by theta composed after the
-    winner's frame.  For ``group="O(3)"`` the rule ranks |d123| in place of
-    d123, and a winner with d123 < -1e-10 ||T|| is mirrored across x2 = 0:
-    the reflection diag(1, -1, 1) keeps the canonical constraints and
-    negates only d123, so the params are a function of the O(3) orbit.
-    Ties left after d223 go to the larger d123, so a tensor with a mirror
-    symmetry (whose candidates come in pairs +-d123) keeps a rotation: the
-    transform is improper only for a chiral tensor.  The zero tensor
+    The params are the winner's d111, d122, d123 and d223 times ||T||, in
+    closed form from the unit-norm tensor read in its frame; the
+    diagnostics' circle and constraint residuals are its d112, d113 and
+    d222, also in closed form.  The transform is the rotation about e1 by
+    theta composed after the winner's frame.  For ``group="O(3)"`` the rule
+    ranks |d123| in place of d123, and a winner with d123 < -1e-10 ||T|| is
+    mirrored across x2 = 0: the reflection diag(1, -1, 1) keeps the
+    canonical constraints and negates only d123, so the params are a
+    function of the O(3) orbit.  Ties left after d223 go to the larger
+    d123, so a tensor with a mirror symmetry (whose candidates come in
+    pairs +-d123) keeps a rotation: the transform is improper only for a
+    chiral tensor.  The zero tensor
     short-circuits to the identity.  Raises ConvergenceError when the
     maximizer misses STATIONARITY_TOL (``maximize_cubic_on_sphere``).
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
-    # _full's rule, with expand called through this module's name so that
-    # perfbench's tracing, which rebinds that name, still sees the call
-    full = expand(t) if isinstance(t, SymTraceless3) else t
-    frob, _, d = _normalized(full)
+    frob, c = _unit_tensor(t)
     if frob == 0.0:
         return CanonicalResult(
             CanonicalParams(0.0, 0.0, 0.0, 0.0),
@@ -442,19 +422,15 @@ def canonicalize(t: SymTraceless3 | FullTensor3, group: str = "SO(3)") -> Canoni
             },
         )
 
-    mx = maximize_cubic_on_sphere(full)
+    mx = maximize_cubic_on_sphere(t)
     mirror = group == "O(3)"
-    frames = []  # (ranking keys, theta, frame, d123, a111, a112, a113)
+    frames = []  # (ranking keys, theta, frame, components in it, d122, d123, d223)
     for u in mx.maximizers.tolist():
         t1, t2 = _tangent_bases(u)
-        # D_ijk x_j y_k of the unit-norm tensor for (x, y) = (u, u), (u, t1),
-        # (t1, t1), taken in the frame (u, t1, t2)
-        p = _times(_slice(d, u), u)
-        dt1 = _slice(d, t1)
-        q, r = _times(dt1, u), _times(dt1, t1)
-        a111, a112, a113 = _dot(p, u), _dot(p, t1), _dot(p, t2)
-        b22, b23 = _dot(q, t1), _dot(q, t2)
-        a222, a223 = _dot(r, t1), _dot(r, t2)
+        # the unit-norm tensor in the frame (u, t1, t2), where a112 and a113
+        # are at roundoff level, as u is stationary
+        a = _in_frame(c, (u, t1, t2))
+        a111, _, _, b22, b23, a222, a223 = a
         half_gap = 0.5 * (2.0 * b22 + a111)  # (d122 - d133) / 2, as d133 = -d111 - d122
 
         if math.hypot(a222, a223) <= 1e-13:
@@ -468,25 +444,31 @@ def canonicalize(t: SymTraceless3 | FullTensor3, group: str = "SO(3)") -> Canoni
             d123 = b23 * c2 - half_gap * s2
             d223 = a223 * math.cos(3.0 * theta) - a222 * math.sin(3.0 * theta)
             keys = (d122, abs(d123), d223, d123) if mirror else (d122, d123, d223)
-            frames.append((keys, theta, (u, t1, t2), d123, a111, a112, a113))
+            frames.append((keys, theta, (u, t1, t2), a, d122, d123, d223))
     for k in range(len(frames[0][0])):
         top = max(f[0][k] for f in frames)
         frames = [f for f in frames if f[0][k] >= top - 1e-10]
-    _, theta, frame, d123, a111, a112, a113 = frames[0]
+    _, theta, frame, (a111, a112, a113, _, _, a222, a223), d122, d123, d223 = frames[0]
 
+    # the rest of the winning frame in closed form: a112 and a113 also
+    # reach d222 and d223, through the traces
+    c1, s1 = math.cos(theta), math.sin(theta)
+    d112, d113 = c1 * a112 + s1 * a113, c1 * a113 - s1 * a112
+    d222 = a222 * math.cos(3.0 * theta) + a223 * math.sin(3.0 * theta)
+    d222 -= s1 * s1 * (3.0 * c1 * a112 + s1 * a113)
+    d223 -= s1 * ((2.0 * c1 * c1 - s1 * s1) * a112 + c1 * s1 * a113)
     m = _about_e1(theta) @ frame
     det_sign = 1
     if mirror and d123 < -1e-10:
-        m[1] *= -1.0  # diag(1, -1, 1) @ m
-        det_sign = -1
+        m[1] *= -1.0  # diag(1, -1, 1) @ m, which negates d123
+        det_sign, d123 = -1, -d123
     transform = OrthogonalTransform3(m, det_sign)
-    out = compress(act(transform, full))
-    params = CanonicalParams(out.d111, out.d122, out.d123, out.d223)
+    params = CanonicalParams(frob * a111, frob * d122, frob * d123, frob * d223)
     diagnostics = {
         "newton_iterations": mx.newton_iterations,
         "stationarity_residual": 3.0 * frob * math.hypot(a112, a113),
-        "circle_residual": abs(out.d222),
-        "constraint_violation": max(abs(out.d112), abs(out.d113), abs(out.d222)),
+        "circle_residual": frob * abs(d222),
+        "constraint_violation": frob * max(abs(d112), abs(d113), abs(d222)),
     }
     return CanonicalResult(params, transform, frob * a111, diagnostics)
 
@@ -503,7 +485,7 @@ def stationarity_residual(t: SymTraceless3 | FullTensor3, x) -> float:
     if not abs(norm - 1.0) <= 1e-10:  # not >, so that a nan entry fails too
         raise ValueError(f"x must be a unit vector, got |x| = {norm:.17g}")
     # on the unit-norm tensor, so squaring the residual cannot overflow
-    frob, _, d = _normalized(_full(t))
+    frob, c = _unit_tensor(t)
     if frob == 0.0:
         return 0.0
-    return frob * _value_and_residual(d, x.tolist())[1]
+    return frob * _value_and_residual(c, x.tolist())[1]

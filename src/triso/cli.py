@@ -31,6 +31,7 @@ from .components import (
     GROUPS,
     ConvergenceError,
     SymTraceless3,
+    _in_frame,
     check_json_numbers,
     tensor_from_json_obj,
     tensor_to_json_obj,
@@ -174,11 +175,11 @@ def _parse_matrix(args):
 
 
 def _cmd_rotate(args) -> int:
-    from .tensor_core import act, compress, expand
+    from .invariants import _components
 
     t = _tensor_from_args(args)
     g = _parse_matrix(args)
-    rotated = compress(act(g, expand(t)))
+    rotated = SymTraceless3(*_in_frame(_components(t), g.m.tolist()))
     print(_json_text(tensor_to_json_obj(rotated)))
     return 0
 

@@ -5,9 +5,10 @@ components; the remaining entries follow from index symmetry and the
 vanishing of every single-index trace.  This module holds the
 seven-component value type, the one place that completes the traces and
 lays out the three symmetric slices D_k (``_slices``, which
-``tensor_core.expand`` and the invariants read), the tensor JSON form, and
-the constant and error type that the command line's parser and ``main``
-need (``GROUPS``, ``ConvergenceError``).
+``tensor_core.expand`` and the invariants read), the kernels on them that
+read the tensor in a rotated frame (``_in_frame``) and take its norm
+(``_norm``), the tensor JSON form, and the constant and error type that the
+command line's parser and ``main`` need (``GROUPS``, ``ConvergenceError``).
 
 Everything here is plain Python, so a command that needs only this layer
 and the invariants (``triso invariants``) never imports numpy.  The array
@@ -87,6 +88,72 @@ def _slices(d111, d112, d113, d122, d123, d222, d223) -> tuple:
         (d112, d222, d233, d122, d123, d223),
         (d113, d223, d333, d123, d133, d233),
     )
+
+
+# Entry (i, j) of a symmetric matrix in the slice layout sits at _LAYOUT[i][j].
+_LAYOUT = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+
+
+def _dot(x, y):
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _inner(p, q):
+    """<P, Q> = sum_ij P_ij Q_ij of symmetric matrices in the slice layout."""
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + 2 * (p[3] * q[3] + p[4] * q[4] + p[5] * q[5])
+
+
+def _slice(s, x) -> tuple:
+    """D(x)_ij = D_ijk x_k = sum_k x_k (D_k)_ij in the slice layout, from the slices s."""
+    s1, s2, s3 = s
+    x1, x2, x3 = x
+    return (s1[0] * x1 + s2[0] * x2 + s3[0] * x3, s1[1] * x1 + s2[1] * x2 + s3[1] * x3,
+            s1[2] * x1 + s2[2] * x2 + s3[2] * x3, s1[3] * x1 + s2[3] * x2 + s3[3] * x3,
+            s1[4] * x1 + s2[4] * x2 + s3[4] * x3, s1[5] * x1 + s2[5] * x2 + s3[5] * x3)
+
+
+def _times(m, x) -> tuple:
+    """m x for a symmetric matrix m in the slice layout."""
+    x1, x2, x3 = x
+    return (m[0] * x1 + m[3] * x2 + m[4] * x3, m[3] * x1 + m[1] * x2 + m[5] * x3,
+            m[4] * x1 + m[5] * x2 + m[2] * x3)
+
+
+def _in_frame(c, rows) -> tuple:
+    """The seven components of the tensor c read in the orthonormal frame rows.
+
+    Component abc is D(row_a, row_b, row_c): for the rows of g, g . T.
+    """
+    s = _slices(*c)
+    r1, r2, r3 = rows
+    a = _slice(s, r1)
+    a1, a2, b2 = _times(a, r1), _times(a, r2), _times(_slice(s, r2), r2)
+    return (_dot(a1, r1), _dot(a1, r2), _dot(a1, r3), _dot(a2, r2), _dot(a2, r3),
+            _dot(b2, r2), _dot(b2, r3))
+
+
+def _ldexp(x: float, n: int) -> float:
+    """x * 2**n, rounded as a double; +-inf where that overflows."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _unit_scale(c) -> tuple:
+    """k, and the components times the exact factor 2^-k that puts the largest in [1/2, 1)."""
+    k = math.frexp(max(map(abs, c)))[1]
+    return k, [math.ldexp(x, -k) for x in c]
+
+
+def _norm(c) -> float:
+    """||T||, from ||T||^2 = <D_1, D_1> + <D_2, D_2> + <D_3, D_3> at unit scale.
+
+    So nothing overflows or underflows on the way; +inf only beyond a double.
+    """
+    k, c = _unit_scale(c)
+    s1, s2, s3 = _slices(*c)
+    return _ldexp(math.sqrt(_inner(s1, s1) + _inner(s2, s2) + _inner(s3, s3)), k)
 
 
 def _is_number(value) -> bool:

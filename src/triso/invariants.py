@@ -27,11 +27,10 @@ loads them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .components import SymTraceless3, _slices
+from .components import _LAYOUT, SymTraceless3, _inner, _ldexp, _slice, _slices, _unit_scale
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,11 +92,6 @@ class CanonicalParams:
         return {"D111": self.d111, "D122": self.d122, "D123": self.d123, "D223": self.d223}
 
 
-def _inner(p, q):
-    """<P, Q> = sum_ij P_ij Q_ij of symmetric matrices as (11, 22, 33, 12, 13, 23)."""
-    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + 2 * (p[3] * q[3] + p[4] * q[4] + p[5] * q[5])
-
-
 def _slice_kernel(d111, d112, d113, d122, d123, d222, d223):
     """(M, v, (I2, I4, I6, I10)) of the tensor with these seven components.
 
@@ -108,10 +102,7 @@ def _slice_kernel(d111, d112, d113, d122, d123, d222, d223):
     m11, m22, m33 = _inner(s1, s1), _inner(s2, s2), _inner(s3, s3)
     m = (m11, m22, m33, _inner(s1, s2), _inner(s1, s3), _inner(s2, s3))
     v1, v2, v3 = _inner(m, s1), _inner(m, s2), _inner(m, s3)
-    # W = v1 D_1 + v2 D_2 + v3 D_3
-    w = (v1 * s1[0] + v2 * s2[0] + v3 * s3[0], v1 * s1[1] + v2 * s2[1] + v3 * s3[1],
-         v1 * s1[2] + v2 * s2[2] + v3 * s3[2], v1 * s1[3] + v2 * s2[3] + v3 * s3[3],
-         v1 * s1[4] + v2 * s2[4] + v3 * s3[4], v1 * s1[5] + v2 * s2[5] + v3 * s3[5])
+    w = _slice((s1, s2, s3), (v1, v2, v3))  # v1 D_1 + v2 D_2 + v3 D_3
     vv = (v1 * v1, v2 * v2, v3 * v3, v1 * v2, v1 * v3, v2 * v3)
     return m, (v1, v2, v3), (m11 + m22 + m33, _inner(m, m), vv[0] + vv[1] + vv[2], _inner(w, vv))
 
@@ -131,17 +122,8 @@ def _unit_kernel(t: SymTraceless3 | FullTensor3) -> tuple:
 
     k puts the largest component in [1/2, 1).
     """
-    c = _components(t)
-    k = math.frexp(max(map(abs, c)))[1]
-    return k, _slice_kernel(*[math.ldexp(x, -k) for x in c])
-
-
-def _ldexp(x: float, n: int) -> float:
-    """x * 2**n, rounded as a double; +-inf where that overflows."""
-    try:
-        return math.ldexp(x, n)
-    except OverflowError:
-        return math.copysign(math.inf, x)
+    k, c = _unit_scale(_components(t))
+    return k, _slice_kernel(*c)
 
 
 def moment_matrix(t: SymTraceless3 | FullTensor3) -> np.ndarray:
@@ -153,8 +135,7 @@ def moment_matrix(t: SymTraceless3 | FullTensor3) -> np.ndarray:
     import numpy as np
 
     k, (m, _, _) = _unit_kernel(t)
-    m11, m22, m33, m12, m13, m23 = [_ldexp(x, 2 * k) for x in m]
-    return np.array([[m11, m12, m13], [m12, m22, m23], [m13, m23, m33]])
+    return np.array([_ldexp(x, 2 * k) for x in m])[np.array(_LAYOUT)]
 
 
 def v_vector(t: SymTraceless3 | FullTensor3) -> np.ndarray:

@@ -13,13 +13,15 @@ canonical forms keep agreeing with them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .canonical_form import GROUPS, canonicalize  # noqa: F401 (GROUPS re-exported)
-from .invariants import InvariantTuple, smith_bao
-from .tensor_core import FullTensor3, OrthogonalTransform3, SymTraceless3, act, expand
+from .components import _in_frame, _ldexp, _norm
+from .invariants import InvariantTuple, _components, _unit_kernel
+from .tensor_core import OrthogonalTransform3, SymTraceless3
 
 __all__ = [
     "AlignmentResult",
@@ -50,7 +52,8 @@ def best_alignment(a: SymTraceless3, b: SymTraceless3, group: str = "O(3)") -> A
     r_a = canonicalize(a, group=group).transform
     r_b = canonicalize(b, group=group).transform
     g = OrthogonalTransform3(r_b.m.T @ r_a.m, r_b.det_sign * r_a.det_sign)
-    residual = FullTensor3(act(g, expand(a)).entries - expand(b).entries).frobenius()
+    moved = _in_frame(_components(a), g.m.tolist())
+    residual = _norm([x - y for x, y in zip(moved, _components(b))])
     return AlignmentResult(g, residual, group)
 
 
@@ -60,18 +63,16 @@ def degree_normalized_invariants(t: SymTraceless3 | InvariantTuple) -> np.ndarra
     Raising each invariant to 2/degree makes every component scale as the
     squared tensor norm, so one relative tolerance treats all four alike
     (raw values of degree 10 would otherwise swamp or starve the
-    comparison).  The odd invariant keeps its sign.
+    comparison).  The odd invariant keeps its sign.  A tensor is evaluated
+    at unit scale and scaled back by 2^(2k), so the result is finite
+    wherever it is a normal double, though raw I10 overflows from about 1e31.
     """
-    tup = t if isinstance(t, InvariantTuple) else smith_bao(t)
-    i10 = tup.i10
-    return np.array(
-        [
-            tup.i2,
-            np.sqrt(max(tup.i4, 0.0)),
-            np.cbrt(max(tup.i6, 0.0)),
-            np.sign(i10) * abs(i10) ** 0.2,
-        ]
-    )
+    if isinstance(t, InvariantTuple):
+        k, (i2, i4, i6, i10) = 0, (t.i2, t.i4, t.i6, t.i10)
+    else:
+        k, (_, _, (i2, i4, i6, i10)) = _unit_kernel(t)
+    normalized = (i2, math.sqrt(max(i4, 0.0)), np.cbrt(max(i6, 0.0)), np.sign(i10) * abs(i10) ** 0.2)
+    return np.array([_ldexp(float(x), 2 * k) for x in normalized])
 
 
 def invariant_distance(a: SymTraceless3, b: SymTraceless3) -> float:

@@ -3,8 +3,11 @@
 A tensor of this class has seven free components; the remaining entries of
 the full 3x3x3 array follow from index symmetry and the vanishing of every
 single-index trace.  This module provides expansion to and compression
-from the full array, the orthogonal group action, and seeded random
-sampling of tensors and of orthogonal matrices.  The seven-component value
+from the full array, the orthogonal group action on it, the orthogonal
+transform type, and seeded random sampling of tensors and of orthogonal
+matrices.  The full array is an input format (``compress`` validates it)
+and the reference the tests check the seven-component kernels against;
+no computation in the package runs on it.  The seven-component value
 type, the trace completion and slice layout (``_slices``) and the JSON form
 live in the numpy-free ``components`` module; they are re-exported here as
 the same objects.
@@ -22,6 +25,7 @@ from itertools import permutations
 import numpy as np
 
 from .components import (  # noqa: F401 (re-exported)
+    _LAYOUT,
     COMPONENT_NAMES,
     SymTraceless3,
     _slices,
@@ -121,8 +125,11 @@ class OrthogonalTransform3:
     @classmethod
     def from_matrix(cls, m) -> "OrthogonalTransform3":
         """Build from a matrix, inferring the determinant sign."""
-        det = float(np.linalg.det(np.asarray(m, dtype=float)))
-        return cls(m, 1 if det > 0 else -1)
+        mat = np.asarray(m, dtype=float)
+        # det warns on a nan entry and raises LinAlgError on a non-square
+        # shape; construction rejects both with a ValueError
+        valid = mat.shape == (3, 3) and np.all(np.isfinite(mat))
+        return cls(mat, 1 if not valid or np.linalg.det(mat) > 0 else -1)
 
     def compose(self, other: "OrthogonalTransform3") -> "OrthogonalTransform3":
         """Return the transform acting as self after other."""
@@ -137,9 +144,8 @@ class OrthogonalTransform3:
 
 
 # Place of each row-major entry (k, i, j) in the three slices laid end to
-# end: slice k starts at 6k, and its entry (i, j) sits at offset
-# (0, 3, 4, 3, 1, 5, 4, 5, 2)[3i + j] of the 6-tuple layout.
-_SLICE_ENTRIES = np.array([6 * k + e for k in range(3) for e in (0, 3, 4, 3, 1, 5, 4, 5, 2)])
+# end: slice k starts at 6k, and its entry (i, j) sits at _LAYOUT[i][j].
+_SLICE_ENTRIES = np.array([6 * k + e for k in range(3) for row in _LAYOUT for e in row])
 
 
 def expand(s: SymTraceless3) -> FullTensor3:
@@ -149,11 +155,6 @@ def expand(s: SymTraceless3) -> FullTensor3:
     """
     d1, d2, d3 = _slices(s.d111, s.d112, s.d113, s.d122, s.d123, s.d222, s.d223)
     return FullTensor3(np.array(d1 + d2 + d3)[_SLICE_ENTRIES].reshape(3, 3, 3))
-
-
-def _full(t: SymTraceless3 | FullTensor3) -> FullTensor3:
-    """The full array form, expanding seven components when given them."""
-    return expand(t) if isinstance(t, SymTraceless3) else t
 
 
 # Flat indices of the array read through each of the six slot permutations,

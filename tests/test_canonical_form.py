@@ -15,14 +15,14 @@ from triso.canonical_form import (
     stationarity_residual,
     _CHART_FRAME,
     _about_e1,
-    _contract,
-    _slice,
     _stationary_candidates,
     _tangent_bases,
 )
+from triso.components import _LAYOUT, _slice, _slices, _times
 from triso.invariants import relative_error, smith_bao
 from triso.reference_cases import f_root, reference_cases
 from triso.tensor_core import (
+    FullTensor3,
     OrthogonalTransform3,
     SymTraceless3,
     act,
@@ -51,8 +51,9 @@ def cubic_value(t, x):
 @pytest.mark.parametrize("seed", range(5))
 def test_kernels_match_einsum_definitions(seed):
     rng = np.random.default_rng(seed)
-    d = expand(random_tensor(seed)).entries
-    d9 = d.reshape(3, 9).T
+    t = random_tensor(seed)
+    d = expand(t).entries
+    s = _slices(*t.as_array().tolist())
     x = rng.normal(size=(40, 3))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     b1, b2 = tangent_bases_batched(x)
@@ -63,17 +64,17 @@ def test_kernels_match_einsum_definitions(seed):
         t1, t2 = _tangent_bases(row.tolist())
         assert np.max(np.abs(np.array([t1, t2]) - [r1, r2])) < 1e-15
 
-    p = _contract(d9, x, x)
     value = np.einsum("ijk,si,sj,sk->s", d, x, x, x)
     gradient = 3.0 * np.einsum("ijk,sj,sk->si", d, x, x)
-    assert np.max(np.abs(np.sum(p * x, axis=1) - value)) < 1e-13
-    assert np.max(np.abs(3.0 * p - gradient)) < 1e-13
     hessian = 6.0 * np.einsum("ijk,sk->sij", d, x)
-    for t in (b1, b2):
-        expected = np.einsum("sij,sj->si", hessian, t)
-        assert np.max(np.abs(6.0 * _contract(d9, x, t) - expected)) < 1e-13
-    for row, h in zip(x, hessian):
-        assert np.max(np.abs(6.0 * np.array(_slice(d.tolist(), row.tolist())) - h)) < 1e-13
+    for row, v, grad, h, r1, r2 in zip(x, value, gradient, hessian, b1, b2):
+        half = _slice(s, row.tolist())  # H / 6 in the slice layout
+        assert np.max(np.abs(6.0 * np.array(half)[np.array(_LAYOUT)] - h)) < 1e-13
+        p = _times(half, row.tolist())
+        assert abs(np.dot(p, row) - v) < 1e-13
+        assert np.max(np.abs(3.0 * np.array(p) - grad)) < 1e-13
+        for r in (r1, r2):
+            assert np.max(np.abs(6.0 * np.array(_times(half, r.tolist())) - h @ r)) < 1e-13
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -383,6 +384,11 @@ def ascent_maximizers(t, starts=200, steps=600):
 # in the package, in other arithmetic, for the tests to compare against.
 
 
+def contract(d, x, y):
+    """Rows D_ijk x_j y_k of the 3x3x3 array d for (s, 3) batches x, y."""
+    return np.einsum("ijk,sj,sk->si", d, x, y)
+
+
 def unit_rows(x):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
@@ -399,7 +405,7 @@ def tangent_bases_batched(x):
     return t1, t2
 
 
-def newton_polish(d9, x, iters):
+def newton_polish(d, x, iters):
     """Batched Riemannian Newton for stationary points of the cubic form.
 
     Solves the projected system P(H - lambda I)P dx = -P grad in a 2d
@@ -415,7 +421,7 @@ def newton_polish(d9, x, iters):
         basis = np.stack([t1, t2], axis=1)
         # one matmul gives the gradient / 3 and the Hessian products
         # H t / 6 for t = t1, t2, with H_ij = 6 d_ijk x_k
-        p = _contract(d9, np.vstack([x, x, x]), np.vstack([x, t1, t2])).reshape(3, n, 3)
+        p = contract(d, np.vstack([x, x, x]), np.vstack([x, t1, t2])).reshape(3, n, 3)
         grad = 3.0 * p[0]
         lam = (grad * x).sum(axis=1)
         ht = 6.0 * p[1:].transpose(1, 0, 2) - lam[:, None, None] * basis
@@ -434,15 +440,16 @@ def newton_polish(d9, x, iters):
     return x, it
 
 
-def batched_maximizers(full):
+def batched_maximizers(t):
     """maximize_cubic_on_sphere's rules on arrays: the distinct tied
     maximizers, u first."""
+    full = expand(t)
     norm = full.frobenius()
-    d9 = (full.entries / norm).reshape(3, 9).T
-    x = _stationary_candidates(d9)
-    val = np.abs((_contract(d9, x, x) * x).sum(axis=1))
-    x, _ = newton_polish(d9, x[val >= val.max() - 1e-6], iters=4)
-    p = _contract(d9, x, x)
+    d = full.entries / norm
+    x = _stationary_candidates(tuple(t.as_array() / norm))
+    val = np.abs((contract(d, x, x) * x).sum(axis=1))
+    x, _ = newton_polish(d, x[val >= val.max() - 1e-6], iters=4)
+    p = contract(d, x, x)
     val = (p * x).sum(axis=1)
     grad = 3.0 * p
     res = np.linalg.norm(grad - (grad * x).sum(axis=1, keepdims=True) * x, axis=1)
@@ -464,11 +471,11 @@ def batched_canonicalize(t, group="SO(3)"):
     the number of maximizers."""
     full = expand(t)
     norm = full.frobenius()
-    u = batched_maximizers(full)
+    u = batched_maximizers(t)
     t1, t2 = tangent_bases_batched(u)
     frames = np.stack([u, t1, t2], axis=1)
-    d9 = (full.entries / norm).reshape(3, 9).T
-    p = _contract(d9, np.vstack([u, u, t1]), np.vstack([u, t1, t1])).reshape(3, len(u), 1, 3)
+    d = full.entries / norm
+    p = contract(d, np.vstack([u, u, t1]), np.vstack([u, t1, t1])).reshape(3, len(u), 1, 3)
     comps = (p @ frames.transpose(0, 2, 1))[:, :, 0, :]
     a111 = comps[0, :, 0]
     b22, b23 = comps[1, :, 1:].T
@@ -505,8 +512,7 @@ def polish_every_candidate(t):
     """
     full = expand(t)
     norm = full.frobenius()
-    d9 = (full.entries / norm).reshape(3, 9).T
-    x, _ = newton_polish(d9, _stationary_candidates(d9), iters=4)
+    x, _ = newton_polish(full.entries / norm, _stationary_candidates(tuple(t.as_array() / norm)), iters=4)
     val = np.einsum("ijk,si,sj,sk->s", full.entries / norm, x, x, x)
     grad = 3.0 * np.einsum("ijk,sj,sk->si", full.entries / norm, x, x)
     res = np.linalg.norm(grad - np.sum(grad * x, axis=1, keepdims=True) * x, axis=1)
@@ -638,9 +644,23 @@ def test_canonicalize_accepts_a_full_tensor():
         assert np.array_equal(a.transform.m, b.transform.m)
 
 
+def test_full_tensor_entry_is_validated_by_compress():
+    # a 27-entry array is compressed at entry, which checks it
+    t = random_tensor(0)
+    x = [1.0, 0.0, 0.0]
+    for fault, broken in (("symmetric", (0, 1, 2)), ("traceless", (0, 0, 0))):
+        entries = np.array(expand(t).entries)
+        entries[broken] += 0.1
+        full = FullTensor3(entries)
+        for call in (canonicalize, maximize_cubic_on_sphere, lambda f: stationarity_residual(f, x)):
+            with pytest.raises(ValueError, match=f"array is not {fault}"):
+                call(full)
+
+
 def test_canonicalize_matches_the_batched_oracle():
     # the float finish and frame scoring against the array code they
-    # replaced: seeds 0..299, and TIED under a proper and an improper element
+    # replaced: seeds 0..299, and TIED under a proper and an improper element.
+    # The closed-form params are also the input read in the returned frame.
     inputs = [random_tensor(seed) for seed in range(300)]
     for index, t in enumerate(TIED):
         for proper in (True, False):
@@ -651,13 +671,16 @@ def test_canonicalize_matches_the_batched_oracle():
             params, det_sign, max_value, count = batched_canonicalize(t, group)
             result = canonicalize(t, group=group)
             assert np.max(np.abs(result.params.as_array() - params)) <= 1e-13 * norm, (k, group)
+            out = compress(act(result.transform, expand(t)))
+            read = [out.d111, out.d122, out.d123, out.d223]
+            assert np.max(np.abs(result.params.as_array() - read)) <= 1e-15 * norm, (k, group)
             assert result.transform.det_sign == det_sign, (k, group)
             assert abs(result.max_value - max_value) <= 1e-13 * norm, (k, group)
         assert len(maximize_cubic_on_sphere(t).maximizers) == count, k
 
 
 def test_canonicalize_calls_each_traced_boundary_once(monkeypatch):
-    # perfbench times canonicalize's layers by rebinding these module names
+    # perfbench times canonicalize's layers by rebinding this module name
     # of triso.canonical_form, and reads the maximizer's iterations
     import triso.canonical_form as module
 
@@ -671,7 +694,7 @@ def test_canonicalize_calls_each_traced_boundary_once(monkeypatch):
 
         return counted
 
-    names = ("maximize_cubic_on_sphere", "expand", "act", "compress")
+    names = ("maximize_cubic_on_sphere",)
     for name in names:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for group, t in zip(GROUPS, [random_tensor(5), TIED[-1]]):

@@ -262,6 +262,15 @@ def test_rotate_bad_matrix_usage_exits_1(capsys, argv):
     assert "error" in err
 
 
+def test_rotate_nan_matrix_exits_1_without_a_warning(capsys):
+    # finiteness is checked before det, whose RuntimeWarning on a nan entry
+    # the suite turns into an error
+    code, out, err = run(capsys, ["rotate", "--d111", "1", "--matrix", "nan 0 0 0 1 0 0 0 1"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: matrix entries must be finite\n"
+
+
 # ------------------------------------------------------------- canonicalize
 
 

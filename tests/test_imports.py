@@ -5,6 +5,7 @@ subcommand imports only the modules it uses.  The import checks run in a
 fresh interpreter, so nothing this test process imported leaks into them.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -83,3 +84,55 @@ def test_repro_imports_no_numpy(tmp_path):
     ])
     assert "numpy" not in after
     assert after == {"triso", "triso.cli", "triso.components", "triso.invariants", "triso.reference_cases"}
+
+
+def _runtime_names(tree):
+    """(enclosing function, name) for each name a module imports or reads at run time.
+
+    Annotations are skipped, as ``from __future__ import annotations`` never
+    evaluates them, and so are imports under ``if TYPE_CHECKING:``.
+    """
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            skipped.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            annotations = [a.annotation for a in every if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        skipped.update(id(n) for a in annotations if a is not None for n in ast.walk(a))
+
+    def visit(node, function):
+        if id(node) in skipped:
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield function, alias.name.rpartition(".")[2]
+        elif isinstance(node, ast.Name):
+            yield function, node.id
+        elif isinstance(node, ast.Attribute):
+            yield function, node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return visit(tree, None)
+
+
+def test_the_27_entry_array_is_an_input_format_only():
+    # only tensor_core computes on the full array; elsewhere a FullTensor3
+    # is read by compress in two places, the "full" JSON key and the
+    # compress-at-entry of the functions that accept one
+    allowed = {("components", "tensor_from_json_obj"), ("invariants", "_components")}
+    source = Path(tensor_core.__file__).parent
+    for path in sorted(source.glob("*.py")):
+        if path.stem == "tensor_core":
+            continue
+        for function, name in _runtime_names(ast.parse(path.read_text())):
+            assert name not in ("expand", "act", "_full"), (path.name, function, name)
+            if name in ("compress", "FullTensor3"):
+                assert (path.stem, function) in allowed, (path.name, function, name)

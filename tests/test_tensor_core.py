@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triso.components import _in_frame, _norm
 from triso.tensor_core import (
     COMPONENT_NAMES,
     FullTensor3,
@@ -174,6 +175,28 @@ def test_act_equals_the_einsum_definition():
         assert np.max(np.abs(act(g, f).entries - want)) <= 1e-15 * f.frobenius()
 
 
+def test_frame_kernel_is_act_on_seven_components():
+    # the tensor read in the frame of g's rows is g . T, for proper and
+    # improper Haar g at any scale
+    rng = np.random.default_rng(23)
+    for k in range(500):
+        scale = 10.0 ** rng.uniform(-150, 150)
+        t = SymTraceless3(*(scale * rng.normal(size=7)))
+        g = random_orthogonal(k, proper=k % 2 == 0)
+        want = compress(act(g, expand(t))).as_array()
+        got = np.array(_in_frame(t.as_array().tolist(), g.m.tolist()))
+        assert np.max(np.abs(got - want)) <= 1e-15 * expand(t).frobenius()
+
+
+def test_norm_is_the_frobenius_norm_at_any_scale():
+    rng = np.random.default_rng(24)
+    for k in range(500):
+        t = SymTraceless3(*(10.0 ** rng.uniform(-300, 300) * rng.normal(size=7)))
+        want = expand(t).frobenius()
+        assert abs(_norm(t.as_array().tolist()) - want) <= 1e-15 * want
+    assert _norm([0.0] * 7) == 0.0
+
+
 def test_symtraceless_rejects_nonfinite():
     with pytest.raises(ValueError):
         SymTraceless3(d111=float("nan"))
@@ -230,6 +253,14 @@ def test_transform_inverse_and_apply():
 def test_from_matrix_infers_sign():
     assert OrthogonalTransform3.from_matrix(np.eye(3)).det_sign == 1
     assert OrthogonalTransform3.from_matrix(np.diag([1.0, 1.0, -1.0])).det_sign == -1
+
+
+def test_from_matrix_validates_before_det():
+    # det would warn on a nan entry and raise LinAlgError on a wrong shape
+    for m, match in (([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "3x3"), (np.eye(3).ravel(), "3x3"),
+                     ([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "finite")):
+        with pytest.raises(ValueError, match=match):
+            OrthogonalTransform3.from_matrix(m)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42])
