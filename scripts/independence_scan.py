@@ -19,9 +19,16 @@ from triso.independence import GENERIC_VOLUME_FLOOR, _analytic, _volumes, indepe
 PERCENTILES = (0, 1, 5, 25, 50, 75, 95, 99, 100)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--samples", type=int, default=2000)
+    ap.add_argument("--samples", type=positive_int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 

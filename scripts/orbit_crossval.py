@@ -19,12 +19,26 @@ from triso.orbit_oracle import best_alignment, same_orbit
 from triso.tensor_core import random_orthogonal, random_tensor
 
 
+def count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # not <=, so that nan fails too
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--planted", type=int, default=50, help="same-orbit pairs to generate")
-    ap.add_argument("--random", type=int, default=50, help="independent pairs to generate")
+    ap.add_argument("--planted", type=count, default=50, help="same-orbit pairs to generate")
+    ap.add_argument("--random", type=count, default=50, help="independent pairs to generate")
     ap.add_argument("--seed", type=int, default=0, help="offset for all tensor seeds")
-    ap.add_argument("--tol", type=float, default=1e-8, help="verdict tolerance")
+    ap.add_argument("--tol", type=positive_float, default=1e-8, help="verdict tolerance")
     args = ap.parse_args(argv)
 
     disagreements = 0

@@ -45,6 +45,7 @@ from .components import (
     _LAYOUT,
     GROUPS,
     ConvergenceError,
+    SymTraceless3,
     _dot,
     _in_frame,
     _norm,
@@ -54,7 +55,7 @@ from .invariants import CanonicalParams, _components, _slice_kernel
 from .tensor_core import OrthogonalTransform3, _quaternion_to_matrix
 
 if TYPE_CHECKING:
-    from .tensor_core import FullTensor3, SymTraceless3
+    from .tensor_core import FullTensor3
 
 # Stationarity tolerance the returned maximizer must meet, applied to the
 # unit-normalized tensor.
@@ -408,6 +409,7 @@ def canonicalize(t: SymTraceless3 | FullTensor3, group: str = "SO(3)") -> Canoni
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
+    t = SymTraceless3(*_components(t))  # a FullTensor3 is compressed here, once
     frob, c = _unit_tensor(t)
     if frob == 0.0:
         return CanonicalResult(

@@ -7,15 +7,15 @@ nonzero at every sampled point, so the Jacobian has full rank 4 generically
 and no polynomial relation can tie the four invariants together.
 
 Three independent evaluation routes keep each other honest: exact
-differentiation of the transcribed polynomial tables, complex-step
-derivatives of the invariant values, and the transcribed closed-form
-determinant, evaluated through its stored factors.
+derivatives of the transcribed polynomial tables, the complex step of the
+Smith-Bao contractions, which never read the transcription, and the
+transcribed closed-form determinant, evaluated through its factors.
 
 Every route runs on all points at once.  One shared monomial table yields
-the 16 exact partials and both determinant factors at every point, another
-the invariants at the 4n complex-stepped points; determinants, unit-gradient
-volumes and ranks are stacked 4x4 kernels.  The one-point functions
-(``jacobian_canonical``, ``jacobian_report``) are the n = 1 case.
+the 16 exact partials and both determinant factors at every point; the
+contractions run elementwise on the 4n complex-stepped points; determinants,
+unit-gradient volumes and ranks are stacked 4x4 kernels.  The one-point
+functions (``jacobian_canonical``, ``jacobian_report``) are the n = 1 case.
 
 Each point's exact table is evaluated once: the sampler needs the
 Jacobians for its volume floor anyway, so it hands them on, with the
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import CanonicalParams
+from .invariants import CanonicalParams, _slice_kernel
 from .polynomials import CANONICAL_BASIS, DET_FACTOR_4, DET_FACTOR_10, NVARS, _MonomialTable
 
 __all__ = [
@@ -47,9 +47,8 @@ __all__ = [
 JACOBIAN_TABLE = tuple(tuple(p.diff(k) for k in range(NVARS)) for p in CANONICAL_BASIS)
 
 # The 16 partials (row-major) and the two determinant factors share one
-# monomial table; the invariants themselves feed the complex step.
+# monomial table.
 _ANALYTIC_TABLE = _MonomialTable(sum(JACOBIAN_TABLE, ()) + (DET_FACTOR_4, DET_FACTOR_10))
-_BASIS_TABLE = _MonomialTable(CANONICAL_BASIS)
 
 # Complex step h of the "fd" Jacobian: far below any coordinate's size, and
 # far above the smallest normal double once multiplied by a derivative.
@@ -121,10 +120,11 @@ def _analytic(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _complex_step(pts: np.ndarray) -> np.ndarray:
-    """Complex-step Jacobians (n, 4, 4): Im I(x + i h e_k) / h at the 4n stepped points."""
+    """Complex-step Jacobians (n, 4, 4): Im I(x + i h e_k) / h, I the Smith-Bao contractions."""
     steps = pts[:, None, :] + 1j * COMPLEX_STEP * np.eye(NVARS)  # [point, k, coordinate]
-    values = _BASIS_TABLE(steps.reshape(-1, NVARS)).imag.reshape(-1, NVARS, 4)  # [point, k, invariant]
-    return values.transpose(0, 2, 1) / COMPLEX_STEP
+    d111, d122, d123, d223 = steps.transpose(2, 0, 1)
+    values = np.array(_slice_kernel(d111, 0, 0, d122, d123, 0, d223)[2])  # [invariant, point, k]
+    return values.imag.transpose(1, 0, 2) / COMPLEX_STEP
 
 
 def _fd_deviation(pts: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -145,10 +145,10 @@ def jacobian_canonical(c, mode: str = "analytic") -> np.ndarray:
 
     Rows are (I2, I4, I6, I10); columns are partials with respect to
     (d111, d122, d123, d223).  mode "analytic" evaluates exact derivative
-    tables.  mode "fd" differentiates the invariant values themselves, by
+    tables.  mode "fd" differentiates the Smith-Bao contractions instead, by
     the complex step Im I(c + i h e_k) / h with h = COMPLEX_STEP: one
-    evaluation per coordinate, and no difference of nearby values to
-    cancel, so it agrees with the analytic tables to roundoff.
+    evaluation per coordinate and no difference of nearby values to cancel,
+    so it matches the tables to roundoff wherever the transcription is right.
     """
     x = _point(c)[None, :]
     if mode == "analytic":

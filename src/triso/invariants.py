@@ -16,8 +16,8 @@ power of two to a largest component in [1/2, 1), and each I_d, like M
 factor, which is exact; so results are finite wherever the true value is
 a normal double, +-inf beyond that, and never NaN.
 ``canonical_invariants`` evaluates closed-form polynomials of the four
-canonical parameters; on tensors already in canonical position the two
-paths agree, which the test suite exploits as a cross-check of both.
+canonical parameters, at unit scale too; on tensors in canonical position
+the two paths agree, which the test suite exploits as a cross-check of both.
 
 ``smith_bao`` is plain Python on the seven components, so this module
 imports numpy and ``polynomials`` only inside the functions that return
@@ -27,6 +27,7 @@ loads them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -96,7 +97,8 @@ def _slice_kernel(d111, d112, d113, d122, d123, d222, d223):
     """(M, v, (I2, I4, I6, I10)) of the tensor with these seven components.
 
     M is a 6-tuple in the slice layout of ``_slices`` and v a 3-tuple.
-    Only + and * with integer constants, so Fractions give exact results.
+    Only + and * with integer constants, so Fractions give exact results
+    and numpy arrays, real or complex, evaluate it elementwise.
     """
     s1, s2, s3 = _slices(d111, d112, d113, d122, d123, d222, d223)
     m11, m22, m33 = _inner(s1, s1), _inner(s2, s2), _inner(s3, s3)
@@ -163,11 +165,18 @@ def smith_bao(t: SymTraceless3 | FullTensor3) -> InvariantTuple:
 
 
 def canonical_invariants(c: CanonicalParams) -> InvariantTuple:
-    """Evaluate the closed-form invariant polynomials at canonical parameters."""
-    from .polynomials import CANONICAL_BASIS
+    """Evaluate the closed-form invariant polynomials at canonical parameters.
 
-    point = c.as_array()
-    return InvariantTuple(*(p(point) for p in CANONICAL_BASIS))
+    At unit scale, like ``smith_bao``, so never NaN; every parameter must be finite.
+    """
+    from .polynomials import _INVARIANT_TABLE
+
+    params = [float(x) for x in (c.d111, c.d122, c.d123, c.d223)]
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"point coordinates must be finite, got {params}")
+    k, unit = _unit_scale(params)
+    values = _INVARIANT_TABLE([unit])[0].tolist()
+    return InvariantTuple(*(_ldexp(v, d * k) for v, d in zip(values, (2, 4, 6, 10))))
 
 
 def relative_error(a: float, b: float) -> float:

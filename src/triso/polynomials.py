@@ -11,11 +11,11 @@ and the tests check the tables as exact identities: I2..I10 equal
 the contractions of the canonical tensor carried out in Poly arithmetic,
 and DET_JACOBIAN equals the Laplace expansion of the exact partials.
 
-``Poly.__call__`` evaluates one polynomial at one point.  Many points, and
-several polynomials sharing their monomials, go through one evaluator
-(``_MonomialTable``): a table of powers per coordinate, the monomial matrix
-gathered from it and one matmul, in chunks of rows; ``Poly.eval_many`` is
-its one-polynomial case, for real and complex points alike.
+Real points have one evaluator (``_MonomialTable``): a table of powers per
+coordinate, the monomial matrix gathered from it and one matmul, in chunks
+of rows.  The four invariants share one (``_INVARIANT_TABLE``);
+``Poly.eval_many`` is the one-polynomial case and ``Poly.__call__`` its
+one-point case.
 """
 
 from __future__ import annotations
@@ -119,23 +119,14 @@ class Poly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def _table(self) -> "_MonomialTable":
-        if self._eval_cache is None:
-            self._eval_cache = _MonomialTable((self,))
-        return self._eval_cache
-
     def __call__(self, point) -> float:
-        point = np.asarray(point, dtype=float).reshape(NVARS)
-        table = self._table()
-        return float(np.prod(point[None, :] ** table.exponents, axis=1) @ table.coeffs[:, 0])
+        return float(self.eval_many(np.reshape(point, (1, NVARS)))[0])
 
     def eval_many(self, points) -> np.ndarray:
-        """Evaluate at an (n, 4) array of real or complex points.
-
-        The one-polynomial case of _MonomialTable; complex points carry a
-        complex step exactly.
-        """
-        return self._table()(points)[:, 0]
+        """Evaluate at an (n, 4) array of real points: the one-polynomial case of _MonomialTable."""
+        if self._eval_cache is None:
+            self._eval_cache = _MonomialTable((self,))
+        return self._eval_cache(points)[:, 0]
 
     def __repr__(self):
         return f"Poly({len(self.terms)} terms, degree {self.degree()})"
@@ -150,16 +141,12 @@ class _MonomialTable:
 
     The polynomials share one table of M monomials, the union of their
     terms, and one constant (M, P) float coefficient matrix.  At an (n, 4)
-    real or complex array, the powers of each coordinate up to the top
-    exponent come from repeated multiplication; the (M, n) monomial matrix
-    is gathered from them, and a matmul gives the (n, P) values.  Rows run in
-    chunks of _CHUNK_ROWS.
+    real array (a complex one raises TypeError), the powers of each
+    coordinate up to the top exponent come from repeated multiplication; the
+    (M, n) monomial matrix is gathered from them, and a matmul gives the
+    (n, P) values.  Rows run in chunks of _CHUNK_ROWS.
 
-    Complex points serve complex steps: repeated multiplication carries an
-    imaginary part far below the real one (a step of 1e-30) as in exact
-    arithmetic, up to roundoff relative to itself.
-
-    Real points are evaluated more accurately than plain double arithmetic
+    Points are evaluated more accurately than plain double arithmetic
     allows, since the Jacobian entries and determinant factors cancel by up to
     seven digits at some sampled points.  Monomials are formed in extended
     precision (np.longdouble, a 64-bit significand on x86) and split into two
@@ -194,16 +181,16 @@ class _MonomialTable:
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points)
-        real = not np.iscomplexobj(points)
-        points = points.astype(float if real else complex, copy=False).reshape(-1, NVARS)
+        if np.iscomplexobj(points):
+            raise TypeError("points must be real, got a complex array")
+        points = points.astype(float, copy=False).reshape(-1, NVARS)
         n = len(points)
         rows = max(1, min(n, _CHUNK_ROWS))
-        out = np.empty((-(-n // rows) * rows, self.coeffs.shape[1]), points.dtype)
+        out = np.empty((-(-n // rows) * rows, self.coeffs.shape[1]))
         # work buffers shared by every chunk: powers[e, k, row] = x_k^e, and
         # the (M, rows) monomial matrix as the product of its two halves
-        work = np.longdouble if real else complex
-        powers = np.empty((max(self._top, 1) + 1, NVARS, rows), work)
-        monomials = np.empty((len(self.exponents), rows), work)
+        powers = np.empty((max(self._top, 1) + 1, NVARS, rows), np.longdouble)
+        monomials = np.empty((len(self.exponents), rows), np.longdouble)
         factor = np.empty_like(monomials)
         for start in range(0, n, rows):
             chunk = points[start : start + rows]
@@ -217,19 +204,16 @@ class _MonomialTable:
                 np.take(table[first] * table[second], which, axis=0, out=target, mode="clip")
             monomials *= factor
             block = out[start : start + rows]
-            if real:
-                high = monomials.astype(float)
-                low = (monomials - high).astype(float)
-                # lead: a multiple of 2^(e + headroom - 53) at most 2^e, so its
-                # products with integer coefficients and all their partial
-                # sums fit in 53 bits (the cap keeps the grid finite near overflow)
-                _, e = np.frexp(np.max(np.abs(high), axis=0, initial=0.0))
-                grid = np.ldexp(1.0, np.minimum(e + self._headroom, 1023))
-                lead = (high + grid) - grid
-                np.matmul(lead.T, self.coeffs, out=block)
-                block += ((high - lead) + low).T @ self.coeffs
-            else:
-                np.matmul(monomials.T, self.coeffs, out=block)
+            high = monomials.astype(float)
+            low = (monomials - high).astype(float)
+            # lead: a multiple of 2^(e + headroom - 53) at most 2^e, so its
+            # products with integer coefficients and all their partial
+            # sums fit in 53 bits (the cap keeps the grid finite near overflow)
+            _, e = np.frexp(np.max(np.abs(high), axis=0, initial=0.0))
+            grid = np.ldexp(1.0, np.minimum(e + self._headroom, 1023))
+            lead = (high + grid) - grid
+            np.matmul(lead.T, self.coeffs, out=block)
+            block += ((high - lead) + low).T @ self.coeffs
         return out[:n]
 
 
@@ -308,6 +292,9 @@ I10_CANONICAL = -8 * (
 )
 
 CANONICAL_BASIS = (I2_CANONICAL, I4_CANONICAL, I6_CANONICAL, I10_CANONICAL)
+
+# The four invariants share their evaluator: (n, 4) points give (n, 4) values.
+_INVARIANT_TABLE = _MonomialTable(CANONICAL_BASIS)
 
 # The determinant of the 4x4 Jacobian of the basis with respect to
 # (d111, d122, d123, d223) splits into four polynomial factors: the

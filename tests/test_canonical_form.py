@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triso import canonical_form
+from triso import canonical_form, tensor_core
 from triso.canonical_form import (
     GROUPS,
     CanonicalResult,
@@ -702,3 +702,22 @@ def test_canonicalize_calls_each_traced_boundary_once(monkeypatch):
         canonicalize(t, group=group)
         assert sorted(name for name, _ in calls) == sorted(names), group
         assert [out.iterations for name, out in calls if name == names[0]] == [0]
+
+
+def test_canonicalize_compresses_a_full_array_once(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return compress(f)
+
+    monkeypatch.setattr(tensor_core, "compress", counting)
+    for group, t in zip(GROUPS, [random_tensor(5), TIED[-1]]):
+        calls.clear()
+        result = canonicalize(expand(t), group=group)
+        assert len(calls) == 1, group
+        want = canonicalize(t, group=group)
+        assert result.params == want.params and result.max_value == want.max_value
+        assert np.array_equal(result.transform.m, want.transform.m)
+        assert result.transform.det_sign == want.transform.det_sign
+        assert result.diagnostics == want.diagnostics

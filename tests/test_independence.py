@@ -21,7 +21,15 @@ from triso.independence import (
 )
 from triso import independence
 from triso.invariants import CanonicalParams, canonical_invariants, relative_error
-from triso.polynomials import CANONICAL_BASIS
+from triso.polynomials import (
+    CANONICAL_BASIS,
+    DET_FACTOR_4,
+    DET_FACTOR_10,
+    I10_CANONICAL,
+    NVARS,
+    Poly,
+    _MonomialTable,
+)
 
 
 def fd_jacobian(point, h_scale=1e-6):
@@ -99,7 +107,21 @@ def test_closed_form_det_at_a_cancelling_point():
     ],
 )
 def test_fd_jacobian_matches_analytic_at_steep_points(p):
-    assert jacobian_report(p).fd_deviation <= 1e-9
+    assert jacobian_report(p).fd_deviation <= 1e-12
+
+
+def test_fd_route_flags_a_slip_in_the_transcription(monkeypatch):
+    # one coefficient of I10 off by one (-64 d111^7 d122^3 becomes -63),
+    # planted in every table independence builds from the transcription: the
+    # complex step differentiates the Smith-Bao contractions, not the
+    # tables, so its Jacobian disagrees with the slipped analytic one
+    slipped = I10_CANONICAL + Poly.variable(0) ** 7 * Poly.variable(1) ** 3
+    basis = CANONICAL_BASIS[:3] + (slipped,)
+    partials = tuple(p.diff(k) for p in basis for k in range(NVARS))
+    analytic = _MonomialTable(partials + (DET_FACTOR_4, DET_FACTOR_10))
+    monkeypatch.setattr(independence, "_ANALYTIC_TABLE", analytic)
+    monkeypatch.setattr(independence, "_BASIS_TABLE", _MonomialTable(basis), raising=False)
+    assert independence_report(200, 0).max_fd_deviation > 1e-3
 
 
 def test_det_vanishes_exactly_on_hyperplanes():
@@ -228,14 +250,15 @@ def test_invariants_consistent_with_jacobian_degrees():
 
 
 def per_draw_sample(count, rng):
-    """The rejection sampler one draw at a time: Poly.__call__ on every
-    partial, then one np.linalg.det of the row-normalized Jacobian."""
+    """The rejection sampler one draw at a time: one evaluation of the 16
+    partials, then one np.linalg.det of the row-normalized Jacobian."""
+    partials = _MonomialTable(sum(JACOBIAN_TABLE, ()))
     out = []
     while len(out) < count:
         batch = rng.uniform(-2.0, 2.0, size=(count - len(out) + 8, 4))
         keep = (np.abs(batch[:, 2]) > HYPERPLANE_MARGIN) & (np.abs(batch[:, 3]) > HYPERPLANE_MARGIN)
         for row in batch[keep]:
-            jac = np.array([[p(row) for p in partials] for partials in JACOBIAN_TABLE])
+            jac = partials(row).reshape(4, 4)
             norms = np.linalg.norm(jac, axis=1, keepdims=True)
             if np.all(norms > 0) and abs(np.linalg.det(jac / norms)) > GENERIC_VOLUME_FLOOR:
                 out.append(row)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triso.components import _ldexp
 from triso.invariants import (
     CanonicalParams,
     InvariantTuple,
@@ -260,6 +261,33 @@ def test_canonical_invariants_agrees_with_smith_bao():
         a = canonical_invariants(params).as_array()
         b = smith_bao(params.to_tensor()).as_array()
         assert np.all(np.abs(a - b) <= 1e-11 * np.maximum(1.0, np.abs(b)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_canonical_invariants_are_homogeneous_at_any_scale(seed):
+    # run at unit scale and scaled back by an exact power of two: I_d at
+    # c 2^j is I_d(c) 2^(d j) as one rounding, +-inf past the largest double,
+    # and never NaN
+    c = np.random.default_rng(seed).uniform(-2, 2, size=4).tolist()
+    base = canonical_invariants(CanonicalParams(*c)).as_array().tolist()
+    for j in range(-500, 501, 25):
+        got = canonical_invariants(CanonicalParams(*(math.ldexp(x, j) for x in c))).as_array().tolist()
+        assert not any(map(math.isnan, got)), j
+        assert got == [_ldexp(b, d * j) for b, d in zip(base, DEGREES)], j
+
+
+def test_found_case_canonical_i10_overflows_to_inf_not_nan():
+    # plain double evaluation gave I10 = NaN here, with RuntimeWarnings
+    tup = canonical_invariants(CanonicalParams(1e50, 1.0, 1.0, 1.0))
+    assert (tup.i2, tup.i4, tup.i6) == pytest.approx((4e100, 8e200, 3.2e201), rel=1e-12)
+    assert tup.i10 == math.inf  # -64 (d122^3 - 3 d122 d223^2) d111^7 = 1.28e352
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_canonical_invariants_rejects_nonfinite_params(bad):
+    named = r"point coordinates must be finite, got \[0\.5, " + str(bad) + r", 0\.0, 0\.0\]"
+    with pytest.raises(ValueError, match=named):
+        canonical_invariants(CanonicalParams(0.5, bad, 0, 0))
 
 
 def test_canonical_params_tensor_layout():

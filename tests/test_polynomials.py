@@ -91,22 +91,17 @@ def test_eval_many_matches_scalar_eval():
             assert abs(got - poly(p)) <= 1e-12 * max(1.0, condition_scale(poly, p))
 
 
-def test_complex_eval_carries_a_tiny_step_exactly():
-    # at real points it is the real evaluation; a step i h along one
-    # coordinate puts h times the exact partial derivative in the imaginary
-    # part, with no cancellation however small h is
-    rng = np.random.default_rng(1)
-    pts = rng.uniform(-2, 2, size=(10, 4))
-    h = 1e-30
+def test_complex_points_raise_type_error():
+    # the tables evaluate real points only; a complex array is refused rather
+    # than cast to float, which would drop its imaginary part
+    pts = np.random.default_rng(1).uniform(-2, 2, size=(10, 4)) + 1j * 1e-30
     for poly in CANONICAL_BASIS + (DET_FACTOR_4, Poly()):
-        values = poly.eval_many(pts.astype(complex))
-        assert np.allclose(values.real, poly.eval_many(pts), rtol=1e-12, atol=1e-12)
-        assert np.all(values.imag == 0.0)
-        for k in range(NVARS):
-            stepped = pts + 1j * h * np.eye(NVARS)[k]
-            slope = poly.eval_many(stepped).imag / h
-            exact = poly.diff(k).eval_many(pts)
-            assert np.allclose(slope, exact, rtol=1e-12, atol=1e-12 * np.max(np.abs(exact)))
+        with pytest.raises(TypeError, match="real"):
+            poly.eval_many(pts)
+        with pytest.raises(TypeError, match="real"):
+            poly(pts[0])
+    with pytest.raises(TypeError, match="real"):
+        _MonomialTable(CANONICAL_BASIS)(pts)
 
 
 def test_canonical_polys_have_expected_degrees():

@@ -26,3 +26,22 @@ def _load(name):
 def test_script_runs(capsys, name, argv):
     assert _load(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("independence_scan", ["--samples", "0"]),
+        ("independence_scan", ["--samples", "-3"]),
+        ("orbit_crossval", ["--planted", "-1"]),
+        ("orbit_crossval", ["--random", "-1"]),
+        ("orbit_crossval", ["--tol", "0"]),
+        ("orbit_crossval", ["--tol", "-0.5"]),
+        ("orbit_crossval", ["--tol", "nan"]),
+    ],
+)
+def test_script_rejects_bad_counts_with_a_usage_error(capsys, name, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        _load(name).main(argv)
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
