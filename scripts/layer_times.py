@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""In-process times of the main layers, as one JSON object.
+
+Each entry is the best of --repeats passes over fixed seeded inputs,
+divided by the number of calls in a pass: microseconds per call, and
+milliseconds for one ``independence_report`` of --samples points.
+Tensors are ``random_tensor(seed)`` for seed 0..--tensors-1; alignment
+pairs are a tensor and its image under ``random_orthogonal(seed)``, so
+half of them are improper.
+
+    python3 scripts/layer_times.py --tensors 200 --repeats 5
+"""
+
+import argparse
+import json
+import sys
+import time
+
+from triso.canonical_form import _stationary_candidates, _unit_tensor, canonicalize, maximize_cubic_on_sphere
+from triso.independence import independence_report
+from triso.invariants import smith_bao
+from triso.orbit_oracle import best_alignment, same_orbit
+from triso.tensor_core import act, compress, expand, random_orthogonal, random_tensor
+
+
+def count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def best_per_call(rows: dict, repeats: int) -> dict:
+    """Seconds per call of each row's argument-free callables, the best of repeats passes.
+
+    Each round makes one pass over every row, so a burst of load on the
+    machine slows one pass of several rows rather than every pass of one.
+    """
+    best = dict.fromkeys(rows, float("inf"))
+    for _ in range(repeats):
+        for name, calls in rows.items():
+            start = time.perf_counter()
+            for call in calls:
+                call()
+            best[name] = min(best[name], (time.perf_counter() - start) / len(calls))
+    return best
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tensors", type=count, default=200, help="seeded tensors (and alignment pairs)")
+    ap.add_argument("--repeats", type=count, default=5, help="passes; the best one counts")
+    ap.add_argument("--samples", type=count, default=1000, help="sample count of independence_report")
+    args = ap.parse_args(argv)
+
+    tensors = [random_tensor(seed) for seed in range(args.tensors)]
+    units = [_unit_tensor(t)[1] for t in tensors]
+    pairs = [
+        (a, compress(act(random_orthogonal(seed, proper=seed % 2 == 0), expand(a))))
+        for seed, a in enumerate(tensors)
+    ]
+
+    rows = {
+        "_stationary_candidates_us": [lambda c=c: _stationary_candidates(c) for c in units],
+        "maximize_cubic_on_sphere_us": [lambda t=t: maximize_cubic_on_sphere(t) for t in tensors],
+        "canonicalize_us": [lambda t=t: canonicalize(t) for t in tensors],
+        "best_alignment_us": [lambda a=a, b=b: best_alignment(a, b) for a, b in pairs],
+        "same_orbit_us": [lambda a=a, b=b: same_orbit(a, b) for a, b in pairs],
+        "smith_bao_us": [lambda t=t: smith_bao(t) for t in tensors],
+    }
+    rows["independence_report_ms"] = [lambda: independence_report(sample_count=args.samples, seed=0)]
+    times = best_per_call(rows, args.repeats)
+    scale = {name: 1e3 if name.endswith("_ms") else 1e6 for name in times}
+    print(json.dumps({name: round(scale[name] * value, 3) for name, value in times.items()}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

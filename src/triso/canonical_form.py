@@ -25,12 +25,15 @@ All of it runs on the seven components of the unit-normalized tensor, read
 through the three symmetric slices of ``components._slices``, so it is
 scale-free; a 27-entry ``FullTensor3`` is compressed at entry.
 
-The candidate solve is the one batched stage (stacked 5x5 determinants,
-companion eigenvalues, the moment matrix's eigenvectors).  What follows it,
-the Newton finish of the one to four candidates that can win and the
-scoring of the frames they give, works on Python floats one candidate at a
-time: on arrays of so few rows numpy's per-call cost outweighs the
-arithmetic.
+Only the candidate solve uses numpy: matrix products with constant tables
+(the Sylvester matrices and g's coefficients from the seven components, the
+resultant's coefficients from its samples), one stacked ``det`` over the
+fifteen 5x5 Sylvester matrices, one ``eigvals`` over the three companion
+matrices and one ``eigh`` of the moment matrix.  Everything around them
+works on Python floats: the root and value filters, the candidate points,
+the Newton finish of the one to four candidates that can win, the scoring
+of the frames they give and the rows of the winning transform.  On arrays
+of 1 to 24 rows numpy's per-call cost outweighs the arithmetic.
 """
 
 from __future__ import annotations
@@ -94,11 +97,10 @@ class SphereMaximizer:
     maximizers: np.ndarray | None = None
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float).reshape(3).copy()
+        u = np.array(self.u, dtype=float).reshape(3)
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
-        rows = u[None] if self.maximizers is None else self.maximizers
-        rows = np.array(rows, dtype=float).reshape(-1, 3)
+        rows = np.array(u[None] if self.maximizers is None else self.maximizers, dtype=float).reshape(-1, 3)
         rows.setflags(write=False)
         object.__setattr__(self, "maximizers", rows)
 
@@ -203,17 +205,36 @@ def _value_and_residual(c: tuple, x) -> tuple[float, float]:
     return d111, 3.0 * math.hypot(d112, d113)
 
 
+def _cubic_values(c: tuple, rows) -> list:
+    """g(x) = D_ijk x_i x_j x_k at each row x, from the ten coefficients of the cubic."""
+    d111, d112, d113, d122, d123, d222, d223 = c
+    d133, d233, d333 = -d111 - d122, -d112 - d222, -d113 - d223
+    k112, k113, k122, k123, k133 = 3.0 * d112, 3.0 * d113, 3.0 * d122, 6.0 * d123, 3.0 * d133
+    k223, k233 = 3.0 * d223, 3.0 * d233
+    return [
+        x1 * (x1 * (d111 * x1 + k112 * x2 + k113 * x3) + x2 * (k122 * x2 + k123 * x3) + k133 * x3 * x3)
+        + x2 * x2 * (d222 * x2 + k223 * x3)
+        + x3 * x3 * (k233 * x2 + d333 * x3)
+        for x1, x2, x3 in rows
+    ]
+
+
 # Rows of a fixed rotation with no special alignment to the coordinate axes
 # (the quaternion has squared norm 1.0071): the normals of the three charts.
 # Every unit vector has a coordinate of size at least 1/sqrt(3) in this
 # frame, so it lies in some chart with |y|, |z| <= sqrt(2), inside _WINDOW.
 _CHART_FRAME = _quaternion_to_matrix(np.array([0.7, 0.41, -0.33, 0.49]) / math.sqrt(1.0071))
 _WINDOW = 1.5
-_CHART_POINTS = _CHART_FRAME[[[0, 1, 2], [1, 2, 0], [2, 0, 1]]]
-_ROOTS_OF_UNITY = np.exp(2j * math.pi * np.arange(8) / 8)
-# r(omega_s) = sum_j coef_j omega_s^j, so coef = r @ _INVERSE_DFT
-_INVERSE_DFT = _ROOTS_OF_UNITY[:, None] ** -np.arange(8)[None, :] / 8.0
-_COMPANION_SHIFT = np.eye(7, k=-1)
+_CHART_POINTS = _CHART_FRAME[[[0, 1, 2], [1, 2, 0], [2, 0, 1]]].tolist()
+# The 8th roots of unity omega_s in the closed upper half plane, s = 0..4.
+# A resultant r has real coefficients, so r(omega_(8-s)) = conj r(omega_s)
+# gives the other three samples.  r(omega_s) = sum_j coef_j omega_s^j, so
+# coef_j = sum_s r(omega_s) omega_s^-j / 8 over all eight, which is
+# coef = Re(r @ _INVERSE_DFT) over these five, with s = 1..3 counted twice.
+_ROOTS_OF_UNITY = np.exp(2j * math.pi * np.arange(5) / 8)
+_INVERSE_DFT = np.array([1, 2, 2, 2, 1])[:, None] * _ROOTS_OF_UNITY[:, None] ** -np.arange(8)[None, :] / 8.0
+# the companion matrices of the three charts' resultants, less their last column
+_COMPANIONS = np.repeat(np.eye(7, k=-1)[None], 3, axis=0)
 
 
 def _chart_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -224,14 +245,14 @@ def _chart_tables() -> tuple[np.ndarray, np.ndarray]:
     x is stationary when g = P1 - y P0 (a quadratic in z) and
     f = z P0 - P2 (a cubic in z) both vanish.  Every coefficient in z is a
     polynomial of degree at most 3 in y, linear in D.  Returns the Sylvester
-    matrices of f and g at the 8th roots of unity, (3 * 8 * 5 * 5, 7)
-    complex, and the coefficients of g, (3 * 3 * 4, 7): chart, power of z,
-    power of y.
+    matrices of f and g at _ROOTS_OF_UNITY, (3 * 5 * 5 * 5, 7) complex,
+    and the coefficients of g, (3 * 3 * 4, 7): chart, power of z, power
+    of y.
     """
     # k[c, m, n, l] is the row of D(u_m, u_n, u_l) in chart c: entry (n, l)
     # of slice m of D read in the chart's frame, at each basis tensor
     basis = np.eye(7).tolist()
-    frames = [[_slices(*_in_frame(b, rows)) for rows in _CHART_POINTS.tolist()] for b in basis]
+    frames = [[_slices(*_in_frame(b, rows)) for rows in _CHART_POINTS] for b in basis]
     k = np.array(frames).transpose(1, 2, 3, 0)[:, :, np.array(_LAYOUT)]
     zero = np.zeros_like(k[:, :, 0, 0])
     # P_m = a_m + b_m z + c_m z^2, each as coefficients of y^0..y^3
@@ -261,50 +282,64 @@ _SYLVESTER_TABLE, _G_TABLE = _chart_tables()
 
 def _stationary_candidates(c: tuple) -> np.ndarray:
     """Unit vectors near every stationary point of the cubic form of the
-    unit-norm tensor with the seven components c.
+    unit-norm tensor with the seven components c, as the rows of a (k, 3) array.
 
     In each chart the resultant of f and g in z is a polynomial of degree
     7 in y (two of the 9 Bezout solutions sit at infinity).  It is sampled
-    at the 8th roots of unity, its coefficients come back by inverse DFT,
+    at the 8th roots of unity (five determinants; conjugation gives the
+    other three), its coefficients come back by inverse DFT,
     and its roots are the eigenvalues of the companion matrix.  Each real
     root with |y| <= 1.5 gives both roots z of the quadratic g, kept for
     |z| <= 1.5; a spurious one is harmless, as the caller polishes every
     candidate and ranks them by value.  The three eigenvectors of the
     moment matrix are added: an axially symmetric tensor has a ring of
     stationary points, its resultant vanishes identically, and its axis is
-    the simple eigenvector.
+    the simple eigenvector.  The rows come chart by chart, root by root,
+    q/g2 before g0/q, then the three axes.
+
+    Only the two table products and the three stacked LAPACK calls run on
+    arrays; the filters, g's coefficients (by Horner at each kept root) and
+    the points run on Python floats.
     """
     d = np.array(c)
-    r = np.linalg.det((_SYLVESTER_TABLE @ d).reshape(3, 8, 5, 5))
+    r = np.linalg.det((_SYLVESTER_TABLE @ d).reshape(3, 5, 5, 5))
     coef = (r @ _INVERSE_DFT).real
     # a leading coefficient below 1e-14 of the largest puts a root at or
     # near infinity (a stationary point on the chart's boundary, found in
     # another chart); raising it to that size keeps the other roots in
     # place.  A resultant that is zero throughout gives junk roots at 0.
-    top = 1e-14 * np.abs(coef).max(axis=1)
-    lead = np.where(np.abs(coef[:, 7]) > top, coef[:, 7], top)
-    lead[lead == 0.0] = 1.0
-    companion = np.repeat(_COMPANION_SHIFT[None], 3, axis=0)
-    companion[:, :, 6] = -coef[:, :7] / lead[:, None]
-    roots = np.linalg.eigvals(companion)
-    y = roots.real
-    # roundoff splits a double root (two stationary points sharing y, or a
-    # degenerate one) into a pair about 1e-8 off the real axis
-    real = (np.abs(roots.imag) <= 1e-4) & (np.abs(y) <= _WINDOW)
+    leads = []
+    for row in coef.tolist():
+        top = 1e-14 * max(map(abs, row))
+        leads.append([(row[7] if abs(row[7]) > top else top) or 1.0])
+    companion = _COMPANIONS.copy()
+    np.divide(-coef[:, :7], leads, out=companion[:, :, 6])  # last column -coef_j / lead
+    roots = np.linalg.eigvals(companion).tolist()
+    g_table = (_G_TABLE @ d).tolist()
 
-    g = (y[..., None] ** np.arange(4)) @ (_G_TABLE @ d).reshape(3, 3, 4).transpose(0, 2, 1)
-    g0, g1, g2 = g[..., 0], g[..., 1], g[..., 2]
-    q = -0.5 * (g1 + np.copysign(np.sqrt(np.maximum(g1 * g1 - 4.0 * g0 * g2, 0.0)), g1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.stack([q / g2, g0 / q], axis=-1)
-    keep = real[..., None] & (np.abs(z) <= _WINDOW)
-    chart, root, _ = np.nonzero(keep)
-    e = _CHART_POINTS[chart]
-    x = e[:, 0] + y[chart, root][:, None] * e[:, 1] + z[keep][:, None] * e[:, 2]
-    moments = np.array(_slice_kernel(*c)[0])[np.array(_LAYOUT)]  # moment_matrix
-    axes = np.linalg.eigh(moments)[1].T
-    x = np.vstack([x, axes])
-    return x / np.sqrt((x * x).sum(axis=1))[:, None]
+    rows = []
+    for chart, (e0, e1, e2) in enumerate(_CHART_POINTS):
+        # g's coefficients of z^0, z^1, z^2, each of y^0..y^3
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
+            g_table[12 * chart + 4 * k : 12 * chart + 4 * k + 4] for k in range(3)
+        )
+        for y in roots[chart]:
+            # roundoff splits a double root (two stationary points sharing
+            # y, or a degenerate one) into a pair about 1e-8 off the real axis
+            if not (abs(y.imag) <= 1e-4 and abs(y.real) <= _WINDOW):
+                continue
+            y = y.real
+            g0 = ((a3 * y + a2) * y + a1) * y + a0
+            g1 = ((b3 * y + b2) * y + b1) * y + b0
+            g2 = ((c3 * y + c2) * y + c1) * y + c0
+            q = -0.5 * (g1 + math.copysign(math.sqrt(max(g1 * g1 - 4.0 * g0 * g2, 0.0)), g1))
+            for num, den in ((q, g2), (g0, q)):
+                z = num / den if den != 0.0 else math.inf
+                if abs(z) <= _WINDOW:
+                    rows.append([e0[k] + y * e1[k] + z * e2[k] for k in range(3)])
+    m = _slice_kernel(*c)[0]  # the moment matrix, in the slice layout
+    rows += np.linalg.eigh([[m[0], m[3], m[4]], [m[3], m[1], m[5]], [m[4], m[5], m[2]]])[1].T.tolist()
+    return np.array([_unit(x) for x in rows])
 
 
 def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
@@ -329,15 +364,12 @@ def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
     if frob == 0.0:
         return SphereMaximizer(np.array([1.0, 0.0, 0.0]), 0.0, 0.0)
 
-    s = _slices(*c)
-    x = _stationary_candidates(c)
-    # g(x) = sum_k x_k x.D_k x, with x.D_k x from the slice layout
-    x1, x2, x3 = x.T
-    quadratic = np.stack([x1 * x1, x2 * x2, x3 * x3, 2 * x1 * x2, 2 * x1 * x3, 2 * x2 * x3], axis=1)
-    val = np.abs(((quadratic @ np.array(s).T) * x).sum(axis=1))
+    rows = _stationary_candidates(c).tolist()
+    val = [abs(v) for v in _cubic_values(c, rows)]
+    top = max(val)
     finished = []  # (value, point, residual), value >= 0
     newton_iterations = 0
-    for row in x[val >= val.max() - 1e-6].tolist():
+    for row in (row for row, v in zip(rows, val) if v >= top - 1e-6):
         u, steps = _newton(c, row)
         newton_iterations = max(newton_iterations, steps)
         value, res = _value_and_residual(c, u)
@@ -369,11 +401,6 @@ def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
         newton_iterations=newton_iterations,
         maximizers=[m[1] for m in maximizers],
     )
-
-
-def _about_e1(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
 
 
 def canonicalize(t: SymTraceless3 | FullTensor3, group: str = "SO(3)") -> CanonicalResult:
@@ -409,7 +436,8 @@ def canonicalize(t: SymTraceless3 | FullTensor3, group: str = "SO(3)") -> Canoni
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
-    t = SymTraceless3(*_components(t))  # a FullTensor3 is compressed here, once
+    if not isinstance(t, SymTraceless3):
+        t = SymTraceless3(*_components(t))  # a FullTensor3 is compressed here, once
     frob, c = _unit_tensor(t)
     if frob == 0.0:
         return CanonicalResult(
@@ -459,10 +487,12 @@ def canonicalize(t: SymTraceless3 | FullTensor3, group: str = "SO(3)") -> Canoni
     d222 = a222 * math.cos(3.0 * theta) + a223 * math.sin(3.0 * theta)
     d222 -= s1 * s1 * (3.0 * c1 * a112 + s1 * a113)
     d223 -= s1 * ((2.0 * c1 * c1 - s1 * s1) * a112 + c1 * s1 * a113)
-    m = _about_e1(theta) @ frame
+    # the rotation about e1 by theta, composed after the frame (u, t1, t2)
+    u, t1, t2 = frame
+    m = [u, [c1 * t1[k] + s1 * t2[k] for k in range(3)], [-s1 * t1[k] + c1 * t2[k] for k in range(3)]]
     det_sign = 1
     if mirror and d123 < -1e-10:
-        m[1] *= -1.0  # diag(1, -1, 1) @ m, which negates d123
+        m[1] = [-x for x in m[1]]  # diag(1, -1, 1) @ m, which negates d123
         det_sign, d123 = -1, -d123
     transform = OrthogonalTransform3(m, det_sign)
     params = CanonicalParams(frob * a111, frob * d122, frob * d123, frob * d223)

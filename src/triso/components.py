@@ -19,7 +19,6 @@ objects, as ``canonical_form`` does for ``GROUPS`` and the error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "COMPONENT_NAMES",
@@ -40,21 +39,50 @@ class ConvergenceError(RuntimeError):
     """The maximizer misses the stationarity tolerance."""
 
 
-@dataclass(frozen=True)
-class SymTraceless3:
+class _Record:
+    """An immutable value with the fields named in ``__slots__``.
+
+    It compares, hashes and prints by its field values in order, and
+    refuses assignment, as a frozen dataclass does, without importing
+    ``dataclasses`` (and the ``inspect`` it pulls in) on the numpy-free path
+    of ``triso invariants``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SymTraceless3(_Record):
     """The seven free components of a symmetric traceless third-order tensor."""
 
-    d111: float = 0.0
-    d112: float = 0.0
-    d113: float = 0.0
-    d122: float = 0.0
-    d123: float = 0.0
-    d222: float = 0.0
-    d223: float = 0.0
+    __slots__ = COMPONENT_NAMES
 
-    def __post_init__(self):
-        for name in COMPONENT_NAMES:
-            value = float(getattr(self, name))
+    def __init__(self, d111=0.0, d112=0.0, d113=0.0, d122=0.0, d123=0.0, d222=0.0, d223=0.0):
+        for name, value in zip(COMPONENT_NAMES, (d111, d112, d113, d122, d123, d222, d223)):
+            value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"component {name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)

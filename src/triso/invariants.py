@@ -28,10 +28,9 @@ loads them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .components import _LAYOUT, SymTraceless3, _inner, _ldexp, _slice, _slices, _unit_scale
+from .components import _LAYOUT, SymTraceless3, _inner, _Record, _ldexp, _slice, _slices, _unit_scale
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,14 +48,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InvariantTuple:
+class InvariantTuple(_Record):
     """Invariant values, indexed by their polynomial degree."""
 
-    i2: float
-    i4: float
-    i6: float
-    i10: float
+    __slots__ = ("i2", "i4", "i6", "i10")
+
+    def __init__(self, i2, i4, i6, i10):
+        object.__setattr__(self, "i2", i2)
+        object.__setattr__(self, "i4", i4)
+        object.__setattr__(self, "i6", i6)
+        object.__setattr__(self, "i10", i10)
 
     def as_array(self) -> np.ndarray:
         import numpy as np
@@ -67,8 +68,7 @@ class InvariantTuple:
         return {"I2": self.i2, "I4": self.i4, "I6": self.i6, "I10": self.i10}
 
 
-@dataclass(frozen=True)
-class CanonicalParams:
+class CanonicalParams(_Record):
     """The four components that remain free after canonicalization.
 
     Canonicalization outputs satisfy d111 >= 0; the type itself places no
@@ -76,10 +76,13 @@ class CanonicalParams:
     independence sampling ranges over a full box.
     """
 
-    d111: float
-    d122: float
-    d123: float
-    d223: float
+    __slots__ = ("d111", "d122", "d123", "d223")
+
+    def __init__(self, d111, d122, d123, d223):
+        object.__setattr__(self, "d111", d111)
+        object.__setattr__(self, "d122", d122)
+        object.__setattr__(self, "d123", d123)
+        object.__setattr__(self, "d223", d223)
 
     def as_array(self) -> np.ndarray:
         import numpy as np

@@ -28,6 +28,7 @@ from .components import (  # noqa: F401 (re-exported)
     _LAYOUT,
     COMPONENT_NAMES,
     SymTraceless3,
+    _dot,
     _slices,
     tensor_from_json_obj,
     tensor_to_json_obj,
@@ -105,14 +106,20 @@ class OrthogonalTransform3:
         mat = np.array(self.m, dtype=float)
         if mat.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
+        # the checks run on the nine entries as Python floats: numpy's
+        # per-call cost on a 3x3 array outweighs the arithmetic
+        rows = mat.tolist()
+        if not all(math.isfinite(x) for row in rows for x in row):
             raise ValueError("matrix entries must be finite")
         if self.det_sign not in (1, -1):
             raise ValueError(f"det_sign must be +1 or -1, got {self.det_sign!r}")
-        err = np.max(np.abs(mat.T @ mat - np.eye(3)))
+        # entry (i, j) of m.T m is the dot product of columns i and j
+        c0, c1, c2 = zip(*rows)
+        err = max(abs(_dot(c0, c0) - 1.0), abs(_dot(c1, c1) - 1.0), abs(_dot(c2, c2) - 1.0),
+                  abs(_dot(c0, c1)), abs(_dot(c0, c2)), abs(_dot(c1, c2)))
         if err > ORTHO_TOL:
             raise ValueError(f"matrix is not orthogonal: max |m.T m - I| = {err:.3g}")
-        det = float(np.linalg.det(mat))
+        det = _det(rows)
         if abs(det - self.det_sign) > ORTHO_TOL:
             raise ValueError(f"det(m) = {det:.17g} does not match det_sign = {self.det_sign:+d}")
         mat.setflags(write=False)
@@ -126,10 +133,9 @@ class OrthogonalTransform3:
     def from_matrix(cls, m) -> "OrthogonalTransform3":
         """Build from a matrix, inferring the determinant sign."""
         mat = np.asarray(m, dtype=float)
-        # det warns on a nan entry and raises LinAlgError on a non-square
-        # shape; construction rejects both with a ValueError
-        valid = mat.shape == (3, 3) and np.all(np.isfinite(mat))
-        return cls(mat, 1 if not valid or np.linalg.det(mat) > 0 else -1)
+        # construction rejects a wrong shape and a non-finite entry with a
+        # ValueError, whichever sign is passed
+        return cls(mat, 1 if mat.shape != (3, 3) or _det(mat.tolist()) > 0 else -1)
 
     def compose(self, other: "OrthogonalTransform3") -> "OrthogonalTransform3":
         """Return the transform acting as self after other."""
@@ -141,6 +147,12 @@ class OrthogonalTransform3:
     def apply(self, x) -> np.ndarray:
         """Apply to a 3-vector."""
         return self.m @ np.asarray(x, dtype=float)
+
+
+def _det(rows) -> float:
+    """The determinant of a 3x3 matrix of Python floats, by cofactors of the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 # Place of each row-major entry (k, i, j) in the three slices laid end to
@@ -229,9 +241,9 @@ def random_orthogonal(seed, proper: bool = True) -> OrthogonalTransform3:
     """
     rng = np.random.default_rng(seed)
     q = rng.normal(size=4)
-    while np.linalg.norm(q) < 1e-12:
+    while math.sqrt(q @ q) < 1e-12:
         q = rng.normal(size=4)
-    mat = _quaternion_to_matrix(q / np.linalg.norm(q))
+    mat = _quaternion_to_matrix(q / math.sqrt(q @ q))
     if proper:
         return OrthogonalTransform3(mat, 1)
     reflect = np.diag([1.0, 1.0, -1.0])

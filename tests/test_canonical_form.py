@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from triso.canonical_form import (
     maximize_cubic_on_sphere,
     stationarity_residual,
     _CHART_FRAME,
-    _about_e1,
     _stationary_candidates,
     _tangent_bases,
 )
 from triso.components import _LAYOUT, _slice, _slices, _times
 from triso.invariants import relative_error, smith_bao
+from triso.orbit_oracle import best_alignment
 from triso.reference_cases import f_root, reference_cases
 from triso.tensor_core import (
     FullTensor3,
@@ -152,12 +153,51 @@ def test_tolerance_is_judged_on_the_maximizer(monkeypatch, t, maximum):
     assert maximize_cubic_on_sphere(t).value == pytest.approx(maximum, rel=1e-14)
 
 
-def test_rotation_about_e1_structure():
-    theta = 0.7
-    r = OrthogonalTransform3(_about_e1(theta), 1)
-    assert np.allclose(r.apply([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0], atol=0)
-    assert r.m[1, 1] == pytest.approx(math.cos(theta))
-    assert r.m[1, 2] == pytest.approx(math.sin(theta))
+def count_linalg_calls(monkeypatch) -> Counter:
+    """Wrap every function of numpy.linalg to count its calls by name."""
+    calls = Counter()
+    for name in np.linalg.__all__:
+        function = getattr(np.linalg, name)
+        if callable(function) and not isinstance(function, type):
+            def counted(*args, _function=function, _name=name, **kwargs):
+                calls[_name] += 1
+                return _function(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_canonicalize_makes_three_lapack_calls(monkeypatch, group):
+    # one stacked det over the Sylvester matrices, one eigvals over the
+    # companions, one eigh of the moment matrix; the transform's checks
+    # run on floats
+    a = random_tensor(7)
+    b = compress(act(random_orthogonal(7, proper=False), expand(a)))
+    calls = count_linalg_calls(monkeypatch)
+    canonicalize(a, group=group)
+    assert calls == {"det": 1, "eigvals": 1, "eigh": 1}
+    calls.clear()
+    best_alignment(a, b, group=group)
+    assert calls == {"det": 2, "eigvals": 2, "eigh": 2}
+
+
+def about_e1(theta):
+    """The rotation by theta about e1."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transform_turns_the_maximizer_frame_about_e1(seed):
+    # the rows are (u, c t1 + s t2, -s t1 + c t2) for the winning maximizer
+    # u and its tangent pair: a rotation about e1 after the frame (u, t1, t2)
+    t = random_tensor(seed)
+    m = canonicalize(t).transform.m
+    u = m[0].tolist()
+    assert any(u == row for row in maximize_cubic_on_sphere(t).maximizers.tolist())
+    turn = m @ np.array([u, *_tangent_bases(u)]).T
+    theta = math.atan2(turn[1, 2], turn[1, 1])
+    assert np.max(np.abs(turn - about_e1(theta))) <= 1e-15
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -493,7 +533,7 @@ def batched_canonicalize(t, group="SO(3)"):
     for key in (d122, np.abs(d123), d223, d123) if mirror else (d122, d123, d223):
         keep &= key >= key[keep].max() - 1e-10
     i, j = np.unravel_index(np.argmax(keep), keep.shape)
-    m = _about_e1(float(theta[i, j])) @ frames[i]
+    m = about_e1(float(theta[i, j])) @ frames[i]
     det_sign = 1
     if mirror and d123[i, j] < -1e-10:
         m[1] *= -1.0

@@ -136,3 +136,18 @@ def test_the_27_entry_array_is_an_input_format_only():
             assert name not in ("expand", "act", "_full"), (path.name, function, name)
             if name in ("compress", "FullTensor3"):
                 assert (path.stem, function) in allowed, (path.name, function, name)
+
+
+def test_invariants_command_imports_no_dataclasses(tmp_path):
+    package_root = str(Path(triso.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = "import triso.cli; raise SystemExit(triso.cli.main(['invariants', '--d111', '1']))"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    # each import line ends "| <indent><module>"
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if "import time:" in line}
+    assert {"triso.cli", "triso.invariants"} <= imported
+    assert "dataclasses" not in imported

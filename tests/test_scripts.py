@@ -1,10 +1,11 @@
 """Smoke runs of the command-line scripts under ``scripts/`` at tiny counts.
 
-``independence_scan`` imports private helpers of ``triso.independence``,
-so a change to those names breaks it; these runs catch that.
+``independence_scan`` and ``layer_times`` import private helpers of
+``triso``, so a change to those names breaks them; these runs catch that.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,17 @@ def test_script_runs(capsys, name, argv):
     assert capsys.readouterr().out
 
 
+def test_layer_times_prints_a_positive_time_per_layer(capsys):
+    argv = ["--tensors", "2", "--repeats", "1", "--samples", "20"]
+    assert _load("layer_times").main(argv) == 0
+    times = json.loads(capsys.readouterr().out)
+    assert set(times) == {
+        "_stationary_candidates_us", "maximize_cubic_on_sphere_us", "canonicalize_us", "best_alignment_us",
+        "same_orbit_us", "smith_bao_us", "independence_report_ms",
+    }
+    assert all(value > 0 for value in times.values())
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -38,6 +50,8 @@ def test_script_runs(capsys, name, argv):
         ("orbit_crossval", ["--tol", "0"]),
         ("orbit_crossval", ["--tol", "-0.5"]),
         ("orbit_crossval", ["--tol", "nan"]),
+        ("layer_times", ["--tensors", "0"]),
+        ("layer_times", ["--repeats", "-1"]),
     ],
 )
 def test_script_rejects_bad_counts_with_a_usage_error(capsys, name, argv):

@@ -22,6 +22,7 @@ from triso.tensor_core import (
     tensor_from_json_obj,
     tensor_to_json_obj,
     trace_violation,
+    _det,
 )
 
 components = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -261,6 +262,29 @@ def test_from_matrix_validates_before_det():
                      ([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "finite")):
         with pytest.raises(ValueError, match=match):
             OrthogonalTransform3.from_matrix(m)
+
+
+def test_from_matrix_rejects_an_infinite_entry():
+    m = [[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -np.inf]]
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        OrthogonalTransform3.from_matrix(m)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_transform_checks_match_their_numpy_definitions(seed):
+    # the float checks read the same err and det as m.T @ m and np.linalg.det
+    rng = np.random.default_rng(seed)
+    for proper in (True, False):
+        g = random_orthogonal(seed, proper=proper)
+        assert abs(_det(g.m.tolist()) - np.linalg.det(g.m)) <= 1e-15
+        for size in (3e-13, 3e-12):
+            m = g.m + size * rng.normal(size=(3, 3))
+            err = np.max(np.abs(m.T @ m - np.eye(3)))
+            if err > 1.1e-12:
+                with pytest.raises(ValueError, match="not orthogonal"):
+                    OrthogonalTransform3(m, g.det_sign)
+            elif err < 0.9e-12:
+                assert OrthogonalTransform3.from_matrix(m).det_sign == g.det_sign
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42])
