@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """In-process times of the main layers, as one JSON object.
 
-Each entry is the best of --repeats passes over fixed seeded inputs,
+Each time is the best of --repeats passes over fixed seeded inputs,
 divided by the number of calls in a pass: microseconds per call, and
-milliseconds for one ``independence_report`` of --samples points.
-Tensors are ``random_tensor(seed)`` for seed 0..--tensors-1; alignment
+milliseconds for one ``independence_report`` of --samples points.  Two
+counts go with them, as means over the tensors: ``candidates_per_call``,
+the rows ``_stationary_candidates`` returns, and ``finished_per_call``,
+those within 1e-6 of the top value, which the maximizer finishes by Newton
+steps.  Tensors are ``random_tensor(seed)`` for seed 0..--tensors-1; alignment
 pairs are a tensor and its image under ``random_orthogonal(seed)``, so
 half of them are improper.
 
@@ -16,7 +19,13 @@ import json
 import sys
 import time
 
-from triso.canonical_form import _stationary_candidates, _unit_tensor, canonicalize, maximize_cubic_on_sphere
+from triso.canonical_form import (
+    _cubic_values,
+    _stationary_candidates,
+    _unit_tensor,
+    canonicalize,
+    maximize_cubic_on_sphere,
+)
 from triso.independence import independence_report
 from triso.invariants import smith_bao
 from triso.orbit_oracle import best_alignment, same_orbit
@@ -46,6 +55,18 @@ def best_per_call(rows: dict, repeats: int) -> dict:
     return best
 
 
+def candidate_counts(units: list) -> dict:
+    """Mean candidates per unit tensor, and mean candidates within 1e-6 of the top |value|."""
+    candidates = finished = 0
+    for c in units:
+        rows = _stationary_candidates(c)
+        values = [abs(v) for v in _cubic_values(c, rows)]
+        top = max(values)
+        candidates += len(rows)
+        finished += sum(v >= top - 1e-6 for v in values)
+    return {"candidates_per_call": candidates / len(units), "finished_per_call": finished / len(units)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tensors", type=count, default=200, help="seeded tensors (and alignment pairs)")
@@ -71,7 +92,9 @@ def main(argv=None) -> int:
     rows["independence_report_ms"] = [lambda: independence_report(sample_count=args.samples, seed=0)]
     times = best_per_call(rows, args.repeats)
     scale = {name: 1e3 if name.endswith("_ms") else 1e6 for name in times}
-    print(json.dumps({name: round(scale[name] * value, 3) for name, value in times.items()}, indent=1))
+    out = {name: round(scale[name] * value, 3) for name, value in times.items()}
+    out.update({name: round(value, 3) for name, value in candidate_counts(units).items()})
+    print(json.dumps(out, indent=1))
     return 0
 
 

@@ -16,24 +16,26 @@ of the O(3) orbit.
 The maximizer is solved for, not searched for.  A stationary point of the
 cubic form on the sphere is a Z-eigenvector of D, and a 3x3x3 symmetric
 tensor has at most 7 pairs of them.  In each of three coordinate charts of
-a fixed generic frame they are the real roots of a degree-7 resultant;
-those roots, plus the eigenvectors of the moment matrix (which catch the
-axis of an axially symmetric tensor, whose resultant vanishes), are the
-candidates.  Only those whose value is within 1e-6 of the largest can win;
-they are finished by Riemannian Newton steps, and the largest value wins.
-All of it runs on the seven components of the unit-normalized tensor, read
-through the three symmetric slices of ``components._slices``, so it is
-scale-free; a 27-entry ``FullTensor3`` is compressed at entry.
+a fixed generic frame they are the real roots of a degree-7 resultant.  A
+root counts only in the chart of the point's largest coordinate, give or
+take a 5 % margin, so each stationary point is found about once.  Those
+roots, plus the covariant vector v_p = M_kl D_klp (which lies along the
+axis of a zonal tensor, whose resultants vanish), are the candidates.
+Only those whose value is within 1e-6 of the largest can win; they are
+finished by Riemannian Newton steps, and the largest value wins.  All of it
+runs on the seven components of the unit-normalized tensor, read through
+the three symmetric slices of ``components._slices``, so it is scale-free;
+a 27-entry ``FullTensor3`` is compressed at entry.
 
 Only the candidate solve uses numpy: matrix products with constant tables
 (the Sylvester matrices and g's coefficients from the seven components, the
 resultant's coefficients from its samples), one stacked ``det`` over the
-fifteen 5x5 Sylvester matrices, one ``eigvals`` over the three companion
-matrices and one ``eigh`` of the moment matrix.  Everything around them
-works on Python floats: the root and value filters, the candidate points,
-the Newton finish of the one to four candidates that can win, the scoring
-of the frames they give and the rows of the winning transform.  On arrays
-of 1 to 24 rows numpy's per-call cost outweighs the arithmetic.
+fifteen 5x5 Sylvester matrices and one ``eigvals`` over the three
+companion matrices: two LAPACK calls.  Everything around them works on
+Python floats: the root and value filters, the candidate points, the Newton
+finish of the one to four candidates that can win, the scoring of the
+frames they give and the rows of the winning transform.  On arrays of 1 to
+15 rows numpy's per-call cost outweighs the arithmetic.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ class SphereMaximizer:
     Both are computed on the unit-normalized tensor and multiplied by its
     norm, so they scale with the tensor and stay finite at any finite norm.
     iterations is 0, as no ascent runs; newton_iterations is the most
-    Newton steps any finished candidate took (each stops after its first
-    step below 1e-15, and at 4).
+    frame reads any finished candidate took (each stops without moving when
+    its next step would be below 1e-15, and after 4 steps, at 5 reads).
     maximizers holds one row per distinct maximizer tied with u, u first.
     """
 
@@ -165,16 +167,18 @@ def _tangent_bases(x) -> tuple[list, list]:
     return [c0, c1, c2], [x1 * c2 - x2 * c1, x2 * c0 - x0 * c2, x0 * c1 - x1 * c0]
 
 
-def _newton(c: tuple, x: list) -> tuple[list, int]:
+def _newton(c: tuple, x: list) -> tuple[list, int, float, float]:
     """Riemannian Newton steps from x toward a stationary point of the cubic form.
 
-    Solves the projected system P(H - lambda I)P dx = -P grad in the 2d
-    tangent basis; a near-singular tangent Hessian falls back to a damped
-    gradient step.  Step length is capped so the iterate stays in its
-    basin.  Stops after the first step below 1e-15, or after 4; returns
-    the point and the steps run.
+    Each iteration reads the tensor in the frame (x, t1, t2) and solves the
+    projected system P(H - lambda I)P dx = -P grad in the tangent basis; a
+    near-singular tangent Hessian falls back to a damped gradient step.
+    Step length is capped so the iterate stays in its basin.  It stops
+    without moving when the step it would take is below 1e-15, or after 4
+    steps, and returns the point, the frame reads, and g(x) and the
+    tangential gradient norm ||grad g - (x.grad g) x|| from the last read.
     """
-    for it in range(1, 5):
+    for reads in range(1, 6):
         t1, t2 = _tangent_bases(x)
         # in the frame (x, t1, t2), H = 6 D(x) and grad = 3 D(x) x have
         # tangent parts 6 [[d122, d123], [d123, d133]] and 3 (d112, d113),
@@ -189,20 +193,11 @@ def _newton(c: tuple, x: list) -> tuple[list, int]:
             z0, z1 = 0.2 * b0, 0.2 * b1
         step = math.hypot(z0, z1)
         cap = min(1.0, 0.3 / max(step, 1e-300))
+        if cap * step < 1e-15 or reads == 5:
+            break
         z0, z1 = cap * z0, cap * z1
         x = _unit([x[k] + z0 * t1[k] + z1 * t2[k] for k in range(3)])
-        if cap * step < 1e-15:
-            break
-    return x, it
-
-
-def _value_and_residual(c: tuple, x) -> tuple[float, float]:
-    """g(x) and the tangential gradient norm ||grad g - (x.grad g) x||.
-
-    They are d111 and 3 |(d112, d113)| in the frame (x, t1, t2).
-    """
-    d111, d112, d113 = _in_frame(c, (x, *_tangent_bases(x)))[:3]
-    return d111, 3.0 * math.hypot(d112, d113)
+    return x, reads, d111, 3.0 * math.hypot(d112, d113)
 
 
 def _cubic_values(c: tuple, rows) -> list:
@@ -221,10 +216,14 @@ def _cubic_values(c: tuple, rows) -> list:
 
 # Rows of a fixed rotation with no special alignment to the coordinate axes
 # (the quaternion has squared norm 1.0071): the normals of the three charts.
-# Every unit vector has a coordinate of size at least 1/sqrt(3) in this
-# frame, so it lies in some chart with |y|, |z| <= sqrt(2), inside _WINDOW.
+# A unit vector's largest coordinate in this frame is at least 1/sqrt(3),
+# and in the chart of that coordinate it has |y|, |z| <= 1.  A root is kept
+# only inside _WINDOW, so each stationary point comes from one chart, or
+# from two when it sits within 5 % of a boundary; the margin keeps roots
+# that roundoff moves across it (they are good to about 1e-8, 5e-6 at a
+# triple root).
 _CHART_FRAME = _quaternion_to_matrix(np.array([0.7, 0.41, -0.33, 0.49]) / math.sqrt(1.0071))
-_WINDOW = 1.5
+_WINDOW = 1.05
 _CHART_POINTS = _CHART_FRAME[[[0, 1, 2], [1, 2, 0], [2, 0, 1]]].tolist()
 # The 8th roots of unity omega_s in the closed upper half plane, s = 0..4.
 # A resultant r has real coefficients, so r(omega_(8-s)) = conj r(omega_s)
@@ -280,24 +279,24 @@ def _chart_tables() -> tuple[np.ndarray, np.ndarray]:
 _SYLVESTER_TABLE, _G_TABLE = _chart_tables()
 
 
-def _stationary_candidates(c: tuple) -> np.ndarray:
+def _stationary_candidates(c: tuple) -> list:
     """Unit vectors near every stationary point of the cubic form of the
-    unit-norm tensor with the seven components c, as the rows of a (k, 3) array.
+    unit-norm tensor with the seven components c, as a list of 3-lists.
 
     In each chart the resultant of f and g in z is a polynomial of degree
     7 in y (two of the 9 Bezout solutions sit at infinity).  It is sampled
     at the 8th roots of unity (five determinants; conjugation gives the
     other three), its coefficients come back by inverse DFT,
     and its roots are the eigenvalues of the companion matrix.  Each real
-    root with |y| <= 1.5 gives both roots z of the quadratic g, kept for
-    |z| <= 1.5; a spurious one is harmless, as the caller polishes every
-    candidate and ranks them by value.  The three eigenvectors of the
-    moment matrix are added: an axially symmetric tensor has a ring of
-    stationary points, its resultant vanishes identically, and its axis is
-    the simple eigenvector.  The rows come chart by chart, root by root,
-    q/g2 before g0/q, then the three axes.
+    root with |y| <= _WINDOW gives both roots z of the quadratic g, kept
+    for |z| <= _WINDOW; a spurious one is harmless, as the caller polishes
+    every candidate and ranks them by value.  The covariant vector
+    v_p = M_kl D_klp is added when it is nonzero: a zonal tensor (axially
+    symmetric) has a ring of stationary points, its resultants vanish
+    identically, and v lies along its axis, which is its maximizer.  The
+    rows come chart by chart, root by root, q/g2 before g0/q, then v.
 
-    Only the two table products and the three stacked LAPACK calls run on
+    Only the two table products and the two stacked LAPACK calls run on
     arrays; the filters, g's coefficients (by Horner at each kept root) and
     the points run on Python floats.
     """
@@ -336,10 +335,11 @@ def _stationary_candidates(c: tuple) -> np.ndarray:
             for num, den in ((q, g2), (g0, q)):
                 z = num / den if den != 0.0 else math.inf
                 if abs(z) <= _WINDOW:
-                    rows.append([e0[k] + y * e1[k] + z * e2[k] for k in range(3)])
-    m = _slice_kernel(*c)[0]  # the moment matrix, in the slice layout
-    rows += np.linalg.eigh([[m[0], m[3], m[4]], [m[3], m[1], m[5]], [m[4], m[5], m[2]]])[1].T.tolist()
-    return np.array([_unit(x) for x in rows])
+                    rows.append(_unit([e0[k] + y * e1[k] + z * e2[k] for k in range(3)]))
+    v = _slice_kernel(*c)[1]
+    if _dot(v, v) > 0.0:
+        rows.append(_unit(v))
+    return rows
 
 
 def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
@@ -347,9 +347,10 @@ def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
 
     Every stationary point is enumerated (``_stationary_candidates``).  The
     candidates with |value| within 1e-6 of the largest (normalized tensor)
-    are finished by Newton steps, one at a time, each until its first step
-    below 1e-15 and at most 4; the rest cannot win, as a candidate eps
-    from a stationary point is off in value by O(eps^2).  Candidates with a
+    are finished by Newton steps, one at a time, each until the step it
+    would take is below 1e-15 and at most 4; the value and residual come
+    from the last frame Newton read.  The rest cannot win, as a candidate
+    eps from a stationary point is off in value by O(eps^2).  Candidates with a
     negative value are flipped to the antipode, so the result satisfies
     value >= 0.  The largest value wins, with ties (within 1e-12 on the normalized tensor)
     broken by picking the lexicographically largest unit vector.  Every
@@ -358,21 +359,22 @@ def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
 
     Raises ConvergenceError if no candidate within 1e-12 of the largest
     value has a stationarity residual (on the normalized tensor) within
-    STATIONARITY_TOL.
+    STATIONARITY_TOL, or if there is no candidate at all.
     """
     frob, c = _unit_tensor(t)
     if frob == 0.0:
         return SphereMaximizer(np.array([1.0, 0.0, 0.0]), 0.0, 0.0)
 
-    rows = _stationary_candidates(c).tolist()
+    rows = _stationary_candidates(c)
+    if not rows:
+        raise ConvergenceError(f"no stationary point found for {SymTraceless3(*_components(t))!r}")
     val = [abs(v) for v in _cubic_values(c, rows)]
     top = max(val)
     finished = []  # (value, point, residual), value >= 0
     newton_iterations = 0
     for row in (row for row, v in zip(rows, val) if v >= top - 1e-6):
-        u, steps = _newton(c, row)
-        newton_iterations = max(newton_iterations, steps)
-        value, res = _value_and_residual(c, u)
+        u, reads, value, res = _newton(c, row)
+        newton_iterations = max(newton_iterations, reads)
         if value < 0.0:
             u, value = [-u[0], -u[1], -u[2]], -value
         finished.append((value, u, res))
@@ -520,4 +522,6 @@ def stationarity_residual(t: SymTraceless3 | FullTensor3, x) -> float:
     frob, c = _unit_tensor(t)
     if frob == 0.0:
         return 0.0
-    return frob * _value_and_residual(c, x.tolist())[1]
+    x = x.tolist()
+    d112, d113 = _in_frame(c, (x, *_tangent_bases(x)))[1:3]
+    return 3.0 * frob * math.hypot(d112, d113)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical_form import GROUPS, canonicalize  # noqa: F401 (GROUPS re-exported)
-from .components import _in_frame, _ldexp, _norm
-from .invariants import InvariantTuple, _components, _unit_kernel
+from .components import _in_frame, _ldexp, _norm, _unit_scale
+from .invariants import InvariantTuple, _components, _slice_kernel, _unit_kernel
 from .tensor_core import OrthogonalTransform3, SymTraceless3
 
 __all__ = [
@@ -57,6 +57,11 @@ def best_alignment(a: SymTraceless3, b: SymTraceless3, group: str = "O(3)") -> A
     return AlignmentResult(g, residual, group)
 
 
+def _degree_normalized(i2: float, i4: float, i6: float, i10: float) -> tuple:
+    """(I2, I4^(1/2), I6^(1/3), I10^(1/5)), with I10's sign kept."""
+    return (i2, math.sqrt(max(i4, 0.0)), math.cbrt(max(i6, 0.0)), math.copysign(abs(i10) ** 0.2, i10))
+
+
 def degree_normalized_invariants(t: SymTraceless3 | InvariantTuple) -> np.ndarray:
     """Invariants rescaled to a common homogeneity degree.
 
@@ -68,11 +73,10 @@ def degree_normalized_invariants(t: SymTraceless3 | InvariantTuple) -> np.ndarra
     wherever it is a normal double, though raw I10 overflows from about 1e31.
     """
     if isinstance(t, InvariantTuple):
-        k, (i2, i4, i6, i10) = 0, (t.i2, t.i4, t.i6, t.i10)
+        k, invariants = 0, (t.i2, t.i4, t.i6, t.i10)
     else:
-        k, (_, _, (i2, i4, i6, i10)) = _unit_kernel(t)
-    normalized = (i2, math.sqrt(max(i4, 0.0)), np.cbrt(max(i6, 0.0)), np.sign(i10) * abs(i10) ** 0.2)
-    return np.array([_ldexp(float(x), 2 * k) for x in normalized])
+        k, (_, _, invariants) = _unit_kernel(t)
+    return np.array([_ldexp(float(x), 2 * k) for x in _degree_normalized(*invariants)])
 
 
 def invariant_distance(a: SymTraceless3, b: SymTraceless3) -> float:
@@ -80,19 +84,20 @@ def invariant_distance(a: SymTraceless3, b: SymTraceless3) -> float:
 
     Every normalized component scales as the squared norm, as I2 does, so
     the distance is scale-free: it is the same for a pair and for the pair
-    scaled by any factor.  The pair is evaluated scaled to a largest
-    component of 1: at the pair's own scale the normalized components,
-    which scale as ||T||^2, overflow from a norm of about 1e154, and the
-    raw I10 they come from is +-inf from about 1e31, where the difference
-    of two infinite components is NaN.  Two zero tensors are at distance 0.
+    scaled by any power of two, and up to roundoff by any factor.  Both
+    tensors are evaluated times the one exact factor 2^-k that puts the
+    pair's largest component in [1/2, 1): at the pair's own scale the
+    normalized components, which scale as ||T||^2, overflow from a norm of
+    about 1e154, and the raw I10 they come from is +-inf from about 1e31,
+    where the difference of two infinite components is NaN.  Two zero
+    tensors are at distance 0.
     """
-    ca, cb = a.as_array(), b.as_array()
-    scale = max(np.max(np.abs(ca)), np.max(np.abs(cb)))
-    if scale == 0.0:
+    _, c = _unit_scale(_components(a) + _components(b))
+    if not any(c):
         return 0.0
-    pa = degree_normalized_invariants(SymTraceless3.from_array(ca / scale))
-    pb = degree_normalized_invariants(SymTraceless3.from_array(cb / scale))
-    return float(np.max(np.abs(pa - pb))) / max(pa[0], pb[0])
+    pa = _degree_normalized(*_slice_kernel(*c[:7])[2])
+    pb = _degree_normalized(*_slice_kernel(*c[7:])[2])
+    return max(abs(x - y) for x, y in zip(pa, pb)) / max(pa[0], pb[0])
 
 
 def same_orbit(a: SymTraceless3, b: SymTraceless3, tol: float = 1e-8) -> str:
