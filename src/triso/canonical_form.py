@@ -86,8 +86,8 @@ class SphereMaximizer:
     Both are computed on the unit-normalized tensor and multiplied by its
     norm, so they scale with the tensor and stay finite at any finite norm.
     iterations is 0, as no ascent runs; newton_iterations is the most
-    frame reads any finished candidate took (each stops without moving when
-    its next step would be below 1e-15, and after 4 steps, at 5 reads).
+    Newton steps any finished candidate took, at most 4, with the step
+    below 1e-15 that ends a candidate's run counted though it is not taken.
     maximizers holds one row per distinct maximizer tied with u, u first.
     """
 
@@ -374,7 +374,7 @@ def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
     newton_iterations = 0
     for row in (row for row, v in zip(rows, val) if v >= top - 1e-6):
         u, reads, value, res = _newton(c, row)
-        newton_iterations = max(newton_iterations, reads)
+        newton_iterations = max(newton_iterations, min(reads, 4))
         if value < 0.0:
             u, value = [-u[0], -u[1], -u[2]], -value
         finished.append((value, u, res))

@@ -59,7 +59,7 @@ def best_alignment(a: SymTraceless3, b: SymTraceless3, group: str = "O(3)") -> A
 
 def _degree_normalized(i2: float, i4: float, i6: float, i10: float) -> tuple:
     """(I2, I4^(1/2), I6^(1/3), I10^(1/5)), with I10's sign kept."""
-    return (i2, math.sqrt(max(i4, 0.0)), math.cbrt(max(i6, 0.0)), math.copysign(abs(i10) ** 0.2, i10))
+    return (i2, math.sqrt(max(i4, 0.0)), float(np.cbrt(max(i6, 0.0))), math.copysign(abs(i10) ** 0.2, i10))
 
 
 def degree_normalized_invariants(t: SymTraceless3 | InvariantTuple) -> np.ndarray:

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import triso
 
 from triso.canonical_form import canonicalize
 from triso.invariants import smith_bao
@@ -239,3 +246,26 @@ def test_mirror_image_has_mirrored_params_but_aligns_in_o3(seed):
     assert aligned.residual <= 1e-10 * norm
     moved = compress(act(aligned.best_transform, expand(a)))
     assert np.max(np.abs(moved.as_array() - b.as_array())) <= 1e-9 * norm
+
+
+def test_verdicts_need_no_math_function_newer_than_python_3_10():
+    # the package supports Python 3.10, whose math module lacks cbrt and
+    # exp2; a fresh interpreter with both deleted still decides orbits
+    package_root = str(Path(triso.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = (
+        "import math\n"
+        "for name in ('cbrt', 'exp2'):\n"
+        "    if hasattr(math, name):\n"
+        "        delattr(math, name)\n"
+        "from triso.orbit_oracle import best_alignment, degree_normalized_invariants, same_orbit\n"
+        "from triso.tensor_core import act, compress, expand, random_orthogonal, random_tensor\n"
+        "a, c = random_tensor(0), random_tensor(1)\n"
+        "b = compress(act(random_orthogonal(1, proper=False), expand(a)))\n"
+        "print(same_orbit(a, b), same_orbit(a, c), degree_normalized_invariants(a).shape)\n"
+        "print(best_alignment(a, b, 'O(3)').residual < 1e-10)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["same different (4,)", "True"]
