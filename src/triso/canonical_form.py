@@ -21,7 +21,7 @@ root counts only in the chart of the point's largest coordinate, give or
 take a 5 % margin, so each stationary point is found about once.  Those
 roots, plus the covariant vector v_p = M_kl D_klp (which lies along the
 axis of a zonal tensor, whose resultants vanish), are the candidates.
-Only those whose value is within 1e-6 of the largest can win; they are
+Those whose value is within ``_FINISH_SLACK`` (1e-5) of the largest are
 finished by Riemannian Newton steps, and the largest value wins.  All of it
 runs on the seven components of the unit-normalized tensor, read through
 the three symmetric slices of ``components._slices``, so it is scale-free;
@@ -65,6 +65,11 @@ if TYPE_CHECKING:
 # Stationarity tolerance the returned maximizer must meet, applied to the
 # unit-normalized tensor.
 STATIONARITY_TOL = 1e-12
+# A candidate is finished by Newton steps when its unpolished |value| is
+# within this of the largest (unit-normalized tensor).  A candidate on a
+# tied maximizer can start up to 5.1e-6 below the top, on a rotated copy of
+# a tensor with three tied maximizers.
+_FINISH_SLACK = 1e-5
 
 __all__ = [
     "STATIONARITY_TOL",
@@ -317,7 +322,7 @@ def _stationary_candidates(c: tuple) -> list:
     g_table = (_G_TABLE @ d).tolist()
 
     rows = []
-    for chart, (e0, e1, e2) in enumerate(_CHART_POINTS):
+    for chart, ((p0, p1, p2), (q0, q1, q2), (r0, r1, r2)) in enumerate(_CHART_POINTS):
         # g's coefficients of z^0, z^1, z^2, each of y^0..y^3
         (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
             g_table[12 * chart + 4 * k : 12 * chart + 4 * k + 4] for k in range(3)
@@ -334,8 +339,10 @@ def _stationary_candidates(c: tuple) -> list:
             q = -0.5 * (g1 + math.copysign(math.sqrt(max(g1 * g1 - 4.0 * g0 * g2, 0.0)), g1))
             for num, den in ((q, g2), (g0, q)):
                 z = num / den if den != 0.0 else math.inf
-                if abs(z) <= _WINDOW:
-                    rows.append(_unit([e0[k] + y * e1[k] + z * e2[k] for k in range(3)]))
+                if abs(z) <= _WINDOW:  # the chart point, normalized
+                    x0, x1, x2 = p0 + y * q0 + z * r0, p1 + y * q1 + z * r1, p2 + y * q2 + z * r2
+                    n = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+                    rows.append([x0 / n, x1 / n, x2 / n])
     v = _slice_kernel(*c)[1]
     if _dot(v, v) > 0.0:
         rows.append(_unit(v))
@@ -346,11 +353,12 @@ def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
     """Find the global maximizer of the cubic form on the unit sphere.
 
     Every stationary point is enumerated (``_stationary_candidates``).  The
-    candidates with |value| within 1e-6 of the largest (normalized tensor)
-    are finished by Newton steps, one at a time, each until the step it
-    would take is below 1e-15 and at most 4; the value and residual come
-    from the last frame Newton read.  The rest cannot win, as a candidate
-    eps from a stationary point is off in value by O(eps^2).  Candidates with a
+    candidates with |value| within ``_FINISH_SLACK`` (1e-5) of the largest
+    (normalized tensor) are finished by Newton steps, one at a time, each
+    until the step it would take is below 1e-15 and at most 4; the value
+    and residual come from the last frame Newton read.  The rest cannot
+    win, as a candidate eps from a stationary point is off in value by
+    O(eps^2).  Candidates with a
     negative value are flipped to the antipode, so the result satisfies
     value >= 0.  The largest value wins, with ties (within 1e-12 on the normalized tensor)
     broken by picking the lexicographically largest unit vector.  Every
@@ -372,7 +380,7 @@ def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
     top = max(val)
     finished = []  # (value, point, residual), value >= 0
     newton_iterations = 0
-    for row in (row for row, v in zip(rows, val) if v >= top - 1e-6):
+    for row in (row for row, v in zip(rows, val) if v >= top - _FINISH_SLACK):
         u, reads, value, res = _newton(c, row)
         newton_iterations = max(newton_iterations, min(reads, 4))
         if value < 0.0:

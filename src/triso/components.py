@@ -7,8 +7,10 @@ seven-component value type, the one place that completes the traces and
 lays out the three symmetric slices D_k (``_slices``, which
 ``tensor_core.expand`` and the invariants read), the kernels on them that
 read the tensor in a rotated frame (``_in_frame``) and take its norm
-(``_norm``), the tensor JSON form, and the constant and error type that the
-command line's parser and ``main`` need (``GROUPS``, ``ConvergenceError``).
+(``_norm``), the two power-of-two scalings the kernels run at
+(``_unit_scale``, ``_kernel_scale``), the tensor JSON form, and the
+constant and error type that the command line's parser and ``main`` need
+(``GROUPS``, ``ConvergenceError``).
 
 Everything here is plain Python, so a command that needs only this layer
 and the invariants (``triso invariants``) never imports numpy.  The array
@@ -131,33 +133,27 @@ def _inner(p, q):
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + 2 * (p[3] * q[3] + p[4] * q[4] + p[5] * q[5])
 
 
-def _slice(s, x) -> tuple:
-    """D(x)_ij = D_ijk x_k = sum_k x_k (D_k)_ij in the slice layout, from the slices s."""
-    s1, s2, s3 = s
-    x1, x2, x3 = x
-    return (s1[0] * x1 + s2[0] * x2 + s3[0] * x3, s1[1] * x1 + s2[1] * x2 + s3[1] * x3,
-            s1[2] * x1 + s2[2] * x2 + s3[2] * x3, s1[3] * x1 + s2[3] * x2 + s3[3] * x3,
-            s1[4] * x1 + s2[4] * x2 + s3[4] * x3, s1[5] * x1 + s2[5] * x2 + s3[5] * x3)
-
-
-def _times(m, x) -> tuple:
-    """m x for a symmetric matrix m in the slice layout."""
-    x1, x2, x3 = x
-    return (m[0] * x1 + m[3] * x2 + m[4] * x3, m[3] * x1 + m[1] * x2 + m[5] * x3,
-            m[4] * x1 + m[5] * x2 + m[2] * x3)
-
-
 def _in_frame(c, rows) -> tuple:
     """The seven components of the tensor c read in the orthonormal frame rows.
 
-    Component abc is D(row_a, row_b, row_c): for the rows of g, g . T.
+    Component abc is D(row_a, row_b, row_c): for the rows of g, g . T.  One
+    straight-line pass over the slices: with A = D(row_1) and B = D(row_2),
+    the symmetric matrices D_ijk x_k in the slice layout, it forms A row_1,
+    A row_2 and B row_2 and dots each with the rows it pairs with.
     """
-    s = _slices(*c)
-    r1, r2, r3 = rows
-    a = _slice(s, r1)
-    a1, a2, b2 = _times(a, r1), _times(a, r2), _times(_slice(s, r2), r2)
-    return (_dot(a1, r1), _dot(a1, r2), _dot(a1, r3), _dot(a2, r2), _dot(a2, r3),
-            _dot(b2, r2), _dot(b2, r3))
+    ((p11, p22, p33, p12, p13, p23), (q11, q22, q33, q12, q13, q23),
+     (r11, r22, r33, r12, r13, r23)) = _slices(*c)
+    (x1, x2, x3), (y1, y2, y3), (z1, z2, z3) = rows
+    a11, a22, a33 = p11 * x1 + q11 * x2 + r11 * x3, p22 * x1 + q22 * x2 + r22 * x3, p33 * x1 + q33 * x2 + r33 * x3
+    a12, a13, a23 = p12 * x1 + q12 * x2 + r12 * x3, p13 * x1 + q13 * x2 + r13 * x3, p23 * x1 + q23 * x2 + r23 * x3
+    b11, b22, b33 = p11 * y1 + q11 * y2 + r11 * y3, p22 * y1 + q22 * y2 + r22 * y3, p33 * y1 + q33 * y2 + r33 * y3
+    b12, b13, b23 = p12 * y1 + q12 * y2 + r12 * y3, p13 * y1 + q13 * y2 + r13 * y3, p23 * y1 + q23 * y2 + r23 * y3
+    e1, e2, e3 = a11 * x1 + a12 * x2 + a13 * x3, a12 * x1 + a22 * x2 + a23 * x3, a13 * x1 + a23 * x2 + a33 * x3
+    f1, f2, f3 = a11 * y1 + a12 * y2 + a13 * y3, a12 * y1 + a22 * y2 + a23 * y3, a13 * y1 + a23 * y2 + a33 * y3
+    h1, h2, h3 = b11 * y1 + b12 * y2 + b13 * y3, b12 * y1 + b22 * y2 + b23 * y3, b13 * y1 + b23 * y2 + b33 * y3
+    return (e1 * x1 + e2 * x2 + e3 * x3, e1 * y1 + e2 * y2 + e3 * y3, e1 * z1 + e2 * z2 + e3 * z3,
+            f1 * y1 + f2 * y2 + f3 * y3, f1 * z1 + f2 * z2 + f3 * z3,
+            h1 * y1 + h2 * y2 + h3 * y3, h1 * z1 + h2 * z2 + h3 * z3)
 
 
 def _ldexp(x: float, n: int) -> float:
@@ -174,12 +170,31 @@ def _unit_scale(c) -> tuple:
     return k, [math.ldexp(x, -k) for x in c]
 
 
+def _kernel_scale(c) -> tuple:
+    """k, and the components times 2^-k, for a kernel of degree up to 10 to run on.
+
+    k = 0, with c as given, while the largest |component| is in
+    [2^-61, 2^60): every term of degree up to 10 then stays below about
+    2^600 and the dominant ones stay normal, and scaling by 2^-k commutes
+    with each + and *, so the result has the bits of a run at unit scale
+    (short of terms that underflow at one scale and not the other, which
+    takes components some 150 decades apart).  Outside that window
+    ``_unit_scale``'s k, the only scale that keeps the terms in range there.
+    """
+    k = math.frexp(max(map(abs, c)))[1]
+    if -60 <= k <= 60:
+        return 0, c
+    return k, [math.ldexp(x, -k) for x in c]
+
+
 def _norm(c) -> float:
-    """||T||, from ||T||^2 = <D_1, D_1> + <D_2, D_2> + <D_3, D_3> at unit scale.
+    """||T||, from ||T||^2 = <D_1, D_1> + <D_2, D_2> + <D_3, D_3> at ``_kernel_scale``.
 
     So nothing overflows or underflows on the way; +inf only beyond a double.
+    The square root commutes with the power of four, so the bits are those
+    of a run at unit scale.
     """
-    k, c = _unit_scale(c)
+    k, c = _kernel_scale(c)
     s1, s2, s3 = _slices(*c)
     return _ldexp(math.sqrt(_inner(s1, s1) + _inner(s2, s2) + _inner(s3, s3)), k)
 

@@ -10,11 +10,15 @@ cubic: with M_kl = <D_k, D_l> (the Frobenius product) and v_p = <M, D_p>,
 which are the contractions I2 = D_ijk D_ijk, I4 = D_ijk D_ijl D_pqk D_pql,
 I6 = v.v and I10 = D_ijk v_i v_j v_k with v_p = D_ijk D_ijl D_klp.  The
 slices, and the trace completion behind them, come from
-``components._slices``.  The arithmetic runs on the tensor scaled by a
-power of two to a largest component in [1/2, 1), and each I_d, like M
-(degree 2) and v (degree 3), is scaled back by the matching power of that
-factor, which is exact; so results are finite wherever the true value is
-a normal double, +-inf beyond that, and never NaN.
+``components._slices``; the kernel ``_slice_kernel`` is one straight-line
+pass of + and *.  It runs on the seven components as given while the
+largest is in [2^-61, 2^60), where no power up to degree 10 leaves the
+normal range.  Outside that window it runs on the tensor times the exact
+power of two 2^-k that puts the largest component in [1/2, 1), and each
+I_d, like M (degree 2) and v (degree 3), is scaled back by 2^(d*k).  A
+power of two commutes with every + and *, so both give the same bits; the
+result carries an absolute error of order eps * ||T||^d, reads +-inf where
+it overflows, and is never NaN.
 ``canonical_invariants`` evaluates closed-form polynomials of the four
 canonical parameters, at unit scale too; on tensors in canonical position
 the two paths agree, which the test suite exploits as a cross-check of both.
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .components import _LAYOUT, SymTraceless3, _inner, _Record, _ldexp, _slice, _slices, _unit_scale
+from .components import _LAYOUT, SymTraceless3, _kernel_scale, _Record, _ldexp, _slices, _unit_scale
 
 if TYPE_CHECKING:
     import numpy as np
@@ -99,17 +103,37 @@ class CanonicalParams(_Record):
 def _slice_kernel(d111, d112, d113, d122, d123, d222, d223):
     """(M, v, (I2, I4, I6, I10)) of the tensor with these seven components.
 
-    M is a 6-tuple in the slice layout of ``_slices`` and v a 3-tuple.
-    Only + and * with integer constants, so Fractions give exact results
-    and numpy arrays, real or complex, evaluate it elementwise.
+    M is a 6-tuple in the slice layout of ``_slices`` and v a 3-tuple.  One
+    straight-line pass: the six Frobenius products <D_k, D_l> of the slices
+    a, b, c give M, then v_p = <M, D_p>, W = v1 D_1 + v2 D_2 + v3 D_3 and
+    I10 = <W, v v^T>.  Only + and * with integer constants, so Fractions
+    give exact results and numpy arrays, real or complex, evaluate it
+    elementwise.
     """
-    s1, s2, s3 = _slices(d111, d112, d113, d122, d123, d222, d223)
-    m11, m22, m33 = _inner(s1, s1), _inner(s2, s2), _inner(s3, s3)
-    m = (m11, m22, m33, _inner(s1, s2), _inner(s1, s3), _inner(s2, s3))
-    v1, v2, v3 = _inner(m, s1), _inner(m, s2), _inner(m, s3)
-    w = _slice((s1, s2, s3), (v1, v2, v3))  # v1 D_1 + v2 D_2 + v3 D_3
-    vv = (v1 * v1, v2 * v2, v3 * v3, v1 * v2, v1 * v3, v2 * v3)
-    return m, (v1, v2, v3), (m11 + m22 + m33, _inner(m, m), vv[0] + vv[1] + vv[2], _inner(w, vv))
+    ((a11, a22, a33, a12, a13, a23), (b11, b22, b33, b12, b13, b23),
+     (c11, c22, c33, c12, c13, c23)) = _slices(d111, d112, d113, d122, d123, d222, d223)
+    m11 = a11 * a11 + a22 * a22 + a33 * a33 + 2 * (a12 * a12 + a13 * a13 + a23 * a23)
+    m22 = b11 * b11 + b22 * b22 + b33 * b33 + 2 * (b12 * b12 + b13 * b13 + b23 * b23)
+    m33 = c11 * c11 + c22 * c22 + c33 * c33 + 2 * (c12 * c12 + c13 * c13 + c23 * c23)
+    m12 = a11 * b11 + a22 * b22 + a33 * b33 + 2 * (a12 * b12 + a13 * b13 + a23 * b23)
+    m13 = a11 * c11 + a22 * c22 + a33 * c33 + 2 * (a12 * c12 + a13 * c13 + a23 * c23)
+    m23 = b11 * c11 + b22 * c22 + b33 * c33 + 2 * (b12 * c12 + b13 * c13 + b23 * c23)
+    v1 = m11 * a11 + m22 * a22 + m33 * a33 + 2 * (m12 * a12 + m13 * a13 + m23 * a23)
+    v2 = m11 * b11 + m22 * b22 + m33 * b33 + 2 * (m12 * b12 + m13 * b13 + m23 * b23)
+    v3 = m11 * c11 + m22 * c22 + m33 * c33 + 2 * (m12 * c12 + m13 * c13 + m23 * c23)
+    w11, w22, w33 = a11 * v1 + b11 * v2 + c11 * v3, a22 * v1 + b22 * v2 + c22 * v3, a33 * v1 + b33 * v2 + c33 * v3
+    w12, w13, w23 = a12 * v1 + b12 * v2 + c12 * v3, a13 * v1 + b13 * v2 + c13 * v3, a23 * v1 + b23 * v2 + c23 * v3
+    u11, u22, u33, u12, u13, u23 = v1 * v1, v2 * v2, v3 * v3, v1 * v2, v1 * v3, v2 * v3
+    return (
+        (m11, m22, m33, m12, m13, m23),
+        (v1, v2, v3),
+        (
+            m11 + m22 + m33,
+            m11 * m11 + m22 * m22 + m33 * m33 + 2 * (m12 * m12 + m13 * m13 + m23 * m23),
+            u11 + u22 + u33,
+            w11 * u11 + w22 * u22 + w33 * u33 + 2 * (w12 * u12 + w13 * u13 + w23 * u23),
+        ),
+    )
 
 
 def _components(t: SymTraceless3 | FullTensor3) -> tuple:
@@ -122,49 +146,58 @@ def _components(t: SymTraceless3 | FullTensor3) -> tuple:
     return (t.d111, t.d112, t.d113, t.d122, t.d123, t.d222, t.d223)
 
 
-def _unit_kernel(t: SymTraceless3 | FullTensor3) -> tuple:
+def _scaled_kernel(t: SymTraceless3 | FullTensor3) -> tuple:
     """k and the ``_slice_kernel`` of the tensor times the exact factor 2^-k.
 
-    k puts the largest component in [1/2, 1).
+    k comes from ``components._kernel_scale``: 0 for a tensor of ordinary
+    size, and otherwise the k that puts the largest component in [1/2, 1).
     """
-    k, c = _unit_scale(_components(t))
+    k, c = _kernel_scale(_components(t))
     return k, _slice_kernel(*c)
 
 
 def moment_matrix(t: SymTraceless3 | FullTensor3) -> np.ndarray:
     """The 3x3 positive-semidefinite matrix M_kl = D_ijk D_ijl.
 
-    Computed at unit scale and scaled back by 2^(2k), like ``smith_bao``:
-    +-inf where an entry overflows, never NaN.
+    Computed at the scale of ``_scaled_kernel`` and scaled back by 2^(2k),
+    like ``smith_bao``: +-inf where an entry overflows, never NaN.
     """
     import numpy as np
 
-    k, (m, _, _) = _unit_kernel(t)
+    k, (m, _, _) = _scaled_kernel(t)
     return np.array([_ldexp(x, 2 * k) for x in m])[np.array(_LAYOUT)]
 
 
 def v_vector(t: SymTraceless3 | FullTensor3) -> np.ndarray:
     """The degree-3 covariant vector v_p = D_ijk D_ijl D_klp = M_kl D_klp.
 
-    Computed at unit scale and scaled back by 2^(3k), like ``smith_bao``:
-    +-inf where an entry overflows, never NaN.
+    Computed at the scale of ``_scaled_kernel`` and scaled back by 2^(3k),
+    like ``smith_bao``: +-inf where an entry overflows, never NaN.
     """
     import numpy as np
 
-    k, (_, v, _) = _unit_kernel(t)
+    k, (_, v, _) = _scaled_kernel(t)
     return np.array([_ldexp(x, 3 * k) for x in v])
 
 
 def smith_bao(t: SymTraceless3 | FullTensor3) -> InvariantTuple:
     """Evaluate the degree-(2, 4, 6, 10) basis from the seven components.
 
-    The kernel runs at a largest component in [1/2, 1), reached by the
-    exact factor 2^-k, and I_d is scaled back by 2^(d*k).  A result is
-    finite wherever the true value is a normal double, +-inf (with the sign
-    of the unit-scale value) beyond that, and never NaN.
+    The kernel runs on the components as given when the largest is in
+    [2^-61, 2^60), and otherwise on the tensor times the exact factor 2^-k
+    that puts it in [1/2, 1), with I_d scaled back by 2^(d*k); both give
+    the same bits (``components._kernel_scale``).  Each I_d has an absolute
+    error of order eps * ||T||^d, a few roundings of its largest terms, not
+    a small relative error: where those terms cancel, a small true value
+    can be lost.  At (d111, d122, d123, d223) = (1e50, 1, 1, 1) I6 reads
+    1.6e201 for 3.2e201, and I10 is finite though its true value, 1.28e352,
+    is beyond a double.  A value that overflows reads +-inf (with the sign
+    of the unit-scale value), and none is NaN.
     """
-    k, (_, _, (i2, i4, i6, i10)) = _unit_kernel(t)
-    return InvariantTuple(_ldexp(i2, 2 * k), _ldexp(i4, 4 * k), _ldexp(i6, 6 * k), _ldexp(i10, 10 * k))
+    k, (_, _, (i2, i4, i6, i10)) = _scaled_kernel(t)
+    if k:
+        i2, i4, i6, i10 = _ldexp(i2, 2 * k), _ldexp(i4, 4 * k), _ldexp(i6, 6 * k), _ldexp(i10, 10 * k)
+    return InvariantTuple(i2, i4, i6, i10)
 
 
 def canonical_invariants(c: CanonicalParams) -> InvariantTuple:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .canonical_form import GROUPS, canonicalize  # noqa: F401 (GROUPS re-exported)
 from .components import _in_frame, _ldexp, _norm, _unit_scale
-from .invariants import InvariantTuple, _components, _slice_kernel, _unit_kernel
+from .invariants import InvariantTuple, _components, _slice_kernel
 from .tensor_core import OrthogonalTransform3, SymTraceless3
 
 __all__ = [
@@ -75,7 +75,10 @@ def degree_normalized_invariants(t: SymTraceless3 | InvariantTuple) -> np.ndarra
     if isinstance(t, InvariantTuple):
         k, invariants = 0, (t.i2, t.i4, t.i6, t.i10)
     else:
-        k, (_, _, invariants) = _unit_kernel(t)
+        # at unit scale even for an ordinary tensor: the cube and fifth roots
+        # do not commute exactly with a power of two, so the scale sets the bits
+        k, c = _unit_scale(_components(t))
+        invariants = _slice_kernel(*c)[2]
     return np.array([_ldexp(float(x), 2 * k) for x in _degree_normalized(*invariants)])
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triso.components import _ldexp
+from triso.components import _LAYOUT, _inner, _kernel_scale, _ldexp, _unit_scale
 from triso.invariants import (
     CanonicalParams,
     InvariantTuple,
@@ -128,6 +128,80 @@ def test_slice_kernel_is_the_27_entry_contraction_exactly():
         assert list(v) == v_loop
         assert invs == invs_loop
         assert all(isinstance(x, Fraction) for x in invs)
+
+
+def _slice(s, x):
+    """D(x)_ij = sum_k x_k (D_k)_ij in the slice layout, from the slices s."""
+    return tuple(s[0][i] * x[0] + s[1][i] * x[1] + s[2][i] * x[2] for i in range(6))
+
+
+def composed_slice_kernel(d111, d112, d113, d122, d123, d222, d223):
+    """The kernel composed of slice helpers, the oracle ``_slice_kernel`` must match bit for bit."""
+    s1, s2, s3 = _slices(d111, d112, d113, d122, d123, d222, d223)
+    m11, m22, m33 = _inner(s1, s1), _inner(s2, s2), _inner(s3, s3)
+    m = (m11, m22, m33, _inner(s1, s2), _inner(s1, s3), _inner(s2, s3))
+    v1, v2, v3 = _inner(m, s1), _inner(m, s2), _inner(m, s3)
+    w = _slice((s1, s2, s3), (v1, v2, v3))  # v1 D_1 + v2 D_2 + v3 D_3
+    vv = (v1 * v1, v2 * v2, v3 * v3, v1 * v2, v1 * v3, v2 * v3)
+    return m, (v1, v2, v3), (m11 + m22 + m33, _inner(m, m), vv[0] + vv[1] + vv[2], _inner(w, vv))
+
+
+def _flat(kernel_output):
+    m, v, invs = kernel_output
+    return [*m, *v, *invs]
+
+
+def test_slice_kernel_is_the_composed_kernel_bit_for_bit():
+    rng = np.random.default_rng(12)
+    # exactly on Fractions
+    for _ in range(40):
+        c7 = [Fraction(int(n), int(q)) for n, q in
+              zip(rng.integers(-60, 61, size=7), rng.integers(1, 25, size=7))]
+        assert _slice_kernel(*c7) == composed_slice_kernel(*c7)
+    # bit for bit on floats: ordinary, mixed-scale (every term finite) and
+    # at norms where terms underflow
+    inputs = [random_tensor(seed).as_array().tolist() for seed in range(100)]
+    inputs += [(rng.normal(size=7) * 10.0 ** rng.uniform(-30, 30, size=7)).tolist() for _ in range(200)]
+    inputs += [(rng.normal(size=7) * 10.0 ** e).tolist() for e in (-320, -300, -40, -30, 30)]
+    for c7 in inputs:
+        got, want = _flat(_slice_kernel(*c7)), _flat(composed_slice_kernel(*c7))
+        assert [x.hex() for x in got] == [x.hex() for x in want], c7
+    # and elementwise on complex arrays, as the complex-step Jacobian evaluates it
+    c7 = rng.normal(size=(7, 50)) + 1e-20j * rng.normal(size=(7, 50))
+    got, want = _flat(_slice_kernel(*c7)), _flat(composed_slice_kernel(*c7))
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_smith_bao_on_both_sides_of_the_scaling_window_is_the_unit_scale_run(seed):
+    # the largest component at 2^(j-1) <= |c| < 2^j: j = +-60 runs as given,
+    # j = +-61 at unit scale, and both carry the bits of the unit-scale run
+    _, unit = _unit_scale(random_tensor(seed).as_array().tolist())
+    for j, k in ((-61, -61), (-60, 0), (60, 0), (61, 61)):
+        c = [math.ldexp(x, j) for x in unit]
+        assert _kernel_scale(c)[0] == k
+        m, v, invs = _slice_kernel(*unit)
+        want = [_ldexp(x, d * j) for x, d in zip(invs, DEGREES)]
+        want += [_ldexp(x, 2 * j) for x in np.array(m)[np.array(_LAYOUT)].ravel().tolist()]
+        want += [_ldexp(x, 3 * j) for x in v]
+        t = SymTraceless3(*c)
+        got = [*smith_bao(t).as_array().tolist(), *moment_matrix(t).ravel().tolist(), *v_vector(t).tolist()]
+        assert [x.hex() for x in got] == [x.hex() for x in want], j
+
+
+def test_smith_bao_error_is_absolute_at_the_scale_of_the_norm():
+    # |I_d - true I_d| <= 4 eps ||T||^d, with the true values and ||T||^2 = I2
+    # in exact arithmetic; not a relative bound: at (1e50, 1, 1, 1) I6 and
+    # I10 are far below ||T||^d and their small terms cancel away
+    rng = np.random.default_rng(13)
+    tensors = [CanonicalParams(1e50, 1.0, 1.0, 1.0).to_tensor()]
+    tensors += [SymTraceless3(*(rng.normal(size=7) * 10.0 ** rng.uniform(-30, 30, size=7))) for _ in range(50)]
+    for t in tensors:
+        c7 = t.as_array().tolist()
+        exact = _slice_kernel(*map(Fraction, c7))[2]
+        got = smith_bao(t).as_array().tolist()
+        for d, g, e in zip(DEGREES, got, exact):
+            assert abs(Fraction(g) - e) <= 4 * Fraction(2.0 ** -52) * exact[0] ** (d // 2), (c7, d)
 
 
 def test_found_case_i10_overflows_to_inf_not_nan():

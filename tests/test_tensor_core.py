@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triso.components import _in_frame, _norm
+from triso.components import _dot, _in_frame, _norm, _slices
 from triso.tensor_core import (
     COMPONENT_NAMES,
     FullTensor3,
@@ -187,6 +187,33 @@ def test_frame_kernel_is_act_on_seven_components():
         want = compress(act(g, expand(t))).as_array()
         got = np.array(_in_frame(t.as_array().tolist(), g.m.tolist()))
         assert np.max(np.abs(got - want)) <= 1e-15 * expand(t).frobenius()
+
+
+def composed_in_frame(c, rows):
+    """``_in_frame`` composed of slice helpers, the oracle it must match bit for bit."""
+
+    def d_of(x):  # D(x)_ij = sum_k x_k (D_k)_ij in the slice layout
+        return tuple(s1[i] * x[0] + s2[i] * x[1] + s3[i] * x[2] for i in range(6))
+
+    def times(m, x):  # m x for a symmetric m in the slice layout
+        return (m[0] * x[0] + m[3] * x[1] + m[4] * x[2], m[3] * x[0] + m[1] * x[1] + m[5] * x[2],
+                m[4] * x[0] + m[5] * x[1] + m[2] * x[2])
+
+    s1, s2, s3 = _slices(*c)
+    r1, r2, r3 = rows
+    a = d_of(r1)
+    a1, a2, b2 = times(a, r1), times(a, r2), times(d_of(r2), r2)
+    return (_dot(a1, r1), _dot(a1, r2), _dot(a1, r3), _dot(a2, r2), _dot(a2, r3),
+            _dot(b2, r2), _dot(b2, r3))
+
+
+def test_frame_kernel_is_the_composed_kernel_bit_for_bit():
+    rng = np.random.default_rng(25)
+    for k in range(300):
+        c = (rng.normal(size=7) * 10.0 ** rng.uniform(-100, 100, size=7)).tolist()
+        rows = random_orthogonal(k, proper=k % 2 == 0).m.tolist()
+        want = composed_in_frame(c, rows)
+        assert [x.hex() for x in _in_frame(c, rows)] == [x.hex() for x in want], k
 
 
 def test_norm_is_the_frobenius_norm_at_any_scale():
