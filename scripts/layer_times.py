@@ -6,8 +6,9 @@ divided by the number of calls in a pass: microseconds per call, and
 milliseconds for one ``independence_report`` of --samples points.  Two
 counts go with them, as means over the tensors: ``candidates_per_call``,
 the rows ``_stationary_candidates`` returns, and ``finished_per_call``,
-those within ``_FINISH_SLACK`` of the top value, which the maximizer
-finishes by Newton steps.  Tensors are ``random_tensor(seed)`` for seed
+those the maximizer finishes by Newton steps (``_contenders``: within
+``_FINISH_SLACK`` of the top value, and not within ``_MERGE`` of a larger
+one).  Tensors are ``random_tensor(seed)`` for seed
 0..--tensors-1; alignment pairs are a tensor and its image under
 ``random_orthogonal(seed)``, so half of them are improper.
 ``smith_bao_rescaled_us`` times ``smith_bao`` on the same tensors times
@@ -24,8 +25,7 @@ import sys
 import time
 
 from triso.canonical_form import (
-    _FINISH_SLACK,
-    _cubic_values,
+    _contenders,
     _stationary_candidates,
     _unit_tensor,
     canonicalize,
@@ -61,14 +61,12 @@ def best_per_call(rows: dict, repeats: int) -> dict:
 
 
 def candidate_counts(units: list) -> dict:
-    """Mean candidates per unit tensor, and mean candidates within _FINISH_SLACK of the top |value|."""
+    """Mean candidates per unit tensor, and mean candidates that the maximizer finishes."""
     candidates = finished = 0
     for c in units:
         rows = _stationary_candidates(c)
-        values = [abs(v) for v in _cubic_values(c, rows)]
-        top = max(values)
         candidates += len(rows)
-        finished += sum(v >= top - _FINISH_SLACK for v in values)
+        finished += len(_contenders(c, rows))
     return {"candidates_per_call": candidates / len(units), "finished_per_call": finished / len(units)}
 
 

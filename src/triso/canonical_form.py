@@ -14,28 +14,37 @@ constraints and negates only d123, so one more step makes them a function
 of the O(3) orbit.
 
 The maximizer is solved for, not searched for.  A stationary point of the
-cubic form on the sphere is a Z-eigenvector of D, and a 3x3x3 symmetric
-tensor has at most 7 pairs of them.  In each of three coordinate charts of
-a fixed generic frame they are the real roots of a degree-7 resultant.  A
-root counts only in the chart of the point's largest coordinate, give or
-take a 5 % margin, so each stationary point is found about once.  Those
-roots, plus the covariant vector v_p = M_kl D_klp (which lies along the
-axis of a zonal tensor, whose resultants vanish), are the candidates.
-Those whose value is within ``_FINISH_SLACK`` (1e-5) of the largest are
-finished by Riemannian Newton steps, and the largest value wins.  All of it
-runs on the seven components of the unit-normalized tensor, read through
-the three symmetric slices of ``components._slices``, so it is scale-free;
-a 27-entry ``FullTensor3`` is compressed at entry.
+cubic form on the sphere is a Z-eigenvector of D, and a generic 3x3x3
+symmetric tensor has exactly 7 lines of them (Cartwright and Sturmfels,
+2013).  In one chart of a fixed generic frame they are the real roots of a
+degree-7 resultant, each giving both roots of a quadratic in the second
+coordinate.  A root counts as real when |Im y| <= 1e-3 (1 + y^2): the cut
+is projective, as a root far out, near the chart's plane at infinity,
+carries an error that grows as y^2, and a multiple root splits off the
+real axis by eps^(1/k) (6.6e-4 for a 4-fold root of the d111-only tensor).
+The chart is degenerate only when a stationary point sits on its z-axis
+(its resultant vanishes) or two sit on its plane at infinity (its two top
+coefficients vanish); only then is the same chart of a second fixed
+frame, whose axes are far from the first's, solved instead, and of a third
+where that one is degenerate too.  Those roots, plus the covariant vector
+v_p = M_kl D_klp (which lies along the axis of a zonal tensor, whose
+resultants vanish), are the candidates.  Those whose value is within
+``_FINISH_SLACK`` (1e-5) of the largest, less any within ``_MERGE`` (1e-2)
+of one with a larger value, are finished by Riemannian Newton steps, and
+the largest value wins.  All of it runs on the seven components of the
+unit-normalized tensor, read through the three symmetric slices of
+``components._slices``, so it is scale-free; a 27-entry ``FullTensor3`` is
+compressed at entry.
 
 Only the candidate solve uses numpy: matrix products with constant tables
 (the Sylvester matrices and g's coefficients from the seven components, the
-resultant's coefficients from its samples), one stacked ``det`` over the
-fifteen 5x5 Sylvester matrices and one ``eigvals`` over the three
-companion matrices: two LAPACK calls.  Everything around them works on
-Python floats: the root and value filters, the candidate points, the Newton
-finish of the one to four candidates that can win, the scoring of the
-frames they give and the rows of the winning transform.  On arrays of 1 to
-15 rows numpy's per-call cost outweighs the arithmetic.
+resultant's coefficients from its samples), one ``det`` over the five 5x5
+Sylvester matrices and one ``eigvals`` of the 7x7 companion matrix: two
+LAPACK calls, and one more ``det`` per degenerate chart.  Everything around
+them works on Python floats: the root and value filters, the candidate
+points, the Newton finish of the one or two candidates that can win, the
+scoring of the frames they give and the rows of the winning transform.  On
+arrays of 1 to 15 rows numpy's per-call cost outweighs the arithmetic.
 """
 
 from __future__ import annotations
@@ -172,6 +181,12 @@ def _tangent_bases(x) -> tuple[list, list]:
     return [c0, c1, c2], [x1 * c2 - x2 * c1, x2 * c0 - x0 * c2, x0 * c1 - x1 * c0]
 
 
+def _tangential_residual(read: tuple, scale: float = 1.0) -> float:
+    """scale ||grad g - (x.grad g) x|| at x, from the tensor read in a frame
+    (x, t1, t2): the gradient's tangent part is 3 (d112, d113)."""
+    return 3.0 * scale * math.hypot(read[1], read[2])
+
+
 def _newton(c: tuple, x: list) -> tuple[list, int, float, float]:
     """Riemannian Newton steps from x toward a stationary point of the cubic form.
 
@@ -188,7 +203,8 @@ def _newton(c: tuple, x: list) -> tuple[list, int, float, float]:
         # in the frame (x, t1, t2), H = 6 D(x) and grad = 3 D(x) x have
         # tangent parts 6 [[d122, d123], [d123, d133]] and 3 (d112, d113),
         # lambda = 3 d111 and d133 = -d111 - d122
-        d111, d112, d113, d122, d123, _, _ = _in_frame(c, (x, t1, t2))
+        read = _in_frame(c, (x, t1, t2))
+        d111, d112, d113, d122, d123, _, _ = read
         a00, a01, a11 = 6.0 * d122 - 3.0 * d111, 6.0 * d123, -9.0 * d111 - 6.0 * d122
         b0, b1 = -3.0 * d112, -3.0 * d113
         det = a00 * a11 - a01 * a01
@@ -202,7 +218,7 @@ def _newton(c: tuple, x: list) -> tuple[list, int, float, float]:
             break
         z0, z1 = cap * z0, cap * z1
         x = _unit([x[k] + z0 * t1[k] + z1 * t2[k] for k in range(3)])
-    return x, reads, d111, 3.0 * math.hypot(d112, d113)
+    return x, reads, d111, _tangential_residual(read)
 
 
 def _cubic_values(c: tuple, rows) -> list:
@@ -219,17 +235,43 @@ def _cubic_values(c: tuple, rows) -> list:
     ]
 
 
-# Rows of a fixed rotation with no special alignment to the coordinate axes
-# (the quaternion has squared norm 1.0071): the normals of the three charts.
-# A unit vector's largest coordinate in this frame is at least 1/sqrt(3),
-# and in the chart of that coordinate it has |y|, |z| <= 1.  A root is kept
-# only inside _WINDOW, so each stationary point comes from one chart, or
-# from two when it sits within 5 % of a boundary; the margin keeps roots
-# that roundoff moves across it (they are good to about 1e-8, 5e-6 at a
-# triple root).
+# Three fixed rotations with no special alignment to the coordinate axes or
+# to each other: every row of the first two is at least 47 degrees from
+# every row of the other (|cos| <= 0.672), and every row of the third at
+# least 37 degrees from every row of the first two (|cos| <= 0.795).  A
+# stationary point on an axis of one, or an orthogonal pair or triple of
+# them on its axes, sits on no axis of another.  (A row permutation would
+# share the axes.)  A chart is degenerate only where stationary points sit
+# on its z-axis or plane at infinity, so for a tensor to make two charts
+# degenerate at once it must meet two such conditions, which a family of
+# tensors does (those with stationary points on the z-axes of the first two
+# frames, a 3-dimensional space); for three at once it must meet three,
+# which leaves isolated tensors.  The quaternions have squared norms 1.0071,
+# 0.995 and 1.1725.
 _CHART_FRAME = _quaternion_to_matrix(np.array([0.7, 0.41, -0.33, 0.49]) / math.sqrt(1.0071))
-_WINDOW = 1.05
-_CHART_POINTS = _CHART_FRAME[[[0, 1, 2], [1, 2, 0], [2, 0, 1]]].tolist()
+_SECOND_FRAME = _quaternion_to_matrix(np.array([0.9, 0.4, -0.15, -0.05]) / math.sqrt(0.995))
+_THIRD_FRAME = _quaternion_to_matrix(np.array([0.75, -0.3, 0.6, -0.4]) / math.sqrt(1.1725))
+# A real root y of the resultant is one with |Im y| <= _ROOT_TOL (1 + y^2).
+# Roundoff moves a k-fold root by about eps^(1/k), off the real axis (1e-8
+# for a double root, 6.6e-4 for the 4-fold root of the d111-only tensor),
+# and a root far out, near the chart's plane at infinity, by that much in
+# 1/y, so by that times y^2 in y.  A complex root this close to the real
+# axis gives a spurious candidate, which is harmless: every candidate is
+# ranked by value and the ones that can win are finished by Newton steps.
+_ROOT_TOL = 1e-3
+# A chart is degenerate when its resultant vanishes (a stationary point on
+# its z-axis, or a ring of them) or when its two top coefficients do (two
+# stationary points on its plane at infinity).  On the unit-norm tensor, a
+# stationary point placed exactly on the z-axis leaves max |coef| <= 3.3e-16
+# and a pair placed exactly on the plane at infinity leaves
+# max(|c7|, |c6|) <= 2.2e-13 max |coef| (random_tensor(0..149)); a healthy
+# chart had max |coef| >= 5.3e-4 and max(|c7|, |c6|) >= 7.1e-5 max |coef| on
+# random_tensor(0..9999).  Both cuts sit more than 5000 times from either
+# side.  A placement d rad off the z-axis reads between 1e-3 d and 0.9 d, so
+# one that the cut leaves to this chart is still known to about 3e-9
+# relative.
+_DEAD_CHART = 1e-7
+_DEAD_TOP = 1e-8
 # The 8th roots of unity omega_s in the closed upper half plane, s = 0..4.
 # A resultant r has real coefficients, so r(omega_(8-s)) = conj r(omega_s)
 # gives the other three samples.  r(omega_s) = sum_j coef_j omega_s^j, so
@@ -237,27 +279,26 @@ _CHART_POINTS = _CHART_FRAME[[[0, 1, 2], [1, 2, 0], [2, 0, 1]]].tolist()
 # coef = Re(r @ _INVERSE_DFT) over these five, with s = 1..3 counted twice.
 _ROOTS_OF_UNITY = np.exp(2j * math.pi * np.arange(5) / 8)
 _INVERSE_DFT = np.array([1, 2, 2, 2, 1])[:, None] * _ROOTS_OF_UNITY[:, None] ** -np.arange(8)[None, :] / 8.0
-# the companion matrices of the three charts' resultants, less their last column
-_COMPANIONS = np.repeat(np.eye(7, k=-1)[None], 3, axis=0)
+# the companion matrix of a monic degree-7 polynomial, less its last column
+_COMPANION = np.eye(7, k=-1)
 
 
-def _chart_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Linear maps from the seven components of D to the resultant data of each chart.
+def _chart_tables(frames) -> list:
+    """The chart of each frame, as linear maps from the seven components of D.
 
-    Chart c has the point x = u0 + y u1 + z u2, with (u0, u1, u2) the rows
-    of _CHART_FRAME in the order (c, c+1, c+2).  With P_m = D(u_m, x, x),
-    x is stationary when g = P1 - y P0 (a quadratic in z) and
-    f = z P0 - P2 (a cubic in z) both vanish.  Every coefficient in z is a
-    polynomial of degree at most 3 in y, linear in D.  Returns the Sylvester
-    matrices of f and g at _ROOTS_OF_UNITY, (3 * 5 * 5 * 5, 7) complex,
-    and the coefficients of g, (3 * 3 * 4, 7): chart, power of z, power
-    of y.
+    The chart of a frame has the point x = u0 + y u1 + z u2, with
+    (u0, u1, u2) its rows.  With P_m = D(u_m, x, x), x is stationary when
+    g = P1 - y P0 (a quadratic in z) and f = z P0 - P2 (a cubic in z) both
+    vanish.  Every coefficient in z is a polynomial of degree at most 3 in
+    y, linear in D.  Returns, for each frame, its rows as lists, the
+    Sylvester matrices of f and g at _ROOTS_OF_UNITY, (5 * 5 * 5, 7)
+    complex, and the coefficients of g, (3 * 4, 7): power of z, power of y.
     """
+    rows = [frame.tolist() for frame in frames]
     # k[c, m, n, l] is the row of D(u_m, u_n, u_l) in chart c: entry (n, l)
     # of slice m of D read in the chart's frame, at each basis tensor
-    basis = np.eye(7).tolist()
-    frames = [[_slices(*_in_frame(b, rows)) for rows in _CHART_POINTS] for b in basis]
-    k = np.array(frames).transpose(1, 2, 3, 0)[:, :, np.array(_LAYOUT)]
+    k = np.array([[_slices(*_in_frame(b, r)) for r in rows] for b in np.eye(7).tolist()])
+    k = k.transpose(1, 2, 3, 0)[:, :, np.array(_LAYOUT)]
     zero = np.zeros_like(k[:, :, 0, 0])
     # P_m = a_m + b_m z + c_m z^2, each as coefficients of y^0..y^3
     a = np.stack([k[:, :, 0, 0], 2.0 * k[:, :, 0, 1], k[:, :, 1, 1], zero], axis=2)
@@ -269,7 +310,7 @@ def _chart_tables() -> tuple[np.ndarray, np.ndarray]:
 
     g = [a[:, 1] - y_times(a[:, 0]), b[:, 1] - y_times(b[:, 0]), c[:, 1] - y_times(c[:, 0])]
     f = [-a[:, 2], a[:, 0] - b[:, 2], b[:, 0] - c[:, 2], c[:, 0]]
-    sylvester = np.zeros((3, 5, 5, 4, 7))
+    sylvester = np.zeros((len(rows), 5, 5, 4, 7))
     for shift in range(2):
         for j in range(4):
             sylvester[:, shift, shift + j] = f[3 - j]
@@ -277,76 +318,114 @@ def _chart_tables() -> tuple[np.ndarray, np.ndarray]:
         for j in range(3):
             sylvester[:, 2 + shift, shift + j] = g[2 - j]
     powers = _ROOTS_OF_UNITY[None, :] ** np.arange(4)[:, None]
-    at_roots = np.einsum("cabjd,js->csabd", sylvester, powers)
-    return at_roots.reshape(-1, 7), np.stack(g, axis=1).reshape(-1, 7)
+    at_roots = np.einsum("cabjd,js->csabd", sylvester, powers).reshape(len(rows), -1, 7)
+    return list(zip(rows, at_roots, np.stack(g, axis=1).reshape(len(rows), -1, 7)))
 
 
-_SYLVESTER_TABLE, _G_TABLE = _chart_tables()
+_CHARTS = _chart_tables([_CHART_FRAME, _SECOND_FRAME, _THIRD_FRAME])
 
 
 def _stationary_candidates(c: tuple) -> list:
     """Unit vectors near every stationary point of the cubic form of the
     unit-norm tensor with the seven components c, as a list of 3-lists.
 
-    In each chart the resultant of f and g in z is a polynomial of degree
-    7 in y (two of the 9 Bezout solutions sit at infinity).  It is sampled
-    at the 8th roots of unity (five determinants; conjugation gives the
-    other three), its coefficients come back by inverse DFT,
-    and its roots are the eigenvalues of the companion matrix.  Each real
-    root with |y| <= _WINDOW gives both roots z of the quadratic g, kept
-    for |z| <= _WINDOW; a spurious one is harmless, as the caller polishes
-    every candidate and ranks them by value.  The covariant vector
-    v_p = M_kl D_klp is added when it is nonzero: a zonal tensor (axially
-    symmetric) has a ring of stationary points, its resultants vanish
-    identically, and v lies along its axis, which is its maximizer.  The
-    rows come chart by chart, root by root, q/g2 before g0/q, then v.
+    A generic 3x3x3 symmetric tensor has exactly 7 lines of stationary
+    points (Z-eigenvectors; Cartwright and Sturmfels, 2013), and the
+    resultant of f and g in z, a polynomial of degree 7 in y, holds them
+    all in one chart (two of the 9 Bezout solutions sit at infinity).  It is
+    sampled at the 8th roots of unity (five determinants; conjugation gives
+    the other three), its coefficients come back by inverse DFT, and its
+    roots are the eigenvalues of the companion matrix.  Each root real to
+    within _ROOT_TOL (1 + y^2) gives both roots z of the quadratic g, with
+    no window: a spurious one is harmless, as the caller ranks every
+    candidate by value.  The filter is projective, as roots far out carry
+    an error that grows as y^2, and multiple roots split off the real axis:
+    the d111-only tensor has a 4-fold root near y = -2.32 with
+    |Im y| = 6.6e-4, which an absolute cut of 1e-4 would drop.
 
-    Only the two table products and the two stacked LAPACK calls run on
-    arrays; the filters, g's coefficients (by Horner at each kept root) and
-    the points run on Python floats.
+    The chart of _CHART_FRAME loses stationary points in two cases: one on
+    its z-axis makes the resultant vanish, and two on its plane at infinity
+    make its two top coefficients vanish (one there is a root near
+    infinity, found far out on the real axis).  Only then (_DEAD_CHART,
+    _DEAD_TOP) is the chart of _SECOND_FRAME solved the same way, and only
+    where that is degenerate too the chart of _THIRD_FRAME, whose roots are
+    used whatever they are.  The covariant vector v_p = M_kl D_klp is added
+    when it is nonzero: a zonal tensor (axially symmetric) has a ring of
+    stationary points, its resultants vanish identically in every chart,
+    and v lies along its axis, which is its maximizer.  The rows come root
+    by root, q/g2 before g0/q, then v.
+
+    Only the table products, one ``det`` over five 5x5 Sylvester matrices
+    per chart tried and one ``eigvals`` of the 7x7 companion of the chart
+    solved run on arrays; the filter, g's coefficients (by Horner at each
+    kept root) and the points run on Python floats.
     """
     d = np.array(c)
-    r = np.linalg.det((_SYLVESTER_TABLE @ d).reshape(3, 5, 5, 5))
-    coef = (r @ _INVERSE_DFT).real
+    # the first chart that is not degenerate, else the last
+    for (u0, u1, u2), sylvester, g_table in _CHARTS:
+        coef = (np.linalg.det((sylvester @ d).reshape(5, 5, 5)) @ _INVERSE_DFT).real
+        size = max(map(abs, coef.tolist()))
+        if size > _DEAD_CHART and max(abs(coef[7]), abs(coef[6])) > _DEAD_TOP * size:
+            break
     # a leading coefficient below 1e-14 of the largest puts a root at or
-    # near infinity (a stationary point on the chart's boundary, found in
-    # another chart); raising it to that size keeps the other roots in
+    # near infinity (a stationary point on the chart's plane at infinity,
+    # found far out); raising it to that size keeps the other roots in
     # place.  A resultant that is zero throughout gives junk roots at 0.
-    leads = []
-    for row in coef.tolist():
-        top = 1e-14 * max(map(abs, row))
-        leads.append([(row[7] if abs(row[7]) > top else top) or 1.0])
-    companion = _COMPANIONS.copy()
-    np.divide(-coef[:, :7], leads, out=companion[:, :, 6])  # last column -coef_j / lead
+    lead = coef[7] if abs(coef[7]) > 1e-14 * size else 1e-14 * size
+    companion = _COMPANION.copy()
+    np.divide(-coef[:7], lead or 1.0, out=companion[:, 6])  # last column -coef_j / lead
     roots = np.linalg.eigvals(companion).tolist()
-    g_table = (_G_TABLE @ d).tolist()
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = (g_table @ d).tolist()
 
     rows = []
-    for chart, ((p0, p1, p2), (q0, q1, q2), (r0, r1, r2)) in enumerate(_CHART_POINTS):
-        # g's coefficients of z^0, z^1, z^2, each of y^0..y^3
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (
-            g_table[12 * chart + 4 * k : 12 * chart + 4 * k + 4] for k in range(3)
-        )
-        for y in roots[chart]:
-            # roundoff splits a double root (two stationary points sharing
-            # y, or a degenerate one) into a pair about 1e-8 off the real axis
-            if not (abs(y.imag) <= 1e-4 and abs(y.real) <= _WINDOW):
-                continue
-            y = y.real
-            g0 = ((a3 * y + a2) * y + a1) * y + a0
-            g1 = ((b3 * y + b2) * y + b1) * y + b0
-            g2 = ((c3 * y + c2) * y + c1) * y + c0
-            q = -0.5 * (g1 + math.copysign(math.sqrt(max(g1 * g1 - 4.0 * g0 * g2, 0.0)), g1))
-            for num, den in ((q, g2), (g0, q)):
-                z = num / den if den != 0.0 else math.inf
-                if abs(z) <= _WINDOW:  # the chart point, normalized
-                    x0, x1, x2 = p0 + y * q0 + z * r0, p1 + y * q1 + z * r1, p2 + y * q2 + z * r2
-                    n = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-                    rows.append([x0 / n, x1 / n, x2 / n])
+    for y in roots:
+        if not abs(y.imag) <= _ROOT_TOL * (1.0 + y.real * y.real):
+            continue
+        y = y.real
+        # g's coefficients of z^0, z^1, z^2 at y, and its two roots
+        # z = q / g2 = g0 / q, each as the point den (u0 + y u1) + num u2
+        g0 = ((a3 * y + a2) * y + a1) * y + a0
+        g1 = ((b3 * y + b2) * y + b1) * y + b0
+        g2 = ((c3 * y + c2) * y + c1) * y + c0
+        q = -0.5 * (g1 + math.copysign(math.sqrt(max(g1 * g1 - 4.0 * g0 * g2, 0.0)), g1))
+        w0, w1, w2 = u0[0] + y * u1[0], u0[1] + y * u1[1], u0[2] + y * u1[2]
+        for den, num in ((g2, q), (q, g0)):
+            x0, x1, x2 = den * w0 + num * u2[0], den * w1 + num * u2[1], den * w2 + num * u2[2]
+            n = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+            if n > 0.0:
+                rows.append([x0 / n, x1 / n, x2 / n])
     v = _slice_kernel(*c)[1]
     if _dot(v, v) > 0.0:
         rows.append(_unit(v))
     return rows
+
+
+# A contender within this of one with a larger value goes to the same
+# stationary point and is not finished.  Roots are good to about 1e-8 (5e-6
+# at a triple root), but the other root z of g at a real root y zeroes g and
+# not f, and can land near the maximizer: on random_tensor(0..9999) and 360
+# rotated tied tensors, contenders that Newton took to one point were up to
+# 2.3e-3 apart (1.9e-3 on seed 1097), and contenders that it took to
+# distinct points at least 1.63 apart.
+_MERGE = 1e-2
+
+
+def _contenders(c: tuple, rows: list) -> list:
+    """The candidates that can win, each turned to the sign of positive
+    value, largest value first: those with |value| within _FINISH_SLACK of
+    the top, less any within _MERGE of one with a larger value."""
+    near = []
+    values = _cubic_values(c, rows)
+    top = max(map(abs, values))
+    for row, value in zip(rows, values):
+        if abs(value) >= top - _FINISH_SLACK:
+            near.append((abs(value), row if value >= 0.0 else [-row[0], -row[1], -row[2]]))
+    near.sort(key=lambda pair: pair[0], reverse=True)
+    kept = []
+    for _, row in near:
+        if all(math.dist(row, other) > _MERGE for other in kept):
+            kept.append(row)
+    return kept
 
 
 def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
@@ -354,16 +433,17 @@ def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
 
     Every stationary point is enumerated (``_stationary_candidates``).  The
     candidates with |value| within ``_FINISH_SLACK`` (1e-5) of the largest
-    (normalized tensor) are finished by Newton steps, one at a time, each
-    until the step it would take is below 1e-15 and at most 4; the value
-    and residual come from the last frame Newton read.  The rest cannot
-    win, as a candidate eps from a stationary point is off in value by
-    O(eps^2).  Candidates with a
-    negative value are flipped to the antipode, so the result satisfies
-    value >= 0.  The largest value wins, with ties (within 1e-12 on the normalized tensor)
-    broken by picking the lexicographically largest unit vector.  Every
-    distinct tied maximizer that meets STATIONARITY_TOL (candidates within
-    1e-6 of each other count once) is returned in ``maximizers``.
+    (normalized tensor), less any within ``_MERGE`` (1e-2) of one with a
+    larger value, are finished by Newton steps (``_contenders``), one at a
+    time, each until the step it would take is below 1e-15 and at most 4;
+    the value and residual come from the last frame Newton read.  The rest
+    cannot win, as a candidate eps from a stationary point is off in value
+    by O(eps^2).  Candidates with a negative value are flipped to the
+    antipode, so the result satisfies value >= 0.  The largest value wins,
+    with ties (within 1e-12 on the normalized tensor) broken by picking the
+    lexicographically largest unit vector.  Every distinct tied maximizer
+    that meets STATIONARITY_TOL (candidates within 1e-6 of each other count
+    once) is returned in ``maximizers``.
 
     Raises ConvergenceError if no candidate within 1e-12 of the largest
     value has a stationarity residual (on the normalized tensor) within
@@ -376,11 +456,9 @@ def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
     rows = _stationary_candidates(c)
     if not rows:
         raise ConvergenceError(f"no stationary point found for {SymTraceless3(*_components(t))!r}")
-    val = [abs(v) for v in _cubic_values(c, rows)]
-    top = max(val)
     finished = []  # (value, point, residual), value >= 0
     newton_iterations = 0
-    for row in (row for row, v in zip(rows, val) if v >= top - _FINISH_SLACK):
+    for row in _contenders(c, rows):
         u, reads, value, res = _newton(c, row)
         newton_iterations = max(newton_iterations, min(reads, 4))
         if value < 0.0:
@@ -488,7 +566,8 @@ def canonicalize(t: SymTraceless3 | FullTensor3, group: str = "SO(3)") -> Canoni
     for k in range(len(frames[0][0])):
         top = max(f[0][k] for f in frames)
         frames = [f for f in frames if f[0][k] >= top - 1e-10]
-    _, theta, frame, (a111, a112, a113, _, _, a222, a223), d122, d123, d223 = frames[0]
+    _, theta, frame, frame_read, d122, d123, d223 = frames[0]
+    a111, a112, a113, _, _, a222, a223 = frame_read
 
     # the rest of the winning frame in closed form: a112 and a113 also
     # reach d222 and d223, through the traces
@@ -508,7 +587,7 @@ def canonicalize(t: SymTraceless3 | FullTensor3, group: str = "SO(3)") -> Canoni
     params = CanonicalParams(frob * a111, frob * d122, frob * d123, frob * d223)
     diagnostics = {
         "newton_iterations": mx.newton_iterations,
-        "stationarity_residual": 3.0 * frob * math.hypot(a112, a113),
+        "stationarity_residual": _tangential_residual(frame_read, frob),
         "circle_residual": frob * abs(d222),
         "constraint_violation": frob * max(abs(d112), abs(d113), abs(d222)),
     }
@@ -531,5 +610,4 @@ def stationarity_residual(t: SymTraceless3 | FullTensor3, x) -> float:
     if frob == 0.0:
         return 0.0
     x = x.tolist()
-    d112, d113 = _in_frame(c, (x, *_tangent_bases(x)))[1:3]
-    return 3.0 * frob * math.hypot(d112, d113)
+    return _tangential_residual(_in_frame(c, (x, *_tangent_bases(x))), frob)

@@ -15,6 +15,8 @@ from triso.canonical_form import (
     maximize_cubic_on_sphere,
     stationarity_residual,
     _CHART_FRAME,
+    _SECOND_FRAME,
+    _THIRD_FRAME,
     _stationary_candidates,
     _tangent_bases,
 )
@@ -639,11 +641,17 @@ def _planted(u, seed):
 
 @pytest.mark.parametrize("chart", range(3))
 def test_maximizers_on_chart_boundaries_match_oracle(chart):
-    # u on the boundary x'_c = 0 of one chart of the solver's fixed frame,
-    # and u at the meeting point of the other two charts' boundaries
-    a, b = _CHART_FRAME[(chart + 1) % 3], _CHART_FRAME[(chart + 2) % 3]
-    points = [math.cos(phi) * a + math.sin(phi) * b for phi in (0.3, 1.9, 4.4)]
-    points.append(-_CHART_FRAME[chart])
+    u0, u1, u2 = _CHART_FRAME
+    points = [
+        # the chart's plane at infinity x . u0 = 0, where a root y runs off
+        # to infinity, and its y-axis u1 there
+        [math.cos(phi) * u1 + math.sin(phi) * u2 for phi in (0.3, 1.9, 4.4)] + [u1],
+        # the chart's z-axis, which makes its resultant vanish, and its centre
+        [u2, -u2, u0, -u0],
+        # the axes of the second and third frames, which are solved when the
+        # chart is degenerate
+        [_SECOND_FRAME[0], -_SECOND_FRAME[1], _SECOND_FRAME[2], -_THIRD_FRAME[0], _THIRD_FRAME[2]],
+    ][chart]
     for k, u in enumerate(points):
         mx = assert_matches_oracle(_planted(u, 60 + 4 * chart + k))
         assert len(mx.maximizers) == 1
@@ -768,9 +776,9 @@ def test_perturbed_zonal_family_maximizer_stays_at_the_axis(eps):
 
 
 def test_maximizer_raises_when_no_candidate_is_left(monkeypatch):
-    # the d123-only tensor has v = 0, so once the window drops every chart
-    # root there is no candidate at all; the message names the tensor
-    monkeypatch.setattr(canonical_form, "_WINDOW", -1.0)
+    # the d123-only tensor has v = 0, so once no root counts as real there
+    # is no candidate at all; the message names the tensor
+    monkeypatch.setattr(canonical_form, "_ROOT_TOL", -1.0)
     t = SymTraceless3(d123=1.0)
     assert _stationary_candidates(t.as_array().tolist()) == []
     for call in (maximize_cubic_on_sphere, canonicalize):
@@ -778,16 +786,37 @@ def test_maximizer_raises_when_no_candidate_is_left(monkeypatch):
             call(t)
 
 
+# the three charts of _CHART_FRAME, rows in cyclic order (c, c+1, c+2)
+THREE_CHARTS = canonical_form._chart_tables([_CHART_FRAME[[c, (c + 1) % 3, (c + 2) % 3]] for c in range(3)])
+
+
 def wide_window_candidates(c):
-    """The candidates under the rule the largest-coordinate window replaced,
-    kept as an oracle: every chart root with |y|, |z| <= 1.5, which reaches
-    many stationary points in more than one chart, and the three
-    eigenvectors of the moment matrix in place of v."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(canonical_form, "_WINDOW", 1.5)
-        rows = _stationary_candidates(c)
-    if any(_slice_kernel(*c)[1]):
-        rows = rows[:-1]
+    """The candidates under the rule that one chart replaced, kept as an
+    oracle: in each of three charts, every root with |Im y| <= 1e-4 and
+    |y| <= 1.5, and both roots z of g with |z| <= 1.5, which reaches many
+    stationary points in more than one chart; in place of v come the three
+    eigenvectors of the moment matrix."""
+    d = np.array(c)
+    rows = []
+    for (p, q, r), sylvester, g_table in THREE_CHARTS:
+        coef = (np.linalg.det((sylvester @ d).reshape(5, 5, 5)) @ canonical_form._INVERSE_DFT).real
+        top = 1e-14 * np.max(np.abs(coef))
+        companion = np.eye(7, k=-1)
+        companion[:, 6] = -coef[:7] / ((coef[7] if abs(coef[7]) > top else top) or 1.0)
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (g_table @ d).reshape(3, 4).tolist()
+        for y in np.linalg.eigvals(companion).tolist():
+            if not (abs(y.imag) <= 1e-4 and abs(y.real) <= 1.5):
+                continue
+            y = y.real
+            g0 = ((a3 * y + a2) * y + a1) * y + a0
+            g1 = ((b3 * y + b2) * y + b1) * y + b0
+            g2 = ((c3 * y + c2) * y + c1) * y + c0
+            root = -0.5 * (g1 + math.copysign(math.sqrt(max(g1 * g1 - 4.0 * g0 * g2, 0.0)), g1))
+            for num, den in ((root, g2), (g0, root)):
+                z = num / den if den != 0.0 else math.inf
+                if abs(z) <= 1.5:
+                    x = [p[k] + y * q[k] + z * r[k] for k in range(3)]
+                    rows.append((np.array(x) / np.linalg.norm(x)).tolist())
     return rows + np.linalg.eigh(moment_matrix(SymTraceless3(*c)))[1].T.tolist()
 
 
@@ -809,8 +838,8 @@ def stationary_lines(x):
 
 
 def test_candidates_reach_every_stationary_point_of_the_wide_window():
-    # one chart per stationary point and v for the eigh axes lose none of
-    # the points that the wider window and the moment-matrix axes reach.
+    # one chart and v for the eigh axes lose none of the points that three
+    # windowed charts and the moment-matrix axes reach.
     # The candidates of both rules with residual below 1e-3 are polished in
     # one batch of up to 40 steps, not the solver's 4: at a degenerate
     # stationary point (e2 of the d111-only tensor, where g vanishes to
@@ -832,6 +861,124 @@ def test_candidates_reach_every_stationary_point_of_the_wide_window():
         old = stationary_lines(x[len(rows) :][stationary[len(rows) :]])
         assert len(new) == len(old), k
         assert np.all(np.max(np.abs(old @ new.T), axis=1) >= 1.0 - 5e-13), k
+
+
+def oracle_stationary_lines(t):
+    """The stationary lines of the unit-norm tensor of t, one unit row each,
+    from the three-chart oracle's candidates polished by up to 40 steps."""
+    unit = tuple(t.as_array() / expand(t).frobenius())
+    d = expand(SymTraceless3(*unit)).entries
+    x = np.array(wide_window_candidates(unit))
+    x, _ = newton_polish(d, x[tangential_residuals(d, x) <= 1e-3], iters=40)
+    return stationary_lines(x[tangential_residuals(d, x) <= 1e-12])
+
+
+def moving(p, a):
+    """A rotation R with R p = a, for unit vectors p and a."""
+    return np.array([a, *_tangent_bases(a.tolist())]).T @ np.array([p, *_tangent_bases(p.tolist())])
+
+
+def about_axis(axis, angle):
+    """The rotation by angle about axis (Rodrigues)."""
+    k = np.cross(np.eye(3), axis / np.linalg.norm(axis))  # k @ x = axis x x
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+def solver_placements(lines):
+    """Rotations that put a stationary line on each axis of each frame, and
+    the plane of each pair of lines on each frame's plane at infinity."""
+    frames = (_CHART_FRAME, _SECOND_FRAME, _THIRD_FRAME)
+    moves = [moving(p, axis) for p in lines for frame in frames for axis in frame]
+    for i, p in enumerate(lines):
+        for q in lines[i + 1 :]:
+            normal = np.cross(p, q)
+            moves += [moving(normal / np.linalg.norm(normal), frame[0]) for frame in frames]
+    return moves
+
+
+def test_stationary_points_on_the_solver_axes_keep_the_params():
+    # a stationary point on the chart's z-axis makes its resultant vanish,
+    # and two on its plane at infinity make its two top coefficients
+    # vanish; the chart then has lost points, and the next frame finds
+    # them.  Each placement is checked exactly and turned off it by one of
+    # 1e-12..1e-2 rad, so both sides of the degeneracy cut are crossed, one
+    # under each group: a proper copy under SO(3), an improper one under O(3)
+    rng = np.random.default_rng(0)
+    angles = [10.0**-k for k in range(12, 1, -1)]
+    for seed in range(20):
+        t = random_tensor(seed)
+        c = t.as_array().tolist()
+        norm = expand(t).frobenius()
+        base = {group: canonicalize(t, group=group).params.as_array() for group in GROUPS}
+        for k, move in enumerate(solver_placements(oracle_stationary_lines(t))):
+            near = about_axis(rng.normal(size=3), angles[k % len(angles)]) @ move
+            for r, group in zip((move, near), GROUPS[k % 2 :] + GROUPS[: k % 2]):
+                sign = 1.0 if group == "SO(3)" else -1.0
+                moved = SymTraceless3(*_in_frame(c, (sign * r).tolist()))
+                params = canonicalize(moved, group=group).params.as_array()
+                assert np.max(np.abs(params - base[group])) <= 1e-8 * norm, (seed, k, group)
+
+
+def with_stationary_points(points, seed):
+    """A tensor whose cubic form is stationary at each unit vector in points:
+    a random element of the null space of the linear conditions
+    d112 = d113 = 0 read in a frame (p, t1, t2) at each p."""
+    rows = []
+    for p in points:
+        frame = (list(p), *_tangent_bases(list(p)))
+        rows += [[_in_frame(b, frame)[k] for b in np.eye(7).tolist()] for k in (1, 2)]
+    null = np.linalg.svd(np.array(rows))[2][len(rows) :]
+    return SymTraceless3(*(np.random.default_rng(seed).normal(size=len(null)) @ null))
+
+
+def in_plane_at_infinity(frame, seed):
+    """A unit vector orthogonal to the first row of frame."""
+    phi = np.random.default_rng(seed).uniform(0.0, math.pi)
+    return math.cos(phi) * frame[1] + math.sin(phi) * frame[2]
+
+
+def two_frames_degenerate(k):
+    """Stationary points that make the charts of the first two frames both
+    degenerate: on both z-axes, or on one z-axis and two on the other's plane
+    at infinity."""
+    a, b = _CHART_FRAME, _SECOND_FRAME
+    return [
+        [a[2], b[2]],
+        [a[2], in_plane_at_infinity(b, k), in_plane_at_infinity(b, k + 1)],
+        [in_plane_at_infinity(a, k), in_plane_at_infinity(a, k + 1), b[2]],
+    ][k % 3]
+
+
+def test_stationary_points_that_kill_two_charts_keep_the_params():
+    # tensors built with stationary points where the first two frames'
+    # charts are degenerate; the third frame's chart finds them
+    for k in range(60):
+        t = with_stationary_points(two_frames_degenerate(k), 70 + k)
+        norm = expand(t).frobenius()
+        for group in GROUPS:
+            g = random_orthogonal(9_600 + k, proper=group == "SO(3)")
+            want = canonicalize(compress(act(g, expand(t))), group=group).params.as_array()
+            params = canonicalize(t, group=group).params.as_array()
+            assert np.max(np.abs(params - want)) <= 1e-8 * norm, (k, group)
+
+
+def test_each_degenerate_chart_costs_one_more_det(monkeypatch):
+    # a frame's resultant is computed only when the charts before it are
+    # degenerate, and only the chart solved gets an eigvals
+    t = random_tensor(3)
+    p, q = oracle_stationary_lines(t)[:2]
+    normal = np.cross(p, q)
+    placed = [
+        (_planted(_CHART_FRAME[2], 64), 2),  # a maximizer on the z-axis
+        # two stationary points on the plane at infinity
+        (SymTraceless3(*_in_frame(t.as_array().tolist(), moving(normal / np.linalg.norm(normal), _CHART_FRAME[0]).tolist())), 2),
+        (with_stationary_points(two_frames_degenerate(0), 70), 3),
+    ]
+    calls = count_linalg_calls(monkeypatch)
+    for moved, dets in placed:
+        calls.clear()
+        maximize_cubic_on_sphere(moved)
+        assert calls == {"det": dets, "eigvals": 1}
 
 
 def test_canonicalize_calls_each_traced_boundary_once(monkeypatch):
