@@ -13,7 +13,10 @@ one).  Tensors are ``random_tensor(seed)`` for seed
 ``random_orthogonal(seed)``, so half of them are improper.
 ``smith_bao_rescaled_us`` times ``smith_bao`` on the same tensors times
 2^200, beyond the window where it runs on the components as given, so the
-cost of its power-of-two rescaling stays visible.
+cost of its power-of-two rescaling stays visible.  ``analytic_table_us`` is
+the exact Jacobian table per point, evaluated at once on the --samples
+points of one sampler run (seed 0); ``canonical_invariants_us`` evaluates
+the invariant table at one point a call, the first --tensors of those points.
 
     python3 scripts/layer_times.py --tensors 200 --repeats 5
 """
@@ -24,6 +27,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from triso.canonical_form import (
     _contenders,
     _stationary_candidates,
@@ -31,8 +36,8 @@ from triso.canonical_form import (
     canonicalize,
     maximize_cubic_on_sphere,
 )
-from triso.independence import independence_report
-from triso.invariants import smith_bao
+from triso.independence import _ANALYTIC_TABLE, _sample_generic, independence_report
+from triso.invariants import CanonicalParams, canonical_invariants, smith_bao
 from triso.orbit_oracle import best_alignment, same_orbit
 from triso.tensor_core import SymTraceless3, act, compress, expand, random_orthogonal, random_tensor
 
@@ -95,7 +100,12 @@ def main(argv=None) -> int:
         "smith_bao_rescaled_us": [lambda t=t: smith_bao(t) for t in rescaled],
     }
     rows["independence_report_ms"] = [lambda: independence_report(sample_count=args.samples, seed=0)]
+    sample = _sample_generic(args.samples, np.random.default_rng(0))[0]
+    rows["analytic_table_us"] = [lambda: _ANALYTIC_TABLE(sample)]
+    params = [CanonicalParams(*p) for p in sample[: args.tensors].tolist()]
+    rows["canonical_invariants_us"] = [lambda c=c: canonical_invariants(c) for c in params]
     times = best_per_call(rows, args.repeats)
+    times["analytic_table_us"] /= len(sample)
     scale = {name: 1e3 if name.endswith("_ms") else 1e6 for name in times}
     out = {name: round(scale[name] * value, 3) for name, value in times.items()}
     out.update({name: round(value, 3) for name, value in candidate_counts(units).items()})

@@ -13,15 +13,18 @@ transcribed closed-form determinant, evaluated through its factors.
 
 Every route runs on all points at once.  One shared monomial table yields
 the 16 exact partials and both determinant factors at every point; the
-contractions run elementwise on the 4n complex-stepped points; determinants,
-unit-gradient volumes and ranks are stacked 4x4 kernels.  The one-point
-functions (``jacobian_canonical``, ``jacobian_report``) are the n = 1 case.
+contractions run elementwise on the 4n complex-stepped points; determinants
+and unit-gradient volumes are stacked 4x4 kernels.  A rank is read off the
+volume wherever that bounds it (always, at a generic point), and only the
+other matrices get a stacked SVD.  The one-point functions
+(``jacobian_canonical``, ``jacobian_report``) are the n = 1 case.
 
 Each point's exact table is evaluated once: the sampler needs the
 Jacobians for its volume floor anyway, so it hands them on, with the
 closed-form determinants, to the report on the points it keeps.  The
 report applies the genericity rule only to points a caller passes in;
-the sampler has applied it to its own.
+the sampler has applied it to its own, so their volumes are known to clear
+the floor, and the report computes neither a volume nor an SVD for them.
 """
 
 from __future__ import annotations
@@ -65,9 +68,11 @@ RANK_THRESHOLD = 1e-10  # relative to the largest singular value
 # parallelepiped of at least this volume.  The invariants' degrees (2, 4, 6,
 # 10) put their gradients on wildly different scales, so raw singular values
 # say little; after normalizing each row to unit length, sigma_1 <= 2 and
-# sigma_1 sigma_2 sigma_3 <= 8, hence sigma_4 >= volume / 8 and every
-# generic point provably passes the rank test above.  The floor subsumes the
-# coordinate-hyperplane margins (volume vanishes there too).
+# sigma_1 sigma_2 sigma_3 <= 8, hence sigma_4 >= volume / 8 and
+# sigma_4 / sigma_1 >= volume / 16.  So a volume above 16 RANK_THRESHOLD
+# means rank 4 without an SVD (``_ranks``), and every generic point provably
+# passes the rank test above.  The floor subsumes the coordinate-hyperplane
+# margins (volume vanishes there too).
 GENERIC_VOLUME_FLOOR = 1e-6
 
 
@@ -82,10 +87,19 @@ def _volumes(jac: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(_unit_rows(jac)))
 
 
-def _ranks(jac: np.ndarray) -> np.ndarray:
-    """JacobianReport.rank of each matrix in an (n, 4, 4) stack of Jacobians."""
-    sv = np.linalg.svd(_unit_rows(jac), compute_uv=False)
-    return np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1)
+def _ranks(jac: np.ndarray, volumes: np.ndarray) -> np.ndarray:
+    """JacobianReport.rank of each matrix in an (n, 4, 4) stack of Jacobians.
+
+    volumes (n,) bounds each matrix's unit-row volume from below: its
+    ``_volumes`` entry, or the floor a sampled point is known to clear.
+    Above 16 RANK_THRESHOLD the rank is 4 (see GENERIC_VOLUME_FLOOR); only
+    the other matrices, NaN ones included, get an SVD.
+    """
+    ranks = np.full(len(jac), 4)
+    near = np.flatnonzero(~(volumes > 16 * RANK_THRESHOLD))
+    sv = np.linalg.svd(_unit_rows(jac[near]), compute_uv=False)
+    ranks[near] = np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1)
+    return ranks
 
 
 def gradient_volume(jac) -> float:
@@ -197,7 +211,8 @@ class JacobianReport:
         raw rows differ by orders of magnitude across degrees 2 to 10.
         Singular values above RANK_THRESHOLD * largest are counted.
         """
-        return int(_ranks(self.jac[None])[0])
+        jac = self.jac[None]
+        return int(_ranks(jac, _volumes(jac))[0])
 
     def volume(self) -> float:
         return gradient_volume(self.jac)
@@ -278,12 +293,15 @@ def independence_report(
             raise ValueError(f"sample_count must be at least 1, got {sample_count}")
         pts, jac, closed = _sample_generic(sample_count, np.random.default_rng(seed))
         generic = np.ones(len(pts), dtype=bool)
+        # the sampler kept only points whose volume clears the floor
+        volumes = np.full(len(pts), GENERIC_VOLUME_FLOOR)
     else:
         pts = np.asarray([_point(p) for p in points], dtype=float).reshape(-1, NVARS)
         if len(pts) == 0:
             raise ValueError("points must be nonempty")
         jac, closed = _analytic(pts)
-        generic = _clear_of_hyperplanes(pts) & (_volumes(jac) > GENERIC_VOLUME_FLOOR)
+        volumes = _volumes(jac)
+        generic = _clear_of_hyperplanes(pts) & (volumes > GENERIC_VOLUME_FLOOR)
 
     det, deviation = np.linalg.det(jac), _fd_deviation(pts, jac)
     # relative_error, elementwise
@@ -293,7 +311,7 @@ def independence_report(
     return IndependenceReport(
         samples=n_generic,
         degenerate=len(pts) - n_generic,
-        rank4_fraction=int(np.sum(_ranks(jac[generic]) == 4)) / n_generic if n_generic else 0.0,
+        rank4_fraction=int(np.sum(_ranks(jac[generic], volumes[generic]) == 4)) / n_generic if n_generic else 0.0,
         min_abs_det=float(abs_det.min()) if n_generic else 0.0,
         max_abs_det=float(abs_det.max(initial=0.0)),
         max_fd_deviation=float(deviation.max()),

@@ -11,11 +11,13 @@ and the tests check the tables as exact identities: I2..I10 equal
 the contractions of the canonical tensor carried out in Poly arithmetic,
 and DET_JACOBIAN equals the Laplace expansion of the exact partials.
 
-Real points have one evaluator (``_MonomialTable``): a table of powers per
-coordinate, the monomial matrix gathered from it and one matmul, in chunks
-of rows.  The four invariants share one (``_INVARIANT_TABLE``);
-``Poly.eval_many`` is the one-polynomial case and ``Poly.__call__`` its
-one-point case.
+Real points have one evaluator (``_MonomialTable``), run in chunks of rows:
+the powers of each coordinate and the products of pairs of them, in
+extended precision (np.longdouble, only there); each pair product split into
+two doubles; the monomial matrix formed from those on plain doubles; and a
+matmul whose leading part sums exactly.  The four invariants share one
+(``_INVARIANT_TABLE``); ``Poly.eval_many`` is the one-polynomial case and
+``Poly.__call__`` its one-point case.
 """
 
 from __future__ import annotations
@@ -132,8 +134,13 @@ class Poly:
         return f"Poly({len(self.terms)} terms, degree {self.degree()})"
 
 
-# Rows evaluated at once: peak memory stays flat however many points come in.
-_CHUNK_ROWS = 128
+# Rows evaluated at once: peak memory stays flat however many points come
+# in, and a chunk's (M, rows) double blocks stay in cache.
+_CHUNK_ROWS = 64
+
+# Clears the 27 low significand bits of a double: what is left, the head, has
+# at most 26 significant bits, so the product of two heads is exact.
+_HEAD_MASK = np.int64(-(1 << 27))
 
 
 class _MonomialTable:
@@ -142,21 +149,33 @@ class _MonomialTable:
     The polynomials share one table of M monomials, the union of their
     terms, and one constant (M, P) float coefficient matrix.  At an (n, 4)
     real array (a complex one raises TypeError), the powers of each
-    coordinate up to the top exponent come from repeated multiplication; the
-    (M, n) monomial matrix is gathered from them, and a matmul gives the
-    (n, P) values.  Rows run in chunks of _CHUNK_ROWS.
+    coordinate up to the top exponent come from repeated multiplication;
+    every monomial (x0^a x1^b) (x2^c x3^d) is the product of one entry of
+    each half's pair table, and a matmul of the (M, n) monomial matrix gives
+    the (n, P) values.  Rows run in chunks of _CHUNK_ROWS.
 
     Points are evaluated more accurately than plain double arithmetic
     allows, since the Jacobian entries and determinant factors cancel by up to
-    seven digits at some sampled points.  Monomials are formed in extended
-    precision (np.longdouble, a 64-bit significand on x86) and split into two
-    doubles; the leading double is cut to a per-point grid coarse enough that
-    its products with integer coefficients, and every partial sum, are exact
-    in any summation order.  Only the small remainder is summed in plain
-    double arithmetic.  The error is then near 2^-64 times the sum of |terms|,
-    where plain double evaluation leaves 2^-53 times it or more.  Where
-    np.longdouble is a plain double, the low part is 0 and only the summation
-    stays exact.
+    seven digits at some sampled points.  Only the powers and the two small
+    pair tables (a few dozen rows each) are formed in extended precision
+    (np.longdouble, a 64-bit significand on x86).  Each pair entry is split
+    into two doubles, as in Dekker 1971: a head, its nearest double with the
+    27 low significand bits cleared, and a tail, the rest; on x86 head + tail
+    is the entry exactly.  A monomial is then the product of two heads, exact
+    as each has at most 26 significant bits, plus its cross terms, which are
+    off by about 2^-77 of the monomial.  All of this is double arithmetic on
+    the (M, rows) block, and nothing overflows unless a pair entry or a
+    monomial itself leaves the double range.  The head products are cut to a
+    per-point grid coarse enough that their products with integer
+    coefficients, and every partial sum, are exact in any summation order (an
+    error-free sum, as in Ogita, Rump and Oishi 2005).  Only the small
+    remainder is summed in plain double arithmetic.  The error is then near
+    2^-64 times the sum of |terms| for a polynomial whose terms reach the
+    point's largest monomial, where plain double evaluation leaves 2^-53 times
+    it or more; a polynomial whose terms all sit far below that monomial (one
+    of a lower degree at a large point, say) is summed in plain double
+    arithmetic.  Where np.longdouble is a plain double, the tails are the
+    heads' cleared bits alone and only the summation stays exact.
     """
 
     def __init__(self, polys):
@@ -169,12 +188,16 @@ class _MonomialTable:
                 self.coeffs[row[e], j] = float(c)
         self._top = int(self.exponents.max(initial=0))
         # each monomial is (x0^a x1^b) (x2^c x3^d): the distinct exponent pairs
-        # of each half, as rows of a chunk's flattened (top + 1, NVARS) power
-        # table, and which pair every monomial takes
-        self._halves = []
+        # of both halves, stacked, as row pairs of a chunk's flattened
+        # (top + 1, NVARS) power table, and which pair of each half every
+        # monomial takes, as (2, M) rows of that stack
+        factors, which = [], []
         for cols in ((0, 1), (2, 3)):
-            pairs, which = np.unique(self.exponents[:, cols], axis=0, return_inverse=True)
-            self._halves.append(((pairs * NVARS + cols).T.copy(), which.reshape(-1)))
+            pairs, index = np.unique(self.exponents[:, cols], axis=0, return_inverse=True)
+            which.append(index.reshape(-1) + sum(map(len, factors)))
+            factors.append(pairs * NVARS + cols)
+        self._pairs = np.concatenate(factors).T.copy()
+        self._which = np.array(which, dtype=np.intp).reshape(2, len(monomials))
         # bits above a point's largest monomial that any partial sum can reach:
         # the coefficients' largest column sum of magnitudes is below 2^(headroom - 1)
         self._headroom = int(np.frexp(max(np.abs(self.coeffs).sum(axis=0).max(initial=0.0), 1.0))[1]) + 1
@@ -187,11 +210,18 @@ class _MonomialTable:
         n = len(points)
         rows = max(1, min(n, _CHUNK_ROWS))
         out = np.empty((-(-n // rows) * rows, self.coeffs.shape[1]))
-        # work buffers shared by every chunk: powers[e, k, row] = x_k^e, and
-        # the (M, rows) monomial matrix as the product of its two halves
+        # work buffers shared by every chunk: powers[e, k, row] = x_k^e; the
+        # heads and tails of the stacked pair tables; the heads and tails of
+        # the pair of each half that every monomial takes; three (M, rows)
+        # blocks.  Views are taken by index: unpacking an array is slower.
         powers = np.empty((max(self._top, 1) + 1, NVARS, rows), np.longdouble)
-        monomials = np.empty((len(self.exponents), rows), np.longdouble)
-        factor = np.empty_like(monomials)
+        split = np.empty((2, self._pairs.shape[1], rows))
+        parts = np.empty((2,) + self._which.shape + (rows,))
+        head, tail = split[0], split[1]
+        a, b, a_tail, b_tail = parts[0, 0], parts[0, 1], parts[1, 0], parts[1, 1]
+        high = np.empty_like(a)
+        low = np.empty_like(a)
+        work = np.empty_like(a)
         for start in range(0, n, rows):
             chunk = points[start : start + rows]
             powers[0] = 1.0
@@ -199,21 +229,32 @@ class _MonomialTable:
             powers[1, :, len(chunk) :] = 0.0  # the last chunk's padding rows
             for e in range(2, self._top + 1):
                 np.multiply(powers[e - 1], powers[1], out=powers[e])
-            table = powers.reshape(-1, rows)
-            for target, ((first, second), which) in zip((monomials, factor), self._halves):
-                np.take(table[first] * table[second], which, axis=0, out=target, mode="clip")
-            monomials *= factor
-            block = out[start : start + rows]
-            high = monomials.astype(float)
-            low = (monomials - high).astype(float)
+            ends = powers.reshape(-1, rows)[self._pairs]
+            pairs = ends[0] * ends[1]
+            np.bitwise_and(pairs.astype(float).view(np.int64), _HEAD_MASK, out=head.view(np.int64))
+            # exact: pairs - head is a multiple of the entry's last bit and
+            # below 2^-24 of it, so it has at most 40 significant bits
+            np.subtract(pairs, head, out=tail, casting="unsafe")
+            np.take(split, self._which, axis=1, out=parts, mode="clip")
+            # high = a b exactly; low = a b_tail + a_tail (b + b_tail), off by
+            # about 2^-77 of a b
+            np.multiply(a, b, out=high)
+            np.multiply(a, b_tail, out=low)
+            np.add(b, b_tail, out=work)
+            work *= a_tail
+            low += work
             # lead: a multiple of 2^(e + headroom - 53) at most 2^e, so its
             # products with integer coefficients and all their partial
             # sums fit in 53 bits (the cap keeps the grid finite near overflow)
-            _, e = np.frexp(np.max(np.abs(high), axis=0, initial=0.0))
+            _, e = np.frexp(np.max(np.abs(high, out=work), axis=0, initial=0.0))
             grid = np.ldexp(1.0, np.minimum(e + self._headroom, 1023))
-            lead = (high + grid) - grid
+            lead = np.add(high, grid, out=work)
+            lead -= grid
+            high -= lead  # exact: high now holds the remainder
+            high += low
+            block = out[start : start + rows]
             np.matmul(lead.T, self.coeffs, out=block)
-            block += ((high - lead) + low).T @ self.coeffs
+            block += high.T @ self.coeffs
         return out[:n]
 
 

@@ -16,6 +16,7 @@ from triso.independence import (
     _analytic,
     _clear_of_hyperplanes,
     _fd_deviation,
+    _ranks,
     _sample_generic,
     _volumes,
 )
@@ -236,6 +237,63 @@ def test_rank_threshold_is_provably_met_at_the_volume_floor():
     # with unit rows sigma_1 <= 2 and sigma_1 sigma_2 sigma_3 <= 8, so
     # volume > floor forces sigma_4 >= floor / 8, far above the SVD cut
     assert GENERIC_VOLUME_FLOOR / 8.0 > RANK_THRESHOLD * 2.0
+
+
+def svd_ranks(jac):
+    """The rank rule by a full SVD of every matrix: unit rows, singular values above RANK_THRESHOLD times the largest."""
+    norms = np.linalg.norm(jac, axis=-1, keepdims=True)
+    unit = np.divide(jac, norms, out=np.zeros_like(jac), where=norms > 0)
+    sv = np.linalg.svd(unit, compute_uv=False)
+    return np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1)
+
+
+def test_rank_shortcut_counts_as_the_full_svd_on_a_sampler_run():
+    _, jac, _ = _sample_generic(1000, np.random.default_rng(0))
+    want = svd_ranks(jac)
+    assert np.all(want == 4)
+    assert np.array_equal(_ranks(jac, _volumes(jac)), want)
+    # the report's bound for sampled points: the floor their volumes clear
+    assert np.array_equal(_ranks(jac, np.full(len(jac), GENERIC_VOLUME_FLOOR)), want)
+
+
+def test_rank_shortcut_leaves_low_ranks_to_the_svd():
+    g = np.random.default_rng(5).normal(size=(4, 4))
+    low = [
+        (np.zeros((4, 4)), 0),
+        (g * (np.arange(4) < 1)[:, None], 1),  # zero rows
+        (g * (np.arange(4) < 2)[:, None], 2),
+        (g * (np.arange(4) < 3)[:, None], 3),
+        (g[[0, 0, 0, 0]], 1),  # repeated rows
+        (g[[0, 1, 0, 1]] * [[1.0], [2.0], [-3.0], [0.5]], 2),
+        (g[[0, 1, 2, 1]], 3),
+        (jacobian_canonical(np.zeros(4)), 0),  # the origin
+        (jacobian_canonical([1.0, -0.7, 0.0, 0.9]), 3),  # on d123 = 0
+    ]
+    jac = np.array([m for m, _ in low])
+    assert svd_ranks(jac).tolist() == [r for _, r in low]
+    # mixed with full-rank Jacobians, so both routes fill one result
+    jac = np.concatenate([_sample_generic(5, np.random.default_rng(1))[1], jac])
+    assert np.array_equal(_ranks(jac, _volumes(jac)), svd_ranks(jac))
+
+
+@pytest.mark.parametrize(
+    "volume",
+    [1e-12, 1.5 * RANK_THRESHOLD] + [16 * RANK_THRESHOLD * f for f in (1 - 1e-3, 1 - 1e-5, 1 + 1e-5, 1 + 1e-3)],
+)
+def test_rank_shortcut_near_its_volume_bound(volume):
+    # unit rows e1, e2, e3 and cos(t) e3 + sin(t) e4, of volume sin(t) and
+    # sigma_4 / sigma_1 near sin(t) / 2, turned by a rotation (rows stay unit,
+    # the volume stays): rank 3 at the first two volumes, 4 on either side
+    # of 16 RANK_THRESHOLD, and the count is the full SVD's at each
+    t = np.arcsin(volume)
+    rows = np.eye(4)
+    rows[3] = [0.0, 0.0, np.cos(t), np.sin(t)]
+    q, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(4, 4)))
+    jac = (rows @ q)[None]
+    volumes = _volumes(jac)
+    assert (volumes[0] > 16 * RANK_THRESHOLD) == (volume > 16 * RANK_THRESHOLD)
+    assert svd_ranks(jac)[0] == (3 if volume < 2 * RANK_THRESHOLD else 4)
+    assert np.array_equal(_ranks(jac, volumes), svd_ranks(jac))
 
 
 def test_invariants_consistent_with_jacobian_degrees():

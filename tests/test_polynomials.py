@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from triso.independence import _ANALYTIC_TABLE, _sample_generic
 from triso.invariants import CanonicalParams, smith_bao
 from triso.polynomials import (
+    _INVARIANT_TABLE,
     CANONICAL_BASIS,
     DET_FACTOR_4,
     DET_FACTOR_10,
@@ -235,3 +237,32 @@ def test_monomial_table_is_accurate_where_the_factor_cancels():
         scale = sum(abs(t) for t in terms)
         got = _MonomialTable((poly,))(np.array([p]))[0, 0]
         assert abs(Fraction(got) - exact) <= 2.0**-52 * abs(exact) + 1e-17 * scale
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is a plain double here"
+)
+def test_monomial_tables_are_accurate_in_every_column():
+    # the cancellation bound above, for every column of both shared tables:
+    # at sampled points, at that test's point, and where one coordinate or
+    # all four are +-2^k for k in -40..40 step 8 (the others at 1), so that
+    # pair entries and monomials span 2^-360..2^360
+    cancel = [1.6579486480544245, -1.5806846321271224, 0.004667397395683892, 0.40098996975297574]
+    wide = []
+    for k in range(-40, 41, 8):
+        x = (-1.0) ** (k // 8) * 2.0**k
+        wide.append(np.full(NVARS, x))
+        for i in range(NVARS):
+            point = np.ones(NVARS)
+            point[i] = x
+            wide.append(point)
+    pts = np.concatenate([_sample_generic(40, np.random.default_rng(0))[0], [cancel], wide])
+    for table in (_ANALYTIC_TABLE, _INVARIANT_TABLE):
+        got = table(pts)
+        for p, row in zip(pts, got):
+            q = [Fraction(v) for v in p]
+            monomials = [q[0] ** a * q[1] ** b * q[2] ** c * q[3] ** d for a, b, c, d in table.exponents.tolist()]
+            for j, value in enumerate(row.tolist()):
+                terms = [int(c) * m for c, m in zip(table.coeffs[:, j].tolist(), monomials) if c]
+                exact = sum(terms)
+                assert abs(Fraction(value) - exact) <= 2.0**-52 * abs(exact) + 1e-17 * sum(map(abs, terms)), (p, j)
