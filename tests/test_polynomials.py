@@ -208,7 +208,12 @@ def test_det_jacobian_is_the_exact_determinant():
     assert (laplace_det(jacobian) - DET_JACOBIAN).terms == {}
 
 
-@pytest.mark.parametrize("n", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+# one chunk, the first chunk boundary, and the second, where a partial
+# chunk follows two full ones
+@pytest.mark.parametrize(
+    "n",
+    [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS - 1, 2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 1],
+)
 def test_monomial_table_matches_one_point_eval(n):
     polys = CANONICAL_BASIS + (DET_FACTOR_4, DET_FACTOR_10, DET_JACOBIAN, Poly.constant(3))
     pts = np.random.default_rng(n).uniform(-2, 2, size=(n, NVARS))
