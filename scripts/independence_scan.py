@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from triso.independence import GENERIC_VOLUME_FLOOR, _analytic, _volumes, independence_report
+from triso.independence import GENERIC_VOLUME_FLOOR, _measure, independence_report
 
 PERCENTILES = (0, 1, 5, 25, 50, 75, 95, 99, 100)
 
@@ -35,9 +35,8 @@ def main(argv=None) -> int:
     # raw box draws, before the genericity rejection, to see what gets cut
     rng = np.random.default_rng(args.seed)
     raw = rng.uniform(-2.0, 2.0, size=(args.samples, 4))
-    jac, _ = _analytic(raw)
-    volumes = _volumes(jac)
-    dets = np.abs(np.linalg.det(jac))
+    _, _, det, volumes, _ = _measure(raw)
+    dets = np.abs(det)
 
     print(f"{args.samples} uniform draws from [-2, 2]^4 (seed {args.seed})")
     print(f"volume floor: {GENERIC_VOLUME_FLOOR:g}; "

@@ -19,12 +19,11 @@ volume wherever that bounds it (always, at a generic point), and only the
 other matrices get a stacked SVD.  The one-point functions
 (``jacobian_canonical``, ``jacobian_report``) are the n = 1 case.
 
-Each point's exact table is evaluated once: the sampler needs the
-Jacobians for its volume floor anyway, so it hands them on, with the
-closed-form determinants, to the report on the points it keeps.  The
-report applies the genericity rule only to points a caller passes in;
-the sampler has applied it to its own, so their volumes are known to clear
-the floor, and the report computes neither a volume nor an SVD for them.
+Each point is measured once, by ``_measure``: its exact Jacobian, its
+closed-form and numeric determinants, and from one set of row norms its
+unit-row volume and fd deviation.  One rule, ``_generic``, says which
+points count as evidence.  The sampler keeps the draws it passes, and the
+report and ``JacobianReport.is_generic`` apply it to the same measurement.
 """
 
 from __future__ import annotations
@@ -71,33 +70,35 @@ RANK_THRESHOLD = 1e-10  # relative to the largest singular value
 # sigma_1 sigma_2 sigma_3 <= 8, hence sigma_4 >= volume / 8 and
 # sigma_4 / sigma_1 >= volume / 16.  So a volume above 16 RANK_THRESHOLD
 # means rank 4 without an SVD (``_ranks``), and every generic point provably
-# passes the rank test above.  The floor subsumes the coordinate-hyperplane
-# margins (volume vanishes there too).
+# passes the rank test above.  The floor does not subsume the hyperplane
+# margins: the volume vanishes like |d123| near d123 = 0 but like |d223|^3
+# near d223 = 0.  Of 200,000 uniform draws with |d123| < HYPERPLANE_MARGIN,
+# 2619 cleared the floor (volumes up to 2.4e-5); with |d223| below it, none.
 GENERIC_VOLUME_FLOOR = 1e-6
 
 
-def _unit_rows(jac: np.ndarray) -> np.ndarray:
-    """Stacked Jacobians with each row scaled to unit length (zero rows stay 0)."""
-    norms = np.linalg.norm(jac, axis=-1, keepdims=True)
-    return np.divide(jac, norms, out=np.zeros_like(jac), where=norms > 0)
+def _unit_rows(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked Jacobians with each row scaled to unit length (zero rows stay 0), and the row norms."""
+    norms = np.linalg.norm(jac, axis=-1)
+    return np.divide(jac, norms[..., None], out=np.zeros_like(jac), where=norms[..., None] > 0), norms
 
 
 def _volumes(jac: np.ndarray) -> np.ndarray:
     """gradient_volume of each matrix in an (n, 4, 4) stack of Jacobians."""
-    return np.abs(np.linalg.det(_unit_rows(jac)))
+    return np.abs(np.linalg.det(_unit_rows(jac)[0]))
 
 
 def _ranks(jac: np.ndarray, volumes: np.ndarray) -> np.ndarray:
     """JacobianReport.rank of each matrix in an (n, 4, 4) stack of Jacobians.
 
-    volumes (n,) bounds each matrix's unit-row volume from below: its
-    ``_volumes`` entry, or the floor a sampled point is known to clear.
-    Above 16 RANK_THRESHOLD the rank is 4 (see GENERIC_VOLUME_FLOOR); only
-    the other matrices, NaN ones included, get an SVD.
+    volumes (n,) bounds each matrix's unit-row volume from below, as its
+    ``_volumes`` entry does.  Above 16 RANK_THRESHOLD the rank is 4 (see
+    GENERIC_VOLUME_FLOOR); only the other matrices, NaN ones included, get
+    an SVD.
     """
     ranks = np.full(len(jac), 4)
     near = np.flatnonzero(~(volumes > 16 * RANK_THRESHOLD))
-    sv = np.linalg.svd(_unit_rows(jac[near]), compute_uv=False)
+    sv = np.linalg.svd(_unit_rows(jac[near])[0], compute_uv=False)
     ranks[near] = np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1)
     return ranks
 
@@ -115,6 +116,11 @@ def gradient_volume(jac) -> float:
 
 def _clear_of_hyperplanes(pts: np.ndarray) -> np.ndarray:
     return (np.abs(pts[:, 2]) > HYPERPLANE_MARGIN) & (np.abs(pts[:, 3]) > HYPERPLANE_MARGIN)
+
+
+def _generic(pts: np.ndarray, volumes: np.ndarray) -> np.ndarray:
+    """The genericity rule at (n, 4) points: clear of both hyperplane bands, volume above the floor."""
+    return _clear_of_hyperplanes(pts) & (volumes > GENERIC_VOLUME_FLOOR)
 
 
 def _point(c) -> np.ndarray:
@@ -141,17 +147,19 @@ def _complex_step(pts: np.ndarray) -> np.ndarray:
     return values.imag.transpose(1, 0, 2) / COMPLEX_STEP
 
 
-def _fd_deviation(pts: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """Deviation (n,) of the complex-step Jacobians at (n, 4) points from jac.
+def _measure(pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Exact Jacobians (n, 4, 4), closed-form dets, dets, unit-row volumes and fd deviations (n,).
 
-    jac holds the exact Jacobians, ``_analytic(pts)[0]``.  Gradients are
-    compared row by row: roundoff in either route scales with the
-    invariant's own derivative magnitudes, so each row's difference is
-    measured against that row's norm, not entry by entry.
+    One set of row norms serves the last two.  The deviation compares the
+    complex-step Jacobian with the exact one row by row: roundoff in either
+    route scales with each invariant's own gradient, so each row's
+    difference is measured against that row's norm.
     """
-    row_norms = np.linalg.norm(jac, axis=2)
+    jac, closed = _analytic(pts)
+    unit, norms = _unit_rows(jac)
     gap = np.linalg.norm(jac - _complex_step(pts), axis=2)
-    return np.max(gap / np.maximum(1.0, row_norms), axis=1)
+    deviation = np.max(gap / np.maximum(1.0, norms), axis=1)
+    return jac, closed, np.linalg.det(jac), np.abs(np.linalg.det(unit)), deviation
 
 
 def jacobian_canonical(c, mode: str = "analytic") -> np.ndarray:
@@ -218,14 +226,14 @@ class JacobianReport:
         return gradient_volume(self.jac)
 
     def is_generic(self) -> bool:
-        return self.volume() > GENERIC_VOLUME_FLOOR
+        """``_generic`` at this point: the rule ``independence_report`` applies."""
+        return bool(_generic(self.point.as_array()[None], _volumes(self.jac[None]))[0])
 
 
 def jacobian_report(c) -> JacobianReport:
     x = _point(c)[None, :]
     point = c if isinstance(c, CanonicalParams) else CanonicalParams(*x[0])
-    jac, closed = _analytic(x)
-    det, deviation = np.linalg.det(jac), _fd_deviation(x, jac)
+    jac, closed, det, _, deviation = _measure(x)
     return JacobianReport(point, jac[0], float(det[0]), float(deviation[0]), float(closed[0]))
 
 
@@ -250,29 +258,25 @@ class IndependenceReport:
         }
 
 
-def _sample_generic(
-    count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sample_generic(count: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     """Uniform points in [-2, 2]^4, rejecting degenerate draws.
 
-    A draw is kept when it clears the coordinate-hyperplane bands and its
-    unit-gradient volume clears GENERIC_VOLUME_FLOOR; rejection discards about
-    4.5 % of draws.  Each batch is judged at once, and its first
-    accepted rows are kept in draw order.  Returns the (count, 4) points
-    with their ``_analytic`` Jacobians and closed-form determinants, which
-    the volume floor needed anyway.
+    Draws inside the hyperplane bands are dropped before anything is
+    evaluated; the rest are measured, and a draw is kept when ``_generic``
+    passes it, which discards about 4.5 % of draws.  Each batch is judged at
+    once, and its first accepted rows are kept in draw order.  Returns the
+    (count, 4) points followed by their ``_measure`` rows.
     """
     out = []
     kept = 0
     while kept < count:
         batch = rng.uniform(-2.0, 2.0, size=(count - kept + 8, NVARS))
         batch = batch[_clear_of_hyperplanes(batch)]
-        jac, closed = _analytic(batch)
-        accepted = np.flatnonzero(_volumes(jac) > GENERIC_VOLUME_FLOOR)[: count - kept]
-        out.append((batch[accepted], jac[accepted], closed[accepted]))
+        measured = _measure(batch)
+        accepted = np.flatnonzero(_generic(batch, measured[3]))[: count - kept]
+        out.append([batch[accepted]] + [m[accepted] for m in measured])
         kept += len(accepted)
-    pts, jac, closed = (np.concatenate(parts) for parts in zip(*out))
-    return pts, jac, closed
+    return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
 def independence_report(
@@ -283,27 +287,21 @@ def independence_report(
     With no explicit points, draws sample_count generic points from
     [-2, 2]^4; every drawn point then counts toward the rank statistics.
     Caller-given points, each of which must be finite, are tallied as
-    degenerate — and excluded from the rank-4 fraction — when they sit
-    inside the coordinate-hyperplane bands or below the unit-gradient
-    volume floor, where the determinant is (near) zero by construction and
-    says nothing about genericity.
+    degenerate — and excluded from the rank-4 fraction — when ``_generic``
+    fails them: inside the coordinate-hyperplane bands or below the
+    unit-gradient volume floor, where the determinant is (near) zero by
+    construction and says nothing about genericity.
     """
     if points is None:
         if sample_count < 1:
             raise ValueError(f"sample_count must be at least 1, got {sample_count}")
-        pts, jac, closed = _sample_generic(sample_count, np.random.default_rng(seed))
-        generic = np.ones(len(pts), dtype=bool)
-        # the sampler kept only points whose volume clears the floor
-        volumes = np.full(len(pts), GENERIC_VOLUME_FLOOR)
+        pts, jac, closed, det, volumes, deviation = _sample_generic(sample_count, np.random.default_rng(seed))
     else:
         pts = np.asarray([_point(p) for p in points], dtype=float).reshape(-1, NVARS)
         if len(pts) == 0:
             raise ValueError("points must be nonempty")
-        jac, closed = _analytic(pts)
-        volumes = _volumes(jac)
-        generic = _clear_of_hyperplanes(pts) & (volumes > GENERIC_VOLUME_FLOOR)
-
-    det, deviation = np.linalg.det(jac), _fd_deviation(pts, jac)
+        jac, closed, det, volumes, deviation = _measure(pts)
+    generic = _generic(pts, volumes)
     # relative_error, elementwise
     mismatch = np.abs(det - closed) / np.maximum(1.0, np.maximum(np.abs(det), np.abs(closed)))
     n_generic = int(np.sum(generic))

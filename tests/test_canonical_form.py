@@ -336,6 +336,15 @@ def test_canonicalize_zero_tensor():
     assert result.params.as_array().tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
+def test_zero_tensor_on_the_sphere():
+    # the early returns for a zero tensor: the cubic form vanishes everywhere
+    mx = maximize_cubic_on_sphere(SymTraceless3())
+    assert mx.u.tolist() == [1.0, 0.0, 0.0]
+    assert mx.value == 0.0 and mx.residual == 0.0
+    assert mx.maximizers.tolist() == [[1.0, 0.0, 0.0]]
+    assert mx.newton_iterations == 0
+    assert stationarity_residual(SymTraceless3(), [1.0, 0.0, 0.0]) == 0.0
+
 def test_canonicalize_deterministic():
     a = canonicalize(random_tensor(77))
     b = canonicalize(random_tensor(77))

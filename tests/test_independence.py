@@ -15,7 +15,7 @@ from triso.independence import (
     jacobian_report,
     _analytic,
     _clear_of_hyperplanes,
-    _fd_deviation,
+    _measure,
     _ranks,
     _sample_generic,
     _volumes,
@@ -121,7 +121,6 @@ def test_fd_route_flags_a_slip_in_the_transcription(monkeypatch):
     partials = tuple(p.diff(k) for p in basis for k in range(NVARS))
     analytic = _MonomialTable(partials + (DET_FACTOR_4, DET_FACTOR_10))
     monkeypatch.setattr(independence, "_ANALYTIC_TABLE", analytic)
-    monkeypatch.setattr(independence, "_BASIS_TABLE", _MonomialTable(basis), raising=False)
     assert independence_report(200, 0).max_fd_deviation > 1e-3
 
 
@@ -248,11 +247,12 @@ def svd_ranks(jac):
 
 
 def test_rank_shortcut_counts_as_the_full_svd_on_a_sampler_run():
-    _, jac, _ = _sample_generic(1000, np.random.default_rng(0))
+    _, jac, _, _, volumes, _ = _sample_generic(1000, np.random.default_rng(0))
     want = svd_ranks(jac)
     assert np.all(want == 4)
     assert np.array_equal(_ranks(jac, _volumes(jac)), want)
-    # the report's bound for sampled points: the floor their volumes clear
+    # the volumes the report reads for sampled points, and the floor they clear
+    assert np.array_equal(_ranks(jac, volumes), want)
     assert np.array_equal(_ranks(jac, np.full(len(jac), GENERIC_VOLUME_FLOOR)), want)
 
 
@@ -327,21 +327,21 @@ def per_draw_sample(count, rng):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 1404448153, 328303462, 843945411])
 def test_batched_sampler_keeps_the_per_draw_sample(seed):
-    batched, _, _ = _sample_generic(1000, np.random.default_rng(seed))
+    batched, *_ = _sample_generic(1000, np.random.default_rng(seed))
     assert np.array_equal(batched, per_draw_sample(1000, np.random.default_rng(seed)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4, 1404448153])
 def test_every_sampled_point_passes_the_genericity_rule(seed):
-    # the report applies the rule only to caller-given points
-    pts, jac, _ = _sample_generic(1000, np.random.default_rng(seed))
+    # the sampler keeps only the draws that the rule passes
+    pts, jac, *_ = _sample_generic(1000, np.random.default_rng(seed))
     assert np.all(_clear_of_hyperplanes(pts))
     assert np.all(_volumes(jac) > GENERIC_VOLUME_FLOOR)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4, 1404448153])
 def test_sampler_hands_on_the_analytic_tables_of_its_points(seed):
-    pts, jac, closed = _sample_generic(1000, np.random.default_rng(seed))
+    pts, jac, closed, *_ = _sample_generic(1000, np.random.default_rng(seed))
     want_jac, want_closed = _analytic(pts)
     assert jac.shape == (1000, 4, 4) and closed.shape == (1000,)
     scale = np.linalg.norm(want_jac, axis=2, keepdims=True)
@@ -372,8 +372,7 @@ def test_report_evaluates_the_exact_table_once_per_draw(monkeypatch, seed):
 def test_jacobian_report_is_the_batched_core_at_one_point():
     pts = np.random.default_rng(13).uniform(-2, 2, size=(40, 4))
     pts[5, 2] = 0.0  # on the d123 = 0 hyperplane
-    jac, closed = _analytic(pts)
-    det, deviation = np.linalg.det(jac), _fd_deviation(pts, jac)
+    jac, closed, det, _, deviation = _measure(pts)
     for i, p in enumerate(pts):
         rep = jacobian_report(p)
         scale = np.linalg.norm(jac[i], axis=1, keepdims=True)
@@ -395,3 +394,21 @@ def test_closed_form_det_where_a_factor_cancels():
     p = [1.6579486480544245, -1.5806846321271224, 0.004667397395683892, 0.40098996975297574]
     rep = jacobian_report(p)
     assert relative_error(rep.det, rep.closed_form_det) <= 1e-10
+
+
+def test_one_point_genericity_is_the_report_rule():
+    # inside the d123 band, though its volume (1.4e-5) clears the floor
+    inside = [-0.18407619173784706, 0.1744173120564878, 9.660867347236996e-07, 0.10974079843039775]
+    rng = np.random.default_rng(17)
+    pts = np.concatenate([[inside], rng.uniform(-2, 2, size=(60, 4))])
+    for idx in (2, 3):  # draws inside the d123 and the d223 band
+        band = rng.uniform(-2, 2, size=(20, 4))
+        band[:, idx] = rng.uniform(-HYPERPLANE_MARGIN, HYPERPLANE_MARGIN, size=20)
+        pts = np.concatenate([pts, band])
+    volumes = np.array([gradient_volume(jacobian_canonical(p)) for p in pts])
+    verdicts = [jacobian_report(p).is_generic() for p in pts]
+    assert verdicts == [independence_report(points=[p]).samples == 1 for p in pts]
+    assert verdicts == list(_clear_of_hyperplanes(pts) & (volumes > GENERIC_VOLUME_FLOOR))
+    # every case occurs: generic, below the floor, and in a band above it
+    assert volumes[0] > GENERIC_VOLUME_FLOOR and not verdicts[0]
+    assert any(verdicts) and np.any(_clear_of_hyperplanes(pts) & (volumes <= GENERIC_VOLUME_FLOOR))

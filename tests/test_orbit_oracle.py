@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 import triso
 
 from triso.canonical_form import canonicalize
-from triso.invariants import smith_bao
+from triso.components import _unit_scale
+from triso.invariants import _components, _slice_kernel, smith_bao
 from triso.orbit_oracle import (
     GROUPS,
     AlignmentResult,
@@ -17,7 +19,9 @@ from triso.orbit_oracle import (
     degree_normalized_invariants,
     invariant_distance,
     same_orbit,
+    _degree_normalized,
 )
+from triso.reference_cases import f_root, reference_cases
 from triso.tensor_core import (
     SymTraceless3,
     act,
@@ -188,6 +192,49 @@ def test_invariant_distance_of_zero_tensors():
     zero = SymTraceless3()
     assert invariant_distance(zero, zero) == 0.0
     assert invariant_distance(zero, random_tensor(1)) == pytest.approx(1.0)
+
+
+def _orbit_zero_tensors():
+    """Tensors with I6 or I10 = 0, where a cube or fifth root is steep."""
+    t0 = f_root()
+    return [case.tensor for case in reference_cases()] + [
+        SymTraceless3(d111=1.0, d122=-0.5 + 0.5 * math.sin(t0), d123=0.5 * math.cos(t0), d223=-2.0),
+        SymTraceless3(d111=1.0, d112=1.0, d113=1.0, d123=1.0),  # the I6 gap pair
+        SymTraceless3(d113=-1.0, d223=-1.0),  # zonal
+        SymTraceless3(d123=1.0),
+    ]
+
+
+@pytest.mark.parametrize("norm", [1e-200, 1.0, 1e200])
+def test_rotated_copies_with_vanishing_invariants_are_same(norm):
+    # roundoff in I6 or I10 near 0 once reached distance 4.9e-4 through
+    # the roots; the zero floor reads such a slot as a match
+    for t in _orbit_zero_tensors():
+        t = _scaled(t, norm / expand(t).frobenius())
+        for seed in range(100):
+            for proper in (True, False):
+                copy = compress(act(random_orthogonal(60_000 + seed, proper=proper), expand(t)))
+                assert same_orbit(t, copy) == "same", (t, seed, proper)
+
+
+def _distance_without_floor(a, b):
+    """invariant_distance as it reads with no zero floor."""
+    _, c = _unit_scale(_components(a) + _components(b))
+    pa = _degree_normalized(*_slice_kernel(*c[:7])[2])
+    pb = _degree_normalized(*_slice_kernel(*c[7:])[2])
+    return max(abs(x - y) for x, y in zip(pa, pb)) / max(pa[0], pb[0])
+
+
+def test_zero_floor_leaves_distinct_pairs_alone():
+    # independent pairs, and pairs 1e-7 apart relative, keep the
+    # distance of the roots bit for bit
+    rng = np.random.default_rng(2024)
+    pairs = [(random_tensor(70_000 + s), random_tensor(80_000 + s)) for s in range(50)]
+    for t in _orbit_zero_tensors() + [random_tensor(90_000 + s) for s in range(30)]:
+        pairs.append((t, SymTraceless3.from_array(t.as_array() * (1.0 + 1e-7 * rng.normal(size=7)))))
+    pairs.append((SymTraceless3(d111=1.0, d112=1.0), SymTraceless3(d111=1.0, d123=1.0)))
+    for a, b in pairs:
+        assert invariant_distance(a, b) == _distance_without_floor(a, b) > 1e-9, (a, b)
 
 
 def test_same_orbit_rejects_bad_tol():

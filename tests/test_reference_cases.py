@@ -128,6 +128,26 @@ def test_run_report_respects_case_tol(monkeypatch):
     assert survivors == ["d111=d112=1", "d111=d123=1"]
 
 
+def test_run_report_evaluates_each_construction_once(monkeypatch):
+    # one smith_bao per fixed case and per gap tensor, and one bisection
+    module = importlib.import_module("triso.reference_cases")
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting("smith_bao", module.smith_bao)
+    counting("f_root", module.f_root)
+    report = run_report()
+    assert calls.count("smith_bao") == len(reference_cases()) + 2
+    assert calls.count("f_root") == 1
+    assert report["f_root"]["t0"] == report["gap"]["t0"] == f_root()
+
+
 def test_case_tensors_recompute():
     for case in reference_cases():
         got = smith_bao(case.tensor).as_array()
