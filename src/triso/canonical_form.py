@@ -16,31 +16,31 @@ of the O(3) orbit.
 The maximizer is solved for, not searched for.  A stationary point of the
 cubic form on the sphere is a Z-eigenvector of D, and a generic 3x3x3
 symmetric tensor has exactly 7 lines of them (Cartwright and Sturmfels,
-2013).  In one chart of a fixed generic frame they are the real roots of a
-degree-7 resultant, each giving both roots of a quadratic in the second
-coordinate.  A root counts as real when |Im y| <= 1e-3 (1 + y^2): the cut
-is projective, as a root far out, near the chart's plane at infinity,
-carries an error that grows as y^2, and a multiple root splits off the
-real axis by eps^(1/k) (6.6e-4 for a 4-fold root of the d111-only tensor).
-The chart is degenerate only when a stationary point sits on its z-axis
-(its resultant vanishes) or two sit on its plane at infinity (its two top
-coefficients vanish); only then is the same chart of a second fixed
-frame, whose axes are far from the first's, solved instead, and of a third
-where that one is degenerate too.  Those roots, plus the covariant vector
-v_p = M_kl D_klp (which lies along the axis of a zonal tensor, whose
-resultants vanish), are the candidates.  Those whose value is within
-``_FINISH_SLACK`` (1e-5) of the largest, less any within ``_MERGE`` (1e-2)
-of one with a larger value, are finished by Riemannian Newton steps, and
-the largest value wins.  All of it runs on the seven components of the
-unit-normalized tensor, read through the three symmetric slices of
-``components._slices``, so it is scale-free; a 27-entry ``FullTensor3`` is
-compressed at entry.
+2013).  In one chart they are the real roots of a degree-7 resultant,
+each giving both roots of a quadratic in the third coordinate.  A chart
+loses stationary points only where a leading coefficient vanishes: its
+quadratic's when one sits at the chart's centre (its resultant vanishes),
+the resultant's when one sits on its line at infinity.  So each call
+solves the one chart, of six centred on the rows of two fixed frames,
+whose quadratic has the largest lead, turned about its centre to the one
+of eight angles at which the resultant's lead is largest: no cutoff, no
+fallback.  A root counts as real when |Im s| <= 1e-3 (1 + s^2): the cut is
+projective, as a root far out carries an error that grows as s^2, and a
+multiple root splits off the real axis by eps^(1/k).  Those roots, plus
+the covariant vector v_p = M_kl D_klp (which lies along the axis of a
+zonal tensor, whose resultants vanish), are the candidates.  Those whose
+value is within ``_FINISH_SLACK`` (1e-5) of the largest, less any within
+``_MERGE`` (1e-2) of one with a larger value, are finished by Riemannian
+Newton steps, and the largest value wins.  All of it runs on the seven
+components of the unit-normalized tensor, read through the three
+symmetric slices of ``components._slices``, so it is scale-free; a
+27-entry ``FullTensor3`` is compressed at entry.
 
 Only the candidate solve uses numpy: matrix products with constant tables
 (the Sylvester matrices and g's coefficients from the seven components, the
-resultant's coefficients from its samples), one ``det`` over the five 5x5
-Sylvester matrices and one ``eigvals`` of the 7x7 companion matrix: two
-LAPACK calls, and one more ``det`` per degenerate chart.  Everything around
+resultant's coefficients after each turn from its samples), one ``det``
+over the five 5x5 Sylvester matrices and one ``eigvals`` of the 7x7
+companion matrix: two LAPACK calls, whatever the tensor.  Everything around
 them works on Python floats: the root and value filters, the candidate
 points, the Newton finish of the one or two candidates that can win, the
 scoring of the frames they give and the rows of the winning transform.  On
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -223,8 +224,7 @@ def _newton(c: tuple, x: list) -> tuple[list, int, float, float]:
 
 def _cubic_values(c: tuple, rows) -> list:
     """g(x) = D_ijk x_i x_j x_k at each row x, from the ten coefficients of the cubic."""
-    d111, d112, d113, d122, d123, d222, d223 = c
-    d133, d233, d333 = -d111 - d122, -d112 - d222, -d113 - d223
+    (d111, d122, d133, d112, d113, d123), (_, d222, d233, _, _, d223), (_, _, d333, _, _, _) = _slices(*c)
     k112, k113, k122, k123, k133 = 3.0 * d112, 3.0 * d113, 3.0 * d122, 6.0 * d123, 3.0 * d133
     k223, k233 = 3.0 * d223, 3.0 * d233
     return [
@@ -235,43 +235,20 @@ def _cubic_values(c: tuple, rows) -> list:
     ]
 
 
-# Three fixed rotations with no special alignment to the coordinate axes or
-# to each other: every row of the first two is at least 47 degrees from
-# every row of the other (|cos| <= 0.672), and every row of the third at
-# least 37 degrees from every row of the first two (|cos| <= 0.795).  A
-# stationary point on an axis of one, or an orthogonal pair or triple of
-# them on its axes, sits on no axis of another.  (A row permutation would
-# share the axes.)  A chart is degenerate only where stationary points sit
-# on its z-axis or plane at infinity, so for a tensor to make two charts
-# degenerate at once it must meet two such conditions, which a family of
-# tensors does (those with stationary points on the z-axes of the first two
-# frames, a 3-dimensional space); for three at once it must meet three,
-# which leaves isolated tensors.  The quaternions have squared norms 1.0071,
-# 0.995 and 1.1725.
+# Two fixed rotations with no special alignment to the coordinate axes or
+# to each other: every row of one is at least 47 degrees from every row of
+# the other (|cos| <= 0.672).  The quaternions have squared norms 1.0071
+# and 0.995.
 _CHART_FRAME = _quaternion_to_matrix(np.array([0.7, 0.41, -0.33, 0.49]) / math.sqrt(1.0071))
 _SECOND_FRAME = _quaternion_to_matrix(np.array([0.9, 0.4, -0.15, -0.05]) / math.sqrt(0.995))
-_THIRD_FRAME = _quaternion_to_matrix(np.array([0.75, -0.3, 0.6, -0.4]) / math.sqrt(1.1725))
-# A real root y of the resultant is one with |Im y| <= _ROOT_TOL (1 + y^2).
+# A real root s of the resultant is one with |Im s| <= _ROOT_TOL (1 + s^2).
 # Roundoff moves a k-fold root by about eps^(1/k), off the real axis (1e-8
-# for a double root, 6.6e-4 for the 4-fold root of the d111-only tensor),
-# and a root far out, near the chart's plane at infinity, by that much in
-# 1/y, so by that times y^2 in y.  A complex root this close to the real
-# axis gives a spurious candidate, which is harmless: every candidate is
-# ranked by value and the ones that can win are finished by Newton steps.
+# for a double root, 1.3e-4 for the 4-fold root of the d111-only tensor),
+# and a root far out, near the turned chart's point at infinity, by that
+# much in 1/s, so by that times s^2 in s.  A complex root this close to the
+# real axis gives a spurious candidate, which is harmless: every candidate
+# is ranked by value and the ones that can win are finished by Newton steps.
 _ROOT_TOL = 1e-3
-# A chart is degenerate when its resultant vanishes (a stationary point on
-# its z-axis, or a ring of them) or when its two top coefficients do (two
-# stationary points on its plane at infinity).  On the unit-norm tensor, a
-# stationary point placed exactly on the z-axis leaves max |coef| <= 3.3e-16
-# and a pair placed exactly on the plane at infinity leaves
-# max(|c7|, |c6|) <= 2.2e-13 max |coef| (random_tensor(0..149)); a healthy
-# chart had max |coef| >= 5.3e-4 and max(|c7|, |c6|) >= 7.1e-5 max |coef| on
-# random_tensor(0..9999).  Both cuts sit more than 5000 times from either
-# side.  A placement d rad off the z-axis reads between 1e-3 d and 0.9 d, so
-# one that the cut leaves to this chart is still known to about 3e-9
-# relative.
-_DEAD_CHART = 1e-7
-_DEAD_TOP = 1e-8
 # The 8th roots of unity omega_s in the closed upper half plane, s = 0..4.
 # A resultant r has real coefficients, so r(omega_(8-s)) = conj r(omega_s)
 # gives the other three samples.  r(omega_s) = sum_j coef_j omega_s^j, so
@@ -286,13 +263,16 @@ _COMPANION = np.eye(7, k=-1)
 def _chart_tables(frames) -> list:
     """The chart of each frame, as linear maps from the seven components of D.
 
-    The chart of a frame has the point x = u0 + y u1 + z u2, with
-    (u0, u1, u2) its rows.  With P_m = D(u_m, x, x), x is stationary when
-    g = P1 - y P0 (a quadratic in z) and f = z P0 - P2 (a cubic in z) both
-    vanish.  Every coefficient in z is a polynomial of degree at most 3 in
-    y, linear in D.  Returns, for each frame, its rows as lists, the
-    Sylvester matrices of f and g at _ROOTS_OF_UNITY, (5 * 5 * 5, 7)
-    complex, and the coefficients of g, (3 * 4, 7): power of z, power of y.
+    The chart of a frame with rows (u0, u1, u2) has the point
+    x = w u0 + y u1 + z u2 and is centred on u2.  With P_m = D(u_m, x, x), x
+    is stationary when g = w P1 - y P0 (a quadratic in z) and f = z P0 - w P2
+    (a cubic in z) both vanish.  At w = 1 every coefficient in z is a
+    polynomial of degree at most 3 in y, linear in D; that of z^k is
+    homogeneous of degree 3 - k in (y, w).  Returns, for each frame, its
+    rows as lists, the Sylvester matrices of f and g at _ROOTS_OF_UNITY,
+    (5 * 5 * 5, 7) complex, and the coefficients of g, (3 * 4, 7): power of
+    z, power of y.  Rows 8 and 9, D(u1, u2, u2) and -D(u0, u2, u2), are g's
+    z^2 lead, zero at every y when u2 is stationary.
     """
     rows = [frame.tolist() for frame in frames]
     # k[c, m, n, l] is the row of D(u_m, u_n, u_l) in chart c: entry (n, l)
@@ -322,7 +302,24 @@ def _chart_tables(frames) -> list:
     return list(zip(rows, at_roots, np.stack(g, axis=1).reshape(len(rows), -1, 7)))
 
 
-_CHARTS = _chart_tables([_CHART_FRAME, _SECOND_FRAME, _THIRD_FRAME])
+# Six charts, each frame's rows in their three cyclic orders, so that each
+# row centres one.  Their z^2 leads, stacked, form a 12x7 map with smallest
+# singular value 0.71, so on the unit-norm tensor the largest has norm at
+# least 0.71 / sqrt(6) = 0.29.  _G_TABLE gives g in all six in one product.
+_CHARTS = _chart_tables([f[[c, (c + 1) % 3, (c + 2) % 3]] for f in (_CHART_FRAME, _SECOND_FRAME) for c in range(3)])
+_G_TABLE = np.concatenate([g_table for _, _, g_table in _CHARTS])
+# The turns a = k pi / 8, k = 0..7, of a chart's (y, w) plane.  The
+# resultant R(y, w) = sum_j coef_j y^j w^(7 - j) at (y, w) =
+# (s cos a - sin a, s sin a + cos a) is a septic in s with lead
+# R(cos a, sin a); Re(r @ _TURNS)[8 k : 8 k + 8] are its coefficients,
+# s^0 first, from the samples r at _ROOTS_OF_UNITY.
+_TURN_ANGLES = [(math.cos(k * math.pi / 8), math.sin(k * math.pi / 8)) for k in range(8)]
+_TURNS = np.hstack(
+    [
+        _INVERSE_DFT @ [reduce(np.convolve, [[-sa, ca]] * j + [[ca, sa]] * (7 - j)) for j in range(8)]
+        for ca, sa in _TURN_ANGLES
+    ]
+)
 
 
 def _stationary_candidates(c: tuple) -> list:
@@ -331,64 +328,61 @@ def _stationary_candidates(c: tuple) -> list:
 
     A generic 3x3x3 symmetric tensor has exactly 7 lines of stationary
     points (Z-eigenvectors; Cartwright and Sturmfels, 2013), and the
-    resultant of f and g in z, a polynomial of degree 7 in y, holds them
-    all in one chart (two of the 9 Bezout solutions sit at infinity).  It is
-    sampled at the 8th roots of unity (five determinants; conjugation gives
-    the other three), its coefficients come back by inverse DFT, and its
-    roots are the eigenvalues of the companion matrix.  Each root real to
-    within _ROOT_TOL (1 + y^2) gives both roots z of the quadratic g, with
-    no window: a spurious one is harmless, as the caller ranks every
-    candidate by value.  The filter is projective, as roots far out carry
-    an error that grows as y^2, and multiple roots split off the real axis:
-    the d111-only tensor has a 4-fold root near y = -2.32 with
-    |Im y| = 6.6e-4, which an absolute cut of 1e-4 would drop.
+    resultant of f and g in z, a binary septic R(y, w), holds them all in
+    one chart (two of the 9 Bezout solutions sit at w = 0 and are divided
+    out).  A chart loses them only where a leading coefficient vanishes:
+    g's z^2 lead, at every y, when one sits at its centre (R vanishes), and
+    R's top terms when one sits on its line at infinity w = 0.  So the
+    chart solved is the one in _CHARTS whose z^2 lead (rows 8 and 9 of its
+    g table) has the largest norm, turned by the a in _TURNS at which
+    |R(cos a, sin a)|, the lead in s, is largest.  R is sampled at the 8th
+    roots of unity by one ``det`` over five 5x5 Sylvester matrices, and its
+    roots in s are the eigenvalues of the 7x7 companion matrix.
 
-    The chart of _CHART_FRAME loses stationary points in two cases: one on
-    its z-axis makes the resultant vanish, and two on its plane at infinity
-    make its two top coefficients vanish (one there is a root near
-    infinity, found far out on the real axis).  Only then (_DEAD_CHART,
-    _DEAD_TOP) is the chart of _SECOND_FRAME solved the same way, and only
-    where that is degenerate too the chart of _THIRD_FRAME, whose roots are
-    used whatever they are.  The covariant vector v_p = M_kl D_klp is added
-    when it is nonzero: a zonal tensor (axially symmetric) has a ring of
-    stationary points, its resultants vanish identically in every chart,
-    and v lies along its axis, which is its maximizer.  The rows come root
-    by root, q/g2 before g0/q, then v.
-
-    Only the table products, one ``det`` over five 5x5 Sylvester matrices
-    per chart tried and one ``eigvals`` of the 7x7 companion of the chart
-    solved run on arrays; the filter, g's coefficients (by Horner at each
-    kept root) and the points run on Python floats.
+    Each root s real to within _ROOT_TOL (1 + s^2) is taken back to
+    (y, w) = (s cos a - sin a, s sin a + cos a) and gives both roots z of
+    the quadratic g, its coefficients homogenized in w, with no window: a
+    spurious one is harmless, as the caller ranks every candidate by value.
+    The filter is projective, as roots far out carry an error that grows
+    as s^2, and multiple roots split off the real axis: the d111-only
+    tensor has a 4-fold root near s = -0.669 with |Im s| = 1.3e-4, which an
+    absolute cut of 1e-4 would drop.  The covariant vector v_p = M_kl D_klp
+    is added when it is nonzero: a zonal tensor (axially symmetric) has a
+    ring of stationary points, its resultant vanishes identically in every
+    chart, and v lies along its axis, which is its maximizer.  The rows
+    come root by root, q/g2 before g0/q, then v.  Only the table products,
+    the ``det`` and the ``eigvals`` run on arrays; the choices, the filter,
+    g's coefficients (by Horner at each kept root) and the points run on
+    Python floats.
     """
     d = np.array(c)
-    # the first chart that is not degenerate, else the last
-    for (u0, u1, u2), sylvester, g_table in _CHARTS:
-        coef = (np.linalg.det((sylvester @ d).reshape(5, 5, 5)) @ _INVERSE_DFT).real
-        size = max(map(abs, coef.tolist()))
-        if size > _DEAD_CHART and max(abs(coef[7]), abs(coef[6])) > _DEAD_TOP * size:
-            break
-    # a leading coefficient below 1e-14 of the largest puts a root at or
-    # near infinity (a stationary point on the chart's plane at infinity,
-    # found far out); raising it to that size keeps the other roots in
-    # place.  A resultant that is zero throughout gives junk roots at 0.
-    lead = coef[7] if abs(coef[7]) > 1e-14 * size else 1e-14 * size
+    g_tables = (_G_TABLE @ d).reshape(6, 12).tolist()
+    leads = [g[8] * g[8] + g[9] * g[9] for g in g_tables]
+    chart = leads.index(max(leads))
+    (u0, u1, u2), sylvester, _ = _CHARTS[chart]
+    turned = (np.linalg.det((sylvester @ d).reshape(5, 5, 5)) @ _TURNS).real
+    tops = np.abs(turned[7::8]).tolist()
+    k = tops.index(max(tops))
+    coef = turned[8 * k : 8 * k + 8]
     companion = _COMPANION.copy()
-    np.divide(-coef[:7], lead or 1.0, out=companion[:, 6])  # last column -coef_j / lead
+    # a resultant that is zero throughout (a zonal tensor) gives junk roots at 0
+    np.divide(-coef[:7], coef[7] or 1.0, out=companion[:, 6])  # last column -coef_j / lead
     roots = np.linalg.eigvals(companion).tolist()
-    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3 = (g_table @ d).tolist()
+    ca, sa = _TURN_ANGLES[k]
+    a0, a1, a2, a3, b0, b1, b2, _, c0, c1, _, _ = g_tables[chart]
 
     rows = []
-    for y in roots:
-        if not abs(y.imag) <= _ROOT_TOL * (1.0 + y.real * y.real):
+    for s in roots:
+        if not abs(s.imag) <= _ROOT_TOL * (1.0 + s.real * s.real):
             continue
-        y = y.real
-        # g's coefficients of z^0, z^1, z^2 at y, and its two roots
-        # z = q / g2 = g0 / q, each as the point den (u0 + y u1) + num u2
-        g0 = ((a3 * y + a2) * y + a1) * y + a0
-        g1 = ((b3 * y + b2) * y + b1) * y + b0
-        g2 = ((c3 * y + c2) * y + c1) * y + c0
+        y, w = s.real * ca - sa, s.real * sa + ca
+        # g's coefficients of z^0, z^1, z^2 at (y, w), and its two roots
+        # z = q / g2 = g0 / q, each as the point den (w u0 + y u1) + num u2
+        g0 = ((a3 * y + a2 * w) * y + a1 * w * w) * y + a0 * w * w * w
+        g1 = (b2 * y + b1 * w) * y + b0 * w * w
+        g2 = c1 * y + c0 * w
         q = -0.5 * (g1 + math.copysign(math.sqrt(max(g1 * g1 - 4.0 * g0 * g2, 0.0)), g1))
-        w0, w1, w2 = u0[0] + y * u1[0], u0[1] + y * u1[1], u0[2] + y * u1[2]
+        w0, w1, w2 = w * u0[0] + y * u1[0], w * u0[1] + y * u1[1], w * u0[2] + y * u1[2]
         for den, num in ((g2, q), (q, g0)):
             x0, x1, x2 = den * w0 + num * u2[0], den * w1 + num * u2[1], den * w2 + num * u2[2]
             n = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)

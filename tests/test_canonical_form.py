@@ -16,7 +16,6 @@ from triso.canonical_form import (
     stationarity_residual,
     _CHART_FRAME,
     _SECOND_FRAME,
-    _THIRD_FRAME,
     _stationary_candidates,
     _tangent_bases,
 )
@@ -28,12 +27,19 @@ from triso.tensor_core import (
     FullTensor3,
     OrthogonalTransform3,
     SymTraceless3,
+    _quaternion_to_matrix,
     act,
     compress,
     expand,
     random_orthogonal,
     random_tensor,
 )
+
+
+# A third fixed rotation, whose axes the placement tests use besides those
+# of the solver's two frames: every row is at least 37 degrees from every
+# row of _CHART_FRAME and _SECOND_FRAME (|cos| <= 0.795).
+THIRD_FRAME = _quaternion_to_matrix(np.array([0.75, -0.3, 0.6, -0.4]) / math.sqrt(1.1725))
 
 
 def sampled_max(t, n=200_000, seed=0):
@@ -657,9 +663,9 @@ def test_maximizers_on_chart_boundaries_match_oracle(chart):
         [math.cos(phi) * u1 + math.sin(phi) * u2 for phi in (0.3, 1.9, 4.4)] + [u1],
         # the chart's z-axis, which makes its resultant vanish, and its centre
         [u2, -u2, u0, -u0],
-        # the axes of the second and third frames, which are solved when the
-        # chart is degenerate
-        [_SECOND_FRAME[0], -_SECOND_FRAME[1], _SECOND_FRAME[2], -_THIRD_FRAME[0], _THIRD_FRAME[2]],
+        # the axes of the second frame, whose rows centre three of the six
+        # charts, and of the test-local third frame
+        [_SECOND_FRAME[0], -_SECOND_FRAME[1], _SECOND_FRAME[2], -THIRD_FRAME[0], THIRD_FRAME[2]],
     ][chart]
     for k, u in enumerate(points):
         mx = assert_matches_oracle(_planted(u, 60 + 4 * chart + k))
@@ -896,7 +902,7 @@ def about_axis(axis, angle):
 def solver_placements(lines):
     """Rotations that put a stationary line on each axis of each frame, and
     the plane of each pair of lines on each frame's plane at infinity."""
-    frames = (_CHART_FRAME, _SECOND_FRAME, _THIRD_FRAME)
+    frames = (_CHART_FRAME, _SECOND_FRAME, THIRD_FRAME)
     moves = [moving(p, axis) for p in lines for frame in frames for axis in frame]
     for i, p in enumerate(lines):
         for q in lines[i + 1 :]:
@@ -906,12 +912,12 @@ def solver_placements(lines):
 
 
 def test_stationary_points_on_the_solver_axes_keep_the_params():
-    # a stationary point on the chart's z-axis makes its resultant vanish,
+    # a stationary point on a chart's z-axis makes its resultant vanish,
     # and two on its plane at infinity make its two top coefficients
-    # vanish; the chart then has lost points, and the next frame finds
-    # them.  Each placement is checked exactly and turned off it by one of
-    # 1e-12..1e-2 rad, so both sides of the degeneracy cut are crossed, one
-    # under each group: a proper copy under SO(3), an improper one under O(3)
+    # vanish; the solver picks the chart and its turn by the largest leads
+    # instead.  Each placement is checked exactly and turned off it by one
+    # of 1e-12..1e-2 rad, one under each group: a proper copy under SO(3),
+    # an improper one under O(3)
     rng = np.random.default_rng(0)
     angles = [10.0**-k for k in range(12, 1, -1)]
     for seed in range(20):
@@ -959,8 +965,8 @@ def two_frames_degenerate(k):
 
 
 def test_stationary_points_that_kill_two_charts_keep_the_params():
-    # tensors built with stationary points where the first two frames'
-    # charts are degenerate; the third frame's chart finds them
+    # tensors built with stationary points where the charts of the first
+    # two frames in their given row order are degenerate
     for k in range(60):
         t = with_stationary_points(two_frames_degenerate(k), 70 + k)
         norm = expand(t).frobenius()
@@ -971,23 +977,55 @@ def test_stationary_points_that_kill_two_charts_keep_the_params():
             assert np.max(np.abs(params - want)) <= 1e-8 * norm, (k, group)
 
 
-def test_each_degenerate_chart_costs_one_more_det(monkeypatch):
-    # a frame's resultant is computed only when the charts before it are
-    # degenerate, and only the chart solved gets an eigvals
+def on_three_z_axes(seed):
+    """The tensor, unique up to scale, stationary at the z-axes of
+    _CHART_FRAME, _SECOND_FRAME and THIRD_FRAME: the chart of each of those
+    frames is degenerate, so trying them in turn would lose stationary
+    points."""
+    return with_stationary_points([_CHART_FRAME[2], _SECOND_FRAME[2], THIRD_FRAME[2]], seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stationary_points_on_three_z_axes_keep_the_params(seed):
+    # its own params against those of 200 rotated copies: proper copies
+    # under SO(3), improper ones under O(3)
+    t = on_three_z_axes(seed)
+    norm = expand(t).frobenius()
+    for group in GROUPS:
+        params = canonicalize(t, group=group).params.as_array()
+        for k in range(200):
+            g = random_orthogonal(10_000 + 200 * seed + k, proper=group == "SO(3)")
+            moved = canonicalize(compress(act(g, expand(t))), group=group).params.as_array()
+            assert np.max(np.abs(moved - params)) <= 1e-8 * norm, (group, k)
+
+
+def test_every_call_costs_one_det_and_one_eigvals(monkeypatch):
+    # one chart, picked by its z^2 lead, and one turn of it, whatever the
+    # tensor: placements on the first chart's axes, TIED, ZONAL and the
+    # tensors on three z-axes
     t = random_tensor(3)
     p, q = oracle_stationary_lines(t)[:2]
     normal = np.cross(p, q)
-    placed = [
-        (_planted(_CHART_FRAME[2], 64), 2),  # a maximizer on the z-axis
+    inputs = [
+        _planted(_CHART_FRAME[2], 64),  # a maximizer on the z-axis
         # two stationary points on the plane at infinity
-        (SymTraceless3(*_in_frame(t.as_array().tolist(), moving(normal / np.linalg.norm(normal), _CHART_FRAME[0]).tolist())), 2),
-        (with_stationary_points(two_frames_degenerate(0), 70), 3),
+        SymTraceless3(*_in_frame(t.as_array().tolist(), moving(normal / np.linalg.norm(normal), _CHART_FRAME[0]).tolist())),
+        with_stationary_points(two_frames_degenerate(0), 70),
+        ZONAL,
+        *TIED,
+        *(on_three_z_axes(seed) for seed in range(3)),
     ]
+    # g's z^2 leads at the six chart centres, stacked, vanish together only
+    # for the zero tensor, and the largest is never small
+    leads = np.vstack([g_table[8:10] for _, _, g_table in canonical_form._CHARTS])
+    assert leads.shape == (12, 7)
+    assert np.linalg.matrix_rank(leads) == 7
+    assert np.linalg.svd(leads, compute_uv=False).min() >= 0.7
     calls = count_linalg_calls(monkeypatch)
-    for moved, dets in placed:
+    for k, moved in enumerate(inputs):
         calls.clear()
         maximize_cubic_on_sphere(moved)
-        assert calls == {"det": dets, "eigvals": 1}
+        assert calls == {"det": 1, "eigvals": 1}, k
 
 
 def test_canonicalize_calls_each_traced_boundary_once(monkeypatch):
