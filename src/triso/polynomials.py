@@ -15,9 +15,10 @@ Real points have one evaluator (``_MonomialTable``), run in chunks of rows:
 the powers of each coordinate and the products of pairs of them, in
 extended precision (np.longdouble, only there); each pair product split into
 two doubles; the monomial matrix formed from those on plain doubles; and a
-matmul whose leading part sums exactly.  The four invariants share one
-(``_INVARIANT_TABLE``); ``Poly.eval_many`` is the one-polynomial case and
-``Poly.__call__`` its one-point case.
+matmul whose leading part sums exactly, on one grid per degree class, so a
+homogeneous column gives the same bits at every power-of-two scale.  The
+four invariants share one (``_INVARIANT_TABLE``); ``Poly.eval_many`` is the
+one-polynomial case and ``Poly.__call__`` its one-point case.
 """
 
 from __future__ import annotations
@@ -165,21 +166,30 @@ class _MonomialTable:
     as each has at most 26 significant bits, plus its cross terms, which are
     off by about 2^-77 of the monomial.  All of this is double arithmetic on
     the (M, rows) block, and nothing overflows unless a pair entry or a
-    monomial itself leaves the double range.  The head products are cut to a
-    per-point grid coarse enough that their products with integer
-    coefficients, and every partial sum, are exact in any summation order (an
-    error-free sum, as in Ogita, Rump and Oishi 2005).  Only the small
-    remainder is summed in plain double arithmetic.  The error is then near
-    2^-64 times the sum of |terms| for a polynomial whose terms reach the
-    point's largest monomial, where plain double evaluation leaves 2^-53 times
-    it or more; a polynomial whose terms all sit far below that monomial (one
-    of a lower degree at a large point, say) is summed in plain double
-    arithmetic.  Where np.longdouble is a plain double, the tails are the
-    heads' cleared bits alone and only the summation stays exact.
+    monomial itself leaves the double range.
+
+    The monomials are stored in degree order, and one rule sums them: at each
+    point, the head products of each degree class are cut to a grid set by
+    that class's largest one, coarse enough that their products with integer
+    coefficients, and every partial sum within the class, are exact in any
+    order (an error-free sum, as in Ogita, Rump and Oishi 2005); only the
+    small remainder is summed in plain double arithmetic.  Every column of
+    the shared tables is homogeneous, so each is summed on its own degree's
+    grid: a power of two on the point scales a degree-d column's grid and
+    terms by the same 2^(d*k), and the values at x 2^-k times 2^(d*k) are
+    those at x bit for bit while no entry leaves the normal range.  The error
+    is near 2^-64 times the sum of |terms| for a column whose terms reach its
+    class's largest monomial, where plain double evaluation leaves 2^-53 times
+    it or more.  The case the rule still misses is a column whose terms all
+    sit far below its own class's largest monomial, at a point whose
+    coordinates differ by many orders of magnitude: that column is summed in
+    plain double arithmetic.  Where np.longdouble is a plain double, the
+    tails are the heads' cleared bits alone and only the summation stays
+    exact.
     """
 
     def __init__(self, polys):
-        monomials = sorted(set().union(*(p.terms for p in polys)))
+        monomials = sorted(set().union(*(p.terms for p in polys)), key=lambda e: (sum(e), e))
         row = {e: i for i, e in enumerate(monomials)}
         self.exponents = np.array(monomials, dtype=np.intp).reshape(len(monomials), NVARS)
         self.coeffs = np.zeros((len(monomials), len(polys)))
@@ -198,9 +208,12 @@ class _MonomialTable:
             factors.append(pairs * NVARS + cols)
         self._pairs = np.concatenate(factors).T.copy()
         self._which = np.array(which, dtype=np.intp).reshape(2, len(monomials))
-        # bits above a point's largest monomial that any partial sum can reach:
-        # the coefficients' largest column sum of magnitudes is below 2^(headroom - 1)
+        # bits above a degree class's largest monomial that any partial sum of a
+        # column in it can reach: the coefficients' largest column sum of
+        # magnitudes is below 2^(headroom - 1)
         self._headroom = int(np.frexp(max(np.abs(self.coeffs).sum(axis=0).max(initial=0.0), 1.0))[1]) + 1
+        # the rows are in degree order: where each degree class starts, and its row count
+        _, self._starts, self._counts = np.unique(self.exponents.sum(axis=1), return_index=True, return_counts=True)
 
     def __call__(self, points) -> np.ndarray:
         points = np.asarray(points)
@@ -243,11 +256,14 @@ class _MonomialTable:
             np.add(b, b_tail, out=work)
             work *= a_tail
             low += work
-            # lead: a multiple of 2^(e + headroom - 53) at most 2^e, so its
-            # products with integer coefficients and all their partial
-            # sums fit in 53 bits (the cap keeps the grid finite near overflow)
-            _, e = np.frexp(np.max(np.abs(high, out=work), axis=0, initial=0.0))
-            grid = np.ldexp(1.0, np.minimum(e + self._headroom, 1023))
+            # lead: a multiple of 2^(e + headroom - 53) at most 2^e, with e
+            # set by the largest head product of the row's degree class, so
+            # its products with integer coefficients and all their partial
+            # sums within a class fit in 53 bits (the cap keeps the grid
+            # finite near overflow).  An int64 view orders doubles of one
+            # sign as their values, and reduceat runs faster on it.
+            _, e = np.frexp(np.maximum.reduceat(np.abs(high, out=work).view(np.int64), self._starts).view(float))
+            grid = np.repeat(np.ldexp(1.0, np.minimum(e + self._headroom, 1023)), self._counts, axis=0)
             lead = np.add(high, grid, out=work)
             lead -= grid
             high -= lead  # exact: high now holds the remainder

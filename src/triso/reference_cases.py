@@ -125,8 +125,6 @@ def f_root() -> float:
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-        if hi - lo < 1e-17:
-            break
     return 0.5 * (lo + hi)
 
 

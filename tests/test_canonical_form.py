@@ -16,6 +16,7 @@ from triso.canonical_form import (
     stationarity_residual,
     _CHART_FRAME,
     _SECOND_FRAME,
+    _newton,
     _stationary_candidates,
     _tangent_bases,
 )
@@ -697,6 +698,18 @@ def test_newton_polish_stops_early_on_the_filtered_candidates():
     # polishing every candidate would run all 4
     for seed in range(50):
         assert canonicalize(random_tensor(seed)).diagnostics["newton_iterations"] <= 2, seed
+
+
+def test_newton_falls_back_to_a_gradient_step_where_the_tangent_hessian_vanishes():
+    # at e2 the d111-only tensor reads zero in every component of the frame
+    # (e2, t1, t2) that the tangent Hessian and gradient are made of, so the
+    # damped gradient step is taken, and it is zero: Newton stops unmoved
+    c = SymTraceless3(d111=1.0)
+    c = tuple(getattr(c, name) for name in c.__slots__)
+    x = [0.0, 1.0, 0.0]
+    d111, d112, d113, d122, d123, _, _ = _in_frame(c, (x, *_tangent_bases(x)))
+    assert (d111, d112, d113, d122, d123) == (0.0, 0.0, 0.0, 0.0, 0.0)
+    assert _newton(c, x) == (x, 1, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e300])

@@ -225,6 +225,15 @@ def test_malformed_matrix_file_exits_1(capsys, tmp_path, data, where):
     assert err.startswith(f"error: {where} must hold numbers, got ")
 
 
+def test_matrix_file_of_the_wrong_size_exits_1(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": [[1, 0, 0], [0, 1, 0]]}))
+    code, out, err = run(capsys, ["rotate", "--d111", "1", "--matrix-file", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: matrix file must hold 9 entries, got 6\n"
+
+
 def test_matrix_file_integer_beyond_the_double_range_exits_1(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"matrix": [[%s, 0, 0], [0, 1, 0], [0, 0, 1]]}' % HUGE)
@@ -251,7 +260,7 @@ def test_rotate_random_preserves_invariants(capsys):
     [
         ["rotate", "--d111", "1"],  # no source
         ["rotate", "--d111", "1", "--matrix", "1 0 0 0 1 0 0 0 1", "--random"],
-        ["rotate", "--d111", "1", "--improper"],  # --improper needs --random
+        ["rotate", "--d111", "1", "--improper"],  # no source
         ["rotate", "--d111", "1", "--matrix", "1 0 0 0 1 0 0 0"],  # 8 entries
         ["rotate", "--d111", "1", "--matrix", "1 0 0 0 2 0 0 0 1"],  # not orthogonal
     ],
@@ -260,6 +269,14 @@ def test_rotate_bad_matrix_usage_exits_1(capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 1
     assert "error" in err
+
+
+def test_rotate_improper_with_a_matrix_exits_1(capsys):
+    # one source is given, so the check that --improper needs --random is reached
+    code, out, err = run(capsys, ["rotate", "--d111", "1", "--matrix", "1 0 0 0 1 0 0 0 1", "--improper"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: --improper only applies to --random\n"
 
 
 def test_rotate_nan_matrix_exits_1_without_a_warning(capsys):

@@ -339,9 +339,10 @@ def test_canonical_invariants_agrees_with_smith_bao():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_canonical_invariants_are_homogeneous_at_any_scale(seed):
-    # run at unit scale and scaled back by an exact power of two: I_d at
-    # c 2^j is I_d(c) 2^(d j) as one rounding, +-inf past the largest double,
-    # and never NaN
+    # run at _kernel_scale, as given inside its window (where the table's
+    # per-degree grids commute with powers of two) and scaled back by an
+    # exact power of two outside it: I_d at c 2^j is I_d(c) 2^(d j) as one
+    # rounding, +-inf past the largest double, and never NaN
     c = np.random.default_rng(seed).uniform(-2, 2, size=4).tolist()
     base = canonical_invariants(CanonicalParams(*c)).as_array().tolist()
     for j in range(-500, 501, 25):

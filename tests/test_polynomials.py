@@ -44,6 +44,22 @@ def test_arithmetic_with_scalars():
     assert (x0 - x0).terms == {}
 
 
+def test_scalar_minus_poly_and_repr():
+    p = 5 - 2 * x0 * x1
+    assert p.terms == {(0, 0, 0, 0): 5, (1, 1, 0, 0): -2}
+    assert p((1.5, 2.0, 0, 0)) == -1.0
+    assert repr(p) == "Poly(2 terms, degree 2)"
+    assert repr(DET_JACOBIAN) == f"Poly({len(DET_JACOBIAN.terms)} terms, degree 18)"
+
+
+def test_zero_poly_evaluates_to_zero_through_an_empty_table():
+    zero = Poly()
+    pts = np.random.default_rng(3).uniform(-2, 2, size=(_CHUNK_ROWS + 1, NVARS))
+    assert zero((1.0, 2.0, 3.0, 4.0)) == 0.0
+    assert np.array_equal(zero.eval_many(pts), np.zeros(len(pts)))
+    assert zero._eval_cache.exponents.shape == (0, NVARS)
+
+
 def test_power_validation():
     with pytest.raises(ValueError):
         x0 ** (-1)
@@ -226,22 +242,52 @@ def test_monomial_table_matches_one_point_eval(n):
             assert abs(got - poly(p)) <= 1e-12 * max(1.0, absolute(np.abs(p)))
 
 
+# drawn by independence_report(1000, 4), where DET_FACTOR_10 cancels by seven digits
+CANCEL = [1.6579486480544245, -1.5806846321271224, 0.004667397395683892, 0.40098996975297574]
+
+
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is a plain double here"
 )
 def test_monomial_table_is_accurate_where_the_factor_cancels():
-    # drawn by independence_report(1000, 4): DET_FACTOR_10's terms cancel by
-    # seven digits here (condition 2.3e7), and plain double evaluation is off
-    # by 7e-10 relative.  Extended-precision monomials and an exact sum leave
+    # DET_FACTOR_10's terms cancel by seven digits at CANCEL (condition
+    # 2.3e7), and plain double evaluation is off by 7e-10 relative.  Extended-precision monomials and an exact sum leave
     # an error near 2^-64 times the sum of |terms|, 1e-13 relative here.
-    p = [1.6579486480544245, -1.5806846321271224, 0.004667397395683892, 0.40098996975297574]
-    q = [Fraction(v) for v in p]
+    q = [Fraction(v) for v in CANCEL]
     for poly in (DET_FACTOR_10,) + CANONICAL_BASIS:
         terms = [c * q[0] ** e[0] * q[1] ** e[1] * q[2] ** e[2] * q[3] ** e[3] for e, c in poly.terms.items()]
         exact = sum(terms)
         scale = sum(abs(t) for t in terms)
-        got = _MonomialTable((poly,))(np.array([p]))[0, 0]
+        got = _MonomialTable((poly,))(np.array([CANCEL]))[0, 0]
         assert abs(Fraction(got) - exact) <= 2.0**-52 * abs(exact) + 1e-17 * scale
+
+
+def bound_failures(table, pts):
+    """The (point, column) pairs where table misses its Fraction value by more
+    than 2^-52 |exact| + 1e-17 sum |terms|."""
+    failures = []
+    for p, row in zip(pts, table(pts)):
+        q = [Fraction(v) for v in p]
+        monomials = [q[0] ** a * q[1] ** b * q[2] ** c * q[3] ** d for a, b, c, d in table.exponents.tolist()]
+        for j, value in enumerate(row.tolist()):
+            terms = [int(c) * m for c, m in zip(table.coeffs[:, j].tolist(), monomials) if c]
+            exact = sum(terms)
+            if abs(Fraction(value) - exact) > 2.0**-52 * abs(exact) + 1e-17 * sum(map(abs, terms)):
+                failures.append((p.tolist(), j))
+    return failures
+
+
+def column_degrees(table):
+    # every column of both shared tables is homogeneous
+    degrees = [set(table.exponents[c != 0].sum(axis=1).tolist()) for c in table.coeffs.T]
+    assert all(len(d) == 1 for d in degrees)
+    return np.array([d.pop() for d in degrees])
+
+
+def mixed_magnitude_points(n, seed):
+    # coordinates +-2^U(-40, 40): monomials of one degree span up to 2^800
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], (n, NVARS)) * 2.0 ** rng.uniform(-40, 40, (n, NVARS))
 
 
 @pytest.mark.skipif(
@@ -249,10 +295,11 @@ def test_monomial_table_is_accurate_where_the_factor_cancels():
 )
 def test_monomial_tables_are_accurate_in_every_column():
     # the cancellation bound above, for every column of both shared tables:
-    # at sampled points, at that test's point, and where one coordinate or
-    # all four are +-2^k for k in -40..40 step 8 (the others at 1), so that
-    # pair entries and monomials span 2^-360..2^360
-    cancel = [1.6579486480544245, -1.5806846321271224, 0.004667397395683892, 0.40098996975297574]
+    # at sampled points, at that test's point, where one coordinate or all
+    # four are +-2^k for k in -40..40 step 8 (the others at 1), so that pair
+    # entries and monomials span 2^-360..2^360, and at 2^k times the first
+    # ten sampled points and the cancellation point, where every column is
+    # far below the largest monomial of the top degree
     wide = []
     for k in range(-40, 41, 8):
         x = (-1.0) ** (k // 8) * 2.0**k
@@ -261,13 +308,42 @@ def test_monomial_tables_are_accurate_in_every_column():
             point = np.ones(NVARS)
             point[i] = x
             wide.append(point)
-    pts = np.concatenate([_sample_generic(40, np.random.default_rng(0))[0], [cancel], wide])
+    sampled = np.concatenate([_sample_generic(40, np.random.default_rng(0))[0], [CANCEL]])
+    scaled = [2.0**k * sampled[-11:] for k in (-40, -20, -8, 8, 20, 40)]
+    pts = np.concatenate([sampled, wide] + scaled)
     for table in (_ANALYTIC_TABLE, _INVARIANT_TABLE):
-        got = table(pts)
-        for p, row in zip(pts, got):
-            q = [Fraction(v) for v in p]
-            monomials = [q[0] ** a * q[1] ** b * q[2] ** c * q[3] ** d for a, b, c, d in table.exponents.tolist()]
-            for j, value in enumerate(row.tolist()):
-                terms = [int(c) * m for c, m in zip(table.coeffs[:, j].tolist(), monomials) if c]
-                exact = sum(terms)
-                assert abs(Fraction(value) - exact) <= 2.0**-52 * abs(exact) + 1e-17 * sum(map(abs, terms)), (p, j)
+        assert bound_failures(table, pts) == []
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is a plain double here"
+)
+@pytest.mark.xfail(
+    strict=True,
+    reason="open fault, the mixed-scale grid FOUND in CHANGES.md: a column far below the largest "
+    "monomial of its own degree class sums in plain doubles; only a per-column grid reaches it",
+)
+def test_monomial_tables_are_accurate_at_mixed_scale_points():
+    # the failing columns sit 2^-36..2^-145 below their class's largest monomial
+    pts = mixed_magnitude_points(40, 1)
+    assert bound_failures(_ANALYTIC_TABLE, pts) + bound_failures(_INVARIANT_TABLE, pts) == []
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is a plain double here"
+)
+def test_monomial_tables_commute_with_powers_of_two():
+    # a degree-d column at x 2^-k, times 2^(dk), is its value at x bit for
+    # bit: each degree class is summed on its own grid, which scales with it
+    sampled = _sample_generic(40, np.random.default_rng(0))[0]
+    pts = np.concatenate([sampled, mixed_magnitude_points(40, 2)])
+    for table in (_ANALYTIC_TABLE, _INVARIANT_TABLE):
+        degrees = column_degrees(table)
+        values = table(pts)
+        for k in (-17, -9, -1, 1, 5, 16):
+            scaled = np.ldexp(pts, -k)
+            inside = np.all((np.abs(pts) >= 2.0**-58) & (np.abs(pts) <= 2.0**57), axis=1)
+            inside &= np.all((np.abs(scaled) >= 2.0**-58) & (np.abs(scaled) <= 2.0**57), axis=1)
+            assert inside.sum() >= 60
+            back = np.ldexp(table(scaled[inside]), degrees * k)
+            assert np.array_equal(back, values[inside]), k

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from triso.invariants import smith_bao
+from triso.invariants import InvariantTuple, smith_bao
 from triso.reference_cases import (
     SIN_3T0_CLOSED_FORM,
     GapReport,
@@ -69,6 +69,25 @@ def test_f_root_bracket_and_closed_form():
     assert abs(s * s - 42.0 * s + 21.0) < 1e-9
 
 
+def test_f_root_below_any_reachable_tolerance_exhausts_the_bisection_bound(monkeypatch):
+    # no |f| is below a negative tolerance (at 0, a midpoint where f rounds
+    # to exactly 0.0 would still stop it), so all 200 halvings run; once the
+    # bracket is two adjacent doubles every midpoint rounds to one of its
+    # ends, and t0 is still the root to a rounding
+    module = importlib.import_module("triso.reference_cases")
+    monkeypatch.setattr(module, "ROOT_TOL", -1.0)
+    seen = []
+
+    def counting(t):
+        seen.append(t)
+        return f_of_t(t)
+
+    monkeypatch.setattr(module, "f_of_t", counting)
+    t0 = f_root()
+    assert len(seen) == 1 + 200
+    assert abs(math.sin(3.0 * t0) - SIN_3T0_CLOSED_FORM) <= 1e-15
+
+
 def test_sin_3t0_closed_form_constant():
     assert SIN_3T0_CLOSED_FORM == 21.0 - math.sqrt(420.0)
 
@@ -92,6 +111,24 @@ def test_gap_report_values():
     # same number by the radical closed form
     assert gap.low.i6 == pytest.approx(-400.0 + 24.0 * math.sqrt(420.0), rel=1e-10)
     assert gap.i6_low_expected == pytest.approx(gap.low.i6, rel=1e-10)
+
+
+def test_gap_report_names_each_failing_value_and_the_violated_gap(monkeypatch):
+    # a smith_bao that returns one fixed tuple for both tensors breaks most
+    # expected values, and the gap: low I6 = high I6 = 104
+    module = importlib.import_module("triso.reference_cases")
+    monkeypatch.setattr(module, "smith_bao", lambda t: InvariantTuple(20.0, 176.0, 104.0, 1.0))
+    gap = i6_gap_check()
+    assert not gap.passed
+    assert gap.failures[0].startswith("low I6: got 104, want ")
+    assert gap.failures[2:] == (
+        "low I10: got 1, want 0",
+        "high I6: got 104, want 128",
+        "high I10: got 1, want 0",
+        "gap violated: 104 < 104 < 104 fails",
+    )
+    assert gap.failures[1].startswith("low I6 (closed form): got 104, want ")
+    assert gap.to_json_obj()["pass"] is False
 
 
 def test_gap_tensors_share_three_invariants_but_not_i6():

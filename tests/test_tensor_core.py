@@ -375,6 +375,22 @@ def test_json_rejects_unknown_keys():
         tensor_from_json_obj({"full": full, "D111": 5.0})
 
 
+def test_json_rejects_a_non_object_and_a_wrong_sized_full_array():
+    with pytest.raises(ValueError, match="^expected a JSON object, got list$"):
+        tensor_from_json_obj([1.0, 2.0])
+    with pytest.raises(ValueError, match='^key "full" must hold 27 numbers, got 26$'):
+        tensor_from_json_obj({"full": [0.0] * 26})
+
+
+def test_full_tensor_rejects_a_wrong_shape_and_a_nonfinite_entry():
+    with pytest.raises(ValueError, match=r"^expected a 3x3x3 array, got shape \(3, 9\)$"):
+        FullTensor3(np.zeros((3, 9)))
+    e = np.zeros((3, 3, 3))
+    e[1, 2, 0] = np.inf
+    with pytest.raises(ValueError, match="^tensor entries must be finite$"):
+        FullTensor3(e)
+
+
 @settings(max_examples=25)
 @given(st.lists(components, min_size=7, max_size=7))
 def test_frobenius_is_the_entrywise_norm(vals):
