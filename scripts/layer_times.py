@@ -15,8 +15,11 @@ one).  Tensors are ``random_tensor(seed)`` for seed
 2^200, beyond the window where it runs on the components as given, so the
 cost of its power-of-two rescaling stays visible.  ``analytic_table_us`` is
 the exact Jacobian table per point, evaluated at once on the --samples
-points of one sampler run (seed 0); ``canonical_invariants_us`` evaluates
-the invariant table at one point a call, the first --tensors of those points.
+points of one sampler run (seed 0); ``canonical_invariants_us`` sums the
+four invariants exactly at one point a call, the first --tensors of those
+points, and ``canonical_invariants_wide_us`` does so at --tensors params
++-2^U(-300, 300) (``default_rng(0)``), where the integers of the exact sum
+grow with the spread of the exponents.
 
     python3 scripts/layer_times.py --tensors 200 --repeats 5
 """
@@ -104,6 +107,9 @@ def main(argv=None) -> int:
     rows["analytic_table_us"] = [lambda: _ANALYTIC_TABLE(sample)]
     params = [CanonicalParams(*p) for p in sample[: args.tensors].tolist()]
     rows["canonical_invariants_us"] = [lambda c=c: canonical_invariants(c) for c in params]
+    rng = np.random.default_rng(0)
+    wide = rng.choice([-1.0, 1.0], (args.tensors, 4)) * 2.0 ** rng.uniform(-300, 300, (args.tensors, 4))
+    rows["canonical_invariants_wide_us"] = [lambda c=CanonicalParams(*p): canonical_invariants(c) for p in wide.tolist()]
     times = best_per_call(rows, args.repeats)
     times["analytic_table_us"] /= len(sample)
     scale = {name: 1e3 if name.endswith("_ms") else 1e6 for name in times}

@@ -185,17 +185,18 @@ def _cmd_rotate(args) -> int:
 
 
 def _cmd_orbit_compare(args) -> int:
-    from .orbit_oracle import best_alignment, invariant_distance, same_orbit
+    from .orbit_oracle import _verdict, best_alignment, invariant_distance
 
     a = _load_tensor_file(args.a_file)
     b = _load_tensor_file(args.b_file)
-    verdict = same_orbit(a, b, tol=args.tol)
+    distance = invariant_distance(a, b)
+    verdict = _verdict(distance, args.tol)
     residual = None
     if args.align:
         residual = best_alignment(a, b, group=args.group).residual
     obj = {
         "verdict": verdict,
-        "invariant_distance": invariant_distance(a, b),
+        "invariant_distance": distance,
         "alignment_residual": residual,
     }
     print(_json_text(obj))

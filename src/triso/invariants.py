@@ -19,11 +19,9 @@ I_d, like M (degree 2) and v (degree 3), is scaled back by 2^(d*k).  A
 power of two commutes with every + and *, so both give the same bits; the
 result carries an absolute error of order eps * ||T||^d, reads +-inf where
 it overflows, and is never NaN.
-``canonical_invariants`` evaluates closed-form polynomials of the four
-canonical parameters at the same ``_kernel_scale``, where the monomial
-table's per-degree grids give the same bits at any power-of-two scale; on
-tensors in canonical position the two paths agree, which the test suite
-exploits as a cross-check of both.
+``canonical_invariants`` sums the closed-form polynomials of the four
+canonical parameters exactly and rounds each once; on tensors in canonical
+position the two paths agree, which the tests use to cross-check both.
 
 ``smith_bao`` is plain Python on the seven components, so this module
 imports numpy and ``polynomials`` only inside the functions that return
@@ -33,7 +31,6 @@ loads them.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from .components import _LAYOUT, SymTraceless3, _kernel_scale, _Record, _ldexp, _slices
@@ -203,23 +200,14 @@ def smith_bao(t: SymTraceless3 | FullTensor3) -> InvariantTuple:
 
 
 def canonical_invariants(c: CanonicalParams) -> InvariantTuple:
-    """Evaluate the closed-form invariant polynomials at canonical parameters.
+    """The closed-form invariant polynomials at canonical parameters, each exact and rounded once.
 
-    At ``components._kernel_scale``, like ``smith_bao``: as given while the
-    largest |parameter| is in [2^-61, 2^60), and otherwise times the 2^-k
-    that puts it in [1/2, 1), with I_d scaled back by 2^(d*k).  The table
-    sums each degree on its own grid, so both scales give the same bits
-    (short of terms that underflow at one scale and not the other), and
-    none is NaN.  Every parameter must be finite.
+    +-inf beyond the double range, never NaN (``polynomials._ExactSum``);
+    every parameter must be finite.
     """
-    from .polynomials import _INVARIANT_TABLE
+    from .polynomials import _INVARIANT_SUM
 
-    params = [float(x) for x in (c.d111, c.d122, c.d123, c.d223)]
-    if not all(map(math.isfinite, params)):
-        raise ValueError(f"point coordinates must be finite, got {params}")
-    k, scaled = _kernel_scale(params)
-    values = _INVARIANT_TABLE([scaled])[0].tolist()
-    return InvariantTuple(*(_ldexp(v, d * k) for v, d in zip(values, (2, 4, 6, 10))))
+    return InvariantTuple(*_INVARIANT_SUM((c.d111, c.d122, c.d123, c.d223)))
 
 
 def relative_error(a: float, b: float) -> float:

@@ -132,9 +132,13 @@ def same_orbit(a: SymTraceless3, b: SymTraceless3, tol: float = 1e-8) -> str:
     trustworthy.  The distance is relative to the larger I2, so the verdict
     on a pair does not depend on its scale.
     """
+    return _verdict(invariant_distance(a, b), tol)
+
+
+def _verdict(distance: float, tol: float) -> str:
+    """The verdict rule of ``same_orbit`` on an ``invariant_distance``."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    distance = invariant_distance(a, b)
     if distance <= tol:
         return "same"
     if distance > 10.0 * tol:

@@ -11,17 +11,16 @@ and the tests check the tables as exact identities: I2..I10 equal
 the contractions of the canonical tensor carried out in Poly arithmetic,
 and DET_JACOBIAN equals the Laplace expansion of the exact partials.
 
-Real points have one evaluator (``_MonomialTable``), run in chunks of rows:
-the powers of each coordinate and the products of pairs of them, in
-extended precision (np.longdouble, only there); each pair product split into
-two doubles; the monomial matrix formed from those on plain doubles; and a
-matmul whose leading part sums exactly, on one grid per degree class, so a
-homogeneous column gives the same bits at every power-of-two scale.  The
-four invariants share one (``_INVARIANT_TABLE``); ``Poly.eval_many`` is the
-one-polynomial case and ``Poly.__call__`` its one-point case.
+One real point is summed exactly (``_ExactSum``) and rounded once, so
+``Poly.__call__`` and ``canonical_invariants`` are correctly rounded at every
+finite point.  Many points go through ``_MonomialTable`` in chunks of rows:
+``Poly.eval_many`` and the Jacobian evidence of ``independence``.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,15 +44,15 @@ class Poly:
     """Polynomial in four variables, stored as {exponent tuple: coefficient}.
 
     Coefficients stay exact (Python ints or exact floats) through +, -, *,
-    and integer powers; differentiation is exact as well.  Evaluation
-    converts to float arithmetic.
+    and integer powers; differentiation is exact as well.  A call rounds the
+    exact value once (``_ExactSum``); ``eval_many`` runs ``_MonomialTable``.
     """
 
-    __slots__ = ("terms", "_eval_cache")
+    __slots__ = ("terms", "_eval_cache", "_sum_cache")
 
     def __init__(self, terms: dict | None = None):
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-        self._eval_cache = None
+        self._eval_cache = self._sum_cache = None
 
     @classmethod
     def variable(cls, index: int) -> "Poly":
@@ -123,7 +122,10 @@ class Poly:
         return max((sum(e) for e in self.terms), default=0)
 
     def __call__(self, point) -> float:
-        return float(self.eval_many(np.reshape(point, (1, NVARS)))[0])
+        """The value at one real point, correctly rounded: the one-polynomial case of _ExactSum."""
+        if self._sum_cache is None:
+            self._sum_cache = _ExactSum((self,))
+        return self._sum_cache(point)[0]
 
     def eval_many(self, points) -> np.ndarray:
         """Evaluate at an (n, 4) array of real points: the one-polynomial case of _MonomialTable."""
@@ -133,6 +135,55 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({len(self.terms)} terms, degree {self.degree()})"
+
+
+def _real(points) -> np.ndarray:
+    """points as an (n, 4) float array; a complex one raises TypeError, as a cast would drop its imaginary part."""
+    points = np.asarray(points)
+    if np.iscomplexobj(points):
+        raise TypeError("points must be real, got a complex array")
+    return points.astype(float, copy=False).reshape(-1, NVARS)
+
+
+class _ExactSum:
+    """Evaluate a fixed tuple of polynomials at one real point, each value correctly rounded.
+
+    A fifth coordinate 1 makes each polynomial homogeneous of its degree D,
+    and one common denominator L makes its coefficients integers.  The
+    point's coordinates are integers over one power of two 2^s, so a value is
+    an integer sum over L 2^(s D), and one int / int rounds it.  Monomials are
+    products of two pair tables, (x0^a x1^b)(x2^c x3^d 1^h), formed once per
+    call for the whole tuple; the cost grows with the spread of exponents.
+    """
+
+    def __init__(self, polys):
+        self.polys, left, right = [], {}, {}
+        for p in polys:
+            degree = p.degree()
+            coeffs = {e + (degree - sum(e),): Fraction(c) for e, c in p.terms.items()}
+            scale = math.lcm(*(c.denominator for c in coeffs.values()))
+            terms = [(int(c * scale), left.setdefault(e[:2], len(left)), right.setdefault(e[2:], len(right)))
+                     for e, c in coeffs.items()]
+            self.polys.append((terms, scale, degree))
+        self.left, self.right = list(left), list(right)
+
+    def __call__(self, point) -> list:
+        x = _real(point).reshape(NVARS).tolist()
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"point coordinates must be finite, got {x}")
+        ratios = [v.as_integer_ratio() for v in x]
+        den = max(d for _, d in ratios)
+        n0, n1, n2, n3 = (n * (den // d) for n, d in ratios)
+        left = [n0**a * n1**b for a, b in self.left]
+        right = [n2**c * n3**d * den**h for c, d, h in self.right]
+        values = []
+        for terms, scale, degree in self.polys:
+            total = sum(c * left[i] * right[j] for c, i, j in terms)
+            try:  # int / int rounds correctly, and raises where the quotient leaves the double range
+                values.append(total / (scale * den**degree))
+            except OverflowError:
+                values.append(math.inf if total > 0 else -math.inf)
+        return values
 
 
 # Rows evaluated at once: peak memory stays flat however many points come
@@ -145,47 +196,27 @@ _HEAD_MASK = np.int64(-(1 << 27))
 
 
 class _MonomialTable:
-    """Evaluate a fixed tuple of polynomials at many points at once.
+    """Evaluate a fixed tuple of polynomials at many real points at once.
 
-    The polynomials share one table of M monomials, the union of their
-    terms, and one constant (M, P) float coefficient matrix.  At an (n, 4)
-    real array (a complex one raises TypeError), the powers of each
-    coordinate up to the top exponent come from repeated multiplication;
-    every monomial (x0^a x1^b) (x2^c x3^d) is the product of one entry of
-    each half's pair table, and a matmul of the (M, n) monomial matrix gives
-    the (n, P) values.  Rows run in chunks of _CHUNK_ROWS.
+    The polynomials share M monomials in degree order, each one entry of each
+    half's pair table, (x0^a x1^b)(x2^c x3^d), and an (M, P) float
+    coefficient matrix; a matmul per chunk of _CHUNK_ROWS rows gives values.
 
-    Points are evaluated more accurately than plain double arithmetic
-    allows, since the Jacobian entries and determinant factors cancel by up to
-    seven digits at some sampled points.  Only the powers and the two small
-    pair tables (a few dozen rows each) are formed in extended precision
-    (np.longdouble, a 64-bit significand on x86).  Each pair entry is split
-    into two doubles, as in Dekker 1971: a head, its nearest double with the
-    27 low significand bits cleared, and a tail, the rest; on x86 head + tail
-    is the entry exactly.  A monomial is then the product of two heads, exact
-    as each has at most 26 significant bits, plus its cross terms, which are
-    off by about 2^-77 of the monomial.  All of this is double arithmetic on
-    the (M, rows) block, and nothing overflows unless a pair entry or a
-    monomial itself leaves the double range.
-
-    The monomials are stored in degree order, and one rule sums them: at each
-    point, the head products of each degree class are cut to a grid set by
-    that class's largest one, coarse enough that their products with integer
-    coefficients, and every partial sum within the class, are exact in any
-    order (an error-free sum, as in Ogita, Rump and Oishi 2005); only the
-    small remainder is summed in plain double arithmetic.  Every column of
-    the shared tables is homogeneous, so each is summed on its own degree's
-    grid: a power of two on the point scales a degree-d column's grid and
-    terms by the same 2^(d*k), and the values at x 2^-k times 2^(d*k) are
-    those at x bit for bit while no entry leaves the normal range.  The error
-    is near 2^-64 times the sum of |terms| for a column whose terms reach its
-    class's largest monomial, where plain double evaluation leaves 2^-53 times
-    it or more.  The case the rule still misses is a column whose terms all
-    sit far below its own class's largest monomial, at a point whose
-    coordinates differ by many orders of magnitude: that column is summed in
-    plain double arithmetic.  Where np.longdouble is a plain double, the
-    tails are the heads' cleared bits alone and only the summation stays
-    exact.
+    The Jacobian entries and determinant factors cancel by up to seven digits
+    at some sampled points, so the powers and pair tables are formed in
+    np.longdouble (a 64-bit significand on x86), and each pair entry is split
+    into two doubles (Dekker 1971): a head with the 27 low significand bits
+    cleared, and a tail.  A monomial is the exact product of two heads plus
+    cross terms off by about 2^-77 of it.  At each point the head products of
+    each degree class are cut to a grid set by that class's largest one, so
+    their integer multiples and partial sums are exact in any order (Ogita,
+    Rump and Oishi 2005); only the remainder is summed in doubles.  So a
+    homogeneous column gives the same bits at every power-of-two scale while
+    no entry leaves the normal range, with an error near 2^-64 times the sum
+    of |terms|.  Still missed: a column whose terms all sit far below its
+    class's largest monomial, at a point whose coordinates differ by many
+    orders of magnitude, sums in plain doubles.  Where np.longdouble is a
+    plain double, only the summation stays exact.
     """
 
     def __init__(self, polys):
@@ -216,10 +247,7 @@ class _MonomialTable:
         _, self._starts, self._counts = np.unique(self.exponents.sum(axis=1), return_index=True, return_counts=True)
 
     def __call__(self, points) -> np.ndarray:
-        points = np.asarray(points)
-        if np.iscomplexobj(points):
-            raise TypeError("points must be real, got a complex array")
-        points = points.astype(float, copy=False).reshape(-1, NVARS)
+        points = _real(points)
         n = len(points)
         rows = max(1, min(n, _CHUNK_ROWS))
         out = np.empty((-(-n // rows) * rows, self.coeffs.shape[1]))
@@ -350,8 +378,8 @@ I10_CANONICAL = -8 * (
 
 CANONICAL_BASIS = (I2_CANONICAL, I4_CANONICAL, I6_CANONICAL, I10_CANONICAL)
 
-# The four invariants share their evaluator: (n, 4) points give (n, 4) values.
-_INVARIANT_TABLE = _MonomialTable(CANONICAL_BASIS)
+# The four invariants share their exact one-point evaluator.
+_INVARIANT_SUM = _ExactSum(CANONICAL_BASIS)
 
 # The determinant of the 4x4 Jacobian of the basis with respect to
 # (d111, d122, d123, d223) splits into four polynomial factors: the

@@ -409,6 +409,25 @@ def test_orbit_compare_distinguishes_sign_pair(capsys, tmp_path):
     assert obj["invariant_distance"] > 0.1
 
 
+@pytest.mark.parametrize("b_components", [{"d111": 1.0, "d112": 1.0}, {"d111": 1.0, "d123": 1.0}])
+def test_orbit_compare_computes_the_invariant_distance_once(capsys, tmp_path, monkeypatch, b_components):
+    # the verdict and the printed value come from one distance
+    module = importlib.import_module("triso.orbit_oracle")
+    original, distances = module.invariant_distance, []
+
+    def counting(a, b):
+        distances.append(original(a, b))
+        return distances[-1]
+
+    monkeypatch.setattr(module, "invariant_distance", counting)
+    a = write_tensor(tmp_path / "a.json", d111=1.0, d112=1.0)
+    b = write_tensor(tmp_path / "b.json", **b_components)
+    code, out, _ = run(capsys, ["orbit-compare", "--a-file", a, "--b-file", b, "--align"])
+    assert code == 0
+    assert len(distances) == 1
+    assert json.loads(out)["invariant_distance"] == distances[0]
+
+
 def test_orbit_compare_requires_both_files(capsys, tmp_path):
     a = write_tensor(tmp_path / "a.json", d111=1.0)
     code, _, err = run(capsys, ["orbit-compare", "--a-file", a])
@@ -468,6 +487,17 @@ def test_repro_failure_exits_3(capsys, monkeypatch):
     code, out, _ = run(capsys, ["repro", "--format", "json"])
     assert code == 3
     assert json.loads(out)["pass"] is False
+
+
+def test_repro_f_root_failure_exits_3_and_marks_its_line(capsys, monkeypatch):
+    module = importlib.import_module("triso.reference_cases")
+    monkeypatch.setattr(module, "SIN_3T0_CLOSED_FORM", module.SIN_3T0_CLOSED_FORM + 1e-9)
+    code, out, _ = run(capsys, ["repro"])
+    assert code == 3
+    failing = [line for line in out.splitlines() if "FAIL" in line]
+    assert len(failing) == 2
+    assert failing[0].lstrip().startswith("21 - sqrt(420) = ")
+    assert failing[1] == "overall: FAIL"
 
 
 # -------------------------------------------------------------- rand-tensor

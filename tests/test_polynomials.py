@@ -1,4 +1,7 @@
+import importlib
 import itertools
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,10 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from triso.independence import _ANALYTIC_TABLE, _sample_generic
-from triso.invariants import CanonicalParams, smith_bao
+from triso.independence import _ANALYTIC_TABLE, JACOBIAN_TABLE, _sample_generic
+from triso.invariants import CanonicalParams, canonical_invariants, smith_bao
 from triso.polynomials import (
-    _INVARIANT_TABLE,
     CANONICAL_BASIS,
     DET_FACTOR_4,
     DET_FACTOR_10,
@@ -25,6 +27,10 @@ from triso.polynomials import (
 )
 
 x0, x1, x2, x3 = (Poly.variable(i) for i in range(NVARS))
+
+# the four invariants' batch table: no library path builds it since one point
+# is summed exactly, but the table must stay accurate for any tuple it is given
+INVARIANT_TABLE = _MonomialTable(CANONICAL_BASIS)
 
 coords = st.floats(min_value=-3, max_value=3, allow_nan=False)
 
@@ -278,7 +284,7 @@ def bound_failures(table, pts):
 
 
 def column_degrees(table):
-    # every column of both shared tables is homogeneous
+    # every column of both tables is homogeneous
     degrees = [set(table.exponents[c != 0].sum(axis=1).tolist()) for c in table.coeffs.T]
     assert all(len(d) == 1 for d in degrees)
     return np.array([d.pop() for d in degrees])
@@ -294,7 +300,7 @@ def mixed_magnitude_points(n, seed):
     np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is a plain double here"
 )
 def test_monomial_tables_are_accurate_in_every_column():
-    # the cancellation bound above, for every column of both shared tables:
+    # the cancellation bound above, for every column of both tables:
     # at sampled points, at that test's point, where one coordinate or all
     # four are +-2^k for k in -40..40 step 8 (the others at 1), so that pair
     # entries and monomials span 2^-360..2^360, and at 2^k times the first
@@ -311,7 +317,7 @@ def test_monomial_tables_are_accurate_in_every_column():
     sampled = np.concatenate([_sample_generic(40, np.random.default_rng(0))[0], [CANCEL]])
     scaled = [2.0**k * sampled[-11:] for k in (-40, -20, -8, 8, 20, 40)]
     pts = np.concatenate([sampled, wide] + scaled)
-    for table in (_ANALYTIC_TABLE, _INVARIANT_TABLE):
+    for table in (_ANALYTIC_TABLE, INVARIANT_TABLE):
         assert bound_failures(table, pts) == []
 
 
@@ -320,13 +326,14 @@ def test_monomial_tables_are_accurate_in_every_column():
 )
 @pytest.mark.xfail(
     strict=True,
-    reason="open fault, the mixed-scale grid FOUND in CHANGES.md: a column far below the largest "
-    "monomial of its own degree class sums in plain doubles; only a per-column grid reaches it",
+    reason="open fault, the mixed-scale grid FOUND in CHANGES.md: a column of _ANALYTIC_TABLE far below "
+    "the largest monomial of its own degree class sums in plain doubles; only a per-column grid reaches it",
 )
 def test_monomial_tables_are_accurate_at_mixed_scale_points():
-    # the failing columns sit 2^-36..2^-145 below their class's largest monomial
+    # all six failing outputs are _ANALYTIC_TABLE's, 2^-36..2^-145 below their
+    # class's largest monomial; the invariants' table meets the bound here
     pts = mixed_magnitude_points(40, 1)
-    assert bound_failures(_ANALYTIC_TABLE, pts) + bound_failures(_INVARIANT_TABLE, pts) == []
+    assert bound_failures(_ANALYTIC_TABLE, pts) + bound_failures(INVARIANT_TABLE, pts) == []
 
 
 @pytest.mark.skipif(
@@ -337,7 +344,7 @@ def test_monomial_tables_commute_with_powers_of_two():
     # bit: each degree class is summed on its own grid, which scales with it
     sampled = _sample_generic(40, np.random.default_rng(0))[0]
     pts = np.concatenate([sampled, mixed_magnitude_points(40, 2)])
-    for table in (_ANALYTIC_TABLE, _INVARIANT_TABLE):
+    for table in (_ANALYTIC_TABLE, INVARIANT_TABLE):
         degrees = column_degrees(table)
         values = table(pts)
         for k in (-17, -9, -1, 1, 5, 16):
@@ -347,3 +354,127 @@ def test_monomial_tables_commute_with_powers_of_two():
             assert inside.sum() >= 60
             back = np.ldexp(table(scaled[inside]), degrees * k)
             assert np.array_equal(back, values[inside]), k
+
+
+# every polynomial the library evaluates: the basis, the determinant and its
+# two factors, and the 16 exact partials; each one is homogeneous
+EVALUATED = CANONICAL_BASIS + (DET_FACTOR_4, DET_FACTOR_10, DET_JACOBIAN) + sum(JACOBIAN_TABLE, ())
+
+
+def exact_values(point):
+    """Each of EVALUATED at point, in Fractions."""
+    powers = [[Fraction(v) ** k for k in range(19)] for v in point]
+    return [
+        sum(c * powers[0][a] * powers[1][b] * powers[2][k] * powers[3][l] for (a, b, k, l), c in poly.terms.items())
+        for poly in EVALUATED
+    ]
+
+
+def correctly_rounded(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def scaled_cases():
+    # 2^k times three points, k = -500..500: a degree-d value is the base
+    # point's exact value times 2^(dk), and beyond the double range +-inf
+    bases = np.random.default_rng(8).uniform(-2, 2, (2, NVARS)).tolist() + [CANCEL]
+    cases = []
+    for base in bases:
+        exact = exact_values(base)
+        for k in range(-500, 501, 20):
+            point = [math.ldexp(v, k) for v in base]
+            cases.append((point, [value * Fraction(2) ** (poly.degree() * k) for poly, value in zip(EVALUATED, exact)]))
+    return cases
+
+
+def one_point_cases(family):
+    rng = np.random.default_rng(7)
+    if family == "scaled":
+        return scaled_cases()
+    points = {
+        "sampled": rng.uniform(-2, 2, (200, NVARS)).tolist() + [CANCEL],
+        "wide": (rng.choice([-1.0, 1.0], (100, NVARS)) * 2.0 ** rng.uniform(-300, 300, (100, NVARS))).tolist(),
+        "zeros and subnormals": [
+            [0.0, -0.0, 0.0, -0.0],
+            [-0.0, 1.5, -0.0, 0.25],
+            [5e-324, -5e-324, 2.2250738585072014e-308, -1e-310],
+            [1e-310, 1.0, -3e-320, 0.5],
+            [-2.0, 5e-324, 1.0, -0.0],
+        ],
+        "beyond the double range": [[1e200, 1.0, 1.0, 1.0], [1e300, 1.0, 1.0, 1.0], [-1e300, 1e-300, 1e300, -1.0]],
+    }[family]
+    return [(p, exact_values(p)) for p in points]
+
+
+@pytest.mark.parametrize("family", ["sampled", "scaled", "wide", "zeros and subnormals", "beyond the double range"])
+def test_one_point_values_are_correctly_rounded(family):
+    # Poly.__call__ and canonical_invariants give the exact value rounded
+    # once, +-inf beyond the double range, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for point, exact in one_point_cases(family):
+            want = [correctly_rounded(v) for v in exact]
+            assert [poly(point) for poly in EVALUATED] == want, point
+            assert canonical_invariants(CanonicalParams(*point)).as_array().tolist() == want[:4], point
+
+
+def test_canonical_invariants_overflow_to_inf_at_huge_params():
+    # the table read I6 = I10 = 0.0 here: at unit scale the pair entries
+    # d111^4 d122^2 underflowed on their cast to double
+    for big in (1e200, 1e300):
+        tup = canonical_invariants(CanonicalParams(big, 1.0, 1.0, 1.0))
+        assert (tup.i6, tup.i10) == (math.inf, math.inf)
+
+
+def test_one_point_evaluation_builds_no_monomial_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("one point went through the batch machinery")
+
+    module = importlib.import_module("triso.invariants")
+    for name in ("_kernel_scale", "_ldexp"):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(_MonomialTable, "__init__", refuse)
+    fresh = Poly(I10_CANONICAL.terms)
+    assert fresh(CANCEL) == canonical_invariants(CanonicalParams(*CANCEL)).i10
+    assert fresh._eval_cache is None
+    with pytest.raises(AssertionError, match="batch machinery"):  # the patches are live
+        smith_bao(CanonicalParams(*CANCEL).to_tensor())
+
+
+def test_one_point_evaluation_is_exact_for_rational_and_inhomogeneous_polys():
+    # a fifth coordinate 1 makes 3 - x0 homogeneous, and one common
+    # denominator makes 1/3 and 0.1 integers; a numpy integer is exact too
+    p = Poly({(0, 0, 0, 0): np.int64(3), (1, 0, 0, 0): -1, (0, 2, 0, 1): Fraction(1, 3), (0, 0, 1, 0): 0.1})
+    point = [0.7, -1e-200, 2.0**-1070, 1e150]
+    q = [Fraction(v) for v in point]
+    exact = 3 - q[0] + Fraction(1, 3) * q[1] ** 2 * q[3] + Fraction(0.1) * q[2]
+    assert p(point) == float(exact)
+    assert Poly.constant(Fraction(2, 3))((1.0, 2.0, 3.0, 4.0)) == 2 / 3
+    with pytest.raises(ValueError, match=r"point coordinates must be finite, got \[0\.5, nan, 0\.0, 0\.0\]"):
+        p([0.5, math.nan, 0.0, 0.0])
+
+
+def test_so3_invariant_count_is_the_basis_algebra_plus_one_degree_15_invariant():
+    # The seven components carry the weights -3..3 of SO(3), so the SO(3)
+    # invariants of degree d number c_0(d) - c_1(d), where c_m(d) counts the
+    # multisets of d weights summing to m.  That count is the coefficient of
+    # t^d in (1 + t^15) / prod (1 - t^deg) over the basis degrees: the even
+    # part counts the monomials in four algebraically independent generators
+    # of degrees 2, 4, 6, 10 (no syzygy), the odd part one invariant J15.
+    top, offset = 40, 3 * 40
+    counts = [[0] * (2 * offset + 1) for _ in range(top + 1)]  # counts[d][m + offset] = c_m(d)
+    counts[0][offset] = 1
+    for w in range(-3, 4):
+        for d in range(1, top + 1):  # in place, upward in d: weight w any number of times
+            for m in range(max(0, w), min(2 * offset, 2 * offset + w) + 1):
+                counts[d][m] += counts[d - 1][m - w]
+    series = [1] + [0] * top
+    for degree in (p.degree() for p in CANONICAL_BASIS):
+        for d in range(degree, top + 1):
+            series[d] += series[d - degree]
+    series = [s + (series[d - 15] if d >= 15 else 0) for d, s in enumerate(series)]
+    assert [c[offset] - c[offset + 1] for c in counts] == series
+    assert (series[15], series[30]) == (1, 47)

@@ -165,6 +165,18 @@ def test_run_report_respects_case_tol(monkeypatch):
     assert survivors == ["d111=d112=1", "d111=d123=1"]
 
 
+def test_run_report_fails_the_f_root_row_alone_when_the_closed_form_moves(monkeypatch):
+    # the module, not the function of the same name that the package exports
+    module = importlib.import_module("triso.reference_cases")
+    monkeypatch.setattr(module, "SIN_3T0_CLOSED_FORM", SIN_3T0_CLOSED_FORM + 1e-9)
+    report = run_report()
+    assert report["f_root"]["pass"] is False
+    assert report["f_root"]["deviation"] == pytest.approx(1e-9, rel=1e-3)
+    assert report["pass"] is False
+    assert all(row["pass"] for row in report["cases"])
+    assert report["gap"]["pass"] is True
+
+
 def test_run_report_evaluates_each_construction_once(monkeypatch):
     # one smith_bao per fixed case and per gap tensor, and one bisection
     module = importlib.import_module("triso.reference_cases")
