@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariants import CanonicalParams, _slice_kernel
-from .polynomials import CANONICAL_BASIS, DET_FACTOR_4, DET_FACTOR_10, NVARS, _MonomialTable
+from .polynomials import CANONICAL_BASIS, DET_FACTOR_4, DET_FACTOR_10, NVARS, _MonomialTable, _real
 
 __all__ = [
     "JacobianReport",
@@ -124,11 +124,8 @@ def _generic(pts: np.ndarray, volumes: np.ndarray) -> np.ndarray:
 
 
 def _point(c) -> np.ndarray:
-    """c as a (4,) array; ValueError naming it unless every coordinate is finite."""
-    x = c.as_array() if isinstance(c, CanonicalParams) else np.asarray(c, dtype=float).reshape(NVARS)
-    if not np.isfinite(x).all():
-        raise ValueError(f"point coordinates must be finite, got {x.tolist()}")
-    return x
+    """c as a (4,) array, through the gate of ``_real``: ValueError naming it unless every coordinate is finite."""
+    return _real(c.as_array() if isinstance(c, CanonicalParams) else c).reshape(NVARS)
 
 
 def _analytic(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -138,11 +138,20 @@ class Poly:
 
 
 def _real(points) -> np.ndarray:
-    """points as an (n, 4) float array; a complex one raises TypeError, as a cast would drop its imaginary part."""
+    """points as an (n, 4) float array.
+
+    A complex one raises TypeError, as a cast would drop its imaginary part,
+    and a non-finite coordinate raises ValueError naming its point: both
+    evaluators, and every point of ``independence``, pass this one gate.
+    """
     points = np.asarray(points)
     if np.iscomplexobj(points):
         raise TypeError("points must be real, got a complex array")
-    return points.astype(float, copy=False).reshape(-1, NVARS)
+    points = points.astype(float, copy=False).reshape(-1, NVARS)
+    finite = np.isfinite(points)
+    if np.count_nonzero(finite) < finite.size:  # faster than finite.all() on one point
+        raise ValueError(f"point coordinates must be finite, got {points[~finite.all(axis=1)][0].tolist()}")
+    return points
 
 
 class _ExactSum:
@@ -168,10 +177,7 @@ class _ExactSum:
         self.left, self.right = list(left), list(right)
 
     def __call__(self, point) -> list:
-        x = _real(point).reshape(NVARS).tolist()
-        if not all(map(math.isfinite, x)):
-            raise ValueError(f"point coordinates must be finite, got {x}")
-        ratios = [v.as_integer_ratio() for v in x]
+        ratios = [v.as_integer_ratio() for v in _real(point).reshape(NVARS).tolist()]
         den = max(d for _, d in ratios)
         n0, n1, n2, n3 = (n * (den // d) for n, d in ratios)
         left = [n0**a * n1**b for a, b in self.left]
@@ -191,8 +197,27 @@ class _ExactSum:
 _CHUNK_ROWS = 64
 
 # Clears the 27 low significand bits of a double: what is left, the head, has
-# at most 26 significant bits, so the product of two heads is exact.
+# at most 26 significant bits, so the product of two heads is exact, and the
+# rest, the tail, is exact too.  One product of such head-tail pairs (Dekker
+# 1971) forms the powers, the pair tables and the monomials of _MonomialTable.
 _HEAD_MASK = np.int64(-(1 << 27))
+
+
+def _split(x, low):
+    """x[1] holds doubles: x[0] gets their heads, and x[1] their exact tails plus low."""
+    np.bitwise_and(x[1].view(np.int64), _HEAD_MASK, out=x[0].view(np.int64))
+    x[1] -= x[0]
+    x[1] += low
+
+
+def _product(x, y, high, low, work):
+    """x y for head-tail pairs x and y: high = x[0] y[0], exact, and
+    low = x[0] y[1] + x[1] (y[0] + y[1]), the rest to about 2^-77 of high."""
+    np.multiply(x[0], y[0], out=high)
+    np.multiply(x[0], y[1], out=low)
+    np.add(y[0], y[1], out=work)
+    work *= x[1]
+    low += work
 
 
 class _MonomialTable:
@@ -203,20 +228,21 @@ class _MonomialTable:
     coefficient matrix; a matmul per chunk of _CHUNK_ROWS rows gives values.
 
     The Jacobian entries and determinant factors cancel by up to seven digits
-    at some sampled points, so the powers and pair tables are formed in
-    np.longdouble (a 64-bit significand on x86), and each pair entry is split
-    into two doubles (Dekker 1971): a head with the 27 low significand bits
-    cleared, and a tail.  A monomial is the exact product of two heads plus
-    cross terms off by about 2^-77 of it.  At each point the head products of
-    each degree class are cut to a grid set by that class's largest one, so
-    their integer multiples and partial sums are exact in any order (Ogita,
-    Rump and Oishi 2005); only the remainder is summed in doubles.  So a
-    homogeneous column gives the same bits at every power-of-two scale while
-    no entry leaves the normal range, with an error near 2^-64 times the sum
-    of |terms|.  Still missed: a column whose terms all sit far below its
-    class's largest monomial, at a point whose coordinates differ by many
-    orders of magnitude, sums in plain doubles.  Where np.longdouble is a
-    plain double, only the summation stays exact.
+    at some sampled points, so every factor is a head-tail pair of doubles
+    (see _HEAD_MASK), and one exact-head product forms each power from the
+    one below, each pair entry from two powers and each monomial from two
+    pair entries; powers and pair entries are split again before the next
+    stage.  A monomial is the exact product of two heads plus cross terms,
+    off by about 2^-77 of it.  Each coordinate's powers go only up to its own
+    largest exponent, so no unused power leaves the double range.  At each
+    point the head products of each degree class are cut to a grid set by
+    that class's largest one, so their integer multiples and partial sums are
+    exact in any order (Ogita, Rump and Oishi 2005); only the remainder is
+    summed in doubles.  So a homogeneous column gives the same bits at every
+    power-of-two scale while no entry leaves the normal range, with an error
+    near 2^-77 times the sum of |terms|.  Still missed: a column whose terms
+    all sit far below its class's largest monomial, at a point whose
+    coordinates differ by many orders of magnitude, sums in plain doubles.
     """
 
     def __init__(self, polys):
@@ -227,7 +253,12 @@ class _MonomialTable:
         for j, p in enumerate(polys):
             for e, c in p.terms.items():
                 self.coeffs[row[e], j] = float(c)
-        self._top = int(self.exponents.max(initial=0))
+        # the power table holds the coordinates in order of their largest
+        # exponent, so the coordinates that need power e are its first
+        # _spans[e - 2]; _slots[k] is coordinate k's place
+        tops = self.exponents.max(axis=0, initial=0)
+        self._slots = np.argsort(np.argsort(-tops, kind="stable"))
+        self._spans = [int(np.sum(tops >= e)) for e in range(2, tops.max() + 1)]
         # each monomial is (x0^a x1^b) (x2^c x3^d): the distinct exponent pairs
         # of both halves, stacked, as row pairs of a chunk's flattened
         # (top + 1, NVARS) power table, and which pair of each half every
@@ -236,7 +267,7 @@ class _MonomialTable:
         for cols in ((0, 1), (2, 3)):
             pairs, index = np.unique(self.exponents[:, cols], axis=0, return_inverse=True)
             which.append(index.reshape(-1) + sum(map(len, factors)))
-            factors.append(pairs * NVARS + cols)
+            factors.append(pairs * NVARS + self._slots[list(cols)])
         self._pairs = np.concatenate(factors).T.copy()
         self._which = np.array(which, dtype=np.intp).reshape(2, len(monomials))
         # bits above a degree class's largest monomial that any partial sum of a
@@ -251,39 +282,37 @@ class _MonomialTable:
         n = len(points)
         rows = max(1, min(n, _CHUNK_ROWS))
         out = np.empty((-(-n // rows) * rows, self.coeffs.shape[1]))
-        # work buffers shared by every chunk: powers[e, k, row] = x_k^e; the
-        # heads and tails of the stacked pair tables; the heads and tails of
-        # the pair of each half that every monomial takes; three (M, rows)
-        # blocks.  Views are taken by index: unpacking an array is slower.
-        powers = np.empty((max(self._top, 1) + 1, NVARS, rows), np.longdouble)
+        # work buffers shared by every chunk, each of heads and tails:
+        # powers[:, e, slot, row] = x_k^e, k the coordinate in that slot; the
+        # two powers of each pair entry; the stacked pair tables; the pair of
+        # each half that every monomial takes.  Then three (M, rows) blocks,
+        # and the low parts and work space of the powers and pair tables.
+        # Views are taken by index: unpacking an array is slower.
+        powers = np.empty((2, len(self._spans) + 2, NVARS, rows))
+        powers[0, 0] = 1.0
+        powers[1, 0] = 0.0
+        ends = np.empty((2,) + self._pairs.shape + (rows,))
         split = np.empty((2, self._pairs.shape[1], rows))
         parts = np.empty((2,) + self._which.shape + (rows,))
-        head, tail = split[0], split[1]
-        a, b, a_tail, b_tail = parts[0, 0], parts[0, 1], parts[1, 0], parts[1, 1]
-        high = np.empty_like(a)
-        low = np.empty_like(a)
-        work = np.empty_like(a)
+        high = np.empty((len(self.exponents), rows))
+        low = np.empty_like(high)
+        work = np.empty_like(high)
+        pair_low, pair_work = np.empty((2, max(self._pairs.shape[1], NVARS), rows))
+        p = self._pairs.shape[1]
         for start in range(0, n, rows):
             chunk = points[start : start + rows]
-            powers[0] = 1.0
-            powers[1, :, : len(chunk)] = chunk.T
-            powers[1, :, len(chunk) :] = 0.0  # the last chunk's padding rows
-            for e in range(2, self._top + 1):
-                np.multiply(powers[e - 1], powers[1], out=powers[e])
-            ends = powers.reshape(-1, rows)[self._pairs]
-            pairs = ends[0] * ends[1]
-            np.bitwise_and(pairs.astype(float).view(np.int64), _HEAD_MASK, out=head.view(np.int64))
-            # exact: pairs - head is a multiple of the entry's last bit and
-            # below 2^-24 of it, so it has at most 40 significant bits
-            np.subtract(pairs, head, out=tail, casting="unsafe")
+            powers[1, 1, self._slots, : len(chunk)] = chunk.T
+            powers[1, 1, :, len(chunk) :] = 0.0  # the last chunk's padding rows
+            _split(powers[:, 1], 0.0)
+            for e, k in enumerate(self._spans, 2):
+                _product(powers[:, e - 1, :k], powers[:, 1, :k], powers[1, e, :k], pair_low[:k], pair_work[:k])
+                _split(powers[:, e, :k], pair_low[:k])
+            np.take(powers.reshape(2, -1, rows), self._pairs, axis=1, out=ends, mode="clip")
+            _product(ends[:, 0], ends[:, 1], split[1], pair_low[:p], pair_work[:p])
+            _split(split, pair_low[:p])
             np.take(split, self._which, axis=1, out=parts, mode="clip")
-            # high = a b exactly; low = a b_tail + a_tail (b + b_tail), off by
-            # about 2^-77 of a b
-            np.multiply(a, b, out=high)
-            np.multiply(a, b_tail, out=low)
-            np.add(b, b_tail, out=work)
-            work *= a_tail
-            low += work
+            # a monomial is high + low: the product of its pair entries
+            _product(parts[:, 0], parts[:, 1], high, low, work)
             # lead: a multiple of 2^(e + headroom - 53) at most 2^e, with e
             # set by the largest head product of the row's degree class, so
             # its products with integer coefficients and all their partial

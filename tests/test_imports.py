@@ -9,6 +9,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,3 +152,11 @@ def test_invariants_command_imports_no_dataclasses(tmp_path):
     imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if "import time:" in line}
     assert {"triso.cli", "triso.invariants"} <= imported
     assert "dataclasses" not in imported
+
+
+def test_no_module_names_an_extended_precision_type():
+    # np.longdouble is a plain double on some platforms (Apple arm64, MSVC),
+    # so exactness that rests on it holds on x86 alone
+    source = Path(tensor_core.__file__).parent
+    for path in sorted(source.glob("*.py")):
+        assert not re.findall(r"longdouble|float128|float96", path.read_text()), path.name

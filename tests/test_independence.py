@@ -384,9 +384,6 @@ def test_jacobian_report_is_the_batched_core_at_one_point():
         assert abs(rep.fd_deviation - deviation[i]) <= 1e-15
 
 
-@pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is a plain double here"
-)
 def test_closed_form_det_where_a_factor_cancels():
     # drawn by independence_report(1000, 4); DET_FACTOR_10 cancels by seven
     # digits here, and plain double evaluation of the tables put the numeric

@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from triso.independence import _ANALYTIC_TABLE, JACOBIAN_TABLE, _sample_generic
-from triso.invariants import CanonicalParams, canonical_invariants, smith_bao
+from triso.independence import (
+    _ANALYTIC_TABLE,
+    JACOBIAN_TABLE,
+    _sample_generic,
+    independence_report,
+    jacobian_report,
+)
+from triso.invariants import CanonicalParams, canonical_invariants, relative_error, smith_bao
 from triso.polynomials import (
     CANONICAL_BASIS,
     DET_FACTOR_4,
@@ -252,13 +258,11 @@ def test_monomial_table_matches_one_point_eval(n):
 CANCEL = [1.6579486480544245, -1.5806846321271224, 0.004667397395683892, 0.40098996975297574]
 
 
-@pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is a plain double here"
-)
 def test_monomial_table_is_accurate_where_the_factor_cancels():
     # DET_FACTOR_10's terms cancel by seven digits at CANCEL (condition
-    # 2.3e7), and plain double evaluation is off by 7e-10 relative.  Extended-precision monomials and an exact sum leave
-    # an error near 2^-64 times the sum of |terms|, 1e-13 relative here.
+    # 2.3e7), and plain double evaluation is off by 7e-10 relative.  Exact-head
+    # monomials and an exact sum leave an error near 2^-77 times the sum of
+    # |terms|, far below the bound here.
     q = [Fraction(v) for v in CANCEL]
     for poly in (DET_FACTOR_10,) + CANONICAL_BASIS:
         terms = [c * q[0] ** e[0] * q[1] ** e[1] * q[2] ** e[2] * q[3] ** e[3] for e, c in poly.terms.items()]
@@ -296,9 +300,6 @@ def mixed_magnitude_points(n, seed):
     return rng.choice([-1.0, 1.0], (n, NVARS)) * 2.0 ** rng.uniform(-40, 40, (n, NVARS))
 
 
-@pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is a plain double here"
-)
 def test_monomial_tables_are_accurate_in_every_column():
     # the cancellation bound above, for every column of both tables:
     # at sampled points, at that test's point, where one coordinate or all
@@ -321,9 +322,6 @@ def test_monomial_tables_are_accurate_in_every_column():
         assert bound_failures(table, pts) == []
 
 
-@pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is a plain double here"
-)
 @pytest.mark.xfail(
     strict=True,
     reason="open fault, the mixed-scale grid FOUND in CHANGES.md: a column of _ANALYTIC_TABLE far below "
@@ -336,9 +334,6 @@ def test_monomial_tables_are_accurate_at_mixed_scale_points():
     assert bound_failures(_ANALYTIC_TABLE, pts) + bound_failures(INVARIANT_TABLE, pts) == []
 
 
-@pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is a plain double here"
-)
 def test_monomial_tables_commute_with_powers_of_two():
     # a degree-d column at x 2^-k, times 2^(dk), is its value at x bit for
     # bit: each degree class is summed on its own grid, which scales with it
@@ -354,6 +349,41 @@ def test_monomial_tables_commute_with_powers_of_two():
             assert inside.sum() >= 60
             back = np.ldexp(table(scaled[inside]), degrees * k)
             assert np.array_equal(back, values[inside]), k
+
+
+def test_monomial_tables_are_exact_where_longdouble_is_a_plain_double(monkeypatch):
+    # as on platforms whose long double is a double: a table that formed its
+    # powers in np.longdouble missed the bound at 77 of these 738 outputs and
+    # put CANCEL's two determinants 1.3e-9 apart; the exact-head product
+    # works on doubles alone
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    pts = np.concatenate([_sample_generic(40, np.random.default_rng(0))[0], [CANCEL]])
+    assert bound_failures(_ANALYTIC_TABLE, pts) == []
+    rep = jacobian_report(CANCEL)
+    assert relative_error(rep.det, rep.closed_form_det) <= 1e-10
+
+
+@pytest.mark.parametrize("point", [[1.0, 1.0, 1e50, 1.0], [1.0, 1.0, 1.0, 1e45]])
+def test_monomial_table_forms_no_power_beyond_each_coordinates_own_exponent(point):
+    # I10 takes d123 and d223 to the sixth power at most: d123^7 = 1e350
+    # and d223^7 = 1e315 would overflow, though no monomial uses them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (value,) = I10_CANONICAL.eval_many([point])
+        assert math.isfinite(value)
+        assert value == I10_CANONICAL(point)
+
+
+@pytest.mark.parametrize("point", [[math.inf, 0.0, 0.0, 0.0], [0.0, math.nan, 0.0, 0.0]])
+def test_every_evaluator_rejects_a_nonfinite_point_by_name(point):
+    # one gate ahead of both evaluators, before a split infinity becomes inf - inf
+    named = r"point coordinates must be finite, got \[" + ", ".join(map(str, point)) + r"\]"
+    calls = (I2_CANONICAL.eval_many, I2_CANONICAL, jacobian_report, lambda p: independence_report(points=[p]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=named):
+                call(point)
 
 
 # every polynomial the library evaluates: the basis, the determinant and its
