@@ -261,16 +261,20 @@ def _sample_generic(count: int, rng: np.random.Generator) -> tuple[np.ndarray, .
     Draws inside the hyperplane bands are dropped before anything is
     evaluated; the rest are measured, and a draw is kept when ``_generic``
     passes it, which discards about 4.5 % of draws.  Each batch is judged at
-    once, and its first accepted rows are kept in draw order.  Returns the
-    (count, 4) points followed by their ``_measure`` rows.
+    once, and its first accepted rows are kept in draw order.  A batch draws
+    1/16 more rows than are still needed, plus 8, so one batch almost always
+    suffices.  The result is the first count accepted draws of rng's stream,
+    whatever the batch sizes, as ``_measure`` treats each row on its own.
+    Returns the (count, 4) points followed by their ``_measure`` rows.
     """
     out = []
     kept = 0
     while kept < count:
-        batch = rng.uniform(-2.0, 2.0, size=(count - kept + 8, NVARS))
+        need = count - kept
+        batch = rng.uniform(-2.0, 2.0, size=(need + need // 16 + 8, NVARS))
         batch = batch[_clear_of_hyperplanes(batch)]
         measured = _measure(batch)
-        accepted = np.flatnonzero(_generic(batch, measured[3]))[: count - kept]
+        accepted = np.flatnonzero(_generic(batch, measured[3]))[:need]
         out.append([batch[accepted]] + [m[accepted] for m in measured])
         kept += len(accepted)
     return tuple(np.concatenate(parts) for parts in zip(*out))

@@ -193,8 +193,12 @@ class _ExactSum:
 
 
 # Rows evaluated at once: peak memory stays flat however many points come
-# in, and a chunk's (M, rows) double blocks stay in cache.
+# in, and a chunk's (M, rows) double blocks stay in cache.  The powers of
+# the coordinates, a few short rows per point, are formed once per block of
+# _BLOCK_ROWS rows, 16 chunks, so their many small numpy calls run once per
+# block; every later stage runs per chunk.
 _CHUNK_ROWS = 64
+_BLOCK_ROWS = 1024
 
 # Clears the 27 low significand bits of a double: what is left, the head, has
 # at most 26 significant bits, so the product of two heads is exact, and the
@@ -226,6 +230,10 @@ class _MonomialTable:
     The polynomials share M monomials in degree order, each one entry of each
     half's pair table, (x0^a x1^b)(x2^c x3^d), and an (M, P) float
     coefficient matrix; a matmul per chunk of _CHUNK_ROWS rows gives values.
+    The coordinates' powers are formed once per block of _BLOCK_ROWS rows;
+    the pair tables, monomials, grid and matmuls run per chunk.  Every stage
+    works row by row, so a row's bits do not depend on how the points are
+    batched, and the working memory is bounded however many points come in.
 
     The Jacobian entries and determinant factors cancel by up to seven digits
     at some sampled points, so every factor is a head-tail pair of doubles
@@ -280,54 +288,62 @@ class _MonomialTable:
     def __call__(self, points) -> np.ndarray:
         points = _real(points)
         n = len(points)
-        rows = max(1, min(n, _CHUNK_ROWS))
-        out = np.empty((-(-n // rows) * rows, self.coeffs.shape[1]))
-        # work buffers shared by every chunk, each of heads and tails:
-        # powers[:, e, slot, row] = x_k^e, k the coordinate in that slot; the
-        # two powers of each pair entry; the stacked pair tables; the pair of
-        # each half that every monomial takes.  Then three (M, rows) blocks,
-        # and the low parts and work space of the powers and pair tables.
-        # Views are taken by index: unpacking an array is slower.
-        powers = np.empty((2, len(self._spans) + 2, NVARS, rows))
+        # at least two rows: numpy sends a one-row matmul to gemv, whose
+        # summation order is not gemm's, so one point would not get the bits
+        # of its row in a batch
+        rows = min(max(n, 2), _CHUNK_ROWS)
+        chunks = -(-n // rows)
+        span = min(max(chunks, 1) * rows, _BLOCK_ROWS)
+        out = np.empty((chunks * rows, self.coeffs.shape[1]))
+        # work buffers shared by every block or chunk, each of heads and
+        # tails: powers[:, e, slot, row] = x_k^e for a block's rows, k the
+        # coordinate in that slot, and their low parts and work space; then,
+        # per chunk, the two powers of each pair entry, the stacked pair
+        # tables, the pair of each half that every monomial takes, three
+        # (M, rows) blocks, and the low parts and work space of the pair
+        # tables.  Views are taken by index: unpacking an array is slower.
+        powers = np.empty((2, len(self._spans) + 2, NVARS, span))
         powers[0, 0] = 1.0
         powers[1, 0] = 0.0
+        table = powers.reshape(2, -1, span)
+        power_low, power_work = np.empty((2, NVARS, span))
         ends = np.empty((2,) + self._pairs.shape + (rows,))
         split = np.empty((2, self._pairs.shape[1], rows))
         parts = np.empty((2,) + self._which.shape + (rows,))
         high = np.empty((len(self.exponents), rows))
         low = np.empty_like(high)
         work = np.empty_like(high)
-        pair_low, pair_work = np.empty((2, max(self._pairs.shape[1], NVARS), rows))
-        p = self._pairs.shape[1]
-        for start in range(0, n, rows):
-            chunk = points[start : start + rows]
-            powers[1, 1, self._slots, : len(chunk)] = chunk.T
-            powers[1, 1, :, len(chunk) :] = 0.0  # the last chunk's padding rows
+        pair_low, pair_work = np.empty((2, self._pairs.shape[1], rows))
+        for first in range(0, n, span):
+            block = points[first : first + span]
+            powers[1, 1, self._slots, : len(block)] = block.T
+            powers[1, 1, :, len(block) :] = 0.0  # the last block's padding rows
             _split(powers[:, 1], 0.0)
             for e, k in enumerate(self._spans, 2):
-                _product(powers[:, e - 1, :k], powers[:, 1, :k], powers[1, e, :k], pair_low[:k], pair_work[:k])
-                _split(powers[:, e, :k], pair_low[:k])
-            np.take(powers.reshape(2, -1, rows), self._pairs, axis=1, out=ends, mode="clip")
-            _product(ends[:, 0], ends[:, 1], split[1], pair_low[:p], pair_work[:p])
-            _split(split, pair_low[:p])
-            np.take(split, self._which, axis=1, out=parts, mode="clip")
-            # a monomial is high + low: the product of its pair entries
-            _product(parts[:, 0], parts[:, 1], high, low, work)
-            # lead: a multiple of 2^(e + headroom - 53) at most 2^e, with e
-            # set by the largest head product of the row's degree class, so
-            # its products with integer coefficients and all their partial
-            # sums within a class fit in 53 bits (the cap keeps the grid
-            # finite near overflow).  An int64 view orders doubles of one
-            # sign as their values, and reduceat runs faster on it.
-            _, e = np.frexp(np.maximum.reduceat(np.abs(high, out=work).view(np.int64), self._starts).view(float))
-            grid = np.repeat(np.ldexp(1.0, np.minimum(e + self._headroom, 1023)), self._counts, axis=0)
-            lead = np.add(high, grid, out=work)
-            lead -= grid
-            high -= lead  # exact: high now holds the remainder
-            high += low
-            block = out[start : start + rows]
-            np.matmul(lead.T, self.coeffs, out=block)
-            block += high.T @ self.coeffs
+                _product(powers[:, e - 1, :k], powers[:, 1, :k], powers[1, e, :k], power_low[:k], power_work[:k])
+                _split(powers[:, e, :k], power_low[:k])
+            for at in range(0, len(block), rows):
+                np.take(table[:, :, at : at + rows], self._pairs, axis=1, out=ends, mode="clip")
+                _product(ends[:, 0], ends[:, 1], split[1], pair_low, pair_work)
+                _split(split, pair_low)
+                np.take(split, self._which, axis=1, out=parts, mode="clip")
+                # a monomial is high + low: the product of its pair entries
+                _product(parts[:, 0], parts[:, 1], high, low, work)
+                # lead: a multiple of 2^(e + headroom - 53) at most 2^e, with e
+                # set by the largest head product of the row's degree class, so
+                # its products with integer coefficients and all their partial
+                # sums within a class fit in 53 bits (the cap keeps the grid
+                # finite near overflow).  An int64 view orders doubles of one
+                # sign as their values, and reduceat runs faster on it.
+                _, e = np.frexp(np.maximum.reduceat(np.abs(high, out=work).view(np.int64), self._starts).view(float))
+                grid = np.repeat(np.ldexp(1.0, np.minimum(e + self._headroom, 1023)), self._counts, axis=0)
+                lead = np.add(high, grid, out=work)
+                lead -= grid
+                high -= lead  # exact: high now holds the remainder
+                high += low
+                values = out[first + at : first + at + rows]
+                np.matmul(lead.T, self.coeffs, out=values)
+                values += high.T @ self.coeffs
         return out[:n]
 
 

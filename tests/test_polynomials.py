@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from triso.polynomials import (
     I6_CANONICAL,
     I10_CANONICAL,
     Poly,
+    _BLOCK_ROWS,
     _CHUNK_ROWS,
     _MonomialTable,
 )
@@ -349,6 +351,41 @@ def test_monomial_tables_commute_with_powers_of_two():
             assert inside.sum() >= 60
             back = np.ldexp(table(scaled[inside]), degrees * k)
             assert np.array_equal(back, values[inside]), k
+
+
+def test_table_rows_do_not_depend_on_how_the_points_are_batched():
+    # the powers are formed per block of _BLOCK_ROWS rows and every later
+    # stage per chunk of _CHUNK_ROWS, each row by row: so a row's bits are the
+    # same one point at a time and wherever a cut falls, at a chunk edge or a
+    # block edge
+    sampled = _sample_generic(1000, np.random.default_rng(0))[0]
+    pts = np.concatenate([sampled, mixed_magnitude_points(1100, 3), [CANCEL]])
+    cuts = (_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1)
+    for evaluate in (_ANALYTIC_TABLE, I10_CANONICAL.eval_many):
+        whole = evaluate(pts)
+        assert np.all(np.isfinite(whole))
+        assert np.array_equal(np.concatenate([evaluate(p[None]) for p in pts]), whole)
+        for cut in cuts:
+            assert np.array_equal(np.concatenate([evaluate(pts[:cut]), evaluate(pts[cut:])]), whole), cut
+
+
+@pytest.mark.parametrize("table", [_ANALYTIC_TABLE, INVARIANT_TABLE], ids=["analytic", "invariants"])
+def test_monomial_table_working_memory_is_flat_in_the_point_count(table):
+    # tracemalloc sees numpy's buffers: beyond its output, a call's peak is
+    # its fixed work buffers, where a power table for all the points at once
+    # would add 576 bytes a point to _ANALYTIC_TABLE's
+    extra = []
+    for n in (4096, 65536):
+        pts = np.random.default_rng(n).uniform(-2, 2, size=(n, NVARS))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            values = table(pts)
+            extra.append(tracemalloc.get_traced_memory()[1] - before - values.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert abs(extra[1] - extra[0]) < 64 * 1024, extra
 
 
 def test_monomial_tables_are_exact_where_longdouble_is_a_plain_double(monkeypatch):
