@@ -3,7 +3,10 @@
 
 Each time is the best of --repeats passes over fixed seeded inputs,
 divided by the number of calls in a pass: microseconds per call, and
-milliseconds for one ``independence_report`` of --samples points.  Two
+milliseconds for one ``independence_report`` of --samples points.
+``python_candidates_us`` times the pure-Python candidate solve that
+``triso canonicalize`` and ``orbit-compare --align`` use, beside the
+library's numpy solve in ``_stationary_candidates_us``.  Two
 counts go with them, as means over the tensors: ``candidates_per_call``,
 the rows ``_stationary_candidates`` returns, and ``finished_per_call``,
 those the maximizer finishes by Newton steps (``_contenders``: within
@@ -32,13 +35,8 @@ import time
 
 import numpy as np
 
-from triso.canonical_form import (
-    _contenders,
-    _stationary_candidates,
-    _unit_tensor,
-    canonicalize,
-    maximize_cubic_on_sphere,
-)
+from triso.canonical_core import _contenders, _python_candidates, _unit_tensor
+from triso.canonical_form import _stationary_candidates, canonicalize, maximize_cubic_on_sphere
 from triso.independence import _ANALYTIC_TABLE, _sample_generic, independence_report
 from triso.invariants import CanonicalParams, canonical_invariants, smith_bao
 from triso.orbit_oracle import best_alignment, same_orbit
@@ -95,6 +93,7 @@ def main(argv=None) -> int:
 
     rows = {
         "_stationary_candidates_us": [lambda c=c: _stationary_candidates(c) for c in units],
+        "python_candidates_us": [lambda c=c: _python_candidates(c) for c in units],
         "maximize_cubic_on_sphere_us": [lambda t=t: maximize_cubic_on_sphere(t) for t in tensors],
         "canonicalize_us": [lambda t=t: canonicalize(t) for t in tensors],
         "best_alignment_us": [lambda a=a, b=b: best_alignment(a, b) for a, b in pairs],

@@ -29,13 +29,12 @@ _EXPORTS = {
         "independence",
     ),
     **dict.fromkeys(
-        ("CanonicalParams", "InvariantTuple", "canonical_invariants", "moment_matrix",
-         "relative_error", "smith_bao", "v_vector"),
+        ("CanonicalParams", "InvariantTuple", "canonical_invariants", "invariant_distance",
+         "moment_matrix", "relative_error", "smith_bao", "v_vector"),
         "invariants",
     ),
     **dict.fromkeys(
-        ("AlignmentResult", "best_alignment", "degree_normalized_invariants",
-         "invariant_distance", "same_orbit"),
+        ("AlignmentResult", "best_alignment", "degree_normalized_invariants", "same_orbit"),
         "orbit_oracle",
     ),
     **dict.fromkeys(("CANONICAL_BASIS", "DET_JACOBIAN", "Poly"), "polynomials"),

@@ -7,9 +7,16 @@ seeds give byte-identical output.
 
 Each subcommand imports only the modules it uses, when it runs: this
 module loads only the standard library and the numpy-free ``components``
-layer, so ``triso invariants`` never imports numpy, and no subcommand
-loads ``independence``, ``polynomials`` or ``reference_cases`` unless it
-needs them.
+layer, and no subcommand loads ``independence``, ``polynomials`` or
+``reference_cases`` unless it needs them.  ``invariants``, ``repro``,
+``canonicalize`` and ``orbit-compare`` (with or without ``--align``) never
+import numpy: the last two canonicalize through ``canonical_core`` with its
+pure-Python candidate solve, not the library's numpy solve.  The two agree
+to 1e-13 ||T|| in the params, and each is deterministic to the byte; the
+last bits can differ, so ``triso canonicalize`` and
+``canonicalize(t).to_json_obj()`` need not print the same digits.  A
+tensor given as a 27-entry ``"full"`` array still loads numpy, to validate
+it (``tensor_core.compress``).
 
 Exit codes: 0 success, 1 bad usage or bad input, 2 the cubic form's
 maximizer missed its fixed stationarity tolerance (ConvergenceError),
@@ -136,10 +143,10 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_canonicalize(args) -> int:
-    from .canonical_form import canonicalize
+    from .canonical_core import _python_candidates, canonical_record
 
     t = _tensor_from_args(args)
-    print(_json_text(canonicalize(t).to_json_obj()))
+    print(_json_text(canonical_record(t, "SO(3)", _python_candidates).to_json_obj()))
     return 0
 
 
@@ -185,7 +192,7 @@ def _cmd_rotate(args) -> int:
 
 
 def _cmd_orbit_compare(args) -> int:
-    from .orbit_oracle import _verdict, best_alignment, invariant_distance
+    from .invariants import _components, _verdict, invariant_distance
 
     a = _load_tensor_file(args.a_file)
     b = _load_tensor_file(args.b_file)
@@ -193,7 +200,11 @@ def _cmd_orbit_compare(args) -> int:
     verdict = _verdict(distance, args.tol)
     residual = None
     if args.align:
-        residual = best_alignment(a, b, group=args.group).residual
+        # orbit_oracle.best_alignment's residual, with the pure-Python solve
+        from .canonical_core import _aligned, _python_candidates, canonical_record
+
+        r_a, r_b = (canonical_record(t, args.group, _python_candidates) for t in (a, b))
+        residual = _aligned(_components(a), _components(b), r_a.rows, r_b.rows)[1]
     obj = {
         "verdict": verdict,
         "invariant_distance": distance,

@@ -8,12 +8,15 @@ lays out the three symmetric slices D_k (``_slices``, which
 ``tensor_core.expand`` and the invariants read), the kernels on them that
 read the tensor in a rotated frame (``_in_frame``) and take its norm
 (``_norm``), the two power-of-two scalings the kernels run at
-(``_unit_scale``, ``_kernel_scale``), the tensor JSON form, and the
-constant and error type that the command line's parser and ``main`` need
-(``GROUPS``, ``ConvergenceError``).
+(``_unit_scale``, ``_kernel_scale``), the checks an orthogonal transform's
+rows must pass (``_check_orthogonal``), the rotation of a unit quaternion
+(``_quaternion_rows``), the tensor JSON form, and the constant and error
+type that the command line's parser and ``main`` need (``GROUPS``,
+``ConvergenceError``).
 
-Everything here is plain Python, so a command that needs only this layer
-and the invariants (``triso invariants``) never imports numpy.  The array
+Everything here is plain Python, so a command that needs only this layer,
+the invariants and ``canonical_core`` (``triso invariants``,
+``canonicalize`` and ``orbit-compare``) never imports numpy.  The array
 code lives in ``tensor_core``, which re-exports these names as the same
 objects, as ``canonical_form`` does for ``GROUPS`` and the error.
 """
@@ -35,6 +38,9 @@ COMPONENT_NAMES = ("d111", "d112", "d113", "d122", "d123", "d222", "d223")
 
 # The groups a canonical form or an alignment can be taken under.
 GROUPS = ("SO(3)", "O(3)")
+
+# Orthogonality tolerance for transform validation.
+ORTHO_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -154,6 +160,39 @@ def _in_frame(c, rows) -> tuple:
     return (e1 * x1 + e2 * x2 + e3 * x3, e1 * y1 + e2 * y2 + e3 * y3, e1 * z1 + e2 * z2 + e3 * z3,
             f1 * y1 + f2 * y2 + f3 * y3, f1 * z1 + f2 * z2 + f3 * z3,
             h1 * y1 + h2 * y2 + h3 * y3, h1 * z1 + h2 * z2 + h3 * z3)
+
+
+def _det(rows) -> float:
+    """The determinant of a 3x3 matrix of Python floats, by cofactors of the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _check_orthogonal(rows, det_sign) -> None:
+    """Raise ValueError unless the 3x3 rows of Python floats are finite, orthogonal
+    (m.T m = I within ORTHO_TOL) and of determinant det_sign (+1 or -1)."""
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise ValueError("matrix entries must be finite")
+    if det_sign not in (1, -1):
+        raise ValueError(f"det_sign must be +1 or -1, got {det_sign!r}")
+    # entry (i, j) of m.T m is the dot product of columns i and j
+    c0, c1, c2 = zip(*rows)
+    err = max(abs(_dot(c0, c0) - 1.0), abs(_dot(c1, c1) - 1.0), abs(_dot(c2, c2) - 1.0),
+              abs(_dot(c0, c1)), abs(_dot(c0, c2)), abs(_dot(c1, c2)))
+    if err > ORTHO_TOL:
+        raise ValueError(f"matrix is not orthogonal: max |m.T m - I| = {err:.3g}")
+    det = _det(rows)
+    if abs(det - det_sign) > ORTHO_TOL:
+        raise ValueError(f"det(m) = {det:.17g} does not match det_sign = {det_sign:+d}")
+
+
+def _quaternion_rows(w, x, y, z) -> list:
+    """The rows of the rotation of the unit quaternion (w, x, y, z)."""
+    return [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
 
 
 def _ldexp(x: float, n: int) -> float:

@@ -229,7 +229,7 @@ class JacobianReport:
 
 def jacobian_report(c) -> JacobianReport:
     x = _point(c)[None, :]
-    point = c if isinstance(c, CanonicalParams) else CanonicalParams(*x[0])
+    point = c if isinstance(c, CanonicalParams) else CanonicalParams(*x[0].tolist())
     jac, closed, det, _, deviation = _measure(x)
     return JacobianReport(point, jac[0], float(det[0]), float(deviation[0]), float(closed[0]))
 

@@ -27,8 +27,11 @@ import numpy as np
 from .components import (  # noqa: F401 (re-exported)
     _LAYOUT,
     COMPONENT_NAMES,
+    ORTHO_TOL,
     SymTraceless3,
-    _dot,
+    _check_orthogonal,
+    _det,
+    _quaternion_rows,
     _slices,
     tensor_from_json_obj,
     tensor_to_json_obj,
@@ -49,9 +52,6 @@ __all__ = [
     "tensor_to_json_obj",
     "tensor_from_json_obj",
 ]
-
-# Orthogonality tolerance for transform validation.
-ORTHO_TOL = 1e-12
 
 # Tolerance for validating symmetry/trace of raw full arrays, relative to
 # the Frobenius norm so that the check is scale-free.  Looser than
@@ -108,20 +108,7 @@ class OrthogonalTransform3:
             raise ValueError(f"expected a 3x3 matrix, got shape {mat.shape}")
         # the checks run on the nine entries as Python floats: numpy's
         # per-call cost on a 3x3 array outweighs the arithmetic
-        rows = mat.tolist()
-        if not all(math.isfinite(x) for row in rows for x in row):
-            raise ValueError("matrix entries must be finite")
-        if self.det_sign not in (1, -1):
-            raise ValueError(f"det_sign must be +1 or -1, got {self.det_sign!r}")
-        # entry (i, j) of m.T m is the dot product of columns i and j
-        c0, c1, c2 = zip(*rows)
-        err = max(abs(_dot(c0, c0) - 1.0), abs(_dot(c1, c1) - 1.0), abs(_dot(c2, c2) - 1.0),
-                  abs(_dot(c0, c1)), abs(_dot(c0, c2)), abs(_dot(c1, c2)))
-        if err > ORTHO_TOL:
-            raise ValueError(f"matrix is not orthogonal: max |m.T m - I| = {err:.3g}")
-        det = _det(rows)
-        if abs(det - self.det_sign) > ORTHO_TOL:
-            raise ValueError(f"det(m) = {det:.17g} does not match det_sign = {self.det_sign:+d}")
+        _check_orthogonal(mat.tolist(), self.det_sign)
         mat.setflags(write=False)
         object.__setattr__(self, "m", mat)
 
@@ -147,12 +134,6 @@ class OrthogonalTransform3:
     def apply(self, x) -> np.ndarray:
         """Apply to a 3-vector."""
         return self.m @ np.asarray(x, dtype=float)
-
-
-def _det(rows) -> float:
-    """The determinant of a 3x3 matrix of Python floats, by cofactors of the first row."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 # Place of each row-major entry (k, i, j) in the three slices laid end to
@@ -251,14 +232,7 @@ def random_orthogonal(seed, proper: bool = True) -> OrthogonalTransform3:
 
 
 def _quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return np.array(_quaternion_rows(*q))
 
 
 def st_dimension(m: int, n: int) -> int:

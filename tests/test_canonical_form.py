@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triso import canonical_form, tensor_core
+from triso import canonical_core, canonical_form, tensor_core
+from triso.canonical_core import _newton, _python_candidates, _tangent_bases, canonical_record
 from triso.canonical_form import (
     GROUPS,
     CanonicalResult,
@@ -16,11 +18,9 @@ from triso.canonical_form import (
     stationarity_residual,
     _CHART_FRAME,
     _SECOND_FRAME,
-    _newton,
     _stationary_candidates,
-    _tangent_bases,
 )
-from triso.components import _in_frame
+from triso.components import COMPONENT_NAMES, _in_frame
 from triso.invariants import _slice_kernel, moment_matrix, relative_error, smith_bao
 from triso.orbit_oracle import best_alignment
 from triso.reference_cases import f_root, reference_cases
@@ -140,7 +140,7 @@ def test_maximizer_scale_equivariance():
 
 
 def test_maximizer_raises_on_absurd_tolerance(monkeypatch):
-    monkeypatch.setattr(canonical_form, "STATIONARITY_TOL", 1e-300)
+    monkeypatch.setattr(canonical_core, "STATIONARITY_TOL", 1e-300)
     with pytest.raises(ConvergenceError):
         maximize_cubic_on_sphere(random_tensor(0))
 
@@ -157,7 +157,7 @@ def test_tolerance_is_judged_on_the_maximizer(monkeypatch, t, maximum):
     # residual exactly 0.0, the maximizer a few ulps; an unreachable
     # tolerance must fail rather than return the lesser point
     with monkeypatch.context() as m:
-        m.setattr(canonical_form, "STATIONARITY_TOL", 1e-300)
+        m.setattr(canonical_core, "STATIONARITY_TOL", 1e-300)
         with pytest.raises(ConvergenceError):
             maximize_cubic_on_sphere(t)
     assert maximize_cubic_on_sphere(t).value == pytest.approx(maximum, rel=1e-14)
@@ -803,13 +803,21 @@ def test_perturbed_zonal_family_maximizer_stays_at_the_axis(eps):
         assert_matches_batched_oracle(t, k)
 
 
-def test_maximizer_raises_when_no_candidate_is_left(monkeypatch):
+@pytest.mark.parametrize(
+    "solve, calls",
+    [
+        (_stationary_candidates, (maximize_cubic_on_sphere, canonicalize)),
+        (_python_candidates, (lambda t: canonical_record(t, "SO(3)", _python_candidates),)),
+    ],
+    ids=["numpy", "python"],
+)
+def test_maximizer_raises_when_no_candidate_is_left(monkeypatch, solve, calls):
     # the d123-only tensor has v = 0, so once no root counts as real there
     # is no candidate at all; the message names the tensor
-    monkeypatch.setattr(canonical_form, "_ROOT_TOL", -1.0)
+    monkeypatch.setattr(canonical_core, "_ROOT_TOL", -1.0)
     t = SymTraceless3(d123=1.0)
-    assert _stationary_candidates(t.as_array().tolist()) == []
-    for call in (maximize_cubic_on_sphere, canonicalize):
+    assert solve(t.as_array().tolist()) == []
+    for call in calls:
         with pytest.raises(ConvergenceError, match=r"no stationary point found for SymTraceless3\(d111=0.0, .*d123=1.0"):
             call(t)
 
@@ -1083,3 +1091,123 @@ def test_canonicalize_compresses_a_full_array_once(monkeypatch):
         assert np.array_equal(result.transform.m, want.transform.m)
         assert result.transform.det_sign == want.transform.det_sign
         assert result.diagnostics == want.diagnostics
+
+
+# ------------------------------------- the pure-Python solve of the triso command
+
+
+def test_library_canonicalize_is_the_core_with_the_numpy_solve():
+    # so checking the two solves through the core checks the library
+    for k, t in enumerate([random_tensor(seed) for seed in range(40)] + TIED + [ZONAL, SymTraceless3()]):
+        for group in GROUPS:
+            result = canonicalize(t, group=group)
+            record = canonical_record(t, group, _stationary_candidates)
+            assert record.params == result.params and record.max_value == result.max_value, (k, group)
+            assert record.rows == result.transform.m.tolist() and record.det_sign == result.transform.det_sign
+            assert record.diagnostics == result.diagnostics
+            assert record.to_json_obj() == result.to_json_obj()
+
+
+def assert_solves_agree(t, label):
+    """The pure-Python candidate solve against the numpy one, through the
+    same core: the same number of maximizers, and under each group params
+    within 1e-13 ||T|| and the same det_sign."""
+    frob, c = canonical_core._unit_tensor(t)
+    found = []
+    for solve in (_stationary_candidates, _python_candidates):
+        maximizers, _, _, iterations = canonical_core._maximize(t, c, solve)
+        found.append((len(maximizers), {g: canonical_core._framed(frob, c, maximizers, iterations, g) for g in GROUPS}))
+    (count, by_numpy), (python_count, by_python) = found
+    assert python_count == count, label
+    for group in GROUPS:
+        a, b = by_numpy[group], by_python[group]
+        gap = max(abs(x - y) for x, y in zip(a.params._values(), b.params._values()))
+        assert gap <= 1e-13 * frob, (label, group, gap / frob)
+        assert abs(a.max_value - b.max_value) <= 1e-13 * frob, (label, group)
+        assert a.det_sign == b.det_sign, (label, group)
+
+
+def test_python_solve_matches_the_numpy_solve_on_random_tensors():
+    for seed in range(2000):
+        assert_solves_agree(random_tensor(seed), seed)
+
+
+def test_python_solve_matches_the_numpy_solve_on_rotated_tied_tensors():
+    # six of TIED have tied maximizers; ZONAL a ring of stationary points and
+    # the d111-only tensor a 4-fold root of its resultant
+    for index, t in enumerate([*TIED, ZONAL, SymTraceless3(d111=1.0)]):
+        assert_solves_agree(t, (index, None))
+        for k in range(20):
+            g = random_orthogonal(11_000 + 20 * index + k, proper=k % 2 == 0)
+            assert_solves_agree(compress(act(g, expand(t))), (index, k))
+
+
+def test_python_solve_matches_the_numpy_solve_on_the_solver_axes():
+    # the placements of test_stationary_points_on_the_solver_axes_keep_the_params,
+    # exactly on a chart's axis or plane at infinity and turned off it, one
+    # proper and one improper
+    rng = np.random.default_rng(0)
+    angles = [10.0**-k for k in range(12, 1, -1)]
+    for seed in range(20):
+        t = random_tensor(seed)
+        c = t.as_array().tolist()
+        for k, move in enumerate(solver_placements(oracle_stationary_lines(t))):
+            near = about_axis(rng.normal(size=3), angles[k % len(angles)]) @ move
+            for r, sign in zip((move, near), (1.0, -1.0)):
+                assert_solves_agree(SymTraceless3(*_in_frame(c, (sign * r).tolist())), (seed, k, sign))
+    # and the tensors built to make two or three of the fixed charts degenerate
+    for k in range(60):
+        assert_solves_agree(with_stationary_points(two_frames_degenerate(k), 70 + k), ("two frames", k))
+    for seed in range(3):
+        assert_solves_agree(on_three_z_axes(seed), ("three axes", seed))
+
+
+def test_cli_canonicalize_matches_the_library(capsys):
+    from triso.cli import main
+
+    for k, t in enumerate([random_tensor(seed, scale=10.0 ** (seed % 7 - 3)) for seed in range(30)] + TIED):
+        flags = [f"--{name}={value!r}" for name, value in zip(COMPONENT_NAMES, t.as_array().tolist())]
+        assert main(["canonicalize", *flags]) == 0
+        got = json.loads(capsys.readouterr().out)
+        want = canonicalize(t).to_json_obj()
+        norm = expand(t).frobenius()
+        assert list(got) == list(want)
+        assert max(abs(got["params"][n] - want["params"][n]) for n in want["params"]) <= 1e-13 * norm, k
+        assert abs(got["max_value"] - want["max_value"]) <= 1e-13 * norm, k
+        assert got["residual"] <= 1e-12 * norm
+        if k < 30:  # tied tensors can pick another of their equivalent frames
+            assert np.max(np.abs(np.array(got["rotation"]) - want["rotation"])) <= 1e-12, k
+
+
+def test_resultant_is_the_sylvester_determinant():
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        f = (rng.normal(size=4) + 1j * rng.normal(size=4)).tolist()
+        g = (rng.normal(size=3) + 1j * rng.normal(size=3)).tolist()
+        sylvester = np.zeros((5, 5), dtype=complex)
+        for shift in range(2):
+            sylvester[shift, shift : shift + 4] = f[::-1]
+        for shift in range(3):
+            sylvester[2 + shift, shift : shift + 3] = g[::-1]
+        want = np.linalg.det(sylvester)
+        assert abs(canonical_core._resultant(f, g) - want) <= 1e-13 * np.prod(np.linalg.norm(sylvester, axis=1))
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        [-2.5, -1.0, -0.3, 0.2, 0.7 + 0.4j, 0.7 - 0.4j, 3.0],
+        [1e-3, 2e-3, 0.5, 0.5 + 1e-6, 4.0, -4.0 + 2j, -4.0 - 2j],  # close pair
+        [-0.669] * 4 + [0.1, 1.0 + 1j, 1.0 - 1j],  # 4-fold, like the d111-only tensor's
+        [0.0] * 7,
+    ],
+)
+def test_aberth_finds_every_root_as_closely_as_the_companion_eigenvalues(roots):
+    # a close pair or a multiple root is ill-conditioned: each solver is
+    # held to the error of the other
+    coef = np.poly(roots).real  # monic, highest power first
+    found = canonical_core._aberth(coef[:0:-1].tolist())
+    companion = np.roots(coef).tolist()
+    for r in roots:
+        error = min(abs(r - z) for z in found)
+        assert error <= 10.0 * min(abs(r - z) for z in companion) + 1e-13 * (1.0 + abs(r)), r

@@ -325,7 +325,7 @@ def test_canonicalize_is_byte_deterministic(capsys):
 
 def unreachable_stationarity_tol(monkeypatch):
     """Set the maximizer's tolerance where no tensor with residual > 0 meets it."""
-    monkeypatch.setattr(importlib.import_module("triso.canonical_form"), "STATIONARITY_TOL", 1e-300)
+    monkeypatch.setattr(importlib.import_module("triso.canonical_core"), "STATIONARITY_TOL", 1e-300)
 
 
 def test_canonicalize_nonconvergence_exits_2(capsys, monkeypatch):
@@ -412,7 +412,7 @@ def test_orbit_compare_distinguishes_sign_pair(capsys, tmp_path):
 @pytest.mark.parametrize("b_components", [{"d111": 1.0, "d112": 1.0}, {"d111": 1.0, "d123": 1.0}])
 def test_orbit_compare_computes_the_invariant_distance_once(capsys, tmp_path, monkeypatch, b_components):
     # the verdict and the printed value come from one distance
-    module = importlib.import_module("triso.orbit_oracle")
+    module = importlib.import_module("triso.invariants")
     original, distances = module.invariant_distance, []
 
     def counting(a, b):

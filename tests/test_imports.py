@@ -14,8 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import triso
-from triso import canonical_form, components, tensor_core
+from triso import canonical_core, canonical_form, components, invariants, orbit_oracle, tensor_core
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -40,6 +42,15 @@ def test_seven_component_layer_is_re_exported_as_the_same_objects():
         assert getattr(tensor_core, name) is getattr(components, name), name
     for name in ("GROUPS", "ConvergenceError"):
         assert getattr(canonical_form, name) is getattr(components, name), name
+    for name in ("ORTHO_TOL", "_det"):
+        assert getattr(tensor_core, name) is getattr(components, name), name
+    assert canonical_form.STATIONARITY_TOL is canonical_core.STATIONARITY_TOL
+
+
+def test_verdict_is_re_exported_as_the_same_objects():
+    # the numpy-free verdict of triso orbit-compare is the library's
+    for name in ("invariant_distance", "_verdict", "_degree_normalized"):
+        assert getattr(orbit_oracle, name) is getattr(invariants, name), name
 
 
 def _loaded_after_each_step(tmp_path, steps):
@@ -67,16 +78,16 @@ def test_each_command_imports_only_what_it_uses(tmp_path):
     after = _loaded_after_each_step(tmp_path, [
         "import triso",
         "import triso.cli; assert triso.cli.main(['invariants', '--file', %r]) == 0" % str(a),
+        "assert triso.cli.main(['orbit-compare', '--a-file', %r, '--b-file', %r]) == 0" % (str(a), str(b)),
         "assert triso.cli.main(['canonicalize', '--file', %r]) == 0" % str(a),
         "assert triso.cli.main(['orbit-compare', '--a-file', %r, '--b-file', %r, '--align']) == 0"
         % (str(a), str(b)),
     ])
     assert after[0] == {"triso"}
-    assert after[1] == {"triso", "triso.cli", "triso.components", "triso.invariants"}
-    assert "numpy" in after[2]
-    unused = {"triso.independence", "triso.polynomials", "triso.reference_cases"}
-    assert not unused & after[2]
-    assert not unused & after[3]
+    numpy_free = {"triso", "triso.cli", "triso.components", "triso.invariants"}
+    assert after[1] == after[2] == numpy_free
+    # no numpy module at all: the canonical form comes from the pure-Python solve
+    assert after[3] == after[4] == numpy_free | {"triso.canonical_core"}
 
 
 def test_repro_imports_no_numpy(tmp_path):
@@ -139,11 +150,22 @@ def test_the_27_entry_array_is_an_input_format_only():
                 assert (path.stem, function) in allowed, (path.name, function, name)
 
 
-def test_invariants_command_imports_no_dataclasses(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--d111", "1"],
+        ["canonicalize", "--d111", "1", "--d123", "0.5"],
+        ["orbit-compare", "--a-file", "a.json", "--b-file", "b.json", "--align"],
+    ],
+    ids=["invariants", "canonicalize", "orbit-compare-align"],
+)
+def test_numpy_free_commands_import_no_dataclasses(tmp_path, argv):
+    (tmp_path / "a.json").write_text(json.dumps({"D111": 1.0, "D112": 1.0}))
+    (tmp_path / "b.json").write_text(json.dumps({"D111": 0.3, "D123": -1.2}))
     package_root = str(Path(triso.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    code = "import triso.cli; raise SystemExit(triso.cli.main(['invariants', '--d111', '1']))"
+    code = f"import triso.cli; raise SystemExit(triso.cli.main({argv!r}))"
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env
     )
@@ -152,6 +174,7 @@ def test_invariants_command_imports_no_dataclasses(tmp_path):
     imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if "import time:" in line}
     assert {"triso.cli", "triso.invariants"} <= imported
     assert "dataclasses" not in imported
+    assert "numpy" not in imported
 
 
 def test_no_module_names_an_extended_precision_type():

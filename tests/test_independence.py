@@ -25,6 +25,7 @@ from triso.independence import (
     _volumes,
 )
 from triso import independence
+from triso.canonical_form import canonicalize
 from triso.invariants import CanonicalParams, canonical_invariants, relative_error
 from triso.polynomials import (
     CANONICAL_BASIS,
@@ -466,3 +467,14 @@ def test_one_point_genericity_is_the_report_rule():
     # every case occurs: generic, below the floor, and in a band above it
     assert volumes[0] > GENERIC_VOLUME_FLOOR and not verdicts[0]
     assert any(verdicts) and np.any(_clear_of_hyperplanes(pts) & (volumes <= GENERIC_VOLUME_FLOOR))
+
+
+@pytest.mark.parametrize("given", [list, tuple, np.array], ids=["list", "tuple", "array"])
+def test_jacobian_report_point_holds_python_floats(given):
+    # as canonicalize's params do, so both print alike
+    p = [1.0, -0.7, 0.3, 0.9]
+    point = jacobian_report(given(p)).point
+    assert all(type(x) is float for x in (point.d111, point.d122, point.d123, point.d223))
+    assert repr(point) == repr(CanonicalParams(*p)) == "CanonicalParams(d111=1.0, d122=-0.7, d123=0.3, d223=0.9)"
+    params = canonicalize(point.to_tensor()).params
+    assert all(type(x) is float for x in (params.d111, params.d122, params.d123, params.d223))

@@ -1,7 +1,9 @@
 import math
 import os
+import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import triso
 
 from triso.canonical_form import canonicalize
 from triso.components import _unit_scale
-from triso.invariants import _components, _slice_kernel, smith_bao
+from triso.invariants import _cbrt, _components, _slice_kernel, smith_bao
 from triso.orbit_oracle import (
     GROUPS,
     AlignmentResult,
@@ -312,7 +314,42 @@ def test_verdicts_need_no_math_function_newer_than_python_3_10():
         "b = compress(act(random_orthogonal(1, proper=False), expand(a)))\n"
         "print(same_orbit(a, b), same_orbit(a, c), degree_normalized_invariants(a).shape)\n"
         "print(best_alignment(a, b, 'O(3)').residual < 1e-10)\n"
+        # and the command's numpy-free canonical form
+        "import contextlib, io, triso.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert triso.cli.main(['canonicalize', '--d111', '1', '--d123', '0.5']) == 0\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["same different (4,)", "True"]
+
+
+def _is_correctly_rounded_cbrt(x, y):
+    """Whether y is the double nearest the real cube root of x > 0: x lies
+    strictly between the cubes of the midpoints from y to its neighbours."""
+    X, Y = Fraction(x), Fraction(y)
+    below, above = Fraction(math.nextafter(y, 0.0)), Fraction(math.nextafter(y, math.inf))
+    return ((Y + below) / 2) ** 3 < X < ((Y + above) / 2) ** 3
+
+
+def test_cbrt_is_correctly_rounded_and_numpys_where_numpys_is():
+    # _cbrt needs no math.cbrt, which Python 3.10 lacks and which rounds as
+    # the C library does.  It has np.cbrt's bits at 0, subnormals, 1e+-300
+    # and powers of two; at 10^4 random doubles it is correctly rounded, so
+    # it equals np.cbrt wherever that is correctly rounded too, and is one
+    # ulp closer elsewhere
+    special = [0.0, -0.0, 5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, 8.0, 27.0]
+    special += [math.ldexp(1.0, k) for k in range(-1074, 1024, 37)]
+    for x in special + [-x for x in special]:
+        assert struct.pack("d", _cbrt(x)) == struct.pack("d", float(np.cbrt(x))), x
+    rng = np.random.default_rng(0)
+    draws = np.concatenate([rng.uniform(0.0, 10.0, 5000), 10.0 ** rng.uniform(-300.0, 300.0, 5000)]).tolist()
+    differ = 0
+    for x in draws:
+        y, ours = float(np.cbrt(x)), _cbrt(x)
+        assert _is_correctly_rounded_cbrt(x, ours), x
+        assert _cbrt(-x) == -ours
+        if ours != y:
+            differ += 1
+            assert not _is_correctly_rounded_cbrt(x, y) and abs(y - ours) == math.ulp(ours), x
+    assert differ <= len(draws) // 50
