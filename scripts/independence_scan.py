@@ -3,8 +3,9 @@
 
 Where the summary report keeps a single pass/fail number, this prints the
 distribution behind it: percentiles of the unit-gradient volume and of
-|det Jac|, and how close the sampler ever comes to the degenerate set.
-Handy for sanity-checking GENERIC_VOLUME_FLOOR against actual draws.
+|det Jac|, how many draws needed the exact sum for the sign of det J, and
+the worst gap between the numeric and closed-form determinants above and
+at or below GENERIC_VOLUME_FLOOR, the evidence for keeping the floor.
 
     python3 scripts/independence_scan.py --samples 2000
 """
@@ -14,7 +15,7 @@ import sys
 
 import numpy as np
 
-from triso.independence import GENERIC_VOLUME_FLOOR, _measure, independence_report
+from triso.independence import GENERIC_VOLUME_FLOOR, _analytic, _measure, _undecided, independence_report
 
 PERCENTILES = (0, 1, 5, 25, 50, 75, 95, 99, 100)
 
@@ -35,12 +36,17 @@ def main(argv=None) -> int:
     # raw box draws, before the genericity rejection, to see what gets cut
     rng = np.random.default_rng(args.seed)
     raw = rng.uniform(-2.0, 2.0, size=(args.samples, 4))
-    _, _, det, volumes, _ = _measure(raw)
+    _, closed, det, volumes, _, signs = _measure(raw)
     dets = np.abs(det)
+    mismatch = np.abs(det - closed) / np.maximum(1.0, np.maximum(dets, np.abs(closed)))
+    above = volumes > GENERIC_VOLUME_FLOOR
 
     print(f"{args.samples} uniform draws from [-2, 2]^4 (seed {args.seed})")
-    print(f"volume floor: {GENERIC_VOLUME_FLOOR:g}; "
-          f"below floor: {int(np.sum(volumes <= GENERIC_VOLUME_FLOOR))}")
+    print(f"volume floor: {GENERIC_VOLUME_FLOOR:g}; at or below it: {int(np.sum(~above))}")
+    print(f"sign of det J: {int(np.count_nonzero(signs))} nonzero, "
+          f"{int(np.sum(_undecided(raw, _analytic(raw)[2])))} from the exact sum")
+    print(f"worst det mismatch: {mismatch[above].max(initial=0.0):.3e} above the floor, "
+          f"{mismatch[~above].max(initial=0.0):.3e} at or below it")
     print()
     print(f"{'pct':>4}  {'unit-grad volume':>18}  {'|det Jac|':>12}")
     for pct in PERCENTILES:

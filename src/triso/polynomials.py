@@ -160,9 +160,10 @@ class _ExactSum:
     A fifth coordinate 1 makes each polynomial homogeneous of its degree D,
     and one common denominator L makes its coefficients integers.  The
     point's coordinates are integers over one power of two 2^s, so a value is
-    an integer sum over L 2^(s D), and one int / int rounds it.  Monomials are
-    products of two pair tables, (x0^a x1^b)(x2^c x3^d 1^h), formed once per
-    call for the whole tuple; the cost grows with the spread of exponents.
+    an integer sum over L 2^(s D) (``exact``), and one int / int rounds it
+    (a call).  Monomials are products of two pair tables,
+    (x0^a x1^b)(x2^c x3^d 1^h), formed once per evaluation for the whole
+    tuple; the cost grows with the spread of exponents.
     """
 
     def __init__(self, polys):
@@ -176,17 +177,21 @@ class _ExactSum:
             self.polys.append((terms, scale, degree))
         self.left, self.right = list(left), list(right)
 
-    def __call__(self, point) -> list:
+    def exact(self, point) -> list:
+        """Each polynomial's exact value at point, as (integer numerator, positive denominator)."""
         ratios = [v.as_integer_ratio() for v in _real(point).reshape(NVARS).tolist()]
         den = max(d for _, d in ratios)
         n0, n1, n2, n3 = (n * (den // d) for n, d in ratios)
         left = [n0**a * n1**b for a, b in self.left]
         right = [n2**c * n3**d * den**h for c, d, h in self.right]
+        return [(sum(c * left[i] * right[j] for c, i, j in terms), scale * den**degree)
+                for terms, scale, degree in self.polys]
+
+    def __call__(self, point) -> list:
         values = []
-        for terms, scale, degree in self.polys:
-            total = sum(c * left[i] * right[j] for c, i, j in terms)
+        for total, denominator in self.exact(point):
             try:  # int / int rounds correctly, and raises where the quotient leaves the double range
-                values.append(total / (scale * den**degree))
+                values.append(total / denominator)
             except OverflowError:
                 values.append(math.inf if total > 0 else -math.inf)
         return values
