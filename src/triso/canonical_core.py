@@ -17,18 +17,18 @@ There are two candidate solves, and each is the other's tested reference.
 The library's, ``canonical_form._stationary_candidates``, makes one ``det``
 and one ``eigvals`` call on numpy arrays, about 50 us a call.
 ``_python_candidates`` here solves the same chart, picked by the same
-rules, in Python floats and complex numbers: the chart's resultant
-sampled at the 8th roots of unity by the expanded 5x5 Sylvester
-determinant, the inverse DFT, the same turn, and the septic's roots by
-Aberth's simultaneous iteration (Aberth 1973).  It takes about 230 us a
+rules, in Python floats: the chart's resultant sampled at the eight turn
+directions by the expanded 5x5 Sylvester determinant, the same turn and
+turn map, and the septic's roots by Aberth's simultaneous iteration
+(Aberth 1973), the one step in complex numbers.  It takes about 230 us a
 call in process (``scripts/layer_times.py``, ``python_candidates_us``),
 4.7x the numpy solve, and needs no numpy, whose import costs a cold
 process some 80 ms.  So the ``triso`` command uses it, and the
 library keeps the numpy solve; neither choice depends on what is imported.
 Its params can differ from the library's in the last bits, by at most
 1e-13 ||T|| over the tested tensors, and it is deterministic to the byte.
-The two solves share the real-root filter and the candidate points
-(``_candidate_points``).
+The two solves share the chart algebra (``_chart_polynomials``), the
+turn map (``_TURN_MAP``) and the candidate points (``_candidate_points``).
 
 ``_aligned`` is the residual of an alignment through two canonical frames,
 shared by ``orbit_oracle.best_alignment`` and ``triso orbit-compare
@@ -78,8 +78,9 @@ _MERGE = 1e-2
 # real axis gives a spurious candidate, which is harmless: every candidate
 # is ranked by value and the ones that can win are finished by Newton steps.
 _ROOT_TOL = 1e-3
-# The turns a = k pi / 8, k = 0..7, of a chart's (y, w) plane, as (cos a, sin a).
-_TURN_ANGLES = [(math.cos(k * math.pi / 8), math.sin(k * math.pi / 8)) for k in range(8)]
+# The turns a_k = (k + 1/2) pi / 8, k = 0..7, of a chart's (y, w) plane, as
+# (cos a, sin a): all off w = 0, where Res_z(f, g) = w^2 R(y, w) vanishes.
+_TURN_ANGLES = [(math.cos((k + 0.5) * math.pi / 8), math.sin((k + 0.5) * math.pi / 8)) for k in range(8)]
 # Two fixed rotations with no special alignment to the coordinate axes or
 # to each other: every row of one is at least 47 degrees from every row of
 # the other (|cos| <= 0.672).  The quaternions have squared norms 1.0071
@@ -229,8 +230,8 @@ def _candidate_points(c: tuple, rows, turn: tuple, g: list, roots) -> list:
     """The candidate rows from the roots s of a chart's turned resultant.
 
     rows are the chart's frame (u0, u1, u2), turn its (cos a, sin a), g the
-    twelve coefficients of its quadratic g (z^0, z^1, z^2, each at y^0..y^3)
-    and roots complex numbers.  Each root s real to within _ROOT_TOL
+    nine coefficients of its g (``_chart_polynomials``, z^0's first) and
+    roots complex numbers.  Each root s real to within _ROOT_TOL
     (1 + s^2) is taken back to (y, w) = (s cos a - sin a, s sin a + cos a)
     and gives both roots z of g, its coefficients homogenized in w, with no
     window: a spurious one is harmless, as the caller ranks every candidate
@@ -242,7 +243,7 @@ def _candidate_points(c: tuple, rows, turn: tuple, g: list, roots) -> list:
     """
     u0, u1, u2 = rows
     ca, sa = turn
-    a0, a1, a2, a3, b0, b1, b2, _, c0, c1, _, _ = g
+    a0, a1, a2, a3, b0, b1, b2, c0, c1 = g
     points = []
     for s in roots:
         if not abs(s.imag) <= _ROOT_TOL * (1.0 + s.real * s.real):
@@ -266,35 +267,95 @@ def _candidate_points(c: tuple, rows, turn: tuple, g: list, roots) -> list:
     return points
 
 
-# The 8th roots of unity omega_s in the closed upper half plane, s = 0..4.
-# A resultant r has real coefficients, so r(omega_(8-s)) = conj r(omega_s)
-# gives the other three samples, and coef_j = sum_s r(omega_s) omega_s^-j / 8
-# over all eight is Re sum_s r(omega_s) _INVERSE_DFT[s][j] over these five.
-_ROOTS_OF_UNITY = [complex(math.cos(s * math.pi / 4), math.sin(s * math.pi / 4)) for s in range(5)]
-_INVERSE_DFT = [[(1 if s in (0, 4) else 2) * z ** -j / 8.0 for j in range(8)] for s, z in enumerate(_ROOTS_OF_UNITY)]
+def _chart_rows(chart: int) -> list:
+    """The rows (u0, u1, u2) of the chart-th of _CHART_ORDERS, as lists."""
+    f, order = _CHART_ORDERS[chart]
+    return [(_CHART_ROWS, _SECOND_ROWS)[f][i] for i in order]
 
 
-def _turned_monomial(j: int, ca: float, sa: float) -> list:
-    """The coefficients in s, s^0 first, of y^j w^(7 - j) at
-    (y, w) = (s ca - sa, s sa + ca)."""
-    out = [1.0]
-    for a, b in [(-sa, ca)] * j + [(ca, sa)] * (7 - j):  # times a + b s
-        out = [a * x + b * y for x, y in zip(out + [0.0], [0.0] + out)]
-    return out
+def _frame_reads(c) -> list:
+    """The three symmetric slices of the tensor c read in each fixed frame."""
+    return [_slices(*_in_frame(c, rows)) for rows in (_CHART_ROWS, _SECOND_ROWS)]
 
 
-# _TURN_MAPS[k][j] is _turned_monomial(j) at the turn a = k pi / 8: the
-# septic R(y, w) = sum_j coef_j y^j w^(7 - j) turned by a is
-# sum_j coef_j _TURN_MAPS[k][j], in s, with lead R(cos a, sin a).
-_TURN_MAPS = [[_turned_monomial(j, ca, sa) for j in range(8)] for ca, sa in _TURN_ANGLES]
+def _chart_entry(reads: list, chart: int, m: int, n: int, l: int) -> float:
+    """D(u_m, u_n, u_l) in a chart, from the tensor's ``_frame_reads``."""
+    f, order = _CHART_ORDERS[chart]
+    return reads[f][order[l]][_LAYOUT[order[m]][order[n]]]
 
 
-def _horner(p, y):
-    """The polynomial with coefficients p, lowest power first, at y."""
-    out = 0.0
-    for a in reversed(p):
-        out = out * y + a
-    return out
+def _chart_polynomials(reads: list, chart: int) -> tuple[list, list]:
+    """A chart's f and g, whose common zeros are its stationary points.
+
+    The chart with rows (u0, u1, u2) has the point x = w u0 + y u1 + z u2.
+    With P_m = D(u_m, x, x), x is stationary when the quadratic g = w P1 -
+    y P0 and the cubic f = z P0 - w P2 in z both vanish.  Returns their
+    coefficients of z^0, z^1, ..., that of z^k as the coefficients, y^0
+    first, of a form of degree 3 - k in (y, w), each linear in the tensor.
+    """
+    d = [[[_chart_entry(reads, chart, m, n, l) for l in range(3)] for n in range(3)] for m in range(3)]
+    # P_m's coefficients of z^0, z^1 and z^2, each by powers of y
+    z0 = [(d[m][0][0], 2.0 * d[m][0][1], d[m][1][1]) for m in range(3)]
+    z1 = [(2.0 * d[m][0][2], 2.0 * d[m][1][2]) for m in range(3)]
+    z2 = [d[m][2][2] for m in range(3)]
+    f = [
+        [-z0[2][0], -z0[2][1], -z0[2][2], 0.0],
+        [z0[0][0] - z1[2][0], z0[0][1] - z1[2][1], z0[0][2]],
+        [z1[0][0] - z2[2], z1[0][1]],
+        [z2[0]],
+    ]
+    g = [
+        [z0[1][0], z0[1][1] - z0[0][0], z0[1][2] - z0[0][1], -z0[0][2]],
+        [z1[1][0], z1[1][1] - z1[0][0], -z1[0][1]],
+        [z2[1], -z2[0]],
+    ]
+    return f, g
+
+
+def _chart_at(f: list, g: list, turn: tuple) -> tuple[list, list]:
+    """f / w and g by powers of z at (y, w) = turn, w > 0.  Their resultant
+    is the septic R(y, w) = Res_z(f, g) / w^2: Res_z(f, g) has the factor
+    w^2, as f and g share P0 at w = 0, and is of degree 2 in f."""
+    y, w = turn
+    forms = []
+    for p in f + g:  # sum_j p[j] y^j w^(n - j), n = len(p) - 1, by Horner's rule
+        out, wk = 0.0, 1.0
+        for a in reversed(p):
+            out, wk = out * y + a * wk, wk * w
+        forms.append(out)
+    return [x / w for x in forms[:4]], forms[4:]
+
+
+def _from_roots(roots) -> list:
+    """The monic polynomial with these roots, coefficients lowest power first."""
+    p = [1.0]
+    for r in roots:
+        p = [b - r * a for a, b in zip(p + [0.0], [0.0] + p)]
+    return p
+
+
+def _lagrange(node: float) -> list:
+    """(1 + node^2)^(7/2) times the Lagrange polynomial of node among _NODES."""
+    others = [x for x in _NODES if x != node]
+    return [(1.0 + node * node) ** 3.5 / math.prod(node - x for x in others) * a for a in _from_roots(others)]
+
+
+# R turned by a_k, T(s) = R(s cos a_k - sin a_k, s sin a_k + cos a_k), has lead
+# R(cos a_k, sin a_k) and, at s = cot(m pi / 8), m = 1..7, the value (1 + s^2)^(7/2)
+# R(cos a_(k+m), sin a_(k+m)), negated past pi as R is odd.  So T is its lead
+# times the nodes' product plus its Lagrange interpolant there: _TURN_MAP[i]
+# gives T's s^i coefficient, i = 0..6 (zip stops at the interpolant's degree 6;
+# that of s^7 is the lead itself).  Its condition number is 27.
+_NODES = [math.cos(m * math.pi / 8) / math.sin(m * math.pi / 8) for m in range(1, 8)]
+_TURN_MAP = [list(row) for row in zip(_from_roots(_NODES), *map(_lagrange, _NODES))]
+
+
+def _turned(samples: list, k: int) -> list:
+    """The coefficients of s^0..s^6 of R turned by _TURN_ANGLES[k], from its
+    samples R(cos a, sin a) at all eight turns, shifted to the k-th with
+    those past pi negated; that of s^7 is samples[k]."""
+    shifted = samples[k:] + [-r for r in samples[:k]]
+    return [sum(m * r for m, r in zip(row, shifted)) for row in _TURN_MAP]
 
 
 def _resultant(f: list, g: list):
@@ -365,56 +426,18 @@ def _aberth(a: list) -> list:
 
 
 def _python_candidates(c: tuple) -> list:
-    """``canonical_form._stationary_candidates`` in Python floats, without numpy.
-
-    The tensor is read in the two fixed frames with ``_in_frame``; each
-    chart's D(u_m, u_n, u_l) are entries of those reads.  The chart is the
-    one whose quadratic g has the largest z^2 lead, (D(u1, u2, u2),
-    -D(u0, u2, u2)) at w = 1.  Its resultant in z is sampled at the 8th
-    roots of unity by ``_resultant`` and its eight coefficients recovered
-    by the inverse DFT; the turn is the one of ``_TURN_ANGLES`` with the
-    largest lead, and the turned septic's roots come from ``_aberth``, with
-    a resultant that is zero throughout giving the roots of s^7, as a zero
-    lead is taken as 1.  The roots go to ``_candidate_points`` as the numpy
-    solve's do.
-    """
-    frames = (_CHART_ROWS, _SECOND_ROWS)
-    reads = [_slices(*_in_frame(c, rows)) for rows in frames]
-
-    def entry(chart, m, n, l):  # D(u_m, u_n, u_l) in chart
-        f, order = _CHART_ORDERS[chart]
-        return reads[f][order[l]][_LAYOUT[order[m]][order[n]]]
-
-    leads = [entry(k, 1, 2, 2) ** 2 + entry(k, 0, 2, 2) ** 2 for k in range(6)]
+    """``canonical_form._stationary_candidates`` in Python floats, without
+    numpy: the same chart and turn, R's samples from ``_resultant`` of
+    ``_chart_at``, and the turned septic's roots from ``_aberth``, a zero
+    lead taken as 1, where the numpy solve calls ``eigvals``."""
+    reads = _frame_reads(c)
+    leads = [_chart_entry(reads, k, 1, 2, 2) ** 2 + _chart_entry(reads, k, 0, 2, 2) ** 2 for k in range(6)]
     chart = leads.index(max(leads))
-    d = [[[entry(chart, m, n, l) for l in range(3)] for n in range(3)] for m in range(3)]
-    # P_m = D(u_m, x, x) at x = u0 + y u1 + z u2: its coefficients of z^0,
-    # z^1 and z^2, each by powers of y
-    z0 = [(d[m][0][0], 2.0 * d[m][0][1], d[m][1][1]) for m in range(3)]
-    z1 = [(2.0 * d[m][0][2], 2.0 * d[m][1][2]) for m in range(3)]
-    z2 = [d[m][2][2] for m in range(3)]
-    # g = P1 - y P0 and f = z P0 - P2, by powers of z, then of y
-    g = [
-        [z0[1][0], z0[1][1] - z0[0][0], z0[1][2] - z0[0][1], -z0[0][2]],
-        [z1[1][0], z1[1][1] - z1[0][0], -z1[0][1], 0.0],
-        [z2[1], -z2[0], 0.0, 0.0],
-    ]
-    f = [
-        [-z0[2][0], -z0[2][1], -z0[2][2]],
-        [z0[0][0] - z1[2][0], z0[0][1] - z1[2][1], z0[0][2]],
-        [z1[0][0] - z2[2], z1[0][1]],
-        [z2[0]],
-    ]
-    samples = [_resultant([_horner(p, y) for p in f], [_horner(p, y) for p in g]) for y in _ROOTS_OF_UNITY]
-    coef = [sum((r * weights[j]).real for r, weights in zip(samples, _INVERSE_DFT)) for j in range(8)]
-    tops = [abs(sum(x * m[7] for x, m in zip(coef, maps))) for maps in _TURN_MAPS]
-    k = tops.index(max(tops))
-    turned = [sum(x * m[i] for x, m in zip(coef, _TURN_MAPS[k])) for i in range(8)]
-    lead = turned[7] or 1.0
-    roots = _aberth([x / lead for x in turned[:7]])
-    f_rows, order = _CHART_ORDERS[chart]
-    rows = [frames[f_rows][i] for i in order]
-    return _candidate_points(c, rows, _TURN_ANGLES[k], g[0] + g[1] + g[2], roots)
+    f, g = _chart_polynomials(reads, chart)
+    samples = [_resultant(*_chart_at(f, g, turn)) for turn in _TURN_ANGLES]
+    k = max(range(8), key=lambda j: abs(samples[j]))  # the first of equals
+    roots = _aberth([x / (samples[k] or 1.0) for x in _turned(samples, k)])
+    return _candidate_points(c, _chart_rows(chart), _TURN_ANGLES[k], g[0] + g[1] + g[2], roots)
 
 
 def _contenders(c: tuple, rows: list) -> list:

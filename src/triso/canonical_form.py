@@ -24,9 +24,11 @@ the resultant's when one sits on its line at infinity.  So each call
 solves the one chart, of six centred on the rows of two fixed frames,
 whose quadratic has the largest lead, turned about its centre to the one
 of eight angles at which the resultant's lead is largest: no cutoff, no
-fallback.  A root counts as real when |Im s| <= 1e-3 (1 + s^2): the cut is
-projective, as a root far out carries an error that grows as s^2, and a
-multiple root splits off the real axis by eps^(1/k).  Those roots, plus
+fallback.  The resultant's samples at those eight directions are the
+leads, and give the turned coefficients.  A root counts as real when
+|Im s| <= 1e-3 (1 + s^2): the cut is projective, as a root far out
+carries an error that grows as s^2, and a multiple root splits off the
+real axis by eps^(1/k).  Those roots, plus
 the covariant vector v_p = M_kl D_klp (which lies along the axis of a
 zonal tensor, whose resultants vanish), are the candidates.  Those whose
 value is within ``_FINISH_SLACK`` (1e-5) of the largest, less any within
@@ -37,11 +39,11 @@ symmetric slices of ``components._slices``, so it is scale-free; a
 27-entry ``FullTensor3`` is compressed at entry.
 
 Only the candidate solve here uses numpy: matrix products with constant
-tables (the Sylvester matrices and g's coefficients from the seven
-components, the resultant's coefficients after each turn from its samples),
-one ``det`` over the five 5x5 Sylvester matrices and one ``eigvals`` of the
-7x7 companion matrix: two LAPACK calls, whatever the tensor.  Everything
-around it works on Python floats and lives in the numpy-free
+tables (``canonical_core._chart_polynomials`` at the seven basis tensors:
+the Sylvester matrices at the eight turns and g's coefficients), one
+``det`` over the eight real 5x5 Sylvester matrices and one ``eigvals`` of
+the 7x7 companion matrix: two LAPACK calls, whatever the tensor.
+Everything around it works on Python floats and lives in the numpy-free
 ``canonical_core``: the root and value filters, the candidate points, the
 Newton finish of the one or two candidates that can win, the scoring of the
 frames they give and the rows of the winning transform.  On arrays of 1 to
@@ -59,31 +61,28 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .canonical_core import (  # noqa: F401 (STATIONARITY_TOL re-exported)
-    _CHART_ORDERS,
-    _CHART_ROWS,
-    _INVERSE_DFT as _CORE_INVERSE_DFT,
-    _ROOTS_OF_UNITY as _CORE_ROOTS_OF_UNITY,
-    _SECOND_ROWS,
     _TURN_ANGLES,
-    _TURN_MAPS,
     STATIONARITY_TOL,
     CanonicalRecord,
     _candidate_points,
+    _chart_at,
+    _chart_polynomials,
+    _chart_rows,
     _check_group,
+    _frame_reads,
     _framed,
     _maximize,
     _tangent_bases,
     _tangential_residual,
+    _turned,
     _unit_tensor,
     _zero_record,
 )
 from .components import (  # noqa: F401 (GROUPS and ConvergenceError re-exported)
-    _LAYOUT,
     GROUPS,
     ConvergenceError,
     SymTraceless3,
     _in_frame,
-    _slices,
 )
 from .invariants import CanonicalParams, _components
 from .tensor_core import OrthogonalTransform3
@@ -154,70 +153,42 @@ class CanonicalResult:
         return CanonicalRecord(self.params, rows, self.transform.det_sign, self.max_value, self.diagnostics).to_json_obj()
 
 
-# The two fixed frames of ``canonical_core`` (its _CHART_ROWS and _SECOND_ROWS).
-_CHART_FRAME = np.array(_CHART_ROWS)
-_SECOND_FRAME = np.array(_SECOND_ROWS)
-# The 8th roots of unity in the closed upper half plane and the inverse DFT
-# from the resultant's samples there, coef = Re(r @ _INVERSE_DFT), as arrays
-_ROOTS_OF_UNITY = np.array(_CORE_ROOTS_OF_UNITY)
-_INVERSE_DFT = np.array(_CORE_INVERSE_DFT)
+# samples @ _TURNED[k] are the coefficients of s^0..s^6 of the resultant turned
+# by the k-th of _TURN_ANGLES: ``canonical_core._turned`` at the unit vectors
+_TURNED = np.array([[_turned(e, k) for e in np.eye(8).tolist()] for k in range(8)])
 # the companion matrix of a monic degree-7 polynomial, less its last column
 _COMPANION = np.eye(7, k=-1)
 
 
-def _chart_tables(frames) -> list:
-    """The chart of each frame, as linear maps from the seven components of D.
-
-    The chart of a frame with rows (u0, u1, u2) has the point
-    x = w u0 + y u1 + z u2 and is centred on u2.  With P_m = D(u_m, x, x), x
-    is stationary when g = w P1 - y P0 (a quadratic in z) and f = z P0 - w P2
-    (a cubic in z) both vanish.  At w = 1 every coefficient in z is a
-    polynomial of degree at most 3 in y, linear in D; that of z^k is
-    homogeneous of degree 3 - k in (y, w).  Returns, for each frame, its
-    rows as lists, the Sylvester matrices of f and g at _ROOTS_OF_UNITY,
-    (5 * 5 * 5, 7) complex, and the coefficients of g, (3 * 4, 7): power of
-    z, power of y.  Rows 8 and 9, D(u1, u2, u2) and -D(u0, u2, u2), are g's
-    z^2 lead, zero at every y when u2 is stationary.
-    """
-    rows = [frame.tolist() for frame in frames]
-    # k[c, m, n, l] is the row of D(u_m, u_n, u_l) in chart c: entry (n, l)
-    # of slice m of D read in the chart's frame, at each basis tensor
-    k = np.array([[_slices(*_in_frame(b, r)) for r in rows] for b in np.eye(7).tolist()])
-    k = k.transpose(1, 2, 3, 0)[:, :, np.array(_LAYOUT)]
-    zero = np.zeros_like(k[:, :, 0, 0])
-    # P_m = a_m + b_m z + c_m z^2, each as coefficients of y^0..y^3
-    a = np.stack([k[:, :, 0, 0], 2.0 * k[:, :, 0, 1], k[:, :, 1, 1], zero], axis=2)
-    b = np.stack([2.0 * k[:, :, 0, 2], 2.0 * k[:, :, 1, 2], zero, zero], axis=2)
-    c = np.stack([k[:, :, 2, 2], zero, zero, zero], axis=2)
-
-    def y_times(poly):  # the degree-3 slot of a, b and c is empty
-        return np.roll(poly, 1, axis=1)
-
-    g = [a[:, 1] - y_times(a[:, 0]), b[:, 1] - y_times(b[:, 0]), c[:, 1] - y_times(c[:, 0])]
-    f = [-a[:, 2], a[:, 0] - b[:, 2], b[:, 0] - c[:, 2], c[:, 0]]
-    sylvester = np.zeros((len(rows), 5, 5, 4, 7))
-    for shift in range(2):
-        for j in range(4):
-            sylvester[:, shift, shift + j] = f[3 - j]
-    for shift in range(3):
-        for j in range(3):
-            sylvester[:, 2 + shift, shift + j] = g[2 - j]
-    powers = _ROOTS_OF_UNITY[None, :] ** np.arange(4)[:, None]
-    at_roots = np.einsum("cabjd,js->csabd", sylvester, powers).reshape(len(rows), -1, 7)
-    return list(zip(rows, at_roots, np.stack(g, axis=1).reshape(len(rows), -1, 7)))
+def _sylvester(f: list, g: list) -> list:
+    """The Sylvester matrix of the cubic f and the quadratic g, z^0 first."""
+    f, g = f[::-1], g[::-1]
+    return [f + [0.0], [0.0] + f, g + [0.0, 0.0], [0.0] + g + [0.0], [0.0, 0.0] + g]
 
 
-# The six charts of ``canonical_core._CHART_ORDERS``, each frame's rows in
-# their three cyclic orders, so that each row centres one.  Their z^2
-# leads, stacked, form a 12x7 map with smallest singular value 0.71, so on
-# the unit-norm tensor the largest has norm at least 0.71 / sqrt(6) = 0.29.
-# _G_TABLE gives g in all six in one product.
-_CHARTS = _chart_tables([(_CHART_FRAME, _SECOND_FRAME)[f][list(order)] for f, order in _CHART_ORDERS])
+def _chart_tables() -> list:
+    """The six charts of ``canonical_core._CHART_ORDERS`` as linear maps from
+    the seven components of D: for each, its rows, the Sylvester matrices
+    of f / w and g at the eight _TURN_ANGLES, (8 * 5 * 5, 7), whose dets
+    are the samples of its resultant R, and the coefficients of g, (9, 7).
+    Both are ``canonical_core._chart_polynomials`` at the basis tensors."""
+    basis = [_frame_reads(b) for b in np.eye(7).tolist()]
+    charts = []
+    for chart in range(6):
+        polynomials = [_chart_polynomials(reads, chart) for reads in basis]
+        sylvester = [[_sylvester(*_chart_at(f, g, turn)) for turn in _TURN_ANGLES] for f, g in polynomials]
+        g_table = [g[0] + g[1] + g[2] for _, g in polynomials]
+        charts.append((_chart_rows(chart), np.array(sylvester).reshape(7, -1).T, np.array(g_table).T))
+    return charts
+
+
+# The charts, each frame's rows in their three cyclic orders, so that each
+# row centres one.  Their z^2 leads (rows 7 and 8 of each g table), stacked,
+# form a 12x7 map with smallest singular value 0.71, so on the unit-norm
+# tensor the largest has norm at least 0.71 / sqrt(6) = 0.29.  _G_TABLE
+# gives g in all six in one product.
+_CHARTS = _chart_tables()
 _G_TABLE = np.concatenate([g_table for _, _, g_table in _CHARTS])
-# Re(r @ _TURNS)[8 k : 8 k + 8] are the coefficients in s, s^0 first, of
-# the resultant turned by the k-th of ``_TURN_ANGLES`` (``_TURN_MAPS``),
-# from its samples r at _ROOTS_OF_UNITY.
-_TURNS = np.hstack([_INVERSE_DFT @ np.array(maps) for maps in _TURN_MAPS])
 
 
 def _stationary_candidates(c: tuple) -> list:
@@ -226,16 +197,17 @@ def _stationary_candidates(c: tuple) -> list:
 
     A generic 3x3x3 symmetric tensor has exactly 7 lines of stationary
     points (Z-eigenvectors; Cartwright and Sturmfels, 2013), and the
-    resultant of f and g in z, a binary septic R(y, w), holds them all in
-    one chart (two of the 9 Bezout solutions sit at w = 0 and are divided
-    out).  A chart loses them only where a leading coefficient vanishes:
-    g's z^2 lead, at every y, when one sits at its centre (R vanishes), and
-    R's top terms when one sits on its line at infinity w = 0.  So the
-    chart solved is the one in _CHARTS whose z^2 lead (rows 8 and 9 of its
-    g table) has the largest norm, turned by the a in _TURNS at which
-    |R(cos a, sin a)|, the lead in s, is largest.  R is sampled at the 8th
-    roots of unity by one ``det`` over five 5x5 Sylvester matrices, and its
-    roots in s are the eigenvalues of the 7x7 companion matrix.
+    resultant of f and g in z, w^2 times a binary septic R(y, w), holds
+    them all in one chart (two of the 9 Bezout solutions sit at w = 0).  A
+    chart loses them only where a leading coefficient vanishes: g's z^2
+    lead, at every y, when one sits at its centre (R vanishes), and R's top
+    terms when one sits on its line at infinity w = 0.  So the chart solved
+    is the one in _CHARTS whose z^2 lead has the largest norm, turned by
+    the one of the eight _TURN_ANGLES a at which |R(cos a, sin a)|, the
+    turned septic's lead, is largest.  One ``det`` over eight real 5x5
+    Sylvester matrices samples R there, the turned coefficients come from
+    the samples through _TURNED (``canonical_core._turned``), and
+    the roots in s are the eigenvalues of the 7x7 companion matrix.
 
     The roots go to ``canonical_core._candidate_points``, which keeps each
     one real to within _ROOT_TOL (1 + s^2) and gives both roots z of g at it,
@@ -247,17 +219,17 @@ def _stationary_candidates(c: tuple) -> list:
     and the ``eigvals`` run on arrays.
     """
     d = np.array(c)
-    g_tables = (_G_TABLE @ d).reshape(6, 12).tolist()
-    leads = [g[8] * g[8] + g[9] * g[9] for g in g_tables]
+    g_tables = (_G_TABLE @ d).reshape(6, 9).tolist()
+    leads = [g[7] * g[7] + g[8] * g[8] for g in g_tables]
     chart = leads.index(max(leads))
     rows, sylvester, _ = _CHARTS[chart]
-    turned = (np.linalg.det((sylvester @ d).reshape(5, 5, 5)) @ _TURNS).real
-    tops = np.abs(turned[7::8]).tolist()
+    samples = np.linalg.det((sylvester @ d).reshape(8, 5, 5))
+    tops = np.abs(samples).tolist()
     k = tops.index(max(tops))
-    coef = turned[8 * k : 8 * k + 8]
     companion = _COMPANION.copy()
-    # a resultant that is zero throughout (a zonal tensor) gives junk roots at 0
-    np.divide(-coef[:7], coef[7] or 1.0, out=companion[:, 6])  # last column -coef_j / lead
+    # last column -coef_j / lead; a resultant that is zero throughout (a
+    # zonal tensor) gives junk roots at 0
+    np.divide(samples @ _TURNED[k], -(samples[k] or 1.0), out=companion[:, 6])
     roots = np.linalg.eigvals(companion).tolist()
     return _candidate_points(c, rows, _TURN_ANGLES[k], g_tables[chart], roots)
 

@@ -16,8 +16,6 @@ from triso.canonical_form import (
     canonicalize,
     maximize_cubic_on_sphere,
     stationarity_residual,
-    _CHART_FRAME,
-    _SECOND_FRAME,
     _stationary_candidates,
 )
 from triso.components import COMPONENT_NAMES, _in_frame
@@ -37,6 +35,9 @@ from triso.tensor_core import (
 )
 
 
+# The solver's two fixed frames, canonical_core._CHART_ROWS and _SECOND_ROWS.
+_CHART_FRAME = np.array(canonical_core._CHART_ROWS)
+_SECOND_FRAME = np.array(canonical_core._SECOND_ROWS)
 # A third fixed rotation, whose axes the placement tests use besides those
 # of the solver's two frames: every row is at least 37 degrees from every
 # row of _CHART_FRAME and _SECOND_FRAME (|cos| <= 0.795).
@@ -822,8 +823,24 @@ def test_maximizer_raises_when_no_candidate_is_left(monkeypatch, solve, calls):
             call(t)
 
 
-# the three charts of _CHART_FRAME, rows in cyclic order (c, c+1, c+2)
-THREE_CHARTS = canonical_form._chart_tables([_CHART_FRAME[[c, (c + 1) % 3, (c + 2) % 3]] for c in range(3)])
+def sylvester_matrix(f, g):
+    """The 5x5 Sylvester matrix of f = f0 + ... + f3 z^3 and g = g0 + g1 z + g2 z^2."""
+    m = np.zeros((5, 5), dtype=np.result_type(*f, *g))
+    for shift in range(2):
+        m[shift, shift : shift + 4] = f[::-1]
+    for shift in range(3):
+        m[2 + shift, shift : shift + 3] = g[::-1]
+    return m
+
+
+def chart_septic(f, g):
+    """The coefficients in y, y^0 first, of Res_z(f, g) at w = 1, a septic:
+    det of its Sylvester matrix at the 8th roots of unity, inverted by an FFT."""
+    samples = []
+    for y in np.exp(2j * np.pi * np.arange(8) / 8):
+        at = [[np.polyval(p[::-1], y) for p in polys] for polys in (f, g)]
+        samples.append(np.linalg.det(sylvester_matrix(*at)))
+    return (np.fft.fft(samples) / 8).real
 
 
 def wide_window_candidates(c):
@@ -831,22 +848,22 @@ def wide_window_candidates(c):
     oracle: in each of three charts, every root with |Im y| <= 1e-4 and
     |y| <= 1.5, and both roots z of g with |z| <= 1.5, which reaches many
     stationary points in more than one chart; in place of v come the three
-    eigenvectors of the moment matrix."""
-    d = np.array(c)
+    eigenvectors of the moment matrix.  The charts are the three of
+    _CHART_FRAME, rows in cyclic order (c, c+1, c+2), at w = 1."""
+    reads = canonical_core._frame_reads(c)
     rows = []
-    for (p, q, r), sylvester, g_table in THREE_CHARTS:
-        coef = (np.linalg.det((sylvester @ d).reshape(5, 5, 5)) @ canonical_form._INVERSE_DFT).real
+    for chart in range(3):
+        p, q, r = canonical_core._chart_rows(chart)
+        f, g = canonical_core._chart_polynomials(reads, chart)
+        coef = chart_septic(f, g)
         top = 1e-14 * np.max(np.abs(coef))
         companion = np.eye(7, k=-1)
         companion[:, 6] = -coef[:7] / ((coef[7] if abs(coef[7]) > top else top) or 1.0)
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = (g_table @ d).reshape(3, 4).tolist()
         for y in np.linalg.eigvals(companion).tolist():
             if not (abs(y.imag) <= 1e-4 and abs(y.real) <= 1.5):
                 continue
             y = y.real
-            g0 = ((a3 * y + a2) * y + a1) * y + a0
-            g1 = ((b3 * y + b2) * y + b1) * y + b0
-            g2 = ((c3 * y + c2) * y + c1) * y + c0
+            g0, g1, g2 = (float(np.polyval(part[::-1], y)) for part in g)
             root = -0.5 * (g1 + math.copysign(math.sqrt(max(g1 * g1 - 4.0 * g0 * g2, 0.0)), g1))
             for num, den in ((root, g2), (g0, root)):
                 z = num / den if den != 0.0 else math.inf
@@ -1038,7 +1055,7 @@ def test_every_call_costs_one_det_and_one_eigvals(monkeypatch):
     ]
     # g's z^2 leads at the six chart centres, stacked, vanish together only
     # for the zero tensor, and the largest is never small
-    leads = np.vstack([g_table[8:10] for _, _, g_table in canonical_form._CHARTS])
+    leads = np.vstack([g_table[7:9] for _, _, g_table in canonical_form._CHARTS])
     assert leads.shape == (12, 7)
     assert np.linalg.matrix_rank(leads) == 7
     assert np.linalg.svd(leads, compute_uv=False).min() >= 0.7
@@ -1165,7 +1182,9 @@ def test_python_solve_matches_the_numpy_solve_on_the_solver_axes():
 def test_cli_canonicalize_matches_the_library(capsys):
     from triso.cli import main
 
-    for k, t in enumerate([random_tensor(seed, scale=10.0 ** (seed % 7 - 3)) for seed in range(30)] + TIED):
+    generic = [random_tensor(seed, scale=10.0 ** (seed % 7 - 3)) for seed in range(30)]
+    generic += [random_tensor(3, scale=scale) for scale in (1e-300, 1e-150, 1e150, 1e300)]
+    for k, t in enumerate(generic + TIED):
         flags = [f"--{name}={value!r}" for name, value in zip(COMPONENT_NAMES, t.as_array().tolist())]
         assert main(["canonicalize", *flags]) == 0
         got = json.loads(capsys.readouterr().out)
@@ -1175,22 +1194,82 @@ def test_cli_canonicalize_matches_the_library(capsys):
         assert max(abs(got["params"][n] - want["params"][n]) for n in want["params"]) <= 1e-13 * norm, k
         assert abs(got["max_value"] - want["max_value"]) <= 1e-13 * norm, k
         assert got["residual"] <= 1e-12 * norm
-        if k < 30:  # tied tensors can pick another of their equivalent frames
+        if k < len(generic):  # tied tensors can pick another of their equivalent frames
             assert np.max(np.abs(np.array(got["rotation"]) - want["rotation"])) <= 1e-12, k
 
 
 def test_resultant_is_the_sylvester_determinant():
+    # complex coefficients, and the real ones both solves take the
+    # determinant of: f / w and g of each chart at each turn direction
     rng = np.random.default_rng(1)
+    inputs = []
     for _ in range(20):
         f = (rng.normal(size=4) + 1j * rng.normal(size=4)).tolist()
-        g = (rng.normal(size=3) + 1j * rng.normal(size=3)).tolist()
-        sylvester = np.zeros((5, 5), dtype=complex)
-        for shift in range(2):
-            sylvester[shift, shift : shift + 4] = f[::-1]
-        for shift in range(3):
-            sylvester[2 + shift, shift : shift + 3] = g[::-1]
+        inputs.append((f, (rng.normal(size=3) + 1j * rng.normal(size=3)).tolist()))
+    for seed in range(3):
+        reads = canonical_core._frame_reads(random_tensor(seed).as_array().tolist())
+        for chart in range(6):
+            f, g = canonical_core._chart_polynomials(reads, chart)
+            inputs += [canonical_core._chart_at(f, g, turn) for turn in canonical_core._TURN_ANGLES]
+    for f, g in inputs:
+        sylvester = sylvester_matrix(f, g)
         want = np.linalg.det(sylvester)
         assert abs(canonical_core._resultant(f, g) - want) <= 1e-13 * np.prod(np.linalg.norm(sylvester, axis=1))
+
+
+def test_samples_are_the_chart_septic_at_the_turn_directions():
+    # Res_z(f / w, g) at (cos a, sin a) is R(cos a, sin a) = sin^7 a R(cot a, 1),
+    # with R(y, 1) from the test's own samples at the 8th roots of unity
+    angles = [(k + 0.5) * math.pi / 8 for k in range(8)]
+    assert canonical_core._TURN_ANGLES == [(math.cos(a), math.sin(a)) for a in angles]
+    for seed in range(5):
+        reads = canonical_core._frame_reads(random_tensor(seed).as_array().tolist())
+        for chart in range(6):
+            f, g = canonical_core._chart_polynomials(reads, chart)
+            coef = chart_septic(f, g)
+            for ca, sa in canonical_core._TURN_ANGLES:
+                want = sa**7 * np.polyval(coef[::-1], ca / sa)
+                got = canonical_core._resultant(*canonical_core._chart_at(f, g, (ca, sa)))
+                assert abs(got - want) <= 1e-13 * np.sum(np.abs(coef)), (seed, chart)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_turn_map_gives_the_septic_turned_by_each_angle(k):
+    # the coefficients in s of R(s cos a - sin a, s sin a + cos a), expanded
+    # by numpy's polynomial products, against _turned's from the samples of
+    # R at the eight turns; dropping the sign of the samples past pi breaks
+    # every turn but the first
+    poly = np.polynomial.polynomial
+    ca, sa = math.cos((k + 0.5) * math.pi / 8), math.sin((k + 0.5) * math.pi / 8)
+    for seed in range(5):
+        coef = np.random.default_rng(100 * k + seed).normal(size=8)  # of y^j w^(7 - j)
+        want = sum(coef[j] * poly.polymul(poly.polypow([-sa, ca], j), poly.polypow([ca, sa], 7 - j)) for j in range(8))
+        samples = [float(sum(coef[j] * y**j * w ** (7 - j) for j in range(8))) for y, w in canonical_core._TURN_ANGLES]
+        got = canonical_core._turned(samples, k) + [samples[k]]
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-13 * np.linalg.norm(coef), seed
+        unsigned = np.array(canonical_core._TURN_MAP) @ np.roll(samples, -k)
+        assert (np.max(np.abs(unsigned - want[:7])) > 1e-3) == (k > 0), seed
+
+
+def test_numpy_tables_are_the_core_chart_polynomials_at_the_basis_tensors():
+    # _G_TABLE and the Sylvester tables hold one column per basis tensor, so
+    # by linearity they reproduce the core's f and g at any tensor
+    for chart, (rows, sylvester, g_table) in enumerate(canonical_form._CHARTS):
+        assert rows == canonical_core._chart_rows(chart)
+        for i, b in enumerate(np.eye(7).tolist()):
+            f, g = canonical_core._chart_polynomials(canonical_core._frame_reads(b), chart)
+            assert np.array_equal(g_table[:, i], g[0] + g[1] + g[2])
+            at_turns = [sylvester_matrix(*canonical_core._chart_at(f, g, turn)) for turn in canonical_core._TURN_ANGLES]
+            assert np.array_equal(sylvester[:, i].reshape(8, 5, 5), at_turns)
+    assert np.array_equal(canonical_form._G_TABLE, np.concatenate([g_table for _, _, g_table in canonical_form._CHARTS]))
+    for seed in range(5):
+        c = random_tensor(seed).as_array().tolist()
+        reads = canonical_core._frame_reads(c)
+        for chart, (_, sylvester, g_table) in enumerate(canonical_form._CHARTS):
+            f, g = canonical_core._chart_polynomials(reads, chart)
+            assert np.allclose(g_table @ c, g[0] + g[1] + g[2], rtol=0.0, atol=1e-14)
+            at_turns = [sylvester_matrix(*canonical_core._chart_at(f, g, turn)) for turn in canonical_core._TURN_ANGLES]
+            assert np.allclose((sylvester @ c).reshape(8, 5, 5), at_turns, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize(
