@@ -30,9 +30,9 @@ Its params can differ from the library's in the last bits, by at most
 The two solves share the chart algebra (``_chart_polynomials``), the
 turn map (``_TURN_MAP``) and the candidate points (``_candidate_points``).
 
-``_aligned`` is the residual of an alignment through two canonical frames,
-shared by ``orbit_oracle.best_alignment`` and ``triso orbit-compare
---align``.
+``_alignment`` is the one alignment through two canonical frames, shared
+by ``orbit_oracle.best_alignment`` (with the numpy solve) and ``triso
+orbit-compare --align`` (with ``_python_candidates``).
 """
 
 from __future__ import annotations
@@ -573,13 +573,14 @@ def canonical_record(t, group: str, solve) -> CanonicalRecord:
     return record
 
 
-def _aligned(a: tuple, b: tuple, rows_a, rows_b) -> tuple[list, float]:
-    """g = R_b^T R_a and the residual ||g.a - b||, in Python floats.
+def _alignment(a, b, group: str, solve) -> tuple[list, int, float]:
+    """The rows and det_sign of g = R_b^T R_a, and the residual ||g.a - b||, in Python floats.
 
-    a and b are the seven components of the two tensors, rows_a and rows_b
-    the rows of their canonical transforms R_a and R_b.
+    R_a and R_b are the transforms ``canonical_record`` returns for the
+    tensors a and b under group, with the candidate solve given.
     """
-    (a0, a1, a2), (b0, b1, b2) = rows_a, rows_b
+    r_a, r_b = canonical_record(a, group, solve), canonical_record(b, group, solve)
+    (a0, a1, a2), (b0, b1, b2) = r_a.rows, r_b.rows
     g = [[b0[i] * a0[j] + b1[i] * a1[j] + b2[i] * a2[j] for j in range(3)] for i in range(3)]
-    moved = _in_frame(a, g)
-    return g, _norm([x - y for x, y in zip(moved, b)])
+    moved = _in_frame(_components(a), g)
+    return g, r_b.det_sign * r_a.det_sign, _norm([x - y for x, y in zip(moved, _components(b))])

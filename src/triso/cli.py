@@ -192,7 +192,7 @@ def _cmd_rotate(args) -> int:
 
 
 def _cmd_orbit_compare(args) -> int:
-    from .invariants import _components, _verdict, invariant_distance
+    from .invariants import _verdict, invariant_distance
 
     a = _load_tensor_file(args.a_file)
     b = _load_tensor_file(args.b_file)
@@ -201,10 +201,9 @@ def _cmd_orbit_compare(args) -> int:
     residual = None
     if args.align:
         # orbit_oracle.best_alignment's residual, with the pure-Python solve
-        from .canonical_core import _aligned, _python_candidates, canonical_record
+        from .canonical_core import _alignment, _python_candidates
 
-        r_a, r_b = (canonical_record(t, args.group, _python_candidates) for t in (a, b))
-        residual = _aligned(_components(a), _components(b), r_a.rows, r_b.rows)[1]
+        residual = _alignment(a, b, args.group, _python_candidates)[2]
     obj = {
         "verdict": verdict,
         "invariant_distance": distance,

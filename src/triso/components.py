@@ -10,9 +10,11 @@ read the tensor in a rotated frame (``_in_frame``) and take its norm
 (``_norm``), the two power-of-two scalings the kernels run at
 (``_unit_scale``, ``_kernel_scale``), the checks an orthogonal transform's
 rows must pass (``_check_orthogonal``), the rotation of a unit quaternion
-(``_quaternion_rows``), the tensor JSON form, and the constant and error
-type that the command line's parser and ``main`` need (``GROUPS``,
-``ConvergenceError``).
+(``_quaternion_rows``), the tensor JSON form, the integer core of every
+exact path (``_dyadic``: finite floats as integers over one power of two;
+``_rounded``: one correctly rounded int / int, +-inf past the double
+range), and the constant and error type that the command line's parser and
+``main`` need (``GROUPS``, ``ConvergenceError``).
 
 Everything here is plain Python, so a command that needs only this layer,
 the invariants and ``canonical_core`` (``triso invariants``,
@@ -201,6 +203,21 @@ def _ldexp(x: float, n: int) -> float:
         return math.ldexp(x, n)
     except OverflowError:
         return math.copysign(math.inf, x)
+
+
+def _dyadic(values) -> tuple[list, int]:
+    """The finite floats values as integers over one common power of two: (numerators, 2^s)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _rounded(num: int, den: int) -> float:
+    """num / den for integers, den > 0, rounded once to nearest even; +-inf past the double range."""
+    try:  # int / int rounds correctly, and raises where the quotient leaves the double range
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _unit_scale(c) -> tuple:

@@ -6,8 +6,9 @@ so its sign at a point is sign(d123) sign(d223) sign(F4) sign(F10).  By the
 Jacobian criterion one point where that sign is nonzero proves that no
 polynomial relation ties the four invariants together.  Each sign here is
 proven, with no threshold: a factor's table value gives it where it clears
-a derived rounding bound, and the exact integer sum of ``_ExactSum`` does
-elsewhere (a filtered exact predicate, Shewchuk 1997).
+a derived rounding bound, and the exact integer sum of ``_ExactSum``, on
+the integer core of ``components`` (``_dyadic``), does elsewhere (a
+filtered exact predicate, Shewchuk 1997).
 
 Three independent float routes cross-check the transcription at all points
 at once: one shared monomial table for the 16 exact partials and both

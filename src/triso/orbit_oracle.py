@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical_core import _aligned
-from .canonical_form import GROUPS, canonicalize  # noqa: F401 (GROUPS re-exported)
+from .canonical_core import _alignment
+from .canonical_form import GROUPS, _stationary_candidates  # noqa: F401 (GROUPS re-exported)
 from .components import _ldexp, _unit_scale
 from .invariants import (
     InvariantTuple,
@@ -57,14 +57,12 @@ def best_alignment(a: SymTraceless3, b: SymTraceless3, group: str = "O(3)") -> A
     """The element R_b^-1 R_a through the canonical frames, with its residual.
 
     R_a and R_b are the transforms ``canonicalize(., group=group)`` returns
-    for a and b.  For a pair on one orbit of ``group`` the residual
+    for a and b, read from its record (``canonical_core._alignment``).  For a pair on one orbit of ``group`` the residual
     ||g.a - b|| is at roundoff; otherwise it equals ||C_a - C_b|| between
     the canonical forms, an upper bound on the distance between the orbits.
     """
-    r_a = canonicalize(a, group=group).transform
-    r_b = canonicalize(b, group=group).transform
-    rows, residual = _aligned(_components(a), _components(b), r_a.m.tolist(), r_b.m.tolist())
-    return AlignmentResult(OrthogonalTransform3(rows, r_b.det_sign * r_a.det_sign), residual, group)
+    rows, det_sign, residual = _alignment(a, b, group, _stationary_candidates)
+    return AlignmentResult(OrthogonalTransform3(rows, det_sign), residual, group)
 
 
 def degree_normalized_invariants(t: SymTraceless3 | InvariantTuple) -> np.ndarray:

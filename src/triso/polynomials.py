@@ -13,8 +13,11 @@ and DET_JACOBIAN equals the Laplace expansion of the exact partials.
 
 One real point is summed exactly (``_ExactSum``) and rounded once, so
 ``Poly.__call__`` and ``canonical_invariants`` are correctly rounded at every
-finite point.  Many points go through ``_MonomialTable`` in chunks of rows:
-``Poly.eval_many`` and the Jacobian evidence of ``independence``.
+finite point.  The point's integer form and the one rounding come from the
+numpy-free integer core of ``components`` (``_dyadic``, ``_rounded``), the
+one place any exact path turns floats into integers and back.  Many points
+go through ``_MonomialTable`` in chunks of rows: ``Poly.eval_many`` and the
+Jacobian evidence of ``independence``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from .components import _dyadic, _rounded
 
 __all__ = [
     "Poly",
@@ -159,9 +164,10 @@ class _ExactSum:
 
     A fifth coordinate 1 makes each polynomial homogeneous of its degree D,
     and one common denominator L makes its coefficients integers.  The
-    point's coordinates are integers over one power of two 2^s, so a value is
-    an integer sum over L 2^(s D) (``exact``), and one int / int rounds it
-    (a call).  Monomials are products of two pair tables,
+    point's coordinates are integers over one power of two 2^s
+    (``components._dyadic``), so a value is an integer sum over L 2^(s D)
+    (``exact``), and one int / int rounds it (a call,
+    ``components._rounded``).  Monomials are products of two pair tables,
     (x0^a x1^b)(x2^c x3^d 1^h), formed once per evaluation for the whole
     tuple; the cost grows with the spread of exponents.
     """
@@ -179,22 +185,14 @@ class _ExactSum:
 
     def exact(self, point) -> list:
         """Each polynomial's exact value at point, as (integer numerator, positive denominator)."""
-        ratios = [v.as_integer_ratio() for v in _real(point).reshape(NVARS).tolist()]
-        den = max(d for _, d in ratios)
-        n0, n1, n2, n3 = (n * (den // d) for n, d in ratios)
+        (n0, n1, n2, n3), den = _dyadic(_real(point).reshape(NVARS).tolist())
         left = [n0**a * n1**b for a, b in self.left]
         right = [n2**c * n3**d * den**h for c, d, h in self.right]
         return [(sum(c * left[i] * right[j] for c, i, j in terms), scale * den**degree)
                 for terms, scale, degree in self.polys]
 
     def __call__(self, point) -> list:
-        values = []
-        for total, denominator in self.exact(point):
-            try:  # int / int rounds correctly, and raises where the quotient leaves the double range
-                values.append(total / denominator)
-            except OverflowError:
-                values.append(math.inf if total > 0 else -math.inf)
-        return values
+        return [_rounded(total, denominator) for total, denominator in self.exact(point)]
 
 
 # Rows evaluated at once: peak memory stays flat however many points come

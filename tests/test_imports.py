@@ -54,7 +54,7 @@ def test_verdict_is_re_exported_as_the_same_objects():
 
 
 def _loaded_after_each_step(tmp_path, steps):
-    """Run steps in a fresh interpreter; the numpy and triso modules loaded after each."""
+    """Run steps in a fresh interpreter; the numpy, fractions and triso modules loaded after each."""
     package_root = str(Path(triso.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
@@ -62,7 +62,7 @@ def _loaded_after_each_step(tmp_path, steps):
     for step in steps:
         code += (
             f"with contextlib.redirect_stdout(io.StringIO()):\n    {step}\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'triso'))))\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'fractions', 'triso'))))\n"
         )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path, env=env
@@ -88,6 +88,13 @@ def test_each_command_imports_only_what_it_uses(tmp_path):
     assert after[1] == after[2] == numpy_free
     # no numpy module at all: the canonical form comes from the pure-Python solve
     assert after[3] == after[4] == numpy_free | {"triso.canonical_core"}
+
+
+def test_the_integer_core_imports_neither_numpy_nor_fractions(tmp_path):
+    # components holds the exact paths' integer form and rounding
+    # (_dyadic, _rounded), so a numpy-free command can use them
+    (after,) = _loaded_after_each_step(tmp_path, ["import triso.components"])
+    assert after == {"triso", "triso.components"}
 
 
 def test_repro_imports_no_numpy(tmp_path):
@@ -175,6 +182,7 @@ def test_numpy_free_commands_import_no_dataclasses(tmp_path, argv):
     assert {"triso.cli", "triso.invariants"} <= imported
     assert "dataclasses" not in imported
     assert "numpy" not in imported
+    assert "fractions" not in imported
 
 
 def test_no_module_names_an_extended_precision_type():

@@ -11,6 +11,7 @@ import pytest
 
 import triso
 
+from triso.canonical_core import canonical_record
 from triso.canonical_form import canonicalize
 from triso.components import _unit_scale
 from triso.invariants import _cbrt, _components, _slice_kernel, smith_bao
@@ -264,9 +265,9 @@ def test_alignment_canonicalizes_each_tensor_once(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return canonicalize(*args, **kwargs)
+        return canonical_record(*args, **kwargs)
 
-    monkeypatch.setattr("triso.orbit_oracle.canonicalize", counted)
+    monkeypatch.setattr("triso.canonical_core.canonical_record", counted)
     a, b = planted_pair(4, proper=False)
     assert best_alignment(a, b, "O(3)").residual <= 1e-10 * expand(a).frobenius()
     assert len(calls) == 2

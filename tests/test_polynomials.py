@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from triso.components import _dyadic, _rounded
 from triso.independence import (
     _ANALYTIC_TABLE,
     JACOBIAN_TABLE,
@@ -522,6 +523,71 @@ def test_one_point_evaluation_is_exact_for_rational_and_inhomogeneous_polys():
     assert Poly.constant(Fraction(2, 3))((1.0, 2.0, 3.0, 4.0)) == 2 / 3
     with pytest.raises(ValueError, match=r"point coordinates must be finite, got \[0\.5, nan, 0\.0, 0\.0\]"):
         p([0.5, math.nan, 0.0, 0.0])
+
+
+# The integer core of every exact path (components._dyadic, _rounded), checked
+# against Fractions and a rounding written here without any int / int.
+MAX_DOUBLE = 1.7976931348623157e308
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MAX_DOUBLE, -MAX_DOUBLE, 1.0, -0.1, 3e-310, 1e-300]
+
+
+def nearest_even(q: Fraction) -> float:
+    """q rounded to the nearest double, ties to even, +-inf from 2^1024 - 2^970 up."""
+    a = abs(q)
+    if a == 0:
+        return 0.0
+    e = a.numerator.bit_length() - a.denominator.bit_length()
+    if a < Fraction(2) ** e:
+        e -= 1  # now 2^e <= a < 2^(e + 1)
+    step = max(e, -1022) - 52  # the ulp's exponent, fixed in the subnormal range
+    m = round(a / Fraction(2) ** step)  # Fraction's round takes halves to even
+    if m * Fraction(2) ** step >= 2**1024:
+        x = math.inf
+    else:
+        x = math.ldexp(float(m), step)  # m <= 2^53, so float(m) and the ldexp are exact
+    return x if q > 0 else -x
+
+
+@pytest.mark.parametrize("values", [[v] for v in EDGES] + [EDGES, EDGES[::-1], [0.75, 1e300, -2.0**-1074, 0.0]])
+def test_dyadic_is_exact_over_the_one_smallest_power_of_two(values):
+    # mixed exponents share one denominator: the largest of their own, so
+    # every numerator is exact and the 2^s is as small as it can be
+    numerators, den = _dyadic(values)
+    assert all(isinstance(n, int) for n in numerators) and isinstance(den, int)
+    assert den & (den - 1) == 0
+    assert den == max(Fraction(v).denominator for v in values)
+    assert [Fraction(n, den) for n in numerators] == [Fraction(v) for v in values]
+
+
+def rounding_cases():
+    top = 2**1024 - 2**970  # halfway between the largest double and 2^1024
+    cases = [
+        (0, 1), (0, 2**2000), (1, 1), (-7, 2**1074), (int(MAX_DOUBLE), 1), (top - 1, 1), (top, 1),
+        (-top, 1), (-(top - 1), 1), (top * 2**500 - 1, 2**500), (2**3000, 3), (-(2**3000), 7), (1, 2**3000),
+        # halfway quotients, ties to even: down at 2^53 + 1, up at 2^53 + 3,
+        # also over a common factor and a power of two
+        (2**53 + 1, 1), (2**53 + 3, 1), (-(2**54 + 2), 2), ((2**53 + 1) * 3, 3 * 2**60), ((2**53 + 3) * 5, 5 * 2**100),
+        # the subnormal range: 1/2 and 3/2 ulps tie to 0 and 2 ulps, an ulp
+        # and a bit is one ulp, a negative tie to zero is -0.0, and the ties
+        # at 2^52 -+ 1/2 ulps go to 2^-1022, the smallest normal double
+        (1, 2**1075), (3, 2**1075), (2**60 + 1, 2**1134), (-1, 2**1075), (1, 3 * 2**1073), (2**52 - 1, 2**1074),
+        (2**53 - 1, 2**1075), (2**53 + 1, 2**1075),
+    ]
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        num = int(rng.integers(1, 2**62)) << int(rng.integers(0, 1200))
+        den = int(rng.integers(1, 2**62)) << int(rng.integers(0, 1200))
+        cases.append((num if rng.integers(2) else -num, den))
+    return cases
+
+
+def test_rounded_is_one_correct_rounding_to_nearest_even():
+    for num, den in rounding_cases():
+        got, want = _rounded(num, den), nearest_even(Fraction(num, den))
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), (num, den)
+    top = 2**1024 - 2**970
+    assert (_rounded(top - 1, 1), _rounded(top, 1), _rounded(-top, 1)) == (MAX_DOUBLE, math.inf, -math.inf)
+    assert (_rounded(1, 2**1075), _rounded(3, 2**1075)) == (0.0, 2 * 5e-324)
 
 
 def test_so3_invariant_count_is_the_basis_algebra_plus_one_degree_15_invariant():
