@@ -12,8 +12,12 @@ at or below GENERIC_VOLUME_FLOOR, the evidence for keeping the floor.
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
+
+# the checkout's src first, so that the script runs from a checkout with no install
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from triso.independence import GENERIC_VOLUME_FLOOR, _analytic, _measure, _undecided, independence_report
 

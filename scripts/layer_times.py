@@ -32,8 +32,12 @@ import json
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+
+# the checkout's src first, so that the script runs from a checkout with no install
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from triso.canonical_core import _contenders, _python_candidates, _unit_tensor
 from triso.canonical_form import _stationary_candidates, canonicalize, maximize_cubic_on_sphere

@@ -12,6 +12,10 @@ of the fixed-size check in the test suite.
 import argparse
 import sys
 import time
+from pathlib import Path
+
+# the checkout's src first, so that the script runs from a checkout with no install
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from triso.components import SymTraceless3, _in_frame, _norm
 from triso.invariants import _components

@@ -29,6 +29,8 @@ Its params can differ from the library's in the last bits, by at most
 1e-13 ||T|| over the tested tensors, and it is deterministic to the byte.
 The two solves share the chart algebra (``_chart_polynomials``), the
 turn map (``_TURN_MAP``) and the candidate points (``_candidate_points``).
+The closed forms carry integer constants only, so ints and Fractions run
+through them exactly (``tests/test_canonical_core.py``).
 
 ``_alignment`` is the one alignment through two canonical frames, shared
 by ``orbit_oracle.best_alignment`` (with the numpy solve) and ``triso
@@ -47,9 +49,12 @@ from .components import (
     _check_orthogonal,
     _dot,
     _in_frame,
+    _kernel_scale,
+    _ldexp,
     _norm,
     _quaternion_rows,
     _Record,
+    _scaled_norm,
     _slices,
 )
 from .invariants import _EPS, CanonicalParams, _components, _slice_kernel
@@ -140,13 +145,18 @@ def _check_group(group: str) -> None:
         raise ValueError(f"group must be one of {GROUPS}, got {group!r}")
 
 
-def _unit_tensor(t) -> tuple[float, tuple | None]:
-    """The norm ||T|| and the seven components over it; (0.0, None) for zero."""
-    c = _components(t)
-    norm = _norm(c)
+def _unit_tensor(t) -> tuple[tuple, tuple | None]:
+    """(n, k) with ||T|| = n 2^k (``_scaled_norm``), and the seven components over ||T||, as
+    c 2^-k / n: the bits of c / ||T|| wherever ||T|| is a normal double; ((0.0, 0), None) for zero."""
+    norm, k, c = _scaled_norm(_components(t))
     if norm == 0.0:
-        return 0.0, None
-    return norm, tuple(x / norm for x in c)
+        return (0.0, 0), None
+    return (norm, k), tuple([x / norm for x in c])
+
+
+def _rescaled(k: int, values: list) -> list:
+    """Each of values, n x from the unit tensor, times 2^k: ||T|| x, +-inf only past the double range."""
+    return values if k == 0 else [_ldexp(x, k) for x in values]
 
 
 # Kernels on single 3-vectors held as Python floats, and on the seven
@@ -192,13 +202,8 @@ def _newton(c: tuple, x: list) -> tuple[list, int, float, float]:
     """
     for reads in range(1, 6):
         t1, t2 = _tangent_bases(x)
-        # in the frame (x, t1, t2), H = 6 D(x) and grad = 3 D(x) x have
-        # tangent parts 6 [[d122, d123], [d123, d133]] and 3 (d112, d113),
-        # lambda = 3 d111 and d133 = -d111 - d122
         read = _in_frame(c, (x, t1, t2))
-        d111, d112, d113, d122, d123, _, _ = read
-        a00, a01, a11 = 6.0 * d122 - 3.0 * d111, 6.0 * d123, -9.0 * d111 - 6.0 * d122
-        b0, b1 = -3.0 * d112, -3.0 * d113
+        a00, a01, a11, b0, b1 = _tangent_system(read)
         det = a00 * a11 - a01 * a01
         if abs(det) > 1e-14 * (1.0 + a00 * a00 + a01 * a01 + a11 * a11):
             z0, z1 = (a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det
@@ -210,14 +215,23 @@ def _newton(c: tuple, x: list) -> tuple[list, int, float, float]:
             break
         z0, z1 = cap * z0, cap * z1
         x = _unit([x[k] + z0 * t1[k] + z1 * t2[k] for k in range(3)])
-    return x, reads, d111, _tangential_residual(read)
+    return x, reads, read[0], _tangential_residual(read)
+
+
+def _tangent_system(read: tuple) -> tuple:
+    """(a00, a01, a11, b0, b1): P(H - lambda I)P and -P grad at x in the basis (t1, t2), from the
+    tensor read in the frame (x, t1, t2), where H = 6 D(x) and grad = 3 D(x) x have tangent parts
+    6 [[d122, d123], [d123, d133]] and 3 (d112, d113), lambda = 3 d111 and d133 = -d111 - d122."""
+    d111, d112, d113, d122, d123, _, _ = read
+    h22 = 6 * d122
+    return h22 - 3 * d111, 6 * d123, -9 * d111 - h22, -3 * d112, -3 * d113
 
 
 def _cubic_values(c: tuple, rows) -> list:
     """g(x) = D_ijk x_i x_j x_k at each row x, from the ten coefficients of the cubic."""
     (d111, d122, d133, d112, d113, d123), (_, d222, d233, _, _, d223), (_, _, d333, _, _, _) = _slices(*c)
-    k112, k113, k122, k123, k133 = 3.0 * d112, 3.0 * d113, 3.0 * d122, 6.0 * d123, 3.0 * d133
-    k223, k233 = 3.0 * d223, 3.0 * d233
+    k112, k113, k122, k123, k133 = 3 * d112, 3 * d113, 3 * d122, 6 * d123, 3 * d133
+    k223, k233 = 3 * d223, 3 * d233
     return [
         x1 * (x1 * (d111 * x1 + k112 * x2 + k113 * x3) + x2 * (k122 * x2 + k123 * x3) + k133 * x3 * x3)
         + x2 * x2 * (d222 * x2 + k223 * x3)
@@ -295,11 +309,11 @@ def _chart_polynomials(reads: list, chart: int) -> tuple[list, list]:
     """
     d = [[[_chart_entry(reads, chart, m, n, l) for l in range(3)] for n in range(3)] for m in range(3)]
     # P_m's coefficients of z^0, z^1 and z^2, each by powers of y
-    z0 = [(d[m][0][0], 2.0 * d[m][0][1], d[m][1][1]) for m in range(3)]
-    z1 = [(2.0 * d[m][0][2], 2.0 * d[m][1][2]) for m in range(3)]
+    z0 = [(d[m][0][0], 2 * d[m][0][1], d[m][1][1]) for m in range(3)]
+    z1 = [(2 * d[m][0][2], 2 * d[m][1][2]) for m in range(3)]
     z2 = [d[m][2][2] for m in range(3)]
     f = [
-        [-z0[2][0], -z0[2][1], -z0[2][2], 0.0],
+        [-z0[2][0], -z0[2][1], -z0[2][2], 0],
         [z0[0][0] - z1[2][0], z0[0][1] - z1[2][1], z0[0][2]],
         [z1[0][0] - z2[2], z1[0][1]],
         [z2[0]],
@@ -368,9 +382,9 @@ def _resultant(f: list, g: list):
     g0, g1, g2 = g
     g00, g11, g22 = g0 * g0, g1 * g1, g2 * g2
     return (
-        f0 * (f0 * g22 * g2 - f1 * g1 * g22 - 2.0 * f2 * g0 * g22 + f2 * g11 * g2
-              + 3.0 * f3 * g0 * g1 * g2 - f3 * g11 * g1)
-        + f1 * (f1 * g0 * g22 - f2 * g0 * g1 * g2 - 2.0 * f3 * g00 * g2 + f3 * g0 * g11)
+        f0 * (f0 * g22 * g2 - f1 * g1 * g22 - 2 * f2 * g0 * g22 + f2 * g11 * g2
+              + 3 * f3 * g0 * g1 * g2 - f3 * g11 * g1)
+        + f1 * (f1 * g0 * g22 - f2 * g0 * g1 * g2 - 2 * f3 * g00 * g2 + f3 * g0 * g11)
         + f2 * g00 * (f2 * g2 - f3 * g1)
         + f3 * f3 * g00 * g0
     )
@@ -498,62 +512,70 @@ def _maximize(t, c: tuple, solve) -> tuple[list, float, float, int]:
     return [m[1] for m in maximizers], value, res, newton_iterations
 
 
-def _framed(frob: float, c: tuple, maximizers: list, newton_iterations: int, group: str) -> CanonicalRecord:
+def _about_e1(a: tuple, c2, s2, c3, s3) -> tuple:
+    """d122, d123 and d223 less its a112 and a113 terms (``_about_e1_rest``) of the tensor read
+    a turned about e1 by theta, to the frame (e1, c1 e2 + s1 e3, -s1 e2 + c1 e3), with c2, s2,
+    c3, s3 the cos and sin of 2 theta and 3 theta: the keys that rank the frames."""
+    a111, _, _, a122, a123, a222, a223 = a
+    half_gap = (2 * a122 + a111) / 2  # (d122 - d133) / 2, as d133 = -d111 - d122
+    return -a111 / 2 + half_gap * c2 + a123 * s2, a123 * c2 - half_gap * s2, a223 * c3 - a222 * s3
+
+
+def _about_e1_rest(a: tuple, c1, s1, c3, s3, d223) -> tuple:
+    """The rest of that turn, for the winner only: d112, d113, d222 and d223, from ``_about_e1``'s
+    d223 and the cos and sin of theta and 3 theta; a112 and a113 reach d222 and d223 by the traces."""
+    _, a112, a113, _, _, a222, a223 = a
+    d222 = a222 * c3 + a223 * s3 - s1 * s1 * (3 * c1 * a112 + s1 * a113)
+    d223 -= s1 * ((2 * c1 * c1 - s1 * s1) * a112 + c1 * s1 * a113)
+    return c1 * a112 + s1 * a113, c1 * a113 - s1 * a112, d222, d223
+
+
+def _framed(scale: tuple, c: tuple, maximizers: list, newton_iterations: int, group: str) -> CanonicalRecord:
     """The canonical frame among those the maximizers give, as a record.
 
-    ``canonical_form.canonicalize`` states the rule.  frob is ||T||, c the
-    unit-norm tensor's components and maximizers their rows.
+    ``canonical_form.canonicalize`` states the rule.  scale and c are
+    ``_unit_tensor``'s, and maximizers their rows.
     """
     mirror = group == "O(3)"
-    frames = []  # (ranking keys, theta, frame, components in it, d122, d123, d223)
+    frames = []  # (ranking keys, theta, d122, d123 and d223, frame, components in it)
     for u in maximizers:
         t1, t2 = _tangent_bases(u)
         # the unit-norm tensor in the frame (u, t1, t2), where a112 and a113
         # are at roundoff level, as u is stationary
         a = _in_frame(c, (u, t1, t2))
         a111, _, _, b22, b23, a222, a223 = a
-        half_gap = 0.5 * (2.0 * b22 + a111)  # (d122 - d133) / 2, as d133 = -d111 - d122
-
-        if math.hypot(a222, a223) <= 1e-13:
-            thetas = [0.5 * math.atan2(b23, half_gap)]
+        if math.hypot(a222, a223) <= 1e-13:  # the theta with d123 = 0 and d122 >= d133
+            thetas = [0.5 * math.atan2(b23, 0.5 * (2.0 * b22 + a111))]
         else:  # zeros of h: 3 theta = atan2(a223, a222) + pi/2 + j pi
             phi = math.atan2(a223, a222)
             thetas = [(phi + math.pi * (0.5 + j)) / 3.0 for j in range(6)]
         for theta in thetas:
-            c2, s2 = math.cos(2.0 * theta), math.sin(2.0 * theta)
-            d122 = -0.5 * a111 + half_gap * c2 + b23 * s2
-            d123 = b23 * c2 - half_gap * s2
-            d223 = a223 * math.cos(3.0 * theta) - a222 * math.sin(3.0 * theta)
-            keys = (d122, abs(d123), d223, d123) if mirror else (d122, d123, d223)
-            frames.append((keys, theta, (u, t1, t2), a, d122, d123, d223))
+            d122, d123, d223 = turned = _about_e1(a, math.cos(2.0 * theta), math.sin(2.0 * theta),
+                                                  math.cos(3.0 * theta), math.sin(3.0 * theta))
+            keys = (d122, abs(d123), d223, d123) if mirror else turned
+            frames.append((keys, theta, turned, (u, t1, t2), a))
     for k in range(len(frames[0][0])):
         top = max(f[0][k] for f in frames)
         frames = [f for f in frames if f[0][k] >= top - 1e-10]
-    _, theta, frame, frame_read, d122, d123, d223 = frames[0]
-    a111, a112, a113, _, _, a222, a223 = frame_read
-
-    # the rest of the winning frame in closed form: a112 and a113 also
-    # reach d222 and d223, through the traces
+    _, theta, (d122, d123, d223), (u, t1, t2), a = frames[0]
     c1, s1 = math.cos(theta), math.sin(theta)
-    d112, d113 = c1 * a112 + s1 * a113, c1 * a113 - s1 * a112
-    d222 = a222 * math.cos(3.0 * theta) + a223 * math.sin(3.0 * theta)
-    d222 -= s1 * s1 * (3.0 * c1 * a112 + s1 * a113)
-    d223 -= s1 * ((2.0 * c1 * c1 - s1 * s1) * a112 + c1 * s1 * a113)
+    d112, d113, d222, d223 = _about_e1_rest(a, c1, s1, math.cos(3.0 * theta), math.sin(3.0 * theta), d223)
     # the rotation about e1 by theta, composed after the frame (u, t1, t2)
-    u, t1, t2 = frame
-    m = [u, [c1 * t1[k] + s1 * t2[k] for k in range(3)], [-s1 * t1[k] + c1 * t2[k] for k in range(3)]]
+    (p0, p1, p2), (q0, q1, q2) = t1, t2
+    m = [u, [c1 * p0 + s1 * q0, c1 * p1 + s1 * q1, c1 * p2 + s1 * q2],
+         [-s1 * p0 + c1 * q0, -s1 * p1 + c1 * q1, -s1 * p2 + c1 * q2]]
     det_sign = 1
     if mirror and d123 < -1e-10:
         m[1] = [-x for x in m[1]]  # diag(1, -1, 1) @ m, which negates d123
         det_sign, d123 = -1, -d123
-    params = CanonicalParams(frob * a111, frob * d122, frob * d123, frob * d223)
-    diagnostics = {
-        "newton_iterations": newton_iterations,
-        "stationarity_residual": _tangential_residual(frame_read, frob),
-        "circle_residual": frob * abs(d222),
-        "constraint_violation": frob * max(abs(d112), abs(d113), abs(d222)),
-    }
-    return CanonicalRecord(params, m, det_sign, frob * a111, diagnostics)
+    norm, k = scale
+    d111, d122, d123, d223, residual, circle, constraint = _rescaled(k, [
+        norm * a[0], norm * d122, norm * d123, norm * d223, _tangential_residual(a, norm),
+        norm * abs(d222), norm * max(abs(d112), abs(d113), abs(d222)),
+    ])
+    diagnostics = {"newton_iterations": newton_iterations, "stationarity_residual": residual,
+                   "circle_residual": circle, "constraint_violation": constraint}
+    return CanonicalRecord(CanonicalParams(d111, d122, d123, d223), m, det_sign, d111, diagnostics)
 
 
 def canonical_record(t, group: str, solve) -> CanonicalRecord:
@@ -564,11 +586,11 @@ def canonical_record(t, group: str, solve) -> CanonicalRecord:
     group, and ConvergenceError as ``_maximize`` does.
     """
     _check_group(group)
-    frob, c = _unit_tensor(t)
-    if frob == 0.0:
+    scale, c = _unit_tensor(t)
+    if c is None:
         return _zero_record()
     maximizers, _, _, newton_iterations = _maximize(t, c, solve)
-    record = _framed(frob, c, maximizers, newton_iterations, group)
+    record = _framed(scale, c, maximizers, newton_iterations, group)
     _check_orthogonal(record.rows, record.det_sign)
     return record
 
@@ -582,5 +604,7 @@ def _alignment(a, b, group: str, solve) -> tuple[list, int, float]:
     r_a, r_b = canonical_record(a, group, solve), canonical_record(b, group, solve)
     (a0, a1, a2), (b0, b1, b2) = r_a.rows, r_b.rows
     g = [[b0[i] * a0[j] + b1[i] * a1[j] + b2[i] * a2[j] for j in range(3)] for i in range(3)]
-    moved = _in_frame(_components(a), g)
-    return g, r_b.det_sign * r_a.det_sign, _norm([x - y for x, y in zip(moved, _components(b))])
+    # at the pair's common power of two, where no component of g.a overflows
+    k, c = _kernel_scale(_components(a) + _components(b))
+    residual = _norm([x - y for x, y in zip(_in_frame(c[:7], g), c[7:])])
+    return g, r_b.det_sign * r_a.det_sign, _ldexp(residual, k)

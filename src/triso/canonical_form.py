@@ -72,6 +72,7 @@ from .canonical_core import (  # noqa: F401 (STATIONARITY_TOL re-exported)
     _frame_reads,
     _framed,
     _maximize,
+    _rescaled,
     _tangent_bases,
     _tangential_residual,
     _turned,
@@ -108,7 +109,7 @@ class SphereMaximizer:
     value = g(u) >= 0 (the maximum of an odd function is nonnegative), and
     residual is the tangential gradient norm ||grad g - (u.grad g) u|| at u.
     Both are computed on the unit-normalized tensor and multiplied by its
-    norm, so they scale with the tensor and stay finite at any finite norm.
+    norm n 2^k (n, then 2^k), so they are +-inf only past the double range.
     iterations is 0, as no ascent runs; newton_iterations is the most
     Newton steps any finished candidate took, at most 4, with the step
     below 1e-15 that ends a candidate's run counted though it is not taken.
@@ -255,17 +256,12 @@ def maximize_cubic_on_sphere(t: SymTraceless3 | FullTensor3) -> SphereMaximizer:
     value has a stationarity residual (on the normalized tensor) within
     STATIONARITY_TOL, or if there is no candidate at all.
     """
-    frob, c = _unit_tensor(t)
-    if frob == 0.0:
+    (norm, k), c = _unit_tensor(t)
+    if c is None:
         return SphereMaximizer(np.array([1.0, 0.0, 0.0]), 0.0, 0.0)
     maximizers, value, res, newton_iterations = _maximize(t, c, _stationary_candidates)
-    return SphereMaximizer(
-        maximizers[0],
-        frob * value,
-        frob * res,
-        newton_iterations=newton_iterations,
-        maximizers=maximizers,
-    )
+    value, res = _rescaled(k, [norm * value, norm * res])
+    return SphereMaximizer(maximizers[0], value, res, newton_iterations=newton_iterations, maximizers=maximizers)
 
 
 def canonicalize(t: SymTraceless3 | FullTensor3, group: str = "SO(3)") -> CanonicalResult:
@@ -302,12 +298,12 @@ def canonicalize(t: SymTraceless3 | FullTensor3, group: str = "SO(3)") -> Canoni
     _check_group(group)
     if not isinstance(t, SymTraceless3):
         t = SymTraceless3(*_components(t))  # a FullTensor3 is compressed here, once
-    frob, c = _unit_tensor(t)
-    if frob == 0.0:
+    scale, c = _unit_tensor(t)
+    if c is None:
         record = _zero_record()
     else:
         mx = maximize_cubic_on_sphere(t)
-        record = _framed(frob, c, mx.maximizers.tolist(), mx.newton_iterations, group)
+        record = _framed(scale, c, mx.maximizers.tolist(), mx.newton_iterations, group)
     transform = OrthogonalTransform3(record.rows, record.det_sign)
     return CanonicalResult(record.params, transform, record.max_value, record.diagnostics)
 
@@ -324,8 +320,8 @@ def stationarity_residual(t: SymTraceless3 | FullTensor3, x) -> float:
     if not abs(norm - 1.0) <= 1e-10:  # not >, so that a nan entry fails too
         raise ValueError(f"x must be a unit vector, got |x| = {norm:.17g}")
     # on the unit-norm tensor, so squaring the residual cannot overflow
-    frob, c = _unit_tensor(t)
-    if frob == 0.0:
+    (norm, k), c = _unit_tensor(t)
+    if c is None:
         return 0.0
     x = x.tolist()
-    return _tangential_residual(_in_frame(c, (x, *_tangent_bases(x))), frob)
+    return _rescaled(k, [_tangential_residual(_in_frame(c, (x, *_tangent_bases(x))), norm)])[0]

@@ -293,7 +293,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--align", action="store_true",
                    help="also align the pair through their canonical frames")
-    p.add_argument("--group", choices=GROUPS, default="O(3)")
+    p.add_argument("--group", choices=GROUPS, default="O(3)",
+                   help="group of the --align alignment; the verdict always compares the O(3) invariants")
     p.set_defaults(handler=_cmd_orbit_compare)
 
     p = sub.add_parser("independence", help="Jacobian rank evidence at random points")

@@ -7,7 +7,7 @@ seven-component value type, the one place that completes the traces and
 lays out the three symmetric slices D_k (``_slices``, which
 ``tensor_core.expand`` and the invariants read), the kernels on them that
 read the tensor in a rotated frame (``_in_frame``) and take its norm
-(``_norm``), the two power-of-two scalings the kernels run at
+(``_norm``, ``_scaled_norm``), the two power-of-two scalings the kernels run at
 (``_unit_scale``, ``_kernel_scale``), the checks an orthogonal transform's
 rows must pass (``_check_orthogonal``), the rotation of a unit quaternion
 (``_quaternion_rows``), the tensor JSON form, the integer core of every
@@ -243,16 +243,20 @@ def _kernel_scale(c) -> tuple:
     return k, [math.ldexp(x, -k) for x in c]
 
 
-def _norm(c) -> float:
-    """||T||, from ||T||^2 = <D_1, D_1> + <D_2, D_2> + <D_3, D_3> at ``_kernel_scale``.
-
-    So nothing overflows or underflows on the way; +inf only beyond a double.
-    The square root commutes with the power of four, so the bits are those
-    of a run at unit scale.
-    """
+def _scaled_norm(c) -> tuple:
+    """(n, k, c 2^-k) with ||T|| = n 2^k, from ||T||^2 = <D_1, D_1> + <D_2, D_2> + <D_3, D_3>
+    at ``_kernel_scale``'s k.  So nothing overflows or underflows on the way, and n is finite
+    even where ||T|| is beyond the double range.  The square root commutes with the power of
+    four, so the bits are those of a run at unit scale."""
     k, c = _kernel_scale(c)
     s1, s2, s3 = _slices(*c)
-    return _ldexp(math.sqrt(_inner(s1, s1) + _inner(s2, s2) + _inner(s3, s3)), k)
+    return math.sqrt(_inner(s1, s1) + _inner(s2, s2) + _inner(s3, s3)), k, c
+
+
+def _norm(c) -> float:
+    """||T|| = n 2^k from ``_scaled_norm``; +inf only beyond a double."""
+    n, k, _ = _scaled_norm(c)
+    return _ldexp(n, k)
 
 
 def _is_number(value) -> bool:

@@ -222,7 +222,12 @@ def canonical_invariants(c: CanonicalParams) -> InvariantTuple:
 
 
 def relative_error(a: float, b: float) -> float:
-    """|a - b| / max(1, |a|, |b|): relative for large values, absolute near zero."""
+    """|a - b| / max(1, |a|, |b|): relative for large values, absolute near zero; 0.0 for
+    equal values, equal infinities too, and +inf where one or both are infinite otherwise."""
+    if a == b:
+        return 0.0
+    if math.isinf(a) or math.isinf(b):
+        return math.inf
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 

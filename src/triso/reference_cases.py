@@ -177,7 +177,7 @@ def i6_gap_check() -> GapReport:
     failures = []
 
     def check(name, got, want):
-        if relative_error(got, want) > GAP_TOL:
+        if not relative_error(got, want) <= GAP_TOL:  # not >, so that a nan fails too
             failures.append(f"{name}: got {got:.17g}, want {want:.17g}")
 
     check("low I2", low.i2, 20.0)

@@ -18,7 +18,7 @@ from triso.canonical_form import (
     stationarity_residual,
     _stationary_candidates,
 )
-from triso.components import COMPONENT_NAMES, _in_frame
+from triso.components import COMPONENT_NAMES, _in_frame, _norm
 from triso.invariants import _slice_kernel, moment_matrix, relative_error, smith_bao
 from triso.orbit_oracle import best_alignment
 from triso.reference_cases import f_root, reference_cases
@@ -724,6 +724,59 @@ def test_residuals_stay_finite_at_huge_norms(scale):
         assert math.isfinite(residual) and residual <= 1e-12 * norm, seed
 
 
+def overflowing_copies(c, seed, scale):
+    """The tensor c and its proper and improper copies under random_orthogonal(seed),
+    rotated at the given scale, then taken by one factor to the top of the double range:
+    the largest component of the three is scale 2^1023 / that component's size."""
+    copies = [list(c)] + [list(_in_frame(c, random_orthogonal(seed, proper=p).m.tolist())) for p in (True, False)]
+    top = max(abs(x) for copy in copies for x in copy)
+    return [SymTraceless3(*(math.ldexp(scale * x / top, 1023) for x in copy)) for copy in copies]
+
+
+# SymTraceless3(d111=1e308), ||T|| = 2e308, and random_tensor(0..99) with a
+# largest component of 2^1023, each with its proper and improper copies:
+# finite tensors whose norm is beyond the double range
+OVERFLOWING = [overflowing_copies((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 0, 1e308 / 2.0**1023)] + [
+    overflowing_copies(random_tensor(seed).as_array().tolist(), seed, 1.0) for seed in range(100)
+]
+
+
+def test_canonical_form_where_the_norm_overflows():
+    # every size is compared at 2^-1023, where ||T|| is finite: params agree
+    # across the copies within 1e-13 ||T||, residuals are within 1e-12 ||T||,
+    # and no output is NaN; a param whose true value is beyond the double
+    # range reads +-inf on every copy
+    assert OVERFLOWING[0][0] == SymTraceless3(d111=1e308)
+    assert stationarity_residual(SymTraceless3(d111=1e308), [1.0, 0.0, 0.0]) == 0.0
+
+    def small(x):
+        return math.ldexp(x, -1023)
+
+    for k, copies in enumerate(OVERFLOWING):
+        norm = _norm([small(x) for x in copies[0]._values()])
+        for group, same in (("SO(3)", 2), ("O(3)", 3)):
+            results = [canonicalize(t, group) for t in copies]
+            records = [canonical_record(t, group, _python_candidates) for t in copies]
+            for r in results:
+                outputs = [*r.params._values(), r.max_value, *r.diagnostics.values(), *r.transform.m.ravel()]
+                assert not any(math.isnan(x) for x in outputs), (k, group)
+                assert small(r.diagnostics["stationarity_residual"]) <= 1e-12 * norm, (k, group)
+            for r in records:
+                assert not any(math.isnan(x) for x in r.params._values()), (k, group)
+            for r in results[1:same] + records[:same]:
+                for x, y in zip(r.params._values(), results[0].params._values()):
+                    if math.isinf(x) or math.isinf(y):
+                        assert x == y, (k, group)
+                    else:
+                        assert abs(small(x) - small(y)) <= 1e-13 * norm, (k, group)
+        for t in copies:
+            mx = maximize_cubic_on_sphere(t)
+            assert not math.isnan(mx.value) and small(mx.residual) <= 1e-12 * norm, k
+            assert small(stationarity_residual(t, mx.u)) <= 1e-12 * norm, k
+        for b, group in ((copies[1], "SO(3)"), (copies[2], "O(3)")):
+            assert small(best_alignment(copies[0], b, group).residual) <= 1e-12 * norm, (k, group)
+
+
 def test_canonicalize_accepts_a_full_tensor():
     for seed in range(5):
         t = random_tensor(seed)
@@ -1129,11 +1182,12 @@ def assert_solves_agree(t, label):
     """The pure-Python candidate solve against the numpy one, through the
     same core: the same number of maximizers, and under each group params
     within 1e-13 ||T|| and the same det_sign."""
-    frob, c = canonical_core._unit_tensor(t)
+    scale, c = canonical_core._unit_tensor(t)
+    frob = math.ldexp(*scale)
     found = []
     for solve in (_stationary_candidates, _python_candidates):
         maximizers, _, _, iterations = canonical_core._maximize(t, c, solve)
-        found.append((len(maximizers), {g: canonical_core._framed(frob, c, maximizers, iterations, g) for g in GROUPS}))
+        found.append((len(maximizers), {g: canonical_core._framed(scale, c, maximizers, iterations, g) for g in GROUPS}))
     (count, by_numpy), (python_count, by_python) = found
     assert python_count == count, label
     for group in GROUPS:

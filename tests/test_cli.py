@@ -398,6 +398,34 @@ def test_orbit_compare_with_alignment(capsys, tmp_path):
     assert obj["alignment_residual"] <= 1e-10
 
 
+def test_canonicalize_and_align_where_the_norm_overflows(capsys, tmp_path):
+    # ||T|| = 2e308 is beyond the double range, and its components and
+    # params are not: d111 = 1e308 and its proper and improper copies
+    from triso.canonical_core import _python_candidates, canonical_record
+    from triso.components import _in_frame
+    from triso.tensor_core import random_orthogonal
+
+    t = SymTraceless3(d111=1e308)
+    code, out, _ = run(capsys, ["canonicalize", "--d111", "1e308"])
+    assert code == 0
+    assert out == _json_text(canonical_record(t, "SO(3)", _python_candidates).to_json_obj()) + "\n"
+    assert json.loads(out)["params"]["D111"] == 1e308
+    a = write_tensor(tmp_path / "a.json", d111=1e308)
+    for proper in (True, False):
+        rows = random_orthogonal(3, proper=proper).m.tolist()
+        copy = [1e308 * x for x in _in_frame((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), rows)]
+        b = write_tensor(tmp_path / "b.json", **dict(zip(("d111", "d112", "d113", "d122", "d123", "d222", "d223"), copy)))
+        code, out, _ = run(capsys, ["canonicalize", "--file", b])
+        assert code == 0
+        assert json.loads(out)["params"]["D111"] == pytest.approx(1e308, rel=1e-13)
+        group = "SO(3)" if proper else "O(3)"
+        code, out, _ = run(capsys, ["orbit-compare", "--a-file", a, "--b-file", b, "--align", "--group", group])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["verdict"] == "same"
+        assert 0.0 <= obj["alignment_residual"] <= 1e-12 * 2e308
+
+
 def test_orbit_compare_distinguishes_sign_pair(capsys, tmp_path):
     # same I2, I4, I6 but opposite I10: distinct orbits
     a = write_tensor(tmp_path / "a.json", d111=1.0, d112=1.0)

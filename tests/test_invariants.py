@@ -389,6 +389,10 @@ def test_relative_error_semantics():
     assert relative_error(0.0, 1e-12) == 1e-12
     assert relative_error(100.0, 110.0) == pytest.approx(10.0 / 110.0)
     assert relative_error(3.0, 3.0) == 0.0
+    # never NaN at infinities, so that a check `relative_error(...) > tol` cannot pass by one
+    assert relative_error(math.inf, math.inf) == relative_error(-math.inf, -math.inf) == 0.0
+    assert relative_error(math.inf, 1e308) == relative_error(-1.0, -math.inf) == math.inf
+    assert relative_error(math.inf, -math.inf) == relative_error(-math.inf, math.inf) == math.inf
 
 
 def test_invariant_tuple_json_keys():

@@ -131,6 +131,23 @@ def test_gap_report_names_each_failing_value_and_the_violated_gap(monkeypatch):
     assert gap.to_json_obj()["pass"] is False
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gap_check_fails_a_nan_or_infinite_value(monkeypatch, bad):
+    # I10 takes no part in the gap inequality, so only its two value checks
+    # see it: a NaN or +inf, whose relative error to 0 once read as NaN,
+    # fails them
+    module = importlib.import_module("triso.reference_cases")
+
+    def with_bad_i10(t):
+        got = smith_bao(t)
+        return InvariantTuple(got.i2, got.i4, got.i6, bad)
+
+    monkeypatch.setattr(module, "smith_bao", with_bad_i10)
+    gap = i6_gap_check()
+    assert not gap.passed
+    assert [f.split(":")[0] for f in gap.failures] == ["low I10", "high I10"]
+
+
 def test_gap_tensors_share_three_invariants_but_not_i6():
     gap = i6_gap_check()
     # the whole point: (I2, I4, I10) identical, I6 split by a finite margin

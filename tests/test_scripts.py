@@ -6,11 +6,15 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name):
@@ -60,3 +64,13 @@ def test_script_rejects_bad_counts_with_a_usage_error(capsys, name, argv):
         _load(name).main(argv)
     assert exit_info.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["independence_scan", "layer_times", "orbit_crossval"])
+def test_script_runs_from_a_checkout_without_pythonpath(name):
+    # as the docstrings show: from the repository root, with no install
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, f"scripts/{name}.py", "--help"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
