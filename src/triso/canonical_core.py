@@ -9,9 +9,13 @@ the constants that govern them.  ``_maximize`` takes the candidate solve as
 an argument, a function from the seven components of the unit-norm tensor
 to unit rows near every stationary point, and ``canonical_record`` returns
 a plain ``CanonicalRecord``: the params, the transform's rows and
-determinant sign, the maximum and the diagnostics.  Its ``to_json_obj`` is
-the one JSON form of a canonicalization, for ``CanonicalResult`` and the
-command line alike.
+determinant sign, the maximum and the diagnostics.  It is the one
+canonicalization pipeline: ``canonical_form.canonicalize`` is it with the
+numpy solve, wrapped as a ``CanonicalResult``, and the ``triso`` command
+runs it with ``_python_candidates``.  Its ``ConvergenceError``, which
+names the tensor as a round-trippable ``SymTraceless3(...)`` repr, comes
+from ``_maximize``.  The record's ``to_json_obj`` is the one JSON form of
+a canonicalization, for ``CanonicalResult`` and the command line alike.
 
 There are two candidate solves, and each is the other's tested reference.
 The library's, ``canonical_form._stationary_candidates``, makes one ``det``
@@ -502,7 +506,7 @@ def _maximize(t, c: tuple, solve) -> tuple[list, float, float, int]:
     if not tied:
         raise ConvergenceError(
             f"the maximizer misses stationarity tolerance {STATIONARITY_TOL:.3g}; "
-            f"residual {min(f[2] for f in near):.3g} (normalized tensor)"
+            f"residual {min(f[2] for f in near):.3g} (normalized tensor) for {SymTraceless3(*_components(t))!r}"
         )
     maximizers = []
     for f in tied:

@@ -47,10 +47,13 @@ Everything around it works on Python floats and lives in the numpy-free
 ``canonical_core``: the root and value filters, the candidate points, the
 Newton finish of the one or two candidates that can win, the scoring of the
 frames they give and the rows of the winning transform.  On arrays of 1 to
-15 rows numpy's per-call cost outweighs the arithmetic.  The ``triso``
-command canonicalizes through that core with its pure-Python candidate
-solve instead, so that it never imports numpy; its params can differ from
-this module's in the last bits, by at most 1e-13 ||T||.
+15 rows numpy's per-call cost outweighs the arithmetic.  ``canonicalize``
+is that core's one pipeline, ``canonical_core.canonical_record``, with this
+module's solve; ``maximize_cubic_on_sphere`` is its maximizer step
+(``canonical_core._maximize``) alone.  The ``triso`` command runs the same
+pipeline with its pure-Python candidate solve instead, so that it never
+imports numpy; its params can differ from this module's in the last bits,
+by at most 1e-13 ||T||.
 """
 
 from __future__ import annotations
@@ -68,16 +71,14 @@ from .canonical_core import (  # noqa: F401 (STATIONARITY_TOL re-exported)
     _chart_at,
     _chart_polynomials,
     _chart_rows,
-    _check_group,
     _frame_reads,
-    _framed,
     _maximize,
     _rescaled,
     _tangent_bases,
     _tangential_residual,
     _turned,
     _unit_tensor,
-    _zero_record,
+    canonical_record,
 )
 from .components import (  # noqa: F401 (GROUPS and ConvergenceError re-exported)
     GROUPS,
@@ -85,7 +86,7 @@ from .components import (  # noqa: F401 (GROUPS and ConvergenceError re-exported
     SymTraceless3,
     _in_frame,
 )
-from .invariants import CanonicalParams, _components
+from .invariants import CanonicalParams
 from .tensor_core import OrthogonalTransform3
 
 if TYPE_CHECKING:
@@ -292,18 +293,15 @@ def canonicalize(t: SymTraceless3 | FullTensor3, group: str = "SO(3)") -> Canoni
     d123, so a tensor with a mirror symmetry (whose candidates come in
     pairs +-d123) keeps a rotation: the transform is improper only for a
     chiral tensor.  The zero tensor
-    short-circuits to the identity.  Raises ConvergenceError when the
-    maximizer misses STATIONARITY_TOL (``maximize_cubic_on_sphere``).
+    short-circuits to the identity.
+
+    This is ``canonical_core.canonical_record`` with this module's numpy
+    candidate solve (``_stationary_candidates``), wrapped as a
+    ``CanonicalResult``.  Raises ValueError for an unknown group, and
+    ConvergenceError, naming the tensor, when the maximizer misses
+    STATIONARITY_TOL or no stationary point is found (``canonical_core._maximize``).
     """
-    _check_group(group)
-    if not isinstance(t, SymTraceless3):
-        t = SymTraceless3(*_components(t))  # a FullTensor3 is compressed here, once
-    scale, c = _unit_tensor(t)
-    if c is None:
-        record = _zero_record()
-    else:
-        mx = maximize_cubic_on_sphere(t)
-        record = _framed(scale, c, mx.maximizers.tolist(), mx.newton_iterations, group)
+    record = canonical_record(t, group, _stationary_candidates)
     transform = OrthogonalTransform3(record.rows, record.det_sign)
     return CanonicalResult(record.params, transform, record.max_value, record.diagnostics)
 

@@ -224,15 +224,11 @@ def random_orthogonal(seed, proper: bool = True) -> OrthogonalTransform3:
     q = rng.normal(size=4)
     while math.sqrt(q @ q) < 1e-12:
         q = rng.normal(size=4)
-    mat = _quaternion_to_matrix(q / math.sqrt(q @ q))
+    mat = np.array(_quaternion_rows(*(q / math.sqrt(q @ q))))
     if proper:
         return OrthogonalTransform3(mat, 1)
     reflect = np.diag([1.0, 1.0, -1.0])
     return OrthogonalTransform3(reflect @ mat, -1)
-
-
-def _quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
-    return np.array(_quaternion_rows(*q))
 
 
 def st_dimension(m: int, n: int) -> int:

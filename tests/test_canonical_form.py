@@ -18,7 +18,7 @@ from triso.canonical_form import (
     stationarity_residual,
     _stationary_candidates,
 )
-from triso.components import COMPONENT_NAMES, _in_frame, _norm
+from triso.components import COMPONENT_NAMES, _in_frame, _norm, _quaternion_rows
 from triso.invariants import _slice_kernel, moment_matrix, relative_error, smith_bao
 from triso.orbit_oracle import best_alignment
 from triso.reference_cases import f_root, reference_cases
@@ -26,7 +26,6 @@ from triso.tensor_core import (
     FullTensor3,
     OrthogonalTransform3,
     SymTraceless3,
-    _quaternion_to_matrix,
     act,
     compress,
     expand,
@@ -41,7 +40,7 @@ _SECOND_FRAME = np.array(canonical_core._SECOND_ROWS)
 # A third fixed rotation, whose axes the placement tests use besides those
 # of the solver's two frames: every row is at least 37 degrees from every
 # row of _CHART_FRAME and _SECOND_FRAME (|cos| <= 0.795).
-THIRD_FRAME = _quaternion_to_matrix(np.array([0.75, -0.3, 0.6, -0.4]) / math.sqrt(1.1725))
+THIRD_FRAME = np.array(_quaternion_rows(*(np.array([0.75, -0.3, 0.6, -0.4]) / math.sqrt(1.1725))))
 
 
 def sampled_max(t, n=200_000, seed=0):
@@ -141,9 +140,15 @@ def test_maximizer_scale_equivariance():
 
 
 def test_maximizer_raises_on_absurd_tolerance(monkeypatch):
+    # the message names the tensor as a repr that evaluates back to it
+    t = random_tensor(0)
     monkeypatch.setattr(canonical_core, "STATIONARITY_TOL", 1e-300)
-    with pytest.raises(ConvergenceError):
-        maximize_cubic_on_sphere(random_tensor(0))
+    for call in (maximize_cubic_on_sphere, canonicalize):
+        with pytest.raises(ConvergenceError, match="misses stationarity tolerance") as raised:
+            call(t)
+        named = str(raised.value).rsplit(" for ", 1)[1]
+        assert named == repr(t)
+        assert eval(named, {"SymTraceless3": SymTraceless3}) == t
 
 
 @pytest.mark.parametrize(
@@ -1119,29 +1124,22 @@ def test_every_call_costs_one_det_and_one_eigvals(monkeypatch):
         assert calls == {"det": 1, "eigvals": 1}, k
 
 
-def test_canonicalize_calls_each_traced_boundary_once(monkeypatch):
-    # perfbench times canonicalize's layers by rebinding this module name
-    # of triso.canonical_form, and reads the maximizer's iterations
-    import triso.canonical_form as module
-
+def test_canonicalize_reads_the_unit_tensor_once(monkeypatch):
+    # _scaled_norm is reached only through canonical_core._unit_tensor, so
+    # this counts the unit-tensor reads of one call
     calls = []
+    scaled_norm = canonical_core._scaled_norm
 
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            calls.append((name, out))
-            return out
+    def counted(c):
+        calls.append(c)
+        return scaled_norm(c)
 
-        return counted
-
-    names = ("maximize_cubic_on_sphere",)
-    for name in names:
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    for group, t in zip(GROUPS, [random_tensor(5), TIED[-1]]):
-        calls.clear()
-        canonicalize(t, group=group)
-        assert sorted(name for name, _ in calls) == sorted(names), group
-        assert [out.iterations for name, out in calls if name == names[0]] == [0]
+    monkeypatch.setattr(canonical_core, "_scaled_norm", counted)
+    for t in [random_tensor(5), expand(random_tensor(5)), TIED[-1], SymTraceless3()]:
+        for group in GROUPS:
+            calls.clear()
+            canonicalize(t, group=group)
+            assert len(calls) == 1, (type(t).__name__, group)
 
 
 def test_canonicalize_compresses_a_full_array_once(monkeypatch):

@@ -334,6 +334,7 @@ def test_canonicalize_nonconvergence_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, ["canonicalize", "--d111", "0.2", "--d112", "1.1", "--d123", "-0.4"])
     assert code == 2
     assert "error:" in err
+    assert "SymTraceless3(d111=0.2, d112=1.1, d113=0.0, d122=0.0, d123=-0.4, d222=0.0, d223=0.0)" in err
 
 
 @pytest.mark.parametrize(
