@@ -15,8 +15,11 @@ one).  Tensors are ``random_tensor(seed)`` for seed
 0..--tensors-1; alignment pairs are a tensor and its image under
 ``random_orthogonal(seed)``, so half of them are improper.
 ``smith_bao_rescaled_us`` times ``smith_bao`` on the same tensors times
-2^200, beyond the window where it runs on the components as given, so the
-cost of its power-of-two rescaling stays visible.  ``analytic_table_us`` is
+2^200, beyond the window where its pass on the components as given
+stands, so the cost of the second pass at unit scale stays visible.
+``slice_kernel_us`` times the kernel ``_slice_kernel`` alone, on the same
+tensors' seven components, so that ``smith_bao_us`` less it is the cost of
+the wrapper (the scale rule and the ``InvariantTuple``).  ``analytic_table_us`` is
 the exact Jacobian table per point, evaluated at once on the --samples
 points of one sampler run (seed 0); ``canonical_invariants_us`` sums the
 four invariants exactly at one point a call, the first --tensors of those
@@ -42,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from triso.canonical_core import _contenders, _python_candidates, _unit_tensor
 from triso.canonical_form import _stationary_candidates, canonicalize, maximize_cubic_on_sphere
 from triso.independence import _ANALYTIC_TABLE, _sample_generic, independence_report
-from triso.invariants import CanonicalParams, canonical_invariants, smith_bao
+from triso.invariants import CanonicalParams, _components, _slice_kernel, canonical_invariants, smith_bao
 from triso.orbit_oracle import best_alignment, same_orbit
 from triso.tensor_core import SymTraceless3, act, compress, expand, random_orthogonal, random_tensor
 
@@ -103,6 +106,7 @@ def main(argv=None) -> int:
         "best_alignment_us": [lambda a=a, b=b: best_alignment(a, b) for a, b in pairs],
         "same_orbit_us": [lambda a=a, b=b: same_orbit(a, b) for a, b in pairs],
         "smith_bao_us": [lambda t=t: smith_bao(t) for t in tensors],
+        "slice_kernel_us": [lambda c=_components(t): _slice_kernel(*c) for t in tensors],
         "smith_bao_rescaled_us": [lambda t=t: smith_bao(t) for t in rescaled],
     }
     rows["independence_report_ms"] = [lambda: independence_report(sample_count=args.samples, seed=0)]

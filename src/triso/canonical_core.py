@@ -53,13 +53,13 @@ from .components import (
     _check_orthogonal,
     _dot,
     _in_frame,
-    _kernel_scale,
     _ldexp,
     _norm,
     _quaternion_rows,
     _Record,
     _scaled_norm,
     _slices,
+    _unit_scale,
 )
 from .invariants import _EPS, CanonicalParams, _components, _slice_kernel
 
@@ -113,11 +113,12 @@ class CanonicalRecord(_Record):
     __slots__ = ("params", "rows", "det_sign", "max_value", "diagnostics")
 
     def __init__(self, params, rows, det_sign, max_value, diagnostics):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "det_sign", det_sign)
-        object.__setattr__(self, "max_value", max_value)
-        object.__setattr__(self, "diagnostics", diagnostics)
+        set_params, set_rows, set_det_sign, set_max_value, set_diagnostics = self._setters
+        set_params(self, params)
+        set_rows(self, rows)
+        set_det_sign(self, det_sign)
+        set_max_value(self, max_value)
+        set_diagnostics(self, diagnostics)
 
     def to_json_obj(self) -> dict:
         return {
@@ -585,8 +586,10 @@ def _framed(scale: tuple, c: tuple, maximizers: list, newton_iterations: int, gr
 def canonical_record(t, group: str, solve) -> CanonicalRecord:
     """``canonical_form.canonicalize`` as a plain record, with the candidate solve given.
 
-    The transform's rows pass the checks an ``OrthogonalTransform3`` makes
-    (``components._check_orthogonal``).  Raises ValueError for an unknown
+    The transform's rows are not checked here: each consumer checks them
+    once, ``canonicalize`` through its ``OrthogonalTransform3`` and the
+    others by ``components._check_orthogonal`` (``_alignment``, and the
+    ``triso canonicalize`` handler).  Raises ValueError for an unknown
     group, and ConvergenceError as ``_maximize`` does.
     """
     _check_group(group)
@@ -594,21 +597,23 @@ def canonical_record(t, group: str, solve) -> CanonicalRecord:
     if c is None:
         return _zero_record()
     maximizers, _, _, newton_iterations = _maximize(t, c, solve)
-    record = _framed(scale, c, maximizers, newton_iterations, group)
-    _check_orthogonal(record.rows, record.det_sign)
-    return record
+    return _framed(scale, c, maximizers, newton_iterations, group)
 
 
 def _alignment(a, b, group: str, solve) -> tuple[list, int, float]:
     """The rows and det_sign of g = R_b^T R_a, and the residual ||g.a - b||, in Python floats.
 
     R_a and R_b are the transforms ``canonical_record`` returns for the
-    tensors a and b under group, with the candidate solve given.
+    tensors a and b under group, with the candidate solve given; each must
+    pass ``components._check_orthogonal``.
     """
     r_a, r_b = canonical_record(a, group, solve), canonical_record(b, group, solve)
+    _check_orthogonal(r_a.rows, r_a.det_sign)
+    _check_orthogonal(r_b.rows, r_b.det_sign)
     (a0, a1, a2), (b0, b1, b2) = r_a.rows, r_b.rows
     g = [[b0[i] * a0[j] + b1[i] * a1[j] + b2[i] * a2[j] for j in range(3)] for i in range(3)]
-    # at the pair's common power of two, where no component of g.a overflows
-    k, c = _kernel_scale(_components(a) + _components(b))
+    # at the pair's common power of two, where no component of g.a overflows;
+    # it commutes exactly with every + and *
+    k, c = _unit_scale(_components(a) + _components(b))
     residual = _norm([x - y for x, y in zip(_in_frame(c[:7], g), c[7:])])
     return g, r_b.det_sign * r_a.det_sign, _ldexp(residual, k)

@@ -38,6 +38,7 @@ from .components import (
     GROUPS,
     ConvergenceError,
     SymTraceless3,
+    _check_orthogonal,
     _in_frame,
     check_json_numbers,
     tensor_from_json_obj,
@@ -146,7 +147,9 @@ def _cmd_canonicalize(args) -> int:
     from .canonical_core import _python_candidates, canonical_record
 
     t = _tensor_from_args(args)
-    print(_json_text(canonical_record(t, "SO(3)", _python_candidates).to_json_obj()))
+    record = canonical_record(t, "SO(3)", _python_candidates)
+    _check_orthogonal(record.rows, record.det_sign)
+    print(_json_text(record.to_json_obj()))
     return 0
 
 

@@ -7,14 +7,18 @@ seven-component value type, the one place that completes the traces and
 lays out the three symmetric slices D_k (``_slices``, which
 ``tensor_core.expand`` and the invariants read), the kernels on them that
 read the tensor in a rotated frame (``_in_frame``) and take its norm
-(``_norm``, ``_scaled_norm``), the two power-of-two scalings the kernels run at
-(``_unit_scale``, ``_kernel_scale``), the checks an orthogonal transform's
-rows must pass (``_check_orthogonal``), the rotation of a unit quaternion
-(``_quaternion_rows``), the tensor JSON form, the integer core of every
-exact path (``_dyadic``: finite floats as integers over one power of two;
-``_rounded``: one correctly rounded int / int, +-inf past the double
-range), and the constant and error type that the command line's parser and
-``main`` need (``GROUPS``, ``ConvergenceError``).
+(``_norm``, ``_scaled_norm``), the one scale rule of the kernels (a pass
+on the components as given, run again at ``_unit_scale``'s power of two
+only for a nonzero tensor whose ||T||^2 = I2 leaves ``_in_window``), the
+checks an orthogonal transform's rows must pass (``_check_orthogonal``),
+the rotation of a unit quaternion (``_quaternion_rows``), the tensor
+JSON form, the integer core of every exact path (``_dyadic``: finite
+floats as integers over one power of two; ``_rounded``: one correctly
+rounded int / int, +-inf past the double range), and the constant and
+error type that the command line's parser and ``main`` need (``GROUPS``,
+``ConvergenceError``).  The value types are ``_Record`` subclasses, whose
+``__init__`` sets each field through its slot's own setter, collected
+once per class as ``_setters``.
 
 Everything here is plain Python, so a command that needs only this layer,
 the invariants and ``canonical_core`` (``triso invariants``,
@@ -60,6 +64,12 @@ class _Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each field's slot setter, in __slots__ order: a subclass's __init__
+        # calls these, which cost less than object.__setattr__ by name
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
@@ -91,11 +101,11 @@ class SymTraceless3(_Record):
     __slots__ = COMPONENT_NAMES
 
     def __init__(self, d111=0.0, d112=0.0, d113=0.0, d122=0.0, d123=0.0, d222=0.0, d223=0.0):
-        for name, value in zip(COMPONENT_NAMES, (d111, d112, d113, d122, d123, d222, d223)):
+        for name, setter, value in zip(COMPONENT_NAMES, self._setters, (d111, d112, d113, d122, d123, d222, d223)):
             value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"component {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            setter(self, value)
 
     def as_array(self):
         import numpy as np
@@ -226,31 +236,37 @@ def _unit_scale(c) -> tuple:
     return k, [math.ldexp(x, -k) for x in c]
 
 
-def _kernel_scale(c) -> tuple:
-    """k, and the components times 2^-k, for a kernel of degree up to 10 to run on.
+def _in_window(i2: float) -> bool:
+    """Whether a kernel pass on the components as given stands: ||T||^2 = I2 in [2^-120, 2^118).
 
-    k = 0, with c as given, while the largest |component| is in
-    [2^-61, 2^60): every term of degree up to 10 then stays below about
-    2^600 and the dominant ones stay normal, and scaling by 2^-k commutes
-    with each + and *, so the result has the bits of a run at unit scale
-    (short of terms that underflow at one scale and not the other, which
-    takes components some 150 decades apart).  Outside that window
-    ``_unit_scale``'s k, the only scale that keeps the terms in range there.
+    That is ||T|| in [2^-60, 2^59), and the largest component is in
+    [||T|| / 7, ||T||], so every term of degree up to 10 stays below about
+    2^600 and the dominant ones stay normal.  A power of two commutes with
+    each + and *, so such a pass has the bits of a run at unit scale (short
+    of terms that underflow at one scale and not the other, which takes
+    components some 150 decades apart).  A nonzero tensor whose I2 is
+    outside, +inf or 0.0 included, is run again at ``_unit_scale``'s k, the
+    only scale that keeps the terms in range there.
     """
-    k = math.frexp(max(map(abs, c)))[1]
-    if -60 <= k <= 60:
-        return 0, c
-    return k, [math.ldexp(x, -k) for x in c]
+    return 2.0**-120 <= i2 < 2.0**118
+
+
+def _squared_norm(c) -> float:
+    """||T||^2 = <D_1, D_1> + <D_2, D_2> + <D_3, D_3>, in one pass on c as given."""
+    s1, s2, s3 = _slices(*c)
+    return _inner(s1, s1) + _inner(s2, s2) + _inner(s3, s3)
 
 
 def _scaled_norm(c) -> tuple:
-    """(n, k, c 2^-k) with ||T|| = n 2^k, from ||T||^2 = <D_1, D_1> + <D_2, D_2> + <D_3, D_3>
-    at ``_kernel_scale``'s k.  So nothing overflows or underflows on the way, and n is finite
-    even where ||T|| is beyond the double range.  The square root commutes with the power of
-    four, so the bits are those of a run at unit scale."""
-    k, c = _kernel_scale(c)
-    s1, s2, s3 = _slices(*c)
-    return math.sqrt(_inner(s1, s1) + _inner(s2, s2) + _inner(s3, s3)), k, c
+    """(n, k, c 2^-k) with ||T|| = n 2^k: k = 0 while ||T||^2 is in ``_in_window``, and
+    otherwise ``_unit_scale``'s k, with a second pass.  So nothing overflows or underflows on
+    the way, and n is finite even where ||T|| is beyond the double range.  The square root
+    commutes with the power of four, so the bits are those of a run at unit scale."""
+    n2 = _squared_norm(c)
+    if not _in_window(n2) and any(c):
+        k, c = _unit_scale(c)
+        return math.sqrt(_squared_norm(c)), k, c
+    return math.sqrt(n2), 0, c
 
 
 def _norm(c) -> float:

@@ -11,14 +11,15 @@ which are the contractions I2 = D_ijk D_ijk, I4 = D_ijk D_ijl D_pqk D_pql,
 I6 = v.v and I10 = D_ijk v_i v_j v_k with v_p = D_ijk D_ijl D_klp.  The
 slices, and the trace completion behind them, come from
 ``components._slices``; the kernel ``_slice_kernel`` is one straight-line
-pass of + and *.  It runs on the seven components as given while the
-largest is in [2^-61, 2^60), where no power up to degree 10 leaves the
-normal range.  Outside that window it runs on the tensor times the exact
-power of two 2^-k that puts the largest component in [1/2, 1), and each
-I_d, like M (degree 2) and v (degree 3), is scaled back by 2^(d*k).  A
-power of two commutes with every + and *, so both give the same bits; the
-result carries an absolute error of order eps * ||T||^d, reads +-inf where
-it overflows, and is never NaN.
+pass of + and *.  It runs once on the seven components as given, and that
+pass stands while its I2 = ||T||^2 is in [2^-120, 2^118)
+(``components._in_window``), where no power up to degree 10 leaves the
+normal range.  A nonzero tensor outside that window is run again, times
+the exact power of two 2^-k that puts the largest component in [1/2, 1),
+and each I_d, like M (degree 2) and v (degree 3), is scaled back by
+2^(d*k).  A power of two commutes with every + and *, so both give the
+same bits; the result carries an absolute error of order eps * ||T||^d,
+reads +-inf where it overflows, and is never NaN.
 ``canonical_invariants`` sums the closed-form polynomials of the four
 canonical parameters exactly and rounds each once; on tensors in canonical
 position the two paths agree, which the tests use to cross-check both.
@@ -41,7 +42,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .components import _LAYOUT, SymTraceless3, _kernel_scale, _Record, _ldexp, _slices, _unit_scale
+from .components import _LAYOUT, SymTraceless3, _in_window, _ldexp, _Record, _slices, _unit_scale
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,10 +69,11 @@ class InvariantTuple(_Record):
     __slots__ = ("i2", "i4", "i6", "i10")
 
     def __init__(self, i2, i4, i6, i10):
-        object.__setattr__(self, "i2", i2)
-        object.__setattr__(self, "i4", i4)
-        object.__setattr__(self, "i6", i6)
-        object.__setattr__(self, "i10", i10)
+        set_i2, set_i4, set_i6, set_i10 = self._setters
+        set_i2(self, i2)
+        set_i4(self, i4)
+        set_i6(self, i6)
+        set_i10(self, i10)
 
     def as_array(self) -> np.ndarray:
         import numpy as np
@@ -93,10 +95,11 @@ class CanonicalParams(_Record):
     __slots__ = ("d111", "d122", "d123", "d223")
 
     def __init__(self, d111, d122, d123, d223):
-        object.__setattr__(self, "d111", d111)
-        object.__setattr__(self, "d122", d122)
-        object.__setattr__(self, "d123", d123)
-        object.__setattr__(self, "d223", d223)
+        set_d111, set_d122, set_d123, set_d223 = self._setters
+        set_d111(self, d111)
+        set_d122(self, d122)
+        set_d123(self, d123)
+        set_d223(self, d223)
 
     def as_array(self) -> np.ndarray:
         import numpy as np
@@ -116,34 +119,39 @@ def _slice_kernel(d111, d112, d113, d122, d123, d222, d223):
     M is a 6-tuple in the slice layout of ``_slices`` and v a 3-tuple.  One
     straight-line pass: the six Frobenius products <D_k, D_l> of the slices
     a, b, c give M, then v_p = <M, D_p>, W = v1 D_1 + v2 D_2 + v3 D_3 and
-    I10 = <W, v v^T>.  Only + and * with integer constants, so Fractions
-    give exact results and numpy arrays, real or complex, evaluate it
-    elementwise.
+    I10 = <W, v v^T>.  Only + and *, so Fractions give exact results and
+    numpy arrays, real or complex, evaluate it elementwise.  Each doubled
+    off-diagonal sum s enters as s + s, which is exactly 2 s and costs a
+    float addition rather than an int times float product.
     """
     ((a11, a22, a33, a12, a13, a23), (b11, b22, b33, b12, b13, b23),
      (c11, c22, c33, c12, c13, c23)) = _slices(d111, d112, d113, d122, d123, d222, d223)
-    m11 = a11 * a11 + a22 * a22 + a33 * a33 + 2 * (a12 * a12 + a13 * a13 + a23 * a23)
-    m22 = b11 * b11 + b22 * b22 + b33 * b33 + 2 * (b12 * b12 + b13 * b13 + b23 * b23)
-    m33 = c11 * c11 + c22 * c22 + c33 * c33 + 2 * (c12 * c12 + c13 * c13 + c23 * c23)
-    m12 = a11 * b11 + a22 * b22 + a33 * b33 + 2 * (a12 * b12 + a13 * b13 + a23 * b23)
-    m13 = a11 * c11 + a22 * c22 + a33 * c33 + 2 * (a12 * c12 + a13 * c13 + a23 * c23)
-    m23 = b11 * c11 + b22 * c22 + b33 * c33 + 2 * (b12 * c12 + b13 * c13 + b23 * c23)
-    v1 = m11 * a11 + m22 * a22 + m33 * a33 + 2 * (m12 * a12 + m13 * a13 + m23 * a23)
-    v2 = m11 * b11 + m22 * b22 + m33 * b33 + 2 * (m12 * b12 + m13 * b13 + m23 * b23)
-    v3 = m11 * c11 + m22 * c22 + m33 * c33 + 2 * (m12 * c12 + m13 * c13 + m23 * c23)
+    s = a12 * a12 + a13 * a13 + a23 * a23
+    m11 = a11 * a11 + a22 * a22 + a33 * a33 + (s + s)
+    s = b12 * b12 + b13 * b13 + b23 * b23
+    m22 = b11 * b11 + b22 * b22 + b33 * b33 + (s + s)
+    s = c12 * c12 + c13 * c13 + c23 * c23
+    m33 = c11 * c11 + c22 * c22 + c33 * c33 + (s + s)
+    s = a12 * b12 + a13 * b13 + a23 * b23
+    m12 = a11 * b11 + a22 * b22 + a33 * b33 + (s + s)
+    s = a12 * c12 + a13 * c13 + a23 * c23
+    m13 = a11 * c11 + a22 * c22 + a33 * c33 + (s + s)
+    s = b12 * c12 + b13 * c13 + b23 * c23
+    m23 = b11 * c11 + b22 * c22 + b33 * c33 + (s + s)
+    s = m12 * a12 + m13 * a13 + m23 * a23
+    v1 = m11 * a11 + m22 * a22 + m33 * a33 + (s + s)
+    s = m12 * b12 + m13 * b13 + m23 * b23
+    v2 = m11 * b11 + m22 * b22 + m33 * b33 + (s + s)
+    s = m12 * c12 + m13 * c13 + m23 * c23
+    v3 = m11 * c11 + m22 * c22 + m33 * c33 + (s + s)
     w11, w22, w33 = a11 * v1 + b11 * v2 + c11 * v3, a22 * v1 + b22 * v2 + c22 * v3, a33 * v1 + b33 * v2 + c33 * v3
     w12, w13, w23 = a12 * v1 + b12 * v2 + c12 * v3, a13 * v1 + b13 * v2 + c13 * v3, a23 * v1 + b23 * v2 + c23 * v3
     u11, u22, u33, u12, u13, u23 = v1 * v1, v2 * v2, v3 * v3, v1 * v2, v1 * v3, v2 * v3
-    return (
-        (m11, m22, m33, m12, m13, m23),
-        (v1, v2, v3),
-        (
-            m11 + m22 + m33,
-            m11 * m11 + m22 * m22 + m33 * m33 + 2 * (m12 * m12 + m13 * m13 + m23 * m23),
-            u11 + u22 + u33,
-            w11 * u11 + w22 * u22 + w33 * u33 + 2 * (w12 * u12 + w13 * u13 + w23 * u23),
-        ),
-    )
+    s = m12 * m12 + m13 * m13 + m23 * m23
+    i4 = m11 * m11 + m22 * m22 + m33 * m33 + (s + s)
+    s = w12 * u12 + w13 * u13 + w23 * u23
+    i10 = w11 * u11 + w22 * u22 + w33 * u33 + (s + s)
+    return (m11, m22, m33, m12, m13, m23), (v1, v2, v3), (m11 + m22 + m33, i4, u11 + u22 + u33, i10)
 
 
 def _components(t: SymTraceless3 | FullTensor3) -> tuple:
@@ -159,10 +167,16 @@ def _components(t: SymTraceless3 | FullTensor3) -> tuple:
 def _scaled_kernel(t: SymTraceless3 | FullTensor3) -> tuple:
     """k and the ``_slice_kernel`` of the tensor times the exact factor 2^-k.
 
-    k comes from ``components._kernel_scale``: 0 for a tensor of ordinary
-    size, and otherwise the k that puts the largest component in [1/2, 1).
+    One pass on the components as given, with k = 0, stands while its I2
+    is in ``components._in_window``; a nonzero tensor outside it is run
+    again at ``_unit_scale``'s k, which puts the largest component in
+    [1/2, 1).
     """
-    k, c = _kernel_scale(_components(t))
+    c = _components(t)
+    out = _slice_kernel(*c)
+    if _in_window(out[2][0]) or not any(c):
+        return 0, out
+    k, c = _unit_scale(c)
     return k, _slice_kernel(*c)
 
 
@@ -193,10 +207,11 @@ def v_vector(t: SymTraceless3 | FullTensor3) -> np.ndarray:
 def smith_bao(t: SymTraceless3 | FullTensor3) -> InvariantTuple:
     """Evaluate the degree-(2, 4, 6, 10) basis from the seven components.
 
-    The kernel runs on the components as given when the largest is in
-    [2^-61, 2^60), and otherwise on the tensor times the exact factor 2^-k
-    that puts it in [1/2, 1), with I_d scaled back by 2^(d*k); both give
-    the same bits (``components._kernel_scale``).  Each I_d has an absolute
+    The kernel runs once on the components as given, and that pass stands
+    while its I2 is in [2^-120, 2^118); a nonzero tensor outside that
+    window is run again times the exact factor 2^-k that puts its largest
+    component in [1/2, 1), with I_d scaled back by 2^(d*k).  Both give the
+    same bits (``components._in_window``).  Each I_d has an absolute
     error of order eps * ||T||^d, a few roundings of its largest terms, not
     a small relative error: where those terms cancel, a small true value
     can be lost.  At (d111, d122, d123, d223) = (1e50, 1, 1, 1) I6 reads

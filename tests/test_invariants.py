@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triso.components import _LAYOUT, _inner, _kernel_scale, _ldexp, _unit_scale
+from triso.components import _LAYOUT, _inner, _ldexp, _scaled_norm, _squared_norm, _unit_scale
 from triso.invariants import (
     CanonicalParams,
     InvariantTuple,
@@ -172,21 +173,90 @@ def test_slice_kernel_is_the_composed_kernel_bit_for_bit():
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_smith_bao_on_both_sides_of_the_scaling_window_is_the_unit_scale_run(seed):
-    # the largest component at 2^(j-1) <= |c| < 2^j: j = +-60 runs as given,
-    # j = +-61 at unit scale, and both carry the bits of the unit-scale run
+def at_i2(c, target):
+    """c scaled toward ||T||^2 = target, with one component moved by a few ulps, so that
+    the kernel's I2, computed on the components as given, reads exactly target."""
+    r = math.sqrt(target / _slice_kernel(*c)[2][0])
+    c = [x * r for x in c]
+    for i, steps in itertools.product(range(7), range(1, 65)):
+        for toward in (math.inf, -math.inf):
+            moved = list(c)
+            for _ in range(steps):
+                moved[i] = math.nextafter(moved[i], toward)
+            if _slice_kernel(*moved)[2][0] == target:
+                return moved
+    raise AssertionError(f"no tensor near {c} has I2 = {target!r}")
+
+
+def window_points(seed):
+    """(components, kernel passes) on both sides of the window I2 in [2^-120, 2^118).
+
+    The old edges, the largest component at 2^(j-1) <= |c| < 2^j for j =
+    +-60, +-61, take one pass where the exact I2 is inside; I2 at 2^-120
+    and 2^118 and one ulp on each side of them takes one pass inside and
+    two outside.
+    """
     _, unit = _unit_scale(random_tensor(seed).as_array().tolist())
-    for j, k in ((-61, -61), (-60, 0), (60, 0), (61, 61)):
+    points = []
+    for j in (-61, -60, 60, 61):
         c = [math.ldexp(x, j) for x in unit]
-        assert _kernel_scale(c)[0] == k
+        exact = _slice_kernel(*map(Fraction, c))[2][0]
+        points.append((c, 1 if 2**-120 <= exact < 2**118 else 2))
+    low, high = 2.0**-120, 2.0**118
+    for target, passes in ((math.nextafter(low, 0.0), 2), (low, 1), (math.nextafter(low, math.inf), 1),
+                           (math.nextafter(high, 0.0), 1), (high, 2), (math.nextafter(high, math.inf), 2)):
+        points.append((at_i2(unit, target), passes))
+    assert {passes for _, passes in points} == {1, 2}
+    return points
+
+
+def counted(monkeypatch, target: str) -> list:
+    """Patch the function at the dotted path target to count its calls, into the returned one-item list."""
+    module, _, name = target.rpartition(".")
+    calls, inner = [0], getattr(importlib.import_module(module), name)
+
+    def counting(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(target, counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_smith_bao_on_both_sides_of_the_scaling_window_is_the_unit_scale_run(seed, monkeypatch):
+    # one kernel pass inside the window and two outside it, and every
+    # result carries the bits of the unit-scale run scaled back
+    points = window_points(seed)
+    calls = counted(monkeypatch, "triso.invariants._slice_kernel")
+    for c, passes in points:
+        k, unit = _unit_scale(c)
         m, v, invs = _slice_kernel(*unit)
-        want = [_ldexp(x, d * j) for x, d in zip(invs, DEGREES)]
-        want += [_ldexp(x, 2 * j) for x in np.array(m)[np.array(_LAYOUT)].ravel().tolist()]
-        want += [_ldexp(x, 3 * j) for x in v]
+        want = [_ldexp(x, d * k) for x, d in zip(invs, DEGREES)]
+        want += [_ldexp(x, 2 * k) for x in np.array(m)[np.array(_LAYOUT)].ravel().tolist()]
+        want += [_ldexp(x, 3 * k) for x in v]
         t = SymTraceless3(*c)
+        calls[0] = 0
         got = [*smith_bao(t).as_array().tolist(), *moment_matrix(t).ravel().tolist(), *v_vector(t).tolist()]
-        assert [x.hex() for x in got] == [x.hex() for x in want], j
+        assert calls[0] == 3 * passes, c
+        assert [x.hex() for x in got] == [x.hex() for x in want], c
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scaled_norm_on_both_sides_of_the_scaling_window_is_the_unit_scale_norm(seed, monkeypatch):
+    # k = 0 and one pass inside the window, the unit scale's k and two
+    # passes outside it, and n 2^k is the unit-scale norm times its 2^k
+    points = window_points(seed)
+    calls = counted(monkeypatch, "triso.components._squared_norm")
+    for c, passes in points:
+        k, unit = _unit_scale(c)
+        unit_norm = math.sqrt(_squared_norm(unit))
+        calls[0] = 0
+        n, got_k, scaled = _scaled_norm(c)
+        assert calls[0] == passes, c
+        assert got_k == (0 if passes == 1 else k), c
+        assert scaled == [math.ldexp(x, -got_k) for x in c]
+        assert math.ldexp(n, got_k - k).hex() == unit_norm.hex(), c
 
 
 def test_smith_bao_error_is_absolute_at_the_scale_of_the_norm():
@@ -351,10 +421,8 @@ def test_canonical_invariants_agrees_with_smith_bao():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_canonical_invariants_are_homogeneous_at_any_scale(seed):
-    # run at _kernel_scale, as given inside its window (where the table's
-    # per-degree grids commute with powers of two) and scaled back by an
-    # exact power of two outside it: I_d at c 2^j is I_d(c) 2^(d j) as one
-    # rounding, +-inf past the largest double, and never NaN
+    # each value is the exact sum rounded once: I_d at c 2^j is I_d(c) 2^(d j)
+    # as one rounding, +-inf past the largest double, and never NaN
     c = np.random.default_rng(seed).uniform(-2, 2, size=4).tolist()
     base = canonical_invariants(CanonicalParams(*c)).as_array().tolist()
     for j in range(-500, 501, 25):

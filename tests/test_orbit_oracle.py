@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import struct
@@ -11,7 +12,9 @@ import pytest
 
 import triso
 
-from triso.canonical_core import canonical_record
+from triso import canonical_core, components
+from triso.canonical_core import CanonicalRecord, canonical_record
+from triso.cli import main
 from triso.canonical_form import canonicalize
 from triso.components import _unit_scale
 from triso.invariants import _cbrt, _components, _slice_kernel, smith_bao
@@ -271,6 +274,62 @@ def test_alignment_canonicalizes_each_tensor_once(monkeypatch):
     a, b = planted_pair(4, proper=False)
     assert best_alignment(a, b, "O(3)").residual <= 1e-10 * expand(a).frobenius()
     assert len(calls) == 2
+
+
+def test_each_canonical_frame_is_checked_once(monkeypatch, capsys, tmp_path):
+    # canonical_record checks no rows: canonicalize checks its frame in the
+    # OrthogonalTransform3 it builds, _alignment checks both records' frames
+    # (best_alignment also builds a transform from g), and the triso
+    # canonicalize handler checks its record's
+    calls = []
+    check = components._check_orthogonal
+
+    def counted(rows, det_sign):
+        calls.append(det_sign)
+        check(rows, det_sign)
+
+    for module in ("components", "canonical_core", "tensor_core", "cli"):
+        monkeypatch.setattr(f"triso.{module}._check_orthogonal", counted)
+    a, b = planted_pair(4, proper=False)
+    flags = [f"--{name}={value!r}" for name, value in zip(components.COMPONENT_NAMES, a.as_array().tolist())]
+    files = []
+    for name, t in (("a", a), ("b", b)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(components.tensor_to_json_obj(t)))
+        files.append(str(path))
+    compare = ["orbit-compare", "--a-file", files[0], "--b-file", files[1], "--align"]
+    entry_points = {
+        "canonicalize": lambda: canonicalize(a),
+        "best_alignment": lambda: best_alignment(a, b, "O(3)"),
+        "triso canonicalize": lambda: main(["canonicalize", *flags]),
+        "triso orbit-compare --align": lambda: main(compare),
+    }
+    counts, results = {}, {}
+    for name, call in entry_points.items():
+        calls.clear()
+        results[name] = call()
+        counts[name] = len(calls)
+    capsys.readouterr()
+    assert results["triso canonicalize"] == results["triso orbit-compare --align"] == 0
+    assert counts == {"canonicalize": 1, "best_alignment": 3, "triso canonicalize": 1,
+                      "triso orbit-compare --align": 2}
+
+    # a frame whose first row is 1 % too long is refused at every entry point
+    framed = canonical_core._framed
+
+    def skewed(*args):
+        r = framed(*args)
+        rows = [[1.01 * x for x in r.rows[0]], *r.rows[1:]]
+        return CanonicalRecord(r.params, rows, r.det_sign, r.max_value, r.diagnostics)
+
+    monkeypatch.setattr(canonical_core, "_framed", skewed)
+    for name in ("canonicalize", "best_alignment"):
+        with pytest.raises(ValueError, match="matrix is not orthogonal"):
+            entry_points[name]()
+    for argv in (["canonicalize", *flags], compare):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "matrix is not orthogonal" in captured.err
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -502,7 +502,7 @@ def test_one_point_evaluation_builds_no_monomial_table(monkeypatch):
         raise AssertionError("one point went through the batch machinery")
 
     module = importlib.import_module("triso.invariants")
-    for name in ("_kernel_scale", "_ldexp"):
+    for name in ("_slice_kernel", "_ldexp"):
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(_MonomialTable, "__init__", refuse)
     fresh = Poly(I10_CANONICAL.terms)

@@ -39,7 +39,7 @@ def test_layer_times_prints_a_positive_time_per_layer(capsys):
     times = json.loads(capsys.readouterr().out)
     assert set(times) == {
         "_stationary_candidates_us", "python_candidates_us", "maximize_cubic_on_sphere_us", "canonicalize_us", "best_alignment_us",
-        "same_orbit_us", "smith_bao_us", "smith_bao_rescaled_us", "independence_report_ms", "candidates_per_call",
+        "same_orbit_us", "smith_bao_us", "slice_kernel_us", "smith_bao_rescaled_us", "independence_report_ms", "candidates_per_call",
         "finished_per_call", "analytic_table_us", "canonical_invariants_us", "canonical_invariants_wide_us",
     }
     assert all(value > 0 for value in times.values())

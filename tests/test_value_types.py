@@ -1,9 +1,11 @@
 """The numpy-free value types behave as frozen dataclasses.
 
-``SymTraceless3``, ``InvariantTuple`` and ``CanonicalParams`` are plain
-``__slots__`` classes, so ``triso invariants`` never imports
-``dataclasses``; these tests pin the frozen-dataclass behaviour they keep,
-and pass against dataclass versions of the same types too.
+``SymTraceless3``, ``InvariantTuple``, ``CanonicalParams`` and
+``CanonicalRecord`` are plain ``__slots__`` classes (``components._Record``),
+so ``triso invariants`` never imports ``dataclasses``; these tests pin the
+frozen-dataclass behaviour they keep, and pass against dataclass versions
+of the same types too, short of the slot setters, which the last test
+checks for every ``_Record`` subclass.
 """
 
 import copy
@@ -12,7 +14,8 @@ import pickle
 
 import pytest
 
-from triso.components import SymTraceless3
+from triso.canonical_core import CanonicalRecord, _python_candidates, canonical_record
+from triso.components import SymTraceless3, _Record
 from triso.invariants import CanonicalParams, InvariantTuple
 
 CASES = [
@@ -97,3 +100,28 @@ def test_params_and_invariants_keep_their_values_as_given():
     params = CanonicalParams(1, 2, 3, math.nan)
     assert type(params.d111) is int and math.isnan(params.d223)
     assert InvariantTuple(1, 2, 3, 4).to_json_obj() == {"I2": 1, "I4": 2, "I6": 3, "I10": 4}
+
+
+def test_every_record_sets_its_slots_through_their_setters():
+    # the record from a real canonicalization, its rows a list and its diagnostics a dict
+    record = canonical_record(SymTraceless3(0.3, -1.2, 0.5, 0.8, -0.4, 1.1, 0.2), "O(3)", _python_candidates)
+    arguments = {
+        SymTraceless3: (0.3, -1.2, 0.5, 0.8, -0.4, 1.1, 0.2),
+        InvariantTuple: (1.0, 2.0, 3.0, 4.0),
+        CanonicalParams: (0.5, -1.0, 0.0, 2.0),
+        CanonicalRecord: tuple(getattr(record, name) for name in CanonicalRecord.__slots__),
+    }
+    assert set(_Record.__subclasses__()) == set(arguments)
+    for cls, args in arguments.items():
+        # one setter per slot, each bound to its slot's descriptor, in order
+        assert [setter.__self__ for setter in cls._setters] == [cls.__dict__[name] for name in cls.__slots__]
+        value = cls(*args)
+        assert value._values() == args, cls
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, 3.0)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+        assert value._values() == args
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is cls and twin._values() == args and twin == value, cls
